@@ -36,8 +36,8 @@ type ColumnStream func(yield func(c *LinkColumns) error) error
 
 // snapshots iterates the chunk row-wise: for each snapshot time it fills
 // scratch.Links with that instant's loads and hands the map to visit —
-// recovering the exact per-snapshot view the Stream folds consume, so the
-// column folds inherit their semantics (and their results) verbatim.
+// recovering the exact per-snapshot view the Stream folds consume, so
+// WeeklyLoadsColumns inherits WeeklyLoads' semantics (and results) verbatim.
 func (c *LinkColumns) snapshots(scratch *wmap.Map, visit func(m *wmap.Map) error) error {
 	if cap(scratch.Links) < len(c.Links) {
 		scratch.Links = make([]wmap.Link, len(c.Links))
@@ -60,25 +60,32 @@ func (c *LinkColumns) snapshots(scratch *wmap.Map, visit func(m *wmap.Map) error
 }
 
 // ImbalanceCDFColumns is ImbalanceCDF over a column stream: one scan of the
-// archive feeds every directed parallel set, with the per-snapshot grouping
-// delegated to the same wmap.Imbalances code the snapshot fold uses.
+// archive feeds every directed parallel set. A chunk's topology is grouped
+// into directed sets once (setIndex) and reused for as long as the following
+// chunks keep it, so the per-snapshot work is only filter and min/max over
+// the load columns, in the order wmap.Imbalances visits them.
 func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
 	internal := stats.NewSample()
 	external := stats.NewSample()
 	var lastParallelism float64
-	var scratch wmap.Map
+	var ix setIndex
+	var topo []wmap.Link
 	err := src(func(c *LinkColumns) error {
-		return c.snapshots(&scratch, func(m *wmap.Map) error {
-			for _, im := range m.Imbalances(opt) {
-				if im.Internal {
-					internal.Add(float64(im.Spread))
-				} else {
-					external.Add(float64(im.Spread))
-				}
-			}
-			lastParallelism = m.MeanParallelism()
+		if len(c.Times) == 0 {
 			return nil
-		})
+		}
+		topo = topo[:0]
+		for i := range c.Links {
+			topo = append(topo, c.Links[i].Link)
+		}
+		if !sameTopology(topo, ix.links) {
+			ix.build(topo)
+		}
+		for k := range c.Times {
+			ix.fold(c, k, opt, internal, external)
+		}
+		lastParallelism = ix.parallelism
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -97,6 +104,115 @@ func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*Imbalanc
 		view.ExtWithin2, _ = external.FractionAtMost(2)
 	}
 	return view, nil
+}
+
+// setIndex is one topology's directed parallel sets, laid out for the
+// column fold: sets in wmap.Imbalances order (ParallelGroups order, A→B
+// before B→A), each naming the load columns of its links. The zero value
+// indexes the empty topology.
+type setIndex struct {
+	links       []wmap.Link // the topology indexed (identity fields are what count)
+	sets        []dirSet
+	members     []colRef // every set's columns, back to back
+	parallelism float64  // wmap.Map.MeanParallelism of the topology
+}
+
+// dirSet is one directed set: members[lo:hi] are its links' columns.
+type dirSet struct {
+	internal bool
+	lo, hi   int
+}
+
+// colRef is one link of a directed set: its column, and whether the set
+// reads the link's BA load rather than its AB load.
+type colRef struct {
+	col int
+	ba  bool
+}
+
+// build indexes links. The grouping itself is wmap's: ParallelGroups runs
+// over a copy of the topology whose LoadAB carries each link's column
+// index, so the sets come out in exactly the order Imbalances walks them.
+func (ix *setIndex) build(links []wmap.Link) {
+	ix.links = append(ix.links[:0], links...)
+	tagged := &wmap.Map{Links: make([]wmap.Link, len(links))}
+	for i, l := range links {
+		l.LoadAB = wmap.Load(i)
+		tagged.Links[i] = l
+	}
+	ix.sets, ix.members = ix.sets[:0], ix.members[:0]
+	for _, g := range tagged.ParallelGroups() {
+		internal := wmap.KindOfName(g.A) == wmap.Router && wmap.KindOfName(g.B) == wmap.Router
+		for _, from := range [2]string{g.A, g.B} {
+			lo := len(ix.members)
+			for _, l := range g.Links {
+				// DirectedLoads' rule: AB when from is the link's A, else
+				// BA when it is its B.
+				switch from {
+				case l.A:
+					ix.members = append(ix.members, colRef{col: int(l.LoadAB)})
+				case l.B:
+					ix.members = append(ix.members, colRef{col: int(l.LoadAB), ba: true})
+				}
+			}
+			ix.sets = append(ix.sets, dirSet{internal: internal, lo: lo, hi: len(ix.members)})
+		}
+	}
+	ix.parallelism = tagged.MeanParallelism()
+}
+
+// fold adds snapshot k of c to the samples: for each directed set, the
+// spread of its loads that survive opt's filters, as wmap.Imbalances
+// computes it.
+//
+//wm:hotpath
+func (ix *setIndex) fold(c *LinkColumns, k int, opt wmap.ImbalanceOptions, internal, external *stats.Sample) {
+	for _, s := range ix.sets {
+		var n int
+		var mn, mx wmap.Load
+		for _, r := range ix.members[s.lo:s.hi] {
+			l := c.Links[r.col].AB[k]
+			if r.ba {
+				l = c.Links[r.col].BA[k]
+			}
+			if (opt.IgnoreZero && l == 0) || (opt.IgnoreOne && l == 1) {
+				continue
+			}
+			if n == 0 || l < mn {
+				mn = l
+			}
+			if n == 0 || l > mx {
+				mx = l
+			}
+			n++
+		}
+		if n == 0 || n < opt.MinLinks {
+			continue
+		}
+		if s.internal {
+			internal.Add(float64(mx - mn))
+		} else {
+			external.Add(float64(mx - mn))
+		}
+	}
+}
+
+// sameTopology reports whether a and b list the same links in the same
+// order, by the identity fields (A, B, LabelA, LabelB) — all that the
+// parallel grouping and events.EachDirection read. Snapshots decoded from
+// one stored topology share its strings, so an unchanged topology compares
+// at pointer speed.
+func sameTopology(a, b []wmap.Link) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.A != y.A || x.B != y.B || x.LabelA != y.LabelA || x.LabelB != y.LabelB {
+			return false
+		}
+	}
+	return true
 }
 
 // WeeklyLoadsColumns is WeeklyLoads over a column stream: same per-snapshot

@@ -11,13 +11,14 @@ import (
 )
 
 // columnize turns a snapshot corpus into the chunked columnar shape a tsdb
-// grid scan yields: consecutive snapshots sharing a topology become one
-// LinkColumns chunk.
-func columnize(maps []*wmap.Map) ColumnStream {
+// grid scan yields: consecutive snapshots sharing a topology — the same
+// links in the same order, by endpoints and labels — become chunks of at
+// most chunkLen snapshots, the way an archive cuts a run into blocks.
+func columnize(maps []*wmap.Map, chunkLen int) ColumnStream {
 	return func(yield func(c *LinkColumns) error) error {
 		for i := 0; i < len(maps); {
 			j := i
-			for j < len(maps) && len(maps[j].Links) == len(maps[i].Links) {
+			for j < len(maps) && j-i < chunkLen && sameLinkIdentity(maps[j].Links, maps[i].Links) {
 				j++
 			}
 			run := maps[i:j]
@@ -43,13 +44,33 @@ func columnize(maps []*wmap.Map) ColumnStream {
 	}
 }
 
+// sameLinkIdentity is columnize's chunk-split rule, kept independent of the
+// package's own topology check so the tests do not grade it against itself.
+func sameLinkIdentity(a, b []wmap.Link) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if [4]string{a[i].A, a[i].B, a[i].LabelA, a[i].LabelB} != [4]string{b[i].A, b[i].B, b[i].LabelA, b[i].LabelB} {
+			return false
+		}
+	}
+	return true
+}
+
 // testCorpus builds a mixed corpus: internal parallels, external parallels,
-// a singleton link, and a mid-corpus topology growth.
+// a singleton link, and a mid-corpus topology growth. One load in eight is
+// 0 % or 1 %, so the imbalance filters have readings to drop.
 func testCorpus(rng *rand.Rand, n int) []*wmap.Map {
 	base := time.Date(2020, 7, 1, 0, 0, 0, 0, time.UTC)
 	var maps []*wmap.Map
 	for i := 0; i < n; i++ {
-		lo := func() wmap.Load { return wmap.Load(rng.Intn(101)) }
+		lo := func() wmap.Load {
+			if rng.Intn(8) == 0 {
+				return wmap.Load(rng.Intn(2))
+			}
+			return wmap.Load(rng.Intn(101))
+		}
 		m := &wmap.Map{
 			ID:   wmap.Europe,
 			Time: base.Add(time.Duration(i) * 3 * time.Hour),
@@ -75,6 +96,50 @@ func testCorpus(rng *rand.Rand, n int) []*wmap.Map {
 	return maps
 }
 
+// topologyVariants derives corpora whose topology changes while the link
+// count does not: for snapshots [n/4, 3n/8) one edit is applied, then the
+// base topology returns. Each edit moves a load between directed sets or
+// parallel ordinals, so a fold that keys its index on link count alone
+// misreads it.
+func topologyVariants(rng *rand.Rand, n int) map[string][]*wmap.Map {
+	edits := map[string]func(m *wmap.Map){
+		"base": func(*wmap.Map) {},
+		"relabel": func(m *wmap.Map) {
+			m.Links[1].LabelA = "#7"
+		},
+		"reorder": func(m *wmap.Map) {
+			m.Links[0], m.Links[1] = m.Links[1], m.Links[0]
+			m.Links[2], m.Links[4] = m.Links[4], m.Links[2]
+		},
+		"swap": func(m *wmap.Map) {
+			l := &m.Links[2]
+			l.A, l.B = l.B, l.A
+			l.LabelA, l.LabelB = l.LabelB, l.LabelA
+		},
+	}
+	out := make(map[string][]*wmap.Map, len(edits))
+	for name, edit := range edits {
+		maps := testCorpus(rng, n)
+		for _, m := range maps[n/4 : 3*n/8] {
+			edit(m)
+		}
+		out[name] = maps
+	}
+	return out
+}
+
+// testImbalanceOptions covers the paper's filters and the non-paper
+// corners: no filter at all, and each filter alone.
+func testImbalanceOptions() map[string]wmap.ImbalanceOptions {
+	return map[string]wmap.ImbalanceOptions{
+		"paper":     wmap.PaperImbalanceOptions(),
+		"none":      {},
+		"minlinks1": {MinLinks: 1},
+		"zero":      {IgnoreZero: true, MinLinks: 1},
+		"one":       {IgnoreOne: true, MinLinks: 3},
+	}
+}
+
 // TestColumnsFoldEquivalence: the column folds must produce views deeply
 // equal to the snapshot-stream folds over the same corpus — the invariant
 // that lets wmanalyze switch Figure 5 onto the grid scan.
@@ -94,7 +159,7 @@ func TestColumnsFoldEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotImb, err := ImbalanceCDFColumns(columnize(maps), wmap.PaperImbalanceOptions())
+	gotImb, err := ImbalanceCDFColumns(columnize(maps, 16), wmap.PaperImbalanceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +174,7 @@ func TestColumnsFoldEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotWk, err := WeeklyLoadsColumns(columnize(maps))
+	gotWk, err := WeeklyLoadsColumns(columnize(maps, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,5 +197,65 @@ func TestColumnsFoldError(t *testing.T) {
 	}
 	if _, err := WeeklyLoadsColumns(src); !errors.Is(err, boom) {
 		t.Errorf("weekly error = %v", err)
+	}
+}
+
+// TestColumnsFoldTopologyChanges: the imbalance column fold rebuilds its
+// directed-set index whenever the topology changes — also when the link
+// count stays put (a relabel, a reorder, an A<->B swap) — and reuses it
+// across chunks of one topology, under every filter combination.
+func TestColumnsFoldTopologyChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for name, maps := range topologyVariants(rng, 96) {
+		for optName, opt := range testImbalanceOptions() {
+			want, err := ImbalanceCDF(SliceStream(maps), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chunkLen := range []int{1, 5, 16, len(maps)} {
+				got, err := ImbalanceCDFColumns(columnize(maps, chunkLen), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s/%s chunks of %d: views diverge:\nstream  %+v\ncolumns %+v", name, optName, chunkLen, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestColumnsFoldEmptyChunk: a chunk with no snapshots contributes nothing,
+// and in particular does not replace the last snapshot's mean parallelism
+// with its own topology's.
+func TestColumnsFoldEmptyChunk(t *testing.T) {
+	maps := testCorpus(rand.New(rand.NewSource(13)), 40)
+	empty := &LinkColumns{Links: []LinkCol{{Link: wmap.Link{A: "x-g1", B: "y-g1", LabelA: "#1", LabelB: "#1"}}}}
+	src := ColumnStream(func(yield func(c *LinkColumns) error) error {
+		if err := yield(empty); err != nil {
+			return err
+		}
+		return columnize(maps, 8)(func(c *LinkColumns) error {
+			if err := yield(c); err != nil {
+				return err
+			}
+			return yield(empty)
+		})
+	})
+	for optName, opt := range testImbalanceOptions() {
+		want, err := ImbalanceCDF(SliceStream(maps), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ImbalanceCDFColumns(src, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: views diverge:\nstream  %+v\ncolumns %+v", optName, want, got)
+		}
+		if got.MeanParallelism != 1.5 {
+			t.Errorf("%s: mean parallelism = %v, want the last snapshot's 1.5", optName, got.MeanParallelism)
+		}
 	}
 }

@@ -56,33 +56,30 @@ type CongestionView struct {
 // (fraction of hot readings, Figure 5b's tail) and the links that are hot
 // persistently. Direction enumeration and parallel-ordinal assignment are
 // events.EachDirection — the same walk the live congestion detector runs,
-// so offline and live agree on which physical direction is which.
+// so offline and live agree on which physical direction is which. The walk
+// runs once per topology: it resolves every direction's accumulator into a
+// slice the following snapshots index by link position.
 func CongestionStudy(src Stream, opt CongestionOptions) (*CongestionView, error) {
-	type acc struct {
-		hot, seen int
-		peak      wmap.Load
-	}
-	counts := make(map[events.DirKey]*acc)
+	counts := make(map[events.DirKey]*dirAcc)
 	view := &CongestionView{Options: opt}
+	var topo []wmap.Link // the topology dirs resolves
+	var dirs []*dirAcc   // link i's AB accumulator at 2i, BA at 2i+1
 
 	err := src(func(m *wmap.Map) error {
 		view.Snapshots++
-		events.EachDirection(m, func(dir events.Direction) {
-			a := counts[dir.Key()]
-			if a == nil {
-				a = &acc{}
-				counts[dir.Key()] = a
-			}
-			a.seen++
-			view.Observations++
-			if dir.Load >= opt.Threshold {
-				a.hot++
-				view.HotReadings++
-			}
-			if dir.Load > a.peak {
-				a.peak = dir.Load
-			}
-		})
+		if !sameTopology(m.Links, topo) {
+			topo = append(topo[:0], m.Links...)
+			dirs = dirs[:0]
+			events.EachDirection(m, func(dir events.Direction) {
+				a := counts[dir.Key()]
+				if a == nil {
+					a = &dirAcc{}
+					counts[dir.Key()] = a
+				}
+				dirs = append(dirs, a)
+			})
+		}
+		observeDirections(m.Links, dirs, opt.Threshold, view)
 		return nil
 	})
 	if err != nil {
@@ -114,9 +111,39 @@ func CongestionStudy(src Stream, opt CongestionOptions) (*CongestionView, error)
 		if a.To != b.To {
 			return a.To < b.To
 		}
-		return a.Ordinal < b.Ordinal
+		if a.Ordinal != b.Ordinal {
+			return a.Ordinal < b.Ordinal
+		}
+		return a.Label < b.Label
 	})
 	return view, nil
+}
+
+// dirAcc accumulates one link direction's readings.
+type dirAcc struct {
+	hot, seen int
+	peak      wmap.Load
+}
+
+// observeDirections folds one snapshot's loads into their directions'
+// accumulators: dirs[2i] and dirs[2i+1] are links[i]'s AB and BA.
+//
+//wm:hotpath
+func observeDirections(links []wmap.Link, dirs []*dirAcc, threshold wmap.Load, view *CongestionView) {
+	for i := range links {
+		for d, load := range [2]wmap.Load{links[i].LoadAB, links[i].LoadBA} {
+			a := dirs[2*i+d]
+			a.seen++
+			view.Observations++
+			if load >= threshold {
+				a.hot++
+				view.HotReadings++
+			}
+			if load > a.peak {
+				a.peak = load
+			}
+		}
+	}
 }
 
 // WriteCongestion renders the congestion view.
