@@ -191,7 +191,7 @@ func BenchmarkArchiveLinkSeries(b *testing.B) {
 	key := tsdb.LinkKeysOf(m)[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ab, ba, err := f.rd.LinkSeries(wmap.Europe, key, time.Time{}, time.Time{})
+		ab, ba, err := f.rd.LinkSeries(context.Background(), wmap.Europe, key, time.Time{}, time.Time{})
 		if err != nil || ab.Len() == 0 || ba.Len() == 0 {
 			b.Fatalf("series lengths %d, %d, err %v", ab.Len(), ba.Len(), err)
 		}

@@ -67,6 +67,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -173,10 +174,19 @@ func newHandler(site http.Handler, rd *tsdb.Reader, cacheBytes int64, hub *event
 	if rd != nil {
 		cache := tsdb.NewBlockCache(cacheBytes)
 		rd.SetBlockCache(cache)
-		publishCacheStats(cache)
-		publishPlannerStats(rd)
-		publishGridStats(rd)
-		publishEventStats(hub, rd)
+		publishStats("tsdb_block_cache", func() any { return cache.Stats() })
+		publishStats("tsdb_planner", func() any { return rd.PlannerStats() })
+		publishStats("tsdb_grid", func() any { return rd.GridStats() })
+		// tsdb_events: persisted event frames plus, in -live mode, the
+		// broadcaster's subscriber count and published/dropped/per-type
+		// fire totals.
+		publishStats("tsdb_events", func() any {
+			out := map[string]any{"frames": rd.EventFrames()}
+			if hub != nil {
+				out["broadcast"] = hub.Stats()
+			}
+			return out
+		})
 		mux.Handle("/api/v1/", tsdb.NewAPIHandlerWithStream(rd, hub))
 		mux.Handle("/debug/vars", expvar.Handler())
 	}
@@ -184,86 +194,29 @@ func newHandler(site http.Handler, rd *tsdb.Reader, cacheBytes int64, hub *event
 	return mux
 }
 
-// publishCacheStats exposes the block cache's counters as the
-// tsdb_block_cache expvar. Publish panics on duplicate names, so re-entry
-// (tests call newHandler repeatedly) rebinds through a stable Func that
-// reads the latest cache.
-var cacheVar struct {
-	cache *tsdb.BlockCache
-	once  bool
-}
+// published holds the latest getter behind each expvar name publishStats
+// has registered.
+var published = struct {
+	sync.Mutex
+	get map[string]func() any
+}{get: make(map[string]func() any)}
 
-func publishCacheStats(c *tsdb.BlockCache) {
-	cacheVar.cache = c
-	if cacheVar.once {
-		return
+// publishStats exposes get's result as the expvar name. Publish panics on
+// duplicate names, so each name is published once through a stable Func
+// that calls the latest getter; re-entry (tests call newHandler
+// repeatedly) only rebinds it.
+func publishStats(name string, get func() any) {
+	published.Lock()
+	defer published.Unlock()
+	if _, ok := published.get[name]; !ok {
+		expvar.Publish(name, expvar.Func(func() any {
+			published.Lock()
+			g := published.get[name]
+			published.Unlock()
+			return g()
+		}))
 	}
-	cacheVar.once = true
-	expvar.Publish("tsdb_block_cache", expvar.Func(func() any {
-		return cacheVar.cache.Stats()
-	}))
-}
-
-// publishPlannerStats exposes the query planner's per-tier counters as the
-// tsdb_planner expvar, with the same rebind-through-a-Func dance as the
-// cache stats.
-var plannerVar struct {
-	rd   *tsdb.Reader
-	once bool
-}
-
-func publishPlannerStats(rd *tsdb.Reader) {
-	plannerVar.rd = rd
-	if plannerVar.once {
-		return
-	}
-	plannerVar.once = true
-	expvar.Publish("tsdb_planner", expvar.Func(func() any {
-		return plannerVar.rd.PlannerStats()
-	}))
-}
-
-// publishGridStats exposes the grid engine's counters as the tsdb_grid
-// expvar, with the same rebind-through-a-Func dance as the cache stats.
-var gridVar struct {
-	rd   *tsdb.Reader
-	once bool
-}
-
-func publishGridStats(rd *tsdb.Reader) {
-	gridVar.rd = rd
-	if gridVar.once {
-		return
-	}
-	gridVar.once = true
-	expvar.Publish("tsdb_grid", expvar.Func(func() any {
-		return gridVar.rd.GridStats()
-	}))
-}
-
-// publishEventStats exposes the event subsystem's counters — persisted
-// event frames plus, in -live mode, the broadcaster's subscriber count and
-// published/dropped/per-type fire totals — as the tsdb_events expvar, with
-// the same rebind-through-a-Func dance as the cache stats.
-var eventsVar struct {
-	hub  *events.Broadcaster
-	rd   *tsdb.Reader
-	once bool
-}
-
-func publishEventStats(hub *events.Broadcaster, rd *tsdb.Reader) {
-	eventsVar.hub, eventsVar.rd = hub, rd
-	if eventsVar.once {
-		return
-	}
-	eventsVar.once = true
-	expvar.Publish("tsdb_events", expvar.Func(func() any {
-		out := map[string]any{"frames": eventsVar.rd.EventFrames()}
-		if eventsVar.hub != nil {
-			out["broadcast"] = eventsVar.hub.Stats()
-		}
-		return out
-	}))
+	published.get[name] = get
 }
 
 // runRefresher polls the live archive for new committed blocks until ctx

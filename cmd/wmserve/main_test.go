@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log"
@@ -43,12 +44,11 @@ func TestRunClockFailureCap(t *testing.T) {
 	}
 }
 
-// TestNewHandlerMountsArchiveAPI builds a tiny archive and checks the
-// handler wiring: the query API, the stats endpoint, and expvar all
-// respond, and the block cache is attached to the reader (repeat topology
-// serves record hits).
-func TestNewHandlerMountsArchiveAPI(t *testing.T) {
-	path := t.TempDir() + "/a.tsdb"
+// tinyArchive writes a one-snapshot, one-link archive and returns its path
+// and the link's query-API id.
+func tinyArchive(t *testing.T) (path, linkID string) {
+	t.Helper()
+	path = t.TempDir() + "/a.tsdb"
 	w, err := tsdb.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +65,27 @@ func TestNewHandlerMountsArchiveAPI(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path, tsdb.LinkKeysOf(m)[0].ID(wmap.Europe)
+}
+
+// openReader opens path and closes the reader when the test ends.
+func openReader(t *testing.T, path string) *tsdb.Reader {
+	t.Helper()
 	rd, err := tsdb.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rd.Close()
+	t.Cleanup(func() { rd.Close() })
+	return rd
+}
+
+// TestNewHandlerMountsArchiveAPI builds a tiny archive and checks the
+// handler wiring: the query API, the stats endpoint, and expvar all
+// respond, and the block cache is attached to the reader (repeat topology
+// serves record hits).
+func TestNewHandlerMountsArchiveAPI(t *testing.T) {
+	path, _ := tinyArchive(t)
+	rd := openReader(t, path)
 
 	h := newHandler(http.NotFoundHandler(), rd, 1<<20, nil, newHealth("starting"))
 	get := func(url string) *httptest.ResponseRecorder {
@@ -92,11 +108,10 @@ func TestNewHandlerMountsArchiveAPI(t *testing.T) {
 		t.Errorf("cache not wired: stats %+v after repeated topology serves", s)
 	}
 	body := get("/debug/vars").Body.String()
-	if !strings.Contains(body, "tsdb_block_cache") {
-		t.Error("expvar page lacks tsdb_block_cache")
-	}
-	if !strings.Contains(body, "tsdb_events") {
-		t.Error("expvar page lacks tsdb_events")
+	for _, name := range []string{"tsdb_block_cache", "tsdb_planner", "tsdb_grid", "tsdb_events"} {
+		if !strings.Contains(body, `"`+name+`"`) {
+			t.Errorf("expvar page lacks %s", name)
+		}
 	}
 
 	// Without an archive the site handler serves unchanged, but the health
@@ -113,6 +128,45 @@ func TestNewHandlerMountsArchiveAPI(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Errorf("archiveless /healthz = %d, want 200", rec.Code)
 		}
+	}
+}
+
+// TestNewHandlerRebindsExpvars: expvar names are process-global, so a
+// second newHandler must rebind them to its own reader — /debug/vars then
+// reports the second reader's counters, not the first's.
+func TestNewHandlerRebindsExpvars(t *testing.T) {
+	path, linkID := tinyArchive(t)
+	stepped := "/api/v1/links/" + linkID + "/load?step=5m"
+	serve := func(h http.Handler, url string) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d (%s)", url, rec.Code, rec.Body)
+		}
+		return rec
+	}
+
+	h1 := newHandler(http.NotFoundHandler(), openReader(t, path), 1<<20, nil, newHealth("starting"))
+	serve(h1, stepped)
+	rd2 := openReader(t, path)
+	h2 := newHandler(http.NotFoundHandler(), rd2, 1<<20, nil, newHealth("starting"))
+	serve(h2, stepped)
+	serve(h2, stepped)
+	serve(h2, "/api/v1/grid?map=europe&step=5m")
+
+	var vars struct {
+		Planner tsdb.PlannerStats `json:"tsdb_planner"`
+		Grid    tsdb.GridStats    `json:"tsdb_grid"`
+	}
+	if err := json.Unmarshal(serve(h2, "/debug/vars").Body.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	if want := rd2.PlannerStats(); vars.Planner.Raw != 2 || vars.Planner.Raw != want.Raw {
+		t.Errorf("tsdb_planner = %+v, want the second reader's %+v (2 raw serves)", vars.Planner, want)
+	}
+	if vars.Grid.Queries != 1 {
+		t.Errorf("tsdb_grid = %+v, want the second reader's 1 grid query", vars.Grid)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -195,7 +196,7 @@ func TestReaderCacheFullBlockServesGroups(t *testing.T) {
 
 	// A link query must now be all hits: no new misses.
 	key := LinkKeysOf(maps[0])[1]
-	ab, _, err := rd.LinkSeries(wmap.Europe, key, time.Time{}, time.Time{})
+	ab, _, err := rd.LinkSeries(context.Background(), wmap.Europe, key, time.Time{}, time.Time{})
 	if err != nil || ab.Len() != 6 {
 		t.Fatalf("LinkSeries after warm scan: len %d, err %v", ab.Len(), err)
 	}

@@ -25,10 +25,10 @@ import (
 // for allocation-free folds.
 //
 // A plain Cursor decodes blocks one at a time on the calling goroutine.
-// CursorContext and CursorParallel instead decode on the read-ahead
-// pipeline — a bounded worker pool keeps the next few blocks decoding
-// while the consumer folds the current one — and stop when the context is
-// cancelled. Both paths yield byte-identical snapshots in the same order.
+// CursorParallel instead decodes on the read-ahead pipeline — a bounded
+// worker pool keeps the next few blocks decoding while the consumer folds
+// the current one — and stops when the context is cancelled. Both paths
+// yield byte-identical snapshots in the same order.
 // Close releases the pipeline early; iterating to completion (Next
 // returning false) closes implicitly, so Close only matters for abandoned
 // iterations.
@@ -71,16 +71,11 @@ func (r *Reader) Cursor(id wmap.MapID, from, to time.Time) *Cursor {
 	}
 }
 
-// CursorContext positions a cursor that decodes blocks on the read-ahead
-// pipeline with one worker per core and stops when ctx is cancelled
-// (Err() then returns ctx.Err()).
-func (r *Reader) CursorContext(ctx context.Context, id wmap.MapID, from, to time.Time) *Cursor {
-	return r.CursorParallel(ctx, id, from, to, defaultReadAheadWorkers())
-}
-
-// CursorParallel is CursorContext with an explicit decode worker count;
-// workers <= 1 still runs the pipeline (one decoder overlapping the
-// consumer) unless the range spans a single block, which decodes inline.
+// CursorParallel positions a cursor that decodes blocks on the read-ahead
+// pipeline with the given worker count and stops when ctx is cancelled
+// (Err() then returns ctx.Err()); workers <= 1 still runs the pipeline (one
+// decoder overlapping the consumer) unless the range spans a single block,
+// which decodes inline.
 func (r *Reader) CursorParallel(ctx context.Context, id wmap.MapID, from, to time.Time, workers int) *Cursor {
 	c := r.Cursor(id, from, to)
 	if workers < 1 {

@@ -17,23 +17,25 @@ import (
 // artifact — every link of a map colored at once — so the full-map range
 // query is the hot path.
 //
-// The scan has two legs, mirroring the per-link planner exactly:
+// The same engine serves /links/{id}/load?step= as a scan over one key, so
+// a grid row and a per-link body are the same bytes by construction.
 //
-//   - Rollup leg: every link is planned through planWithBlocks (the same
-//     code the per-link endpoint runs), links land on tiers, and each tier's
-//     needed rollup blocks are decoded ONCE with every column; each decoded
-//     block fans its buckets into all the planned links it carries.
+// The scan has two legs:
+//
+//   - Rollup leg: every link is planned through planWithBlocks, links land
+//     on tiers, and each tier's needed rollup blocks are decoded ONCE; each
+//     decoded block fans its buckets into all the planned links it carries.
 //   - Raw leg: the raw blocks any link still needs (whole-range for links
 //     the planner declined, the unrolled tail past each plan's cut for the
-//     rest) are decoded ONCE with every column through the read-ahead
-//     pipeline, and each block's points fan into the per-link accumulators.
+//     rest) are decoded ONCE through the read-ahead pipeline, and each
+//     block's points fan into the per-link accumulators.
 //
-// Because each link's accumulator receives exactly the (block, bucket,
-// point) set the per-link path would fold, and the accumulation arithmetic
-// is the shared loadWindow code, a grid cell is byte-identical to the
-// per-link response once encoded — the property TestGridMatchesPerLink
-// pins. Memory is bounded by maxGridCells windows across all accumulators;
-// larger asks fail fast with a coarser-step hint before any decode.
+// A multi-link scan decodes every column of a block; a one-link scan only
+// that link's two columns (see columnGroup). Either way the windows match
+// stats.TimeSeries.Resample over the raw points — the contract
+// TestPerLinkStepMatchesResample pins against that reference. Memory is
+// bounded by maxGridCells windows across all accumulators; larger asks
+// fail fast with a coarser-step hint before any decode.
 
 // maxGridCells caps the total resample windows a grid query may allocate
 // across every link accumulator (~32 B each). A month of 1h windows over a
@@ -61,8 +63,8 @@ type gridLink struct {
 	plan *rollupPlan // nil: the planner declined, the raw leg serves it all
 	lw   loadWindows // lw.wins nil when the link has no point in range
 
-	ids, groups []int // link-bearing raw blocks over the range, chronological
-	end         int64 // newest raw second the link can contribute (≤ toU)
+	ids []int // link-bearing raw blocks over the range, chronological
+	end int64 // newest raw second the link can contribute (≤ toU)
 }
 
 // gridResult is an immutable finished grid scan, shared by singleflighted
@@ -73,13 +75,13 @@ type gridResult struct {
 	rows  int64 // non-empty windows summed over links
 }
 
-// GridScan runs the whole-map query: every requested link's load series
-// over [from, to] resampled at step, computed in one pass. keys nil means
-// every link of the map, in first-seen topology order; explicit keys keep
-// their order and must all exist on the map (ErrUnknownLink otherwise).
-// noRollups forces the raw leg for every link — the corrupt-rollup
-// degradation path, and how the equivalence tests cover raw serving.
-func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration, noRollups bool) (*gridResult, error) {
+// gridScan runs the windowed load query: every requested link's load
+// series over [from, to] resampled at step, computed in one pass. keys nil
+// means every link of the map, in first-seen topology order; explicit keys
+// keep their order and must all exist on the map (ErrUnknownLink
+// otherwise). noRollups forces the raw leg for every link — the
+// corrupt-rollup degradation path.
+func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration, noRollups bool) (*gridResult, error) {
 	if step <= 0 || step%time.Second != 0 {
 		return nil, fmt.Errorf("tsdb: grid step %s must be a positive whole number of seconds", step)
 	}
@@ -121,16 +123,15 @@ func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 	res := &gridResult{id: id, links: make([]gridLink, len(keys))}
 	usePlans := !noRollups && !r.rollupOff.Load()
 
-	// Plan every link through the per-link planner core, then bound the
-	// total accumulator size before allocating anything.
+	// Plan every link, then bound the total accumulator size before
+	// allocating anything.
 	var cells int64
 	for li := range keys {
 		gl := &res.links[li]
 		gl.key = keys[li]
 		for _, bi := range blocks {
-			if ci, ok := topoIdx[st.blocks[bi].topoIndex][gl.key]; ok {
+			if _, ok := topoIdx[st.blocks[bi].topoIndex][gl.key]; ok {
 				gl.ids = append(gl.ids, bi)
-				gl.groups = append(gl.groups, ci)
 			}
 		}
 		if len(gl.ids) == 0 {
@@ -147,7 +148,7 @@ func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 				}
 				return -1
 			}
-			gl.plan = planWithBlocks(st, id, lookup, gl.ids, gl.groups, fromU, toU, s)
+			gl.plan = planWithBlocks(st, id, lookup, gl.ids, fromU, toU, s)
 		}
 		if gl.plan != nil {
 			cells += gl.plan.nWins
@@ -179,16 +180,26 @@ func (r *Reader) GridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 			}
 		}
 	}
-	r.countGrid(res)
 	return res, nil
 }
 
+// columnGroup is the cache column group the scan decodes topology ti's
+// blocks with. A one-link scan decodes only that link's two columns — the
+// decode work and cache keys a single-link query has always had — while a
+// multi-link scan decodes every column once and fans it out.
+func (res *gridResult) columnGroup(topoIdx []map[LinkKey]int, ti int) int {
+	if len(res.links) != 1 {
+		return allColumns
+	}
+	return topoIdx[ti][res.links[0].key]
+}
+
 // gridRollupLeg serves every planned link's bulk [t0, cut) from its tier:
-// the union of rollup blocks any link on a tier needs is decoded once with
-// all columns, and each decoded block fans its buckets into every planned
-// link it carries. Inclusion per link repeats planWithBlocks' rids filter
-// exactly, so each accumulator folds the same (block, bucket) set the
-// per-link path would.
+// the union of rollup blocks any link on a tier needs is decoded once, and
+// each decoded block fans its buckets into every planned link it carries.
+// Inclusion per link repeats planWithBlocks' rollup-block filter exactly,
+// so each accumulator folds the (block, bucket) set its plan proved
+// complete.
 //
 //wm:hotpath
 func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridResult, s int64) error {
@@ -198,7 +209,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 		if gl.plan == nil {
 			continue
 		}
-		gl.lw = loadWindows{t0: gl.plan.t0, step: s, res: gl.plan.res}
+		gl.lw = loadWindows{t0: gl.plan.t0, step: s}
 		gl.lw.wins = make([]loadWindow, gl.plan.nWins)
 		for k := range gl.lw.wins {
 			gl.lw.wins[k].abMin, gl.lw.wins[k].baMin = math.MaxUint8, math.MaxUint8
@@ -244,7 +255,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 		}
 		rctx, cancel := context.WithCancel(ctx)
 		out := runReadAhead(rctx, len(rids), defaultReadAheadWorkers(), func(i int) (cacheValue, error) {
-			return r.rollup(st, rids[i], allColumns)
+			return r.rollup(st, rids[i], res.columnGroup(topoIdx, st.rollups[rids[i]].topoIndex))
 		})
 		err := func() error {
 			defer cancel()
@@ -276,8 +287,9 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 }
 
 // foldRollupWindows folds one link's buckets of a decoded rollup block into
-// its window accumulator — the same arithmetic as linkLoadWindows' bulk
-// loop (fragments of one bucket merge by summing and widening).
+// its window accumulator. Fragments of one bucket (topology splits) merge
+// by summing counts and sums and widening extremes — together they are the
+// full bucket.
 //
 //wm:hotpath
 func foldRollupWindows(ru *decodedRollup, ci int, lw *loadWindows, cut int64) error {
@@ -353,7 +365,8 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := r.startReadAhead(ctx, st, ids, func(int) int { return allColumns }, defaultReadAheadWorkers())
+	group := func(i int) int { return res.columnGroup(topoIdx, st.blocks[ids[i]].topoIndex) }
+	out := r.startReadAhead(ctx, st, ids, group, defaultReadAheadWorkers())
 	i := 0
 	for rv := range out {
 		if rv.err != nil {
@@ -389,9 +402,9 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 	return ctx.Err()
 }
 
-// accumulateRaw folds trimmed raw points into the link's windows — the same
-// per-point arithmetic as linkLoadWindows' tail loop. A planner-declined
-// link allocates its windows on the first sample, anchoring t0 there.
+// accumulateRaw folds trimmed raw points into the link's windows. A
+// planner-declined link allocates its windows on the first sample,
+// anchoring t0 there — exactly Resample's anchor.
 //
 //wm:hotpath
 func (gl *gridLink) accumulateRaw(times []int64, abCol, baCol []wmap.Load, s int64) {
@@ -527,7 +540,8 @@ type gridCounters struct {
 // GridStats is the /api/v1/stats "grid" group and the tsdb_grid expvar: a
 // point-in-time snapshot of the grid query counters.
 type GridStats struct {
-	// Queries counts completed grid scans (deduplicated waiters excluded).
+	// Queries counts /api/v1/grid scans (deduplicated waiters excluded);
+	// per-link stepped queries count in PlannerStats instead.
 	Queries int64 `json:"queries"`
 	// LinksPlanned / LinksRaw count per-link accumulators by serving path.
 	LinksPlanned int64 `json:"links_planned"`
@@ -544,7 +558,7 @@ type GridStats struct {
 	ColumnScans int64 `json:"column_scans"`
 }
 
-// countGrid records one finished scan.
+// countGrid records one finished /api/v1/grid scan.
 func (r *Reader) countGrid(res *gridResult) {
 	var planned, raw int64
 	for li := range res.links {

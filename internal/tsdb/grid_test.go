@@ -78,7 +78,7 @@ func TestGridMatchesPerLink(t *testing.T) {
 	for arch := 0; arch < 4; arch++ {
 		rd, n := randomGridArchive(t, rng)
 		h := NewAPIHandler(rd)
-		rd.SetRollupServing(arch != 3) // one archive exercises the raw-only path
+		rd.rollupOff.Store(arch == 3) // one archive exercises the raw-only path
 
 		windows := []string{""}
 		for w := 0; w < 2; w++ {
@@ -169,23 +169,23 @@ func TestGridScanErrors(t *testing.T) {
 	rd := openArchive(t, buildArchive(t, 64, maps...))
 
 	ctx := context.Background()
-	if _, err := rd.GridScan(ctx, wmap.Europe, nil, time.Time{}, time.Time{}, 0, false); err == nil {
+	if _, err := rd.gridScan(ctx, wmap.Europe, nil, time.Time{}, time.Time{}, 0, false); err == nil {
 		t.Error("zero step accepted")
 	}
-	if _, err := rd.GridScan(ctx, wmap.Europe, nil, time.Time{}, time.Time{}, 500*time.Millisecond, false); err == nil {
+	if _, err := rd.gridScan(ctx, wmap.Europe, nil, time.Time{}, time.Time{}, 500*time.Millisecond, false); err == nil {
 		t.Error("sub-second step accepted")
 	}
-	if _, err := rd.GridScan(ctx, wmap.World, nil, time.Time{}, time.Time{}, time.Hour, false); !errors.Is(err, ErrUnknownMap) {
+	if _, err := rd.gridScan(ctx, wmap.World, nil, time.Time{}, time.Time{}, time.Hour, false); !errors.Is(err, ErrUnknownMap) {
 		t.Errorf("unknown map error = %v", err)
 	}
 	bogus := LinkKey{A: "no", B: "pe", LabelA: "#1", LabelB: "#1"}
-	if _, err := rd.GridScan(ctx, wmap.Europe, []LinkKey{bogus}, time.Time{}, time.Time{}, time.Hour, false); !errors.Is(err, ErrUnknownLink) {
+	if _, err := rd.gridScan(ctx, wmap.Europe, []LinkKey{bogus}, time.Time{}, time.Time{}, time.Hour, false); !errors.Is(err, ErrUnknownLink) {
 		t.Errorf("unknown link error = %v", err)
 	}
 
 	// 50 days at step=1s is ~4.3M cells per link: over the cap, and the
 	// hint must be a plannable (tier-aligned) coarser step.
-	_, err := rd.GridScan(ctx, wmap.Europe, nil, time.Time{}, time.Time{}, time.Second, false)
+	_, err := rd.gridScan(ctx, wmap.Europe, nil, time.Time{}, time.Time{}, time.Second, false)
 	var tooBig *GridTooLargeError
 	if !errors.As(err, &tooBig) {
 		t.Fatalf("oversized grid error = %v, want GridTooLargeError", err)
@@ -197,11 +197,79 @@ func TestGridScanErrors(t *testing.T) {
 		t.Errorf("hint %s not aligned to the coarsest tier", tooBig.Hint)
 	}
 
-	// Same failure through HTTP: a 400 carrying the hint.
+	// Same failure through HTTP: a 400 carrying the hint, on the grid and
+	// on a per-link stepped query alike.
 	h := NewAPIHandler(rd)
-	v := getJSON(t, h, "/api/v1/grid?map=europe&step=1s", http.StatusBadRequest)
-	if msg, _ := v["error"].(string); !strings.Contains(msg, "step=") {
-		t.Errorf("cap error %q does not hint at a coarser step", msg)
+	linkLoad := "/api/v1/links/" + LinkKeysOf(maps[0])[0].ID(wmap.Europe) + "/load"
+	for _, u := range []string{"/api/v1/grid?map=europe&step=1s", linkLoad + "?step=1s"} {
+		v := getJSON(t, h, u, http.StatusBadRequest)
+		if msg, _ := v["error"].(string); !strings.Contains(msg, "step=") {
+			t.Errorf("GET %s: cap error %q does not hint at a coarser step", u, msg)
+		}
+	}
+
+	// A sub-second step is rejected before any work: resampling 50 days
+	// at 1ms would otherwise walk billions of windows without ever
+	// checking the request context.
+	done := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, linkLoad+"?step=1ms", nil))
+		done <- rec.Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusBadRequest {
+			t.Errorf("per-link step=1ms = %d, want 400", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("per-link step=1ms still running after 5s")
+	}
+}
+
+// TestPerLinkStepDecodeAndCounters: a stepped per-link query is a one-key
+// scan that decodes only that link's columns — on a fresh cache it leaves
+// no fully decoded raw block behind — and counts in PlannerStats, not
+// GridStats; a grid request counts the other way round.
+func TestPerLinkStepDecodeAndCounters(t *testing.T) {
+	rd, _ := randomGridArchive(t, rand.New(rand.NewSource(21)))
+	h := NewAPIHandler(rd)
+	keys, _ := rd.st().topoKeyIndexes()
+	id := keys[0][0].ID(wmap.Europe)
+
+	if code, body := getRaw(t, h, "/api/v1/links/"+id+"/load?step=7m"); code != http.StatusOK {
+		t.Fatalf("per-link step=7m: status %d (%s)", code, body)
+	}
+	c := rd.BlockCache()
+	rawEntries := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for k := range sh.byKey {
+			if k.kind != kindRaw {
+				continue
+			}
+			rawEntries++
+			if k.group == allColumns {
+				t.Errorf("per-link query decoded raw block %d with every column", k.block)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	if rawEntries == 0 {
+		t.Fatal("per-link query left no raw block in the cache")
+	}
+	ps, gs := rd.PlannerStats(), rd.GridStats()
+	if ps.Raw != 1 || len(ps.Tiers) != 0 || gs.Queries != 0 {
+		t.Fatalf("after one per-link query: planner %+v, grid %+v; want 1 raw, no grid query", ps, gs)
+	}
+
+	if code, body := getRaw(t, h, "/api/v1/grid?map=europe&step=7m"); code != http.StatusOK {
+		t.Fatalf("grid step=7m: status %d (%s)", code, body)
+	}
+	ps2, gs2 := rd.PlannerStats(), rd.GridStats()
+	if ps2.Raw != 1 || len(ps2.Tiers) != 0 || gs2.Queries != 1 {
+		t.Errorf("after one grid query: planner %+v, grid %+v; want planner unchanged, 1 grid query", ps2, gs2)
 	}
 }
 
@@ -326,15 +394,15 @@ func TestGridCancellation(t *testing.T) {
 	// The per-link window path's own guard: scan done, client gone.
 	a := &api{rd: rd, maxPoints: DefaultMaxResponsePoints}
 	key := LinkKeysOf(maps[0])[0]
-	lw, err := rd.linkLoadWindows(context.Background(), wmap.Europe, key, time.Time{}, time.Time{}, time.Hour)
-	if err != nil || lw == nil {
-		t.Fatalf("linkLoadWindows = %v, %v", lw, err)
+	res, err := rd.gridScan(context.Background(), wmap.Europe, []LinkKey{key}, time.Time{}, time.Time{}, time.Hour, false)
+	if err != nil || res.links[0].lw.wins == nil {
+		t.Fatalf("one-link scan = %+v, %v", res, err)
 	}
 	ctx, cancel = context.WithCancel(context.Background())
 	cancel()
 	req = httptest.NewRequest(http.MethodGet, "/x", nil).WithContext(ctx)
 	rec = httptest.NewRecorder()
-	a.serveWindowLoad(rec, req, key.ID(wmap.Europe), wmap.Europe, key, time.Time{}, time.Time{}, time.Hour, false, lw)
+	a.serveWindowLoad(rec, req, key.ID(wmap.Europe), wmap.Europe, key, time.Time{}, time.Time{}, time.Hour, false, &res.links[0].lw)
 	if rec.Code != statusClientClosedRequest {
 		t.Errorf("serveWindowLoad after cancel = %d, want %d", rec.Code, statusClientClosedRequest)
 	}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"ovhweather/internal/events"
-	"ovhweather/internal/stats"
 	"ovhweather/internal/wmap"
 )
 
@@ -28,9 +27,11 @@ import (
 //	GET /api/v1/stats                        — archive and block-cache counters
 //
 // Times are RFC3339; at defaults to the map's last snapshot, from/to to the
-// archive bounds. step resamples the series into fixed averaged windows via
-// stats.TimeSeries.Resample. Link ids come from the topology endpoint and
-// stay stable across snapshots (LinkKey.ID).
+// archive bounds. step (a whole number of seconds) resamples the series
+// into fixed averaged windows, exactly as stats.TimeSeries.Resample would
+// over the raw points; it is served by the grid engine as a one-link scan.
+// Link ids come from the topology endpoint and stay stable across
+// snapshots (LinkKey.ID).
 //
 // Every data endpoint carries an ETag derived from the archive fingerprint
 // and the resolved query, honors If-None-Match with 304, and sets
@@ -265,24 +266,6 @@ func (a *api) handleTopology(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// appendSeries appends a series as [{"t":...,"v":...},...]. A timeEncoder
-// carries the formatted date across points, which sit minutes apart.
-func appendSeries(b []byte, ts *stats.TimeSeries) []byte {
-	b = append(b, '[')
-	var enc timeEncoder
-	for i, p := range ts.Points() {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"t":`...)
-		b = enc.append(b, p.T)
-		b = append(b, `,"v":`...)
-		b = appendJSONFloat(b, p.V)
-		b = append(b, '}')
-	}
-	return append(b, ']')
-}
-
 func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 	linkID := r.PathValue("id")
 	id, key, ok := a.rd.ResolveLinkID(linkID)
@@ -302,8 +285,10 @@ func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 	var step time.Duration
 	if s := r.URL.Query().Get("step"); s != "" {
 		var err error
-		if step, err = time.ParseDuration(s); err != nil || step < 0 {
-			writeError(w, http.StatusBadRequest, "bad step %q", s)
+		// Whole seconds only, like /api/v1/grid: window arithmetic is in
+		// seconds, and a sub-second step would ask for billions of windows.
+		if step, err = time.ParseDuration(s); err != nil || step < 0 || step%time.Second != 0 {
+			writeError(w, http.StatusBadRequest, "bad step %q: need a positive whole number of seconds", s)
 			return
 		}
 	}
@@ -334,57 +319,25 @@ func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The planner first: a step some rollup tier divides is served from
-	// pre-aggregated buckets, byte-identical to the raw resample. A corrupt
-	// rollup block degrades to the raw path — logged and counted, never a
-	// wrong answer. (nil, nil) means the planner declined.
-	lw, err := a.rd.linkLoadWindows(r.Context(), id, key, from, to, step)
-	if err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			log.Printf("tsdb: api: rollup plan for %s: %v; falling back to raw scan", linkID, err)
-			a.rd.countFallback()
-			lw = nil
-		} else {
-			a.writeLoadError(w, err)
-			return
-		}
-	}
-	if lw != nil {
-		a.rd.countPlanned(lw.res)
-		a.serveWindowLoad(w, r, linkID, id, key, from, to, step, bands, lw)
-		return
-	}
-	a.rd.countPlanned(0)
-
-	if bands {
-		a.serveRawBandLoad(w, r, linkID, id, key, from, to, step)
-		return
-	}
-	ab, ba, err := a.rd.LinkSeriesContext(r.Context(), id, key, from, to)
+	// A one-link grid scan: rollup tiers serve what they provably can, raw
+	// blocks the rest; a window count over maxGridCells is a 400 with a
+	// coarser step.
+	res, err := a.scanDegrading(r.Context(), id, []LinkKey{key}, from, to, step, a.rd.countFallback)
 	if err != nil {
 		a.writeLoadError(w, err)
 		return
 	}
-	ab, ba = ab.Resample(step), ba.Resample(step)
-
-	bp := getEncBuf()
-	b := appendLoadMeta(*bp, linkID, id, key, from, to, step)
-	b = append(b, `,"ab":`...)
-	b = appendSeries(b, ab)
-	b = append(b, `,"ba":`...)
-	b = appendSeries(b, ba)
-	b = append(b, '}', '\n')
-	writeBody(w, http.StatusOK, b)
-	*bp = b
-	putEncBuf(bp)
+	gl := &res.links[0]
+	if gl.plan != nil {
+		a.rd.countPlanned(gl.plan.res)
+	} else {
+		a.rd.countPlanned(0)
+	}
+	a.serveWindowLoad(w, r, linkID, id, key, from, to, step, bands, &gl.lw)
 }
 
-// serveWindowLoad encodes a planner result. Without bands the body is
-// byte-identical to the Resample path: same window times, same means,
-// because both sides divide the same integer sums by the same counts.
-// bands adds per-window min/max series for each direction. A client that
-// hung up between the scan and the encode gets 499 instead of a body
+// serveWindowLoad encodes one link's windows behind the load meta. A client
+// that hung up between the scan and the encode gets 499 instead of a body
 // nobody will read.
 func (a *api) serveWindowLoad(w http.ResponseWriter, r *http.Request, linkID string, id wmap.MapID, key LinkKey, from, to time.Time, step time.Duration, bands bool, lw *loadWindows) {
 	if r.Context().Err() != nil {
@@ -394,30 +347,37 @@ func (a *api) serveWindowLoad(w http.ResponseWriter, r *http.Request, linkID str
 	bp := getEncBuf()
 	var memo meanMemo
 	b := appendLoadMeta(*bp, linkID, id, key, from, to, step)
-	b = append(b, `,"ab":`...)
-	b = appendWindowMeans(b, lw, false, &memo)
-	b = append(b, `,"ba":`...)
-	b = appendWindowMeans(b, lw, true, &memo)
-	if bands {
-		b = append(b, `,"ab_min":`...)
-		b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.abMin })
-		b = append(b, `,"ab_max":`...)
-		b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.abMax })
-		b = append(b, `,"ba_min":`...)
-		b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.baMin })
-		b = append(b, `,"ba_max":`...)
-		b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.baMax })
-	}
+	b = appendLoadSeries(b, lw, bands, &memo)
 	b = append(b, '}', '\n')
 	writeBody(w, http.StatusOK, b)
 	*bp = b
 	putEncBuf(bp)
 }
 
-// appendWindowMeans appends one direction's mean series from planned
-// windows, skipping empty windows exactly as Resample does. The memo
-// carries rendered means across series — and, for a grid, across every
-// link in the response.
+// appendLoadSeries appends the resampled series fields of a per-link body
+// and of a grid row alike: the ab and ba means, then with bands the
+// per-direction min/max series. The memo carries rendered means across
+// series — and, for a grid, across every link in the response.
+func appendLoadSeries(b []byte, lw *loadWindows, bands bool, memo *meanMemo) []byte {
+	b = append(b, `,"ab":`...)
+	b = appendWindowMeans(b, lw, false, memo)
+	b = append(b, `,"ba":`...)
+	b = appendWindowMeans(b, lw, true, memo)
+	if !bands {
+		return b
+	}
+	b = append(b, `,"ab_min":`...)
+	b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.abMin })
+	b = append(b, `,"ab_max":`...)
+	b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.abMax })
+	b = append(b, `,"ba_min":`...)
+	b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.baMin })
+	b = append(b, `,"ba_max":`...)
+	return appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.baMax })
+}
+
+// appendWindowMeans appends one direction's mean series, skipping empty
+// windows exactly as Resample does.
 func appendWindowMeans(b []byte, lw *loadWindows, ba bool, memo *meanMemo) []byte {
 	b = append(b, '[')
 	var enc timeEncoder
@@ -462,53 +422,6 @@ func appendWindowExtremes(b []byte, lw *loadWindows, sel func(w *loadWindow) uin
 		b = enc.appendUnix(b, lw.t0+int64(k)*lw.step)
 		b = append(b, `,"v":`...)
 		b = strconv.AppendInt(b, int64(sel(win)), 10)
-		b = append(b, '}')
-	}
-	return append(b, ']')
-}
-
-// serveRawBandLoad is the bands=1 raw fallback: the same windowed
-// aggregates computed by scanning raw points through stats.ResampleAgg.
-func (a *api) serveRawBandLoad(w http.ResponseWriter, r *http.Request, linkID string, id wmap.MapID, key LinkKey, from, to time.Time, step time.Duration) {
-	ab, ba, err := a.rd.LinkSeriesContext(r.Context(), id, key, from, to)
-	if err != nil {
-		a.writeLoadError(w, err)
-		return
-	}
-	abAgg, baAgg := ab.ResampleAgg(step), ba.ResampleAgg(step)
-
-	bp := getEncBuf()
-	b := appendLoadMeta(*bp, linkID, id, key, from, to, step)
-	b = append(b, `,"ab":`...)
-	b = appendAggSeries(b, abAgg, func(wa *stats.WindowAgg) float64 { return wa.Sum / float64(wa.Count) })
-	b = append(b, `,"ba":`...)
-	b = appendAggSeries(b, baAgg, func(wa *stats.WindowAgg) float64 { return wa.Sum / float64(wa.Count) })
-	b = append(b, `,"ab_min":`...)
-	b = appendAggSeries(b, abAgg, func(wa *stats.WindowAgg) float64 { return wa.Min })
-	b = append(b, `,"ab_max":`...)
-	b = appendAggSeries(b, abAgg, func(wa *stats.WindowAgg) float64 { return wa.Max })
-	b = append(b, `,"ba_min":`...)
-	b = appendAggSeries(b, baAgg, func(wa *stats.WindowAgg) float64 { return wa.Min })
-	b = append(b, `,"ba_max":`...)
-	b = appendAggSeries(b, baAgg, func(wa *stats.WindowAgg) float64 { return wa.Max })
-	b = append(b, '}', '\n')
-	writeBody(w, http.StatusOK, b)
-	*bp = b
-	putEncBuf(bp)
-}
-
-// appendAggSeries appends one field of an aggregate resample as a series.
-func appendAggSeries(b []byte, aggs []stats.WindowAgg, sel func(wa *stats.WindowAgg) float64) []byte {
-	b = append(b, '[')
-	var enc timeEncoder
-	for i := range aggs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"t":`...)
-		b = enc.append(b, aggs[i].T)
-		b = append(b, `,"v":`...)
-		b = appendJSONFloat(b, sel(&aggs[i]))
 		b = append(b, '}')
 	}
 	return append(b, ']')
@@ -579,10 +492,16 @@ func (a *api) serveRawLoad(w http.ResponseWriter, r *http.Request, linkID string
 }
 
 // writeLoadError maps a series-read failure onto the response: cancelled
-// clients get the nginx-convention 499, unknown ids 404, the rest 500.
+// clients get the nginx-convention 499, unknown ids 404, an over-cap
+// windowed query 400 with its step hint, the rest 500.
 func (a *api) writeLoadError(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		w.WriteHeader(statusClientClosedRequest)
+		return
+	}
+	var tooBig *GridTooLargeError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	code := http.StatusInternalServerError

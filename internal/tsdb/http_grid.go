@@ -89,29 +89,29 @@ func (a *api) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := a.gridShared(r.Context(), sfKey, func() (*gridResult, error) {
-		return a.gridScanDegrading(r.Context(), id, keys, from, to, step)
+		res, err := a.scanDegrading(r.Context(), id, keys, from, to, step, a.rd.countGridFallback)
+		if err == nil {
+			a.rd.countGrid(res)
+		}
+		return res, err
 	})
 	if err != nil {
-		var tooBig *GridTooLargeError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 		a.writeLoadError(w, err)
 		return
 	}
 	a.writeGrid(w, r, id, from, to, step, bands, res)
 }
 
-// gridScanDegrading runs the scan, degrading to raw-only serving when a
-// rollup block is corrupt — logged and counted, never a wrong answer.
-func (a *api) gridScanDegrading(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration) (*gridResult, error) {
-	res, err := a.rd.GridScan(ctx, id, keys, from, to, step, false)
+// scanDegrading runs the grid scan, degrading to raw-only serving when a
+// rollup block is corrupt — logged and counted through fallback, never a
+// wrong answer.
+func (a *api) scanDegrading(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration, fallback func()) (*gridResult, error) {
+	res, err := a.rd.gridScan(ctx, id, keys, from, to, step, false)
 	var ce *CorruptError
 	if err != nil && errors.As(err, &ce) {
 		log.Printf("tsdb: api: grid scan of %s: %v; falling back to raw scan", id, err)
-		a.rd.countGridFallback()
-		res, err = a.rd.GridScan(ctx, id, keys, from, to, step, true)
+		fallback()
+		res, err = a.rd.gridScan(ctx, id, keys, from, to, step, true)
 	}
 	return res, err
 }
@@ -215,8 +215,8 @@ func (a *api) writeGrid(w http.ResponseWriter, r *http.Request, id wmap.MapID, f
 }
 
 // appendGridLink encodes one link row: the same identity fields as the
-// per-link endpoint's meta, then the same series arrays — shared encoders,
-// so the bytes per series match /links/{id}/load exactly.
+// per-link endpoint's meta, then appendLoadSeries — the encoder the
+// per-link body uses, so the bytes per series match /links/{id}/load.
 func appendGridLink(b []byte, id wmap.MapID, gl *gridLink, bands bool, memo *meanMemo) []byte {
 	k := gl.key
 	b = append(b, `{"id":`...)
@@ -231,19 +231,6 @@ func appendGridLink(b []byte, id wmap.MapID, gl *gridLink, bands bool, memo *mea
 	b = appendJSONString(b, k.LabelB)
 	b = append(b, `,"ordinal":`...)
 	b = strconv.AppendInt(b, int64(k.Ordinal), 10)
-	b = append(b, `,"ab":`...)
-	b = appendWindowMeans(b, &gl.lw, false, memo)
-	b = append(b, `,"ba":`...)
-	b = appendWindowMeans(b, &gl.lw, true, memo)
-	if bands {
-		b = append(b, `,"ab_min":`...)
-		b = appendWindowExtremes(b, &gl.lw, func(w *loadWindow) uint8 { return w.abMin })
-		b = append(b, `,"ab_max":`...)
-		b = appendWindowExtremes(b, &gl.lw, func(w *loadWindow) uint8 { return w.abMax })
-		b = append(b, `,"ba_min":`...)
-		b = appendWindowExtremes(b, &gl.lw, func(w *loadWindow) uint8 { return w.baMin })
-		b = append(b, `,"ba_max":`...)
-		b = appendWindowExtremes(b, &gl.lw, func(w *loadWindow) uint8 { return w.baMax })
-	}
+	b = appendLoadSeries(b, &gl.lw, bands, memo)
 	return append(b, '}')
 }

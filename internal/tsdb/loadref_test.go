@@ -1,0 +1,183 @@
+package tsdb
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"net/http"
+	"testing"
+	"time"
+
+	"ovhweather/internal/stats"
+	"ovhweather/internal/wmap"
+)
+
+// The contract for stepped per-link load queries. The API serves
+// /links/{id}/load?step= as a one-key grid scan — rollup tiers where the
+// planner can prove them exact, raw blocks elsewhere — and every response
+// must be byte-identical to the plain reference below: the link's raw
+// series from LinkSeries, resampled by stats.TimeSeries.Resample (or
+// ResampleAgg for bands=1) and encoded point by point. The grid path and
+// the per-link path sharing an engine means they can no longer disagree;
+// this reference is what keeps both honest.
+
+// appendSeries appends a series as [{"t":...,"v":...},...].
+func appendSeries(b []byte, ts *stats.TimeSeries) []byte {
+	b = append(b, '[')
+	var enc timeEncoder
+	for i, p := range ts.Points() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"t":`...)
+		b = enc.append(b, p.T)
+		b = append(b, `,"v":`...)
+		b = appendJSONFloat(b, p.V)
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// appendAggSeries appends one field of an aggregate resample as a series.
+func appendAggSeries(b []byte, aggs []stats.WindowAgg, sel func(wa *stats.WindowAgg) float64) []byte {
+	b = append(b, '[')
+	var enc timeEncoder
+	for i := range aggs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"t":`...)
+		b = enc.append(b, aggs[i].T)
+		b = append(b, `,"v":`...)
+		b = appendJSONFloat(b, sel(&aggs[i]))
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// referenceLoadBody is the reference response for a stepped per-link query;
+// zero from/to default to the map's bounds, as the handler's do.
+func referenceLoadBody(t *testing.T, rd *Reader, linkID string, from, to time.Time, step time.Duration, bands bool) []byte {
+	t.Helper()
+	id, key, ok := rd.ResolveLinkID(linkID)
+	if !ok {
+		t.Fatalf("reference: unknown link id %q", linkID)
+	}
+	bFrom, bTo, _ := rd.Bounds(id)
+	if from.IsZero() {
+		from = bFrom
+	}
+	if to.IsZero() {
+		to = bTo
+	}
+	ab, ba, err := rd.LinkSeries(context.Background(), id, key, from, to)
+	if err != nil {
+		t.Fatalf("reference: LinkSeries(%s): %v", linkID, err)
+	}
+	b := appendLoadMeta(nil, linkID, id, key, from, to, step)
+	if !bands {
+		b = append(b, `,"ab":`...)
+		b = appendSeries(b, ab.Resample(step))
+		b = append(b, `,"ba":`...)
+		b = appendSeries(b, ba.Resample(step))
+		return append(b, '}', '\n')
+	}
+	mean := func(wa *stats.WindowAgg) float64 { return wa.Sum / float64(wa.Count) }
+	lo := func(wa *stats.WindowAgg) float64 { return wa.Min }
+	hi := func(wa *stats.WindowAgg) float64 { return wa.Max }
+	abAgg, baAgg := ab.ResampleAgg(step), ba.ResampleAgg(step)
+	b = append(b, `,"ab":`...)
+	b = appendAggSeries(b, abAgg, mean)
+	b = append(b, `,"ba":`...)
+	b = appendAggSeries(b, baAgg, mean)
+	b = append(b, `,"ab_min":`...)
+	b = appendAggSeries(b, abAgg, lo)
+	b = append(b, `,"ab_max":`...)
+	b = appendAggSeries(b, abAgg, hi)
+	b = append(b, `,"ba_min":`...)
+	b = appendAggSeries(b, baAgg, lo)
+	b = append(b, `,"ba_max":`...)
+	b = appendAggSeries(b, baAgg, hi)
+	return append(b, '}', '\n')
+}
+
+// TestPerLinkStepMatchesResample: over random archives (some growing a
+// link mid-range), every link, steps 7m through 24h, full-range, random
+// and hour-aligned sub-range windows, bands on and off, and rollup serving
+// on and off, the stepped per-link response equals the reference bytes.
+// Hour-aligned windows starting at a block base let the 1h tier serve, so
+// both planned and raw serving are compared.
+func TestPerLinkStepMatchesResample(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	steps := []time.Duration{7 * time.Minute, 15 * time.Minute, time.Hour, 2 * time.Hour, 24 * time.Hour}
+	var compared int
+	var tiers, raw int64
+	for arch := 0; arch < 6; arch++ {
+		rd, n := randomGridArchive(t, rng)
+		h := NewAPIHandler(rd)
+		st := rd.st()
+
+		type window struct{ from, to time.Time }
+		windows := []window{{}}
+		for w := 0; w < 2; w++ {
+			from := at(5 * rng.Intn(n))
+			windows = append(windows, window{from, from.Add(time.Duration(1+rng.Intn(n)) * 5 * time.Minute)})
+		}
+		for _, bi := range st.perMap[wmap.Europe][1:] { // the first base is the full range's anchor
+			if b := st.blocks[bi].baseUnix; b%3600 == 0 {
+				from := time.Unix(b, 0).UTC()
+				windows = append(windows, window{from, from.Add(time.Duration(1+rng.Intn(n)) * 5 * time.Minute)})
+				break
+			}
+		}
+		keys, _ := st.topoKeyIndexes()
+		seen := map[string]bool{}
+		var ids []string
+		for _, ks := range keys {
+			for _, k := range ks {
+				if id := k.ID(wmap.Europe); !seen[id] {
+					seen[id] = true
+					ids = append(ids, id)
+				}
+			}
+		}
+
+		for _, off := range []bool{false, true} {
+			rd.rollupOff.Store(off)
+			for _, linkID := range ids {
+				for _, step := range steps {
+					for _, win := range windows {
+						for _, bands := range []bool{false, true} {
+							u := "/api/v1/links/" + linkID + "/load?step=" + step.String()
+							if !win.from.IsZero() {
+								u += "&from=" + win.from.Format(time.RFC3339) + "&to=" + win.to.Format(time.RFC3339)
+							}
+							if bands {
+								u += "&bands=1"
+							}
+							code, got := getRaw(t, h, u)
+							if code != http.StatusOK {
+								t.Fatalf("archive %d GET %s: status %d (%s)", arch, u, code, got)
+							}
+							want := referenceLoadBody(t, rd, linkID, win.from, win.to, step, bands)
+							if !bytes.Equal(got, want) {
+								t.Fatalf("archive %d rollupOff=%v GET %s differs from the Resample reference:\ngot:  %.300s\nwant: %.300s",
+									arch, off, u, got, want)
+							}
+							compared++
+						}
+					}
+				}
+			}
+		}
+		ps := rd.PlannerStats()
+		for _, c := range ps.Tiers {
+			tiers += c
+		}
+		raw += ps.Raw
+	}
+	if tiers == 0 || raw == 0 {
+		t.Errorf("comparison did not cover both serving paths: %d tier-served, %d raw-served", tiers, raw)
+	}
+	t.Logf("%d responses byte-identical to the reference (%d tier-served, %d raw-served)", compared, tiers, raw)
+}

@@ -19,15 +19,10 @@ import (
 // point, bucket boundaries aligned to window boundaries, means computed as
 // weighted mean-of-means through the count column (integer sums, so the
 // float64 arithmetic matches stats.TimeSeries.Resample digit for digit).
-// Anything it cannot prove — a step no tier divides, a misaligned anchor,
-// an implausibly huge window count — it declines, and the caller falls back
-// to the raw path. A corrupt rollup block likewise surfaces as a typed
-// *CorruptError the caller degrades on; the planner never guesses.
-
-// maxPlannedWindows caps the window array a plan may allocate. Real plans
-// are bounded by the archive's raw time span; a hostile footer claiming an
-// absurd span must not translate into an allocation bomb.
-const maxPlannedWindows = 1 << 22
+// Anything it cannot prove — a step no tier divides, a misaligned anchor —
+// it declines, and the grid scan serves that link from raw blocks. A
+// corrupt rollup block surfaces as a typed *CorruptError the API degrades
+// on; the planner never guesses.
 
 // loadWindow accumulates one resample window of a planned query: the
 // snapshot count, the two directed load sums, and the per-direction
@@ -41,53 +36,31 @@ type loadWindow struct {
 	baMax  uint8
 }
 
-// loadWindows is a planned query's result: fixed windows of width step
+// loadWindows is one link's resampled series: fixed windows of width step
 // anchored at t0, mirroring Resample's bucketing. Windows with n == 0 are
 // skipped at encode time, exactly as Resample skips empty windows.
 type loadWindows struct {
 	t0   int64 // first window start: the range's first raw point
 	step int64 // window width, seconds
-	res  int64 // resolution of the tier that served the bulk
 	wins []loadWindow
 }
 
-// rollupPlan is the outcome of planning: which tier serves [t0, cut) from
-// which rollup blocks, and which raw blocks cover the tail [cut, toU].
+// rollupPlan is the outcome of planning: the tier at resolution res serves
+// the windows [t0, cut), raw blocks the tail [cut, toU].
 type rollupPlan struct {
-	t0, s, res int64
-	nWin       int64 // windows served from rollups; cut = t0 + nWin*s
-	cut        int64
-	nWins      int64 // total window array length
-	ids        []int // link-bearing raw blocks over the whole range
-	groups     []int
-	rids       []int // rollup blocks to decode
-	rgroups    []int
+	t0, res int64
+	cut     int64 // t0 + (windows served from rollups) * step
+	nWins   int64 // total window array length
 }
 
-// planLoadWindows decides whether [fromU, toU] resampled at s seconds can
-// be served from a rollup tier, returning nil to decline. Tiers are tried
+// planWithBlocks decides whether [fromU, toU] resampled at s seconds can be
+// served from a rollup tier, returning nil to decline. Tiers are tried
 // coarsest first; a tier is eligible when its resolution divides the step
-// AND the anchor, so every bucket nests inside exactly one window.
-func planLoadWindows(st *readerState, id wmap.MapID, key LinkKey, fromU, toU, s int64) *rollupPlan {
-	var ids, groups []int
-	for _, bi := range st.blockRange(id, fromU, toU) {
-		if ci := st.topos[st.blocks[bi].topoIndex].linkIndex(key); ci >= 0 {
-			ids = append(ids, bi)
-			groups = append(groups, ci)
-		}
-	}
-	lookup := func(ti int) int { return st.topos[ti].linkIndex(key) }
-	return planWithBlocks(st, id, lookup, ids, groups, fromU, toU, s)
-}
-
-// planWithBlocks is the planning core behind planLoadWindows, with the
-// link's per-topology column resolution abstracted into lookup (return -1
-// when the topology lacks the link). The grid engine plans every link of a
-// map through this same function — same eligibility rules, same tier
-// choice — passing a map-backed lookup instead of the O(links) scan, so a
-// grid cell is served by the exact plan the per-link endpoint would build.
-// ids/groups are the link-bearing raw blocks of the range, chronological.
-func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, ids, groups []int, fromU, toU, s int64) *rollupPlan {
+// AND the anchor, so every bucket nests inside exactly one window. lookup
+// resolves the link's column in a topology (-1 when the topology lacks
+// it); ids are the link-bearing raw blocks of the range, chronological.
+// The grid engine plans every link it scans through here.
+func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, ids []int, fromU, toU, s int64) *rollupPlan {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -103,9 +76,6 @@ func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, ids
 		end = toU
 	}
 	nWins := (end-t0)/s + 1
-	if nWins > maxPlannedWindows {
-		return nil
-	}
 	tiers := st.rollupTiers[id]
 	for k := len(tiers) - 1; k >= 0; k-- {
 		tier := &tiers[k]
@@ -126,142 +96,14 @@ func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, ids
 			continue
 		}
 		cut := t0 + nWin*s
-		var rids, rgroups []int
 		for _, ri := range tier.entries {
 			m := &st.rollups[ri]
-			ci := lookup(m.topoIndex)
-			if ci < 0 || m.lastBucket < t0 || m.firstBucket >= cut {
-				continue
+			if lookup(m.topoIndex) >= 0 && m.lastBucket >= t0 && m.firstBucket < cut {
+				return &rollupPlan{t0: t0, res: res, cut: cut, nWins: nWins}
 			}
-			rids = append(rids, ri)
-			rgroups = append(rgroups, ci)
 		}
-		if len(rids) == 0 {
-			continue
-		}
-		return &rollupPlan{t0: t0, s: s, res: res, nWin: nWin, cut: cut,
-			nWins: nWins, ids: ids, groups: groups, rids: rids, rgroups: rgroups}
 	}
 	return nil
-}
-
-// linkLoadWindows serves one link's resampled load query through the
-// planner. It returns (nil, nil) when no rollup tier can serve the step —
-// the caller then takes the raw Resample path — and a typed error when the
-// query is invalid or a block is corrupt. The result is byte-identical to
-// the raw path once encoded: same window times, same means, because both
-// sides sum the same integers in float64-exact ranges.
-func (r *Reader) linkLoadWindows(ctx context.Context, id wmap.MapID, key LinkKey, from, to time.Time, step time.Duration) (*loadWindows, error) {
-	if step <= 0 || step%time.Second != 0 || r.rollupOff.Load() {
-		return nil, nil
-	}
-	st := r.st()
-	if len(st.perMap[id]) == 0 {
-		return nil, fmt.Errorf("tsdb: map %q: %w", id, ErrUnknownMap)
-	}
-	if !st.mapHasLink(id, key) {
-		return nil, fmt.Errorf("tsdb: %s link %s: %w", id, key, ErrUnknownLink)
-	}
-	fromU, toU := rangeBounds(from, to)
-	s := int64(step / time.Second)
-	plan := planLoadWindows(st, id, key, fromU, toU, s)
-	if plan == nil {
-		return nil, nil
-	}
-	wins := make([]loadWindow, plan.nWins)
-	for i := range wins {
-		wins[i].abMin, wins[i].baMin = math.MaxUint8, math.MaxUint8
-	}
-
-	// Bulk: fold the tier's buckets into their windows. Fragments of one
-	// bucket (topology splits) merge by summing counts and sums and
-	// widening extremes — together they are the full bucket.
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := runReadAhead(rctx, len(plan.rids), defaultReadAheadWorkers(), func(i int) (cacheValue, error) {
-		return r.rollup(st, plan.rids[i], plan.rgroups[i])
-	})
-	i := 0
-	for res := range out {
-		if res.err != nil {
-			return nil, res.err
-		}
-		ru, ci := res.v.(*decodedRollup), plan.rgroups[i]
-		i++
-		abS, baS := ru.sums[2*ci], ru.sums[2*ci+1]
-		abMin, abMax := ru.mins[2*ci], ru.maxs[2*ci]
-		baMin, baMax := ru.mins[2*ci+1], ru.maxs[2*ci+1]
-		for bi, start := range ru.starts {
-			if start < plan.t0 {
-				continue
-			}
-			if start >= plan.cut {
-				break // starts ascend; the rest is served raw
-			}
-			k := (start - plan.t0) / s
-			if k >= int64(len(wins)) {
-				return nil, corruptf(ru.meta.offset, "rollup bucket at %d beyond the map's raw range", start)
-			}
-			w := &wins[k]
-			w.n += ru.counts[bi]
-			w.ab += abS[bi]
-			w.ba += baS[bi]
-			if abMin[bi] < w.abMin {
-				w.abMin = abMin[bi]
-			}
-			if abMax[bi] > w.abMax {
-				w.abMax = abMax[bi]
-			}
-			if baMin[bi] < w.baMin {
-				w.baMin = baMin[bi]
-			}
-			if baMax[bi] > w.baMax {
-				w.baMax = baMax[bi]
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Tail: the raw points from cut on — the buckets still open (or not yet
-	// flushed) when the archive was last committed.
-	if plan.cut <= toU {
-		var tids, tgroups []int
-		for j, bi := range plan.ids {
-			if st.blocks[bi].lastUnix >= plan.cut {
-				tids = append(tids, bi)
-				tgroups = append(tgroups, plan.groups[j])
-			}
-		}
-		err := r.linkColumns(ctx, st, tids, tgroups, plan.cut, toU,
-			func(times []int64, abCol, baCol []wmap.Load) error {
-				for k2, sec := range times {
-					w := &wins[(sec-plan.t0)/s]
-					w.n++
-					ab, ba := uint8(abCol[k2]), uint8(baCol[k2])
-					w.ab += int64(ab)
-					w.ba += int64(ba)
-					if ab < w.abMin {
-						w.abMin = ab
-					}
-					if ab > w.abMax {
-						w.abMax = ab
-					}
-					if ba < w.baMin {
-						w.baMin = ba
-					}
-					if ba > w.baMax {
-						w.baMax = ba
-					}
-				}
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &loadWindows{t0: plan.t0, step: s, res: plan.res, wins: wins}, nil
 }
 
 // plannerCounters tallies which path served each load query.
@@ -275,8 +117,9 @@ type plannerCounters struct {
 // PlannerStats is a point-in-time snapshot of the planner counters, exposed
 // on GET /api/v1/stats and through wmserve's expvar.
 type PlannerStats struct {
-	// Raw counts load queries served entirely from raw blocks — step
-	// missing, no divisible tier, or rollups absent/disabled.
+	// Raw counts stepped per-link queries served entirely from raw blocks —
+	// no divisible tier or provable anchor, or rollups absent/disabled.
+	// Unstepped queries stream raw columns and are not counted.
 	Raw int64 `json:"raw"`
 	// Fallbacks counts queries the planner accepted but that degraded to
 	// the raw path on a corrupt rollup block.
@@ -285,8 +128,8 @@ type PlannerStats struct {
 	Tiers map[string]int64 `json:"tiers"`
 }
 
-// countPlanned records one load query served from the tier at res seconds;
-// res 0 records a raw-path serve.
+// countPlanned records one stepped per-link query served from the tier at
+// res seconds; res 0 records a raw-path serve.
 func (r *Reader) countPlanned(res int64) {
 	r.planner.mu.Lock()
 	defer r.planner.mu.Unlock()
@@ -318,11 +161,6 @@ func (r *Reader) PlannerStats() PlannerStats {
 	}
 	return ps
 }
-
-// SetRollupServing enables or disables planner use of rollup tiers; with
-// serving off every load query takes the raw path. On by default. The
-// equivalence tests flip it to compare both paths over one archive.
-func (r *Reader) SetRollupServing(on bool) { r.rollupOff.Store(!on) }
 
 // formatRes renders a resolution in seconds the way operators write it:
 // whole days, hours, or minutes when exact, seconds otherwise.

@@ -114,8 +114,8 @@ func runReadAhead(ctx context.Context, n, workers int, fetch func(i int) (cacheV
 	return out
 }
 
-// defaultReadAheadWorkers is the worker count CursorContext and LinkSeries
-// use: one decoder per available core.
+// defaultReadAheadWorkers is the worker count the API's scans and
+// LinkSeries use: one decoder per available core.
 func defaultReadAheadWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }

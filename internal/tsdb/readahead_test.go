@@ -183,8 +183,8 @@ func TestCursorMapViewMatchesMap(t *testing.T) {
 	}
 }
 
-// TestLinkSeriesContextCancelled checks both flavors: a pre-cancelled
-// context fails fast, and the plain LinkSeries path is unaffected.
+// TestLinkSeriesContextCancelled: a pre-cancelled context fails fast, and
+// a live one serves every point.
 func TestLinkSeriesContextCancelled(t *testing.T) {
 	var maps []*wmap.Map
 	for i := 0; i < 10; i++ {
@@ -195,11 +195,11 @@ func TestLinkSeriesContextCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := rd.LinkSeriesContext(ctx, wmap.Europe, key, time.Time{}, time.Time{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled LinkSeriesContext = %v, want context.Canceled", err)
+	if _, _, err := rd.LinkSeries(ctx, wmap.Europe, key, time.Time{}, time.Time{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled LinkSeries = %v, want context.Canceled", err)
 	}
 
-	ab, ba, err := rd.LinkSeries(wmap.Europe, key, time.Time{}, time.Time{})
+	ab, ba, err := rd.LinkSeries(context.Background(), wmap.Europe, key, time.Time{}, time.Time{})
 	if err != nil || ab.Len() != 10 || ba.Len() != 10 {
 		t.Errorf("background LinkSeries: %d/%d points, err %v", ab.Len(), ba.Len(), err)
 	}

@@ -56,9 +56,9 @@ type Reader struct {
 	refreshMu sync.Mutex
 	state     atomic.Pointer[readerState]
 
-	// planner tallies which path served each load query; rollupOff, when
-	// set via SetRollupServing(false), makes the planner decline every
-	// query so everything takes the raw path. See planner.go.
+	// planner tallies which path served each stepped per-link query;
+	// rollupOff, set only by tests, makes the planner decline every query
+	// so everything takes the raw path. See planner.go.
 	planner   plannerCounters
 	rollupOff atomic.Bool
 
@@ -967,18 +967,11 @@ func (st *readerState) mapHasLink(id wmap.MapID, key LinkKey) bool {
 
 // LinkSeries extracts one link's two directed load series over [from, to]
 // (inclusive; zero times mean unbounded). Only the link's two columns are
-// decoded per block. Periods where the link is absent from the topology
-// contribute no points; a link no topology of the map contains fails with
-// ErrUnknownLink.
-func (r *Reader) LinkSeries(id wmap.MapID, key LinkKey, from, to time.Time) (ab, ba *stats.TimeSeries, err error) {
-	return r.LinkSeriesContext(context.Background(), id, key, from, to)
-}
-
-// LinkSeriesContext is LinkSeries with cancellation: block decodes run on
-// the read-ahead pipeline, and a cancelled ctx stops the scan between
-// blocks with ctx.Err() — the API handler passes the request context so a
-// disconnected client stops burning decode work.
-func (r *Reader) LinkSeriesContext(ctx context.Context, id wmap.MapID, key LinkKey, from, to time.Time) (ab, ba *stats.TimeSeries, err error) {
+// decoded per block, on the read-ahead pipeline; a cancelled ctx stops the
+// scan between blocks with ctx.Err(). Periods where the link is absent from
+// the topology contribute no points; a link no topology of the map
+// contains fails with ErrUnknownLink.
+func (r *Reader) LinkSeries(ctx context.Context, id wmap.MapID, key LinkKey, from, to time.Time) (ab, ba *stats.TimeSeries, err error) {
 	ab, ba = stats.NewTimeSeries(), stats.NewTimeSeries()
 	err = r.LinkColumnsContext(ctx, id, key, from, to, func(times []int64, abCol, baCol []wmap.Load) error {
 		ab.Grow(len(times))

@@ -61,9 +61,9 @@ func BenchmarkRollupLongRange(b *testing.B) {
 		}
 		return rec.Body.Bytes()
 	}
-	rd.SetRollupServing(true)
+	rd.rollupOff.Store(false)
 	planned := serve()
-	rd.SetRollupServing(false)
+	rd.rollupOff.Store(true)
 	if raw := serve(); !bytes.Equal(planned, raw) {
 		b.Fatal("planned response is not byte-identical to the raw response")
 	}
@@ -73,7 +73,7 @@ func BenchmarkRollupLongRange(b *testing.B) {
 		serving bool
 	}{{"rollup", true}, {"raw", false}} {
 		b.Run(c.name, func(b *testing.B) {
-			rd.SetRollupServing(c.serving)
+			rd.rollupOff.Store(!c.serving)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -81,7 +81,7 @@ func BenchmarkRollupLongRange(b *testing.B) {
 			}
 		})
 	}
-	rd.SetRollupServing(true)
+	rd.rollupOff.Store(false)
 	if ps := rd.PlannerStats(); ps.Tiers["1d"] == 0 {
 		b.Fatalf("benchmark never hit the 1d tier: %+v", ps)
 	}

@@ -51,12 +51,12 @@ func getRaw(t *testing.T, h http.Handler, url string) (int, []byte) {
 // with it off and requires byte-identical 200 responses, leaving serving on.
 func assertPlannedEqualsRaw(t *testing.T, rd *Reader, h http.Handler, url string) {
 	t.Helper()
-	rd.SetRollupServing(true)
+	rd.rollupOff.Store(false)
 	c1, b1 := getRaw(t, h, url)
 	planned := append([]byte(nil), b1...)
-	rd.SetRollupServing(false)
+	rd.rollupOff.Store(true)
 	c2, raw := getRaw(t, h, url)
-	rd.SetRollupServing(true)
+	rd.rollupOff.Store(false)
 	if c1 != http.StatusOK || c2 != http.StatusOK {
 		t.Fatalf("GET %s: status %d planned / %d raw", url, c1, c2)
 	}
@@ -246,7 +246,7 @@ func TestRollupCorruptFallbackServesRaw(t *testing.T) {
 	id := LinkKeysOf(maps[0])[0].ID(wmap.Europe)
 	u := "/api/v1/links/" + id + "/load?step=1h"
 
-	clean.SetRollupServing(false)
+	clean.rollupOff.Store(true)
 	code, want := getRaw(t, NewAPIHandler(clean), u)
 	if code != http.StatusOK {
 		t.Fatalf("raw reference: status %d", code)
