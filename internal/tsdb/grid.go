@@ -63,8 +63,10 @@ type gridLink struct {
 	plan *rollupPlan // nil: the planner declined, the raw leg serves it all
 	lw   loadWindows // lw.wins nil when the link has no point in range
 
-	ids []int // link-bearing raw blocks over the range, chronological
-	end int64 // newest raw second the link can contribute (≤ toU)
+	// first and last are the link's first and last link-bearing raw
+	// blocks over the range (-1 when it has none).
+	first, last int
+	end         int64 // newest raw second the link can contribute (≤ toU)
 }
 
 // gridResult is an immutable finished grid scan, shared by singleflighted
@@ -73,6 +75,28 @@ type gridResult struct {
 	id    wmap.MapID
 	links []gridLink
 	rows  int64 // non-empty windows summed over links
+
+	// cols[ti][li] is links[li]'s column in topology ti, -1 when absent;
+	// nil until resolve sees ti. Only the scan goroutine resolves, always
+	// before it starts the read-ahead workers that read the vectors.
+	cols [][]int32
+}
+
+// resolve returns topology ti's column vector, probing the key directory
+// once per link the first time ti is seen.
+func (res *gridResult) resolve(topoIdx []map[LinkKey]int, ti int) []int32 {
+	if col := res.cols[ti]; col != nil {
+		return col
+	}
+	col := make([]int32, len(res.links))
+	for li := range res.links {
+		col[li] = -1
+		if ci, ok := topoIdx[ti][res.links[li].key]; ok {
+			col[li] = int32(ci)
+		}
+	}
+	res.cols[ti] = col
+	return col
 }
 
 // gridScan runs the windowed load query: every requested link's load
@@ -120,42 +144,47 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		}
 	}
 
-	res := &gridResult{id: id, links: make([]gridLink, len(keys))}
+	res := &gridResult{id: id, links: make([]gridLink, len(keys)), cols: make([][]int32, len(st.topos))}
 	usePlans := !noRollups && !r.rollupOff.Load()
+	for li := range res.links {
+		res.links[li].key = keys[li]
+		res.links[li].first, res.links[li].last = -1, -1
+	}
+	for _, bi := range blocks {
+		for li, ci := range res.resolve(topoIdx, st.blocks[bi].topoIndex) {
+			if ci < 0 {
+				continue
+			}
+			gl := &res.links[li]
+			if gl.first < 0 {
+				gl.first = bi
+			}
+			gl.last = bi
+		}
+	}
 
 	// Plan every link, then bound the total accumulator size before
 	// allocating anything.
 	var cells int64
-	for li := range keys {
+	for li := range res.links {
 		gl := &res.links[li]
-		gl.key = keys[li]
-		for _, bi := range blocks {
-			if _, ok := topoIdx[st.blocks[bi].topoIndex][gl.key]; ok {
-				gl.ids = append(gl.ids, bi)
-			}
-		}
-		if len(gl.ids) == 0 {
+		if gl.first < 0 {
 			continue // no data in range: encodes as empty series
 		}
-		gl.end = st.blocks[gl.ids[len(gl.ids)-1]].lastUnix
+		gl.end = st.blocks[gl.last].lastUnix
 		if gl.end > toU {
 			gl.end = toU
 		}
 		if usePlans {
-			lookup := func(ti int) int {
-				if ci, ok := topoIdx[ti][gl.key]; ok {
-					return ci
-				}
-				return -1
-			}
-			gl.plan = planWithBlocks(st, id, lookup, gl.ids, fromU, toU, s)
+			lookup := func(ti int) int { return int(res.resolve(topoIdx, ti)[li]) }
+			gl.plan = planWithBlocks(st, id, lookup, gl.first, gl.last, fromU, toU, s)
 		}
 		if gl.plan != nil {
 			cells += gl.plan.nWins
 		} else {
 			// Raw anchor is the first decoded sample, not yet known; bound
 			// the window count from the first block's base time.
-			t0 := st.blocks[gl.ids[0]].baseUnix
+			t0 := st.blocks[gl.first].baseUnix
 			if t0 < fromU {
 				t0 = fromU
 			}
@@ -167,10 +196,10 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 			Hint: gridStepHint(st, id, cells, s)}
 	}
 
-	if err := r.gridRollupLeg(ctx, st, res, s); err != nil {
+	if err := r.gridRollupLeg(ctx, st, res, topoIdx, s); err != nil {
 		return nil, err
 	}
-	if err := r.gridRawLeg(ctx, st, res, blocks, topoIdx, fromU, toU, s); err != nil {
+	if err := r.gridRawLeg(ctx, st, res, blocks, fromU, toU, s); err != nil {
 		return nil, err
 	}
 	for li := range res.links {
@@ -187,11 +216,12 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 // blocks with. A one-link scan decodes only that link's two columns — the
 // decode work and cache keys a single-link query has always had — while a
 // multi-link scan decodes every column once and fans it out.
-func (res *gridResult) columnGroup(topoIdx []map[LinkKey]int, ti int) int {
+// Topology ti must already be resolved.
+func (res *gridResult) columnGroup(ti int) int {
 	if len(res.links) != 1 {
 		return allColumns
 	}
-	return topoIdx[ti][res.links[0].key]
+	return int(res.cols[ti][0])
 }
 
 // gridRollupLeg serves every planned link's bulk [t0, cut) from its tier:
@@ -202,8 +232,8 @@ func (res *gridResult) columnGroup(topoIdx []map[LinkKey]int, ti int) int {
 // complete.
 //
 //wm:hotpath
-func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridResult, s int64) error {
-	byRes := make(map[int64][]*gridLink)
+func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridResult, topoIdx []map[LinkKey]int, s int64) error {
+	byRes := make(map[int64][]int)
 	for li := range res.links {
 		gl := &res.links[li]
 		if gl.plan == nil {
@@ -214,12 +244,11 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 		for k := range gl.lw.wins {
 			gl.lw.wins[k].abMin, gl.lw.wins[k].baMin = math.MaxUint8, math.MaxUint8
 		}
-		byRes[gl.plan.res] = append(byRes[gl.plan.res], gl)
+		byRes[gl.plan.res] = append(byRes[gl.plan.res], li)
 	}
 	if len(byRes) == 0 {
 		return nil
 	}
-	_, topoIdx := st.topoKeyIndexes()
 	resolutions := make([]int64, 0, len(byRes))
 	for tierRes := range byRes {
 		resolutions = append(resolutions, tierRes)
@@ -239,14 +268,14 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 			return corruptf(0, "planned tier %ds vanished from map %s", tierRes, res.id)
 		}
 		// The union of every link's rids, in the tier's chronological order.
+		// The span test comes first, so only entries some link folds get
+		// their topology resolved.
 		var rids []int
 		for _, ri := range tier.entries {
 			m := &st.rollups[ri]
-			for _, gl := range links {
-				if _, ok := topoIdx[m.topoIndex][gl.key]; !ok {
-					continue
-				}
-				if m.lastBucket < gl.plan.t0 || m.firstBucket >= gl.plan.cut {
+			for _, li := range links {
+				gl := &res.links[li]
+				if m.lastBucket < gl.plan.t0 || m.firstBucket >= gl.plan.cut || res.resolve(topoIdx, m.topoIndex)[li] < 0 {
 					continue
 				}
 				rids = append(rids, ri)
@@ -255,7 +284,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 		}
 		rctx, cancel := context.WithCancel(ctx)
 		out := runReadAhead(rctx, len(rids), defaultReadAheadWorkers(), func(i int) (cacheValue, error) {
-			return r.rollup(st, rids[i], res.columnGroup(topoIdx, st.rollups[rids[i]].topoIndex))
+			return r.rollup(st, rids[i], res.columnGroup(st.rollups[rids[i]].topoIndex))
 		})
 		err := func() error {
 			defer cancel()
@@ -267,12 +296,14 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 				ru := rv.v.(*decodedRollup)
 				m := &st.rollups[rids[i]]
 				i++
-				for _, gl := range links {
-					ci, ok := topoIdx[m.topoIndex][gl.key]
-					if !ok || m.lastBucket < gl.plan.t0 || m.firstBucket >= gl.plan.cut {
+				col := res.cols[m.topoIndex]
+				for _, li := range links {
+					gl := &res.links[li]
+					ci := col[li]
+					if ci < 0 || m.lastBucket < gl.plan.t0 || m.firstBucket >= gl.plan.cut {
 						continue
 					}
-					if err := foldRollupWindows(ru, ci, &gl.lw, gl.plan.cut); err != nil {
+					if err := foldRollupWindows(ru, int(ci), &gl.lw, gl.plan.cut); err != nil {
 						return err
 					}
 				}
@@ -334,38 +365,29 @@ func foldRollupWindows(ru *decodedRollup, ci int, lw *loadWindows, cut int64) er
 // cut for planned ones.
 //
 //wm:hotpath
-func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResult, blocks []int, topoIdx []map[LinkKey]int, fromU, toU, s int64) error {
-	needed := make(map[int]bool)
-	for li := range res.links {
-		gl := &res.links[li]
-		if gl.plan == nil {
-			for _, bi := range gl.ids {
-				needed[bi] = true
+func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResult, blocks []int, fromU, toU, s int64) error {
+	// A block is needed when a link it carries is unplanned, or is planned
+	// and has its tail past cut there.
+	var ids []int
+	for _, bi := range blocks {
+		meta := &st.blocks[bi]
+		for li, ci := range res.cols[meta.topoIndex] {
+			if ci < 0 {
+				continue
 			}
-			continue
-		}
-		if gl.plan.cut > toU {
-			continue // the tier covered everything; no tail
-		}
-		for _, bi := range gl.ids {
-			if st.blocks[bi].lastUnix >= gl.plan.cut {
-				needed[bi] = true
+			if p := res.links[li].plan; p == nil || (p.cut <= toU && meta.lastUnix >= p.cut) {
+				ids = append(ids, bi)
+				break
 			}
 		}
 	}
-	if len(needed) == 0 {
+	if len(ids) == 0 {
 		return ctx.Err()
-	}
-	ids := make([]int, 0, len(needed))
-	for _, bi := range blocks { // keep chronological order
-		if needed[bi] {
-			ids = append(ids, bi)
-		}
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	group := func(i int) int { return res.columnGroup(topoIdx, st.blocks[ids[i]].topoIndex) }
+	group := func(i int) int { return res.columnGroup(st.blocks[ids[i]].topoIndex) }
 	out := r.startReadAhead(ctx, st, ids, group, defaultReadAheadWorkers())
 	i := 0
 	for rv := range out {
@@ -375,18 +397,18 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 		db := rv.v.(*decodedBlock)
 		meta := &st.blocks[ids[i]]
 		i++
-		idx := topoIdx[meta.topoIndex]
+		col := res.cols[meta.topoIndex]
 		lo := sort.Search(len(db.times), func(k int) bool { return db.times[k] >= fromU })
 		hi := sort.Search(len(db.times), func(k int) bool { return db.times[k] > toU })
 		if lo >= hi {
 			continue
 		}
 		for li := range res.links {
-			gl := &res.links[li]
-			ci, ok := idx[gl.key]
-			if !ok {
+			ci := int(col[li])
+			if ci < 0 {
 				continue
 			}
+			gl := &res.links[li]
 			start := lo
 			if gl.plan != nil {
 				if gl.plan.cut > toU || meta.lastUnix < gl.plan.cut {

@@ -23,8 +23,9 @@ import (
 // four parallels per adjacent pair, the scale of a real backbone map.
 const gridBenchLinks = 192
 
-// buildGridCorpus writes a month of 5-minute snapshots of the 192-link ring.
-func buildGridCorpus(b *testing.B) *Reader {
+// buildGridCorpus writes n 5-minute snapshots of the 192-link ring in
+// blocks of blockPoints snapshots (0: the writer's default).
+func buildGridCorpus(b *testing.B, n, blockPoints int) *Reader {
 	b.Helper()
 	names := make([]string, 48)
 	for i := range names {
@@ -37,7 +38,9 @@ func buildGridCorpus(b *testing.B) *Reader {
 	labels := []string{"#1", "#2", "#3", "#4"}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	const n = 30 * 24 * 12 // one month of 5-min snapshots
+	if blockPoints > 0 {
+		w.SetBlockPoints(blockPoints)
+	}
 	for i := 0; i < n; i++ {
 		m := &wmap.Map{ID: wmap.Europe, Time: at(5 * i), Nodes: nodes}
 		li := 0
@@ -66,18 +69,19 @@ func buildGridCorpus(b *testing.B) *Reader {
 	return rd
 }
 
-// BenchmarkGrid compares the whole-map month query at step=1h: one grid
-// request vs 192 per-link requests producing the same series bytes (the
-// equality is asserted before timing). rows/op lets benchmem's allocs/op be
-// read as allocations per emitted row.
-func BenchmarkGrid(b *testing.B) {
-	rd := buildGridCorpus(b)
-	rd.SetBlockCache(NewBlockCache(DefaultBlockCacheBytes))
-	h := NewAPIHandler(rd)
+// gridMonth is one month of 5-minute snapshots; gridDay one day.
+const (
+	gridMonth = 30 * 24 * 12
+	gridDay   = 24 * 12
+)
 
-	gridURL := "/api/v1/grid?map=europe&step=1h"
+// gridMatchesPerLink serves the whole-map grid for query and each of its
+// links' per-link bodies for the same query, fails unless every series is
+// byte-identical, and returns the per-link URLs and the emitted row count.
+func gridMatchesPerLink(b *testing.B, h http.Handler, query string) (perURLs []string, rows float64) {
+	b.Helper()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, gridURL, nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/grid?map=europe&"+query, nil))
 	if rec.Code != http.StatusOK {
 		b.Fatalf("grid: status %d: %.200s", rec.Code, rec.Body)
 	}
@@ -90,18 +94,13 @@ func BenchmarkGrid(b *testing.B) {
 	if len(grid.Links) != gridBenchLinks {
 		b.Fatalf("grid universe = %d links, want %d", len(grid.Links), gridBenchLinks)
 	}
-
-	// The per-link request loop this replaces, over the same window — and
-	// the equal-output assertion: every grid series must match the
-	// per-link bytes.
-	perURLs := make([]string, len(grid.Links))
-	var rows float64
+	perURLs = make([]string, len(grid.Links))
 	for i, row := range grid.Links {
 		var id string
 		if err := json.Unmarshal(row["id"], &id); err != nil {
 			b.Fatal(err)
 		}
-		perURLs[i] = "/api/v1/links/" + id + "/load?step=1h"
+		perURLs[i] = "/api/v1/links/" + id + "/load?" + query
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, perURLs[i], nil))
 		if rec.Code != http.StatusOK {
@@ -120,18 +119,42 @@ func BenchmarkGrid(b *testing.B) {
 			rows += float64(len(pts))
 		}
 	}
+	return perURLs, rows
+}
+
+// BenchmarkGrid compares the whole-map month query at step=1h: one grid
+// request vs 192 per-link requests producing the same series bytes (the
+// equality is asserted before timing). rows/op lets benchmem's allocs/op be
+// read as allocations per emitted row. tail-hot is the live shape: a day
+// written one snapshot per block, as a polling writer leaves it, queried
+// at step=1h from an off-the-hour from.
+func BenchmarkGrid(b *testing.B) {
+	rd := buildGridCorpus(b, gridMonth, 0)
+	rd.SetBlockCache(NewBlockCache(DefaultBlockCacheBytes))
+	h := NewAPIHandler(rd)
+	const query = "step=1h"
+	gridURL := "/api/v1/grid?map=europe&" + query
+	perURLs, rows := gridMatchesPerLink(b, h, query)
+
+	tail := buildGridCorpus(b, gridDay, 1)
+	tail.SetBlockCache(NewBlockCache(DefaultBlockCacheBytes))
+	tailH := NewAPIHandler(tail)
+	tailQuery := "step=1h&from=" + at(35).Format(time.RFC3339)
+	tailURL := "/api/v1/grid?map=europe&" + tailQuery
+	_, tailRows := gridMatchesPerLink(b, tailH, tailQuery)
 
 	// The timed loops write to a discarding ResponseWriter: a recorder's
 	// bytes.Buffer doubles its way to the 18 MB grid body and the copies
 	// would tax the measurement, where a real server hands bytes to a
 	// socket. The recorders above already asserted the bodies are right.
-	serve := func(url string) {
+	serveOn := func(h http.Handler, url string) {
 		w := &discardResponseWriter{h: make(http.Header)}
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, url, nil))
 		if w.code != http.StatusOK {
 			b.Fatalf("status %d", w.code)
 		}
 	}
+	serve := func(url string) { serveOn(h, url) }
 
 	b.Run("grid-hot", func(b *testing.B) {
 		b.ReportAllocs()
@@ -167,6 +190,13 @@ func BenchmarkGrid(b *testing.B) {
 		}
 		b.ReportMetric(rows, "rows/op")
 	})
+	b.Run("tail-hot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serveOn(tailH, tailURL)
+		}
+		b.ReportMetric(tailRows, "rows/op")
+	})
 }
 
 // discardResponseWriter records the status code and drops the body.
@@ -187,7 +217,7 @@ func (w *discardResponseWriter) Write(p []byte) (int, error) {
 // BenchmarkGridColumns measures the raw columnar fold wmanalyze's figures
 // ride: one pass over the month with every column decoded once.
 func BenchmarkGridColumns(b *testing.B) {
-	rd := buildGridCorpus(b)
+	rd := buildGridCorpus(b, gridMonth, 0)
 	rd.SetBlockCache(NewBlockCache(DefaultBlockCacheBytes))
 	ctx := context.Background()
 	b.ReportAllocs()

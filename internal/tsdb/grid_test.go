@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,20 +18,34 @@ import (
 )
 
 // randomGridArchive builds an archive of n 5-minute Europe snapshots with
-// rng-driven loads; half the runs grow the topology partway through so some
-// links exist only in later blocks.
+// rng-driven loads. The par–fra link leaves for snapshots [n/4, n/3) and
+// then returns, so the parallels change column while it is gone; half the
+// runs grow the topology partway through so some links exist only in later
+// blocks, and reverse the grown topology's column order in the last
+// quarter. One archive in three is written in one-snapshot blocks, the
+// shape a live writer leaves.
 func randomGridArchive(t *testing.T, rng *rand.Rand) (*Reader, int) {
 	t.Helper()
 	n := 60 + rng.Intn(400)
 	bp := 3 + rng.Intn(62)
+	if rng.Intn(3) == 0 {
+		bp = 1
+	}
 	grow := rng.Intn(2) == 1
 	lo := func() int { return rng.Intn(101) }
 	var maps []*wmap.Map
 	for i := 0; i < n; i++ {
 		var m *wmap.Map
-		if grow && i >= n/2 {
+		switch {
+		case grow && i >= n/2:
 			m = grownMap(wmap.Europe, at(5*i))
-		} else {
+			if i >= 3*n/4 {
+				slices.Reverse(m.Links)
+			}
+		case i >= n/4 && i < n/3:
+			m = testMap(wmap.Europe, at(5*i), 0, 0, 0, 0, 0, 0)
+			m.Links = m.Links[1:] // par–fra is the first link
+		default:
 			m = testMap(wmap.Europe, at(5*i), 0, 0, 0, 0, 0, 0)
 		}
 		for li := range m.Links {
@@ -42,6 +57,66 @@ func randomGridArchive(t *testing.T, rng *rand.Rand) (*Reader, int) {
 	rd := openArchive(t, buildArchive(t, bp, maps...))
 	rd.SetBlockCache(NewBlockCache(1 << 20))
 	return rd, n
+}
+
+// mapHasLinkReference is the original walk: whether any topology of the
+// map's blocks carries the key.
+func mapHasLinkReference(st *readerState, id wmap.MapID, key LinkKey) bool {
+	seen := make(map[int]bool)
+	for _, bi := range st.perMap[id] {
+		ti := st.blocks[bi].topoIndex
+		if seen[ti] {
+			continue
+		}
+		seen[ti] = true
+		if st.topos[ti].linkIndex(key) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMapHasLinkMatchesWalk: over the random archives plus a second map
+// carrying a link Europe never has, mapHasLink answers exactly what the
+// topology walk does — for every key of every topology on each map, the
+// other map's link, and a made-up key.
+func TestMapHasLinkMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for arch := 0; arch < 6; arch++ {
+		rd, n := randomGridArchive(t, rng)
+		// Copy the Europe archive and add a World snapshot whose extra link
+		// exists only on that map.
+		var maps []*wmap.Map
+		cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+		for cur.Next() {
+			maps = append(maps, cur.Map())
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatal(err)
+		}
+		cur.Close()
+		world := testMap(wmap.World, at(5*n), 1, 2, 3, 4, 5, 6)
+		world.Links = append(world.Links, wmap.Link{A: "fra-g1", B: "AMS-IX", LabelA: "#9", LabelB: "#9"})
+		rd = openArchive(t, buildArchive(t, 8, append(maps, world)...))
+		st := rd.st()
+
+		keys, _ := st.topoKeyIndexes()
+		probes := []LinkKey{
+			{A: "fra-g1", B: "AMS-IX", LabelA: "#9", LabelB: "#9"}, // World only
+			{A: "no", B: "pe", LabelA: "#1", LabelB: "#1"},         // nowhere
+			{A: "par-g1", B: "AMS-IX", LabelA: "#1", LabelB: "#1", Ordinal: 2},
+		}
+		for _, ks := range keys {
+			probes = append(probes, ks...)
+		}
+		for _, id := range []wmap.MapID{wmap.Europe, wmap.World, wmap.AsiaPacific} {
+			for _, k := range probes {
+				if got, want := st.mapHasLink(id, k), mapHasLinkReference(st, id, k); got != want {
+					t.Fatalf("archive %d: mapHasLink(%s, %s) = %v, walk says %v", arch, id, k, got, want)
+				}
+			}
+		}
+	}
 }
 
 // gridBody decodes a grid response into its header and raw per-link rows.
@@ -474,38 +549,91 @@ func TestGridColumnsMatchesCursor(t *testing.T) {
 }
 
 // TestGridConcurrentConsistency hammers the grid endpoint from 32
-// goroutines over one shared cached reader: every response must be
+// goroutines over shared cached readers: every response must be
 // byte-identical to the single-threaded serve, while identical in-flight
-// queries collapse onto shared scans. Run under -race this also proves the
-// fan-in accumulators and singleflight are data-race free.
+// queries collapse onto shared scans. The second archive is written in
+// one-snapshot blocks and changes topology twice (a grown link, then the
+// grown topology's columns reversed), and its hour-aligned step=1h queries
+// plan onto the 1h tier, so both legs read column vectors of several
+// topologies. Run under -race this also proves the fan-in accumulators,
+// the column vectors and singleflight are data-race free.
 func TestGridConcurrentConsistency(t *testing.T) {
-	var maps []*wmap.Map
+	var flat []*wmap.Map
 	for i := 0; i < 24; i++ {
-		maps = append(maps, testMap(wmap.Europe, at(5*i), 10+i%50, 20+i%50, 30+i%50, 40+i%50, 50+i%40, 60+i%40))
+		flat = append(flat, testMap(wmap.Europe, at(5*i), 10+i%50, 20+i%50, 30+i%50, 40+i%50, 50+i%40, 60+i%40))
 	}
-	rd := openArchive(t, buildArchive(t, 4, maps...))
-	rd.SetBlockCache(NewBlockCache(1 << 20))
-	h := NewAPIHandler(rd)
-	keys := LinkKeysOf(maps[0])
+	keys := LinkKeysOf(flat[0])
+	var tail []*wmap.Map
+	for i := 0; i < 48; i++ {
+		var m *wmap.Map
+		switch {
+		case i < 16:
+			m = testMap(wmap.Europe, at(5*i), i%100, 2*i%100, 3*i%100, 4*i%100, 5*i%100, 6*i%100)
+		case i < 32:
+			m = grownMap(wmap.Europe, at(5*i))
+		default:
+			m = grownMap(wmap.Europe, at(5*i))
+			slices.Reverse(m.Links)
+		}
+		for li := range m.Links {
+			m.Links[li].LoadAB = wmap.Load((7*i + 13*li) % 101)
+		}
+		tail = append(tail, m)
+	}
+	hour := "&from=" + at(60).Format(time.RFC3339) + "&to=" + at(235).Format(time.RFC3339)
 
-	urls := []string{
-		"/api/v1/grid?map=europe&step=5m",
-		"/api/v1/grid?map=europe&step=15m",
-		"/api/v1/grid?map=europe&step=15m&bands=1",
-		"/api/v1/grid?map=europe&step=1h",
-		"/api/v1/grid?map=europe&step=10m&from=" + at(10).Format(time.RFC3339) + "&to=" + at(60).Format(time.RFC3339),
-		"/api/v1/grid?map=europe&step=10m&links=" + keys[1].ID(wmap.Europe) + "," + keys[0].ID(wmap.Europe),
-		"/api/v1/grid?map=europe&step=1h&links=bogus", // deterministic error path
+	type target struct {
+		h   http.Handler
+		url string
 	}
-	serve := func(url string) (int, string) {
+	var targets []target
+	for _, a := range []struct {
+		blockPoints int
+		maps        []*wmap.Map
+		urls        []string
+	}{
+		{4, flat, []string{
+			"/api/v1/grid?map=europe&step=5m",
+			"/api/v1/grid?map=europe&step=15m",
+			"/api/v1/grid?map=europe&step=15m&bands=1",
+			"/api/v1/grid?map=europe&step=1h",
+			"/api/v1/grid?map=europe&step=10m&from=" + at(10).Format(time.RFC3339) + "&to=" + at(60).Format(time.RFC3339),
+			"/api/v1/grid?map=europe&step=10m&links=" + keys[1].ID(wmap.Europe) + "," + keys[0].ID(wmap.Europe),
+			"/api/v1/grid?map=europe&step=1h&links=bogus", // deterministic error path
+		}},
+		{1, tail, []string{
+			"/api/v1/grid?map=europe&step=1h",
+			"/api/v1/grid?map=europe&step=1h&bands=1" + hour,
+			"/api/v1/grid?map=europe&step=15m",
+			"/api/v1/links/" + keys[2].ID(wmap.Europe) + "/load?step=1h" + hour,
+		}},
+	} {
+		rd := openArchive(t, buildArchive(t, a.blockPoints, a.maps...))
+		rd.SetBlockCache(NewBlockCache(1 << 20))
+		h := NewAPIHandler(rd)
+		for _, u := range a.urls {
+			targets = append(targets, target{h, u})
+		}
+		if a.blockPoints == 1 {
+			// The tail archive's hour-aligned grid must plan links onto a
+			// tier and still serve some raw, or only one leg is raced.
+			if code, body := getRaw(t, h, "/api/v1/grid?map=europe&step=1h"+hour); code != http.StatusOK {
+				t.Fatalf("tail archive grid: status %d (%s)", code, body)
+			}
+			if gs := rd.GridStats(); gs.LinksPlanned == 0 || gs.LinksRaw == 0 {
+				t.Fatalf("tail archive grid stats %+v: want both planned and raw links", gs)
+			}
+		}
+	}
+	serve := func(tg target) (int, string) {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		tg.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tg.url, nil))
 		return rec.Code, rec.Body.String()
 	}
-	wantCode := make([]int, len(urls))
-	wantBody := make([]string, len(urls))
-	for i, u := range urls {
-		wantCode[i], wantBody[i] = serve(u)
+	wantCode := make([]int, len(targets))
+	wantBody := make([]string, len(targets))
+	for i, tg := range targets {
+		wantCode[i], wantBody[i] = serve(tg)
 	}
 
 	const goroutines = 32
@@ -517,11 +645,11 @@ func TestGridConcurrentConsistency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				i := (g + r) % len(urls)
-				code, body := serve(urls[i])
+				i := (g + r) % len(targets)
+				code, body := serve(targets[i])
 				if code != wantCode[i] || body != wantBody[i] {
 					errs <- fmt.Errorf("goroutine %d round %d %s: code %d body %d bytes, want %d / %d bytes",
-						g, r, urls[i], code, len(body), wantCode[i], len(wantBody[i]))
+						g, r, targets[i].url, code, len(body), wantCode[i], len(wantBody[i]))
 					return
 				}
 			}

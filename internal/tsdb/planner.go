@@ -58,20 +58,21 @@ type rollupPlan struct {
 // coarsest first; a tier is eligible when its resolution divides the step
 // AND the anchor, so every bucket nests inside exactly one window. lookup
 // resolves the link's column in a topology (-1 when the topology lacks
-// it); ids are the link-bearing raw blocks of the range, chronological.
-// The grid engine plans every link it scans through here.
-func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, ids []int, fromU, toU, s int64) *rollupPlan {
-	if len(ids) == 0 {
+// it); first and last are the first and last link-bearing raw blocks of
+// the range (first < 0 when there are none). The grid engine plans every
+// link it scans through here.
+func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, first, last int, fromU, toU, s int64) *rollupPlan {
+	if first < 0 {
 		return nil
 	}
 	// The raw path's Resample anchors windows at the first point in range.
 	// That anchor is knowable without decoding only when the first block
 	// starts inside the range — then it is exactly the block's base time.
-	t0 := st.blocks[ids[0]].baseUnix
+	t0 := st.blocks[first].baseUnix
 	if t0 < fromU {
 		return nil
 	}
-	end := st.blocks[ids[len(ids)-1]].lastUnix
+	end := st.blocks[last].lastUnix
 	if end > toU {
 		end = toU
 	}
@@ -98,7 +99,7 @@ func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, ids
 		cut := t0 + nWin*s
 		for _, ri := range tier.entries {
 			m := &st.rollups[ri]
-			if lookup(m.topoIndex) >= 0 && m.lastBucket >= t0 && m.firstBucket < cut {
+			if m.lastBucket >= t0 && m.firstBucket < cut && lookup(m.topoIndex) >= 0 {
 				return &rollupPlan{t0: t0, res: res, cut: cut, nWins: nWins}
 			}
 		}

@@ -96,8 +96,9 @@ type readerState struct {
 	// topoKeys/topoKeyIdx are the per-topology link-key directory the grid
 	// engine plans with: keys in column order and the inverse map, built
 	// once per state on first grid query (the same lazy discipline as
-	// linkDir). Without the maps, planning L links costs O(L·B·links)
-	// string comparisons; with them it is O(L·B) map probes.
+	// linkDir). A scan resolves each link's column once per topology in
+	// range, so planning L links costs O(L·T) map probes for T topologies
+	// instead of O(L·B·links) string comparisons over B blocks.
 	topoKeyOnce sync.Once
 	topoKeys    [][]LinkKey
 	topoKeyIdx  []map[LinkKey]int
@@ -949,20 +950,10 @@ func (r *Reader) SnapshotAt(id wmap.MapID, at time.Time) (*wmap.Map, error) {
 }
 
 // mapHasLink reports whether any topology used by the map's blocks
-// contains the link.
+// contains the link, answered from the state's link directory.
 func (st *readerState) mapHasLink(id wmap.MapID, key LinkKey) bool {
-	seen := make(map[int]bool)
-	for _, bi := range st.perMap[id] {
-		ti := st.blocks[bi].topoIndex
-		if seen[ti] {
-			continue
-		}
-		seen[ti] = true
-		if st.topos[ti].linkIndex(key) >= 0 {
-			return true
-		}
-	}
-	return false
+	a, ok := st.linkDirectory()[key.ID(id)]
+	return ok && a.mapID == id && a.key == key
 }
 
 // LinkSeries extracts one link's two directed load series over [from, to]
@@ -1008,9 +999,15 @@ func (r *Reader) LinkColumnsContext(ctx context.Context, id wmap.MapID, key Link
 	fromU, toU := rangeBounds(from, to)
 	// Resolve each block's column group up front; blocks whose topology
 	// lacks the link contribute nothing and never enter the pipeline.
+	// Consecutive blocks mostly share a topology, so the column is only
+	// re-resolved when the topology changes.
 	var ids, groups []int
+	prevTi, ci := -1, -1
 	for _, bi := range st.blockRange(id, fromU, toU) {
-		if ci := st.topos[st.blocks[bi].topoIndex].linkIndex(key); ci >= 0 {
+		if ti := st.blocks[bi].topoIndex; ti != prevTi {
+			prevTi, ci = ti, st.topos[ti].linkIndex(key)
+		}
+		if ci >= 0 {
 			ids = append(ids, bi)
 			groups = append(groups, ci)
 		}
@@ -1084,7 +1081,13 @@ func (st *readerState) topoKeyIndexes() (keys [][]LinkKey, idx []map[LinkKey]int
 // ids are stable, so ids resolved against an older state keep resolving
 // after a Refresh (topologies are only ever added).
 func (r *Reader) ResolveLinkID(linkID string) (wmap.MapID, LinkKey, bool) {
-	st := r.st()
+	a, ok := r.st().linkDirectory()[linkID]
+	return a.mapID, a.key, ok
+}
+
+// linkDirectory returns the state's link-id directory, building it on
+// first use. The returned map is immutable shared state.
+func (st *readerState) linkDirectory() map[string]linkAddr {
 	st.linkDirOnce.Do(func() {
 		st.linkDir = make(map[string]linkAddr)
 		for _, id := range st.mapIDs {
@@ -1101,6 +1104,5 @@ func (r *Reader) ResolveLinkID(linkID string) (wmap.MapID, LinkKey, bool) {
 			}
 		}
 	})
-	a, ok := st.linkDir[linkID]
-	return a.mapID, a.key, ok
+	return st.linkDir
 }

@@ -174,15 +174,16 @@ func LinkKeysOf(m *wmap.Map) []LinkKey {
 	return linkKeys(m.Links)
 }
 
+// linkKeys counts each (A, B, LabelA, LabelB) tuple as it goes, so a
+// link's ordinal is the number of earlier links with the same tuple.
 func linkKeys(links []wmap.Link) []LinkKey {
 	out := make([]LinkKey, len(links))
+	seen := make(map[LinkKey]int, len(links))
 	for i, l := range links {
 		k := LinkKey{A: l.A, B: l.B, LabelA: l.LabelA, LabelB: l.LabelB}
-		for j := 0; j < i; j++ {
-			if k.matches(links[j]) {
-				k.Ordinal++
-			}
-		}
+		n := seen[k] // keyed by the tuple: Ordinal is still zero here
+		seen[k] = n + 1
+		k.Ordinal = n
 		out[i] = k
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -484,5 +485,51 @@ func TestOpenFile(t *testing.T) {
 	defer rd.Close()
 	if n := rd.Snapshots(wmap.Europe); n != 1 {
 		t.Errorf("snapshots = %d", n)
+	}
+}
+
+// linkKeysReference is the original quadratic ordinal rule: a link's
+// ordinal is the number of earlier links matching its four strings.
+func linkKeysReference(links []wmap.Link) []LinkKey {
+	out := make([]LinkKey, len(links))
+	for i, l := range links {
+		k := LinkKey{A: l.A, B: l.B, LabelA: l.LabelA, LabelB: l.LabelB}
+		for j := 0; j < i; j++ {
+			if k.matches(links[j]) {
+				k.Ordinal++
+			}
+		}
+		out[i] = k
+	}
+	return out
+}
+
+// TestLinkKeysMatchesReference: over random link lists drawn from a small
+// string pool — so (A, B, LabelA, LabelB) tuples repeat often and parallel
+// links reach ordinals of 2 and more — linkKeys assigns exactly the
+// reference's keys.
+func TestLinkKeysMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	nodes := []string{"par-g1", "fra-g1", "AMS-IX"}
+	labels := []string{"#1", "#2"}
+	maxOrd := 0
+	for trial := 0; trial < 200; trial++ {
+		links := make([]wmap.Link, rng.Intn(120))
+		for i := range links {
+			links[i] = wmap.Link{
+				A: nodes[rng.Intn(len(nodes))], B: nodes[rng.Intn(len(nodes))],
+				LabelA: labels[rng.Intn(len(labels))], LabelB: labels[rng.Intn(len(labels))],
+			}
+		}
+		got, want := linkKeys(links), linkKeysReference(links)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: linkKeys = %v, want %v", trial, got, want)
+		}
+		for _, k := range got {
+			maxOrd = max(maxOrd, k.Ordinal)
+		}
+	}
+	if maxOrd < 2 {
+		t.Fatalf("largest ordinal %d: no parallel link at ordinal ≥ 2 was compared", maxOrd)
 	}
 }
