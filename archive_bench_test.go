@@ -179,8 +179,9 @@ func BenchmarkArchiveRangeQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkArchiveLinkSeries measures a single-link, full-range load query —
-// the /api/v1/links/{id}/load path, which decodes two columns per block and
+// BenchmarkArchiveLinkSeries measures a single-link, full-range raw load
+// query through LinkColumnsContext — the column scan behind the unstepped
+// /api/v1/links/{id}/load path, which decodes two columns per block and
 // skips the rest.
 func BenchmarkArchiveLinkSeries(b *testing.B) {
 	f := getArchiveFixture(b)
@@ -191,9 +192,14 @@ func BenchmarkArchiveLinkSeries(b *testing.B) {
 	key := tsdb.LinkKeysOf(m)[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ab, ba, err := f.rd.LinkSeries(context.Background(), wmap.Europe, key, time.Time{}, time.Time{})
-		if err != nil || ab.Len() == 0 || ba.Len() == 0 {
-			b.Fatalf("series lengths %d, %d, err %v", ab.Len(), ba.Len(), err)
+		var nab, nba int
+		err := f.rd.LinkColumnsContext(context.Background(), wmap.Europe, key, time.Time{}, time.Time{}, func(_ []int64, ab, ba []wmap.Load) error {
+			nab += len(ab)
+			nba += len(ba)
+			return nil
+		})
+		if err != nil || nab == 0 || nba == 0 {
+			b.Fatalf("series lengths %d, %d, err %v", nab, nba, err)
 		}
 	}
 }

@@ -9,9 +9,9 @@
 // the run cleanly: no new snapshots are scheduled, in-flight workers drain,
 // and the store is left resumable (atomic writes, no half-written YAML).
 //
-// Parsing defaults to the zero-allocation fast lexer; -std-decoder forces
-// the encoding/xml reference path, which must produce byte-identical YAML.
-// -cpuprofile and -memprofile write pprof profiles of the run.
+// Parsing uses the zero-allocation fast lexer, falling back to encoding/xml
+// for documents outside its subset. -cpuprofile and -memprofile write pprof
+// profiles of the run.
 //
 // -archive FILE additionally streams every processed snapshot — in
 // chronological order per map, including snapshots already processed by an
@@ -38,7 +38,7 @@
 //
 //	wmparse -data DIR [-maps europe,...] [-workers N] [-threshold 40]
 //	        [-archive FILE] [-rollups 1h,24h] [-events] [-follow] [-poll 2s]
-//	        [-std-decoder] [-cpuprofile FILE] [-memprofile FILE] [-quiet]
+//	        [-cpuprofile FILE] [-memprofile FILE] [-quiet]
 package main
 
 import (
@@ -57,7 +57,6 @@ import (
 	"ovhweather/internal/dataset"
 	"ovhweather/internal/extract"
 	"ovhweather/internal/prof"
-	"ovhweather/internal/svg"
 	"ovhweather/internal/tsdb"
 	"ovhweather/internal/wmap"
 )
@@ -67,19 +66,18 @@ func main() {
 	log.SetPrefix("wmparse: ")
 
 	var (
-		dir        = flag.String("data", "", "dataset directory (required)")
-		mapsStr    = flag.String("maps", "europe,world,north-america,asia-pacific", "maps to process")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size (1 = sequential)")
-		threshold  = flag.Float64("threshold", 40, "label attribution distance threshold (px)")
-		colors     = flag.Bool("verify-colors", false, "cross-check load percentages against arrow colors")
-		stdDecoder = flag.Bool("std-decoder", false, "parse with encoding/xml instead of the fast lexer")
-		archive    = flag.String("archive", "", "also write a columnar tsdb archive to `file`")
-		rollups    = flag.String("rollups", "1h,24h", "comma-separated rollup tier resolutions for -archive (off disables)")
-		evDetect   = flag.Bool("events", true, "run the evolution-event detectors and persist their event log in -archive")
-		follow     = flag.Bool("follow", false, "keep running: append snapshots to the archive as they land in -data")
-		poll       = flag.Duration("poll", 2*time.Second, "directory re-scan interval in -follow mode")
-		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		profiles   prof.Profiles
+		dir       = flag.String("data", "", "dataset directory (required)")
+		mapsStr   = flag.String("maps", "europe,world,north-america,asia-pacific", "maps to process")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size (1 = sequential)")
+		threshold = flag.Float64("threshold", 40, "label attribution distance threshold (px)")
+		colors    = flag.Bool("verify-colors", false, "cross-check load percentages against arrow colors")
+		archive   = flag.String("archive", "", "also write a columnar tsdb archive to `file`")
+		rollups   = flag.String("rollups", "1h,24h", "comma-separated rollup tier resolutions for -archive (off disables)")
+		evDetect  = flag.Bool("events", true, "run the evolution-event detectors and persist their event log in -archive")
+		follow    = flag.Bool("follow", false, "keep running: append snapshots to the archive as they land in -data")
+		poll      = flag.Duration("poll", 2*time.Second, "directory re-scan interval in -follow mode")
+		quiet     = flag.Bool("quiet", false, "suppress progress output")
+		profiles  prof.Profiles
 	)
 	flag.StringVar(&profiles.CPU, "cpuprofile", "", "write a pprof CPU profile to `file`")
 	flag.StringVar(&profiles.Mem, "memprofile", "", "write a pprof heap profile to `file`")
@@ -91,7 +89,6 @@ func main() {
 	if *follow && *archive == "" {
 		log.Fatal("-follow requires -archive")
 	}
-	svg.UseStdDecoder = *stdDecoder
 
 	// Failures below this point route through run() so the deferred profile
 	// flush still happens; log.Fatal would exit before the profiles are

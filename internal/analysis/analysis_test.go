@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -472,6 +473,13 @@ func TestWeeklyLoads(t *testing.T) {
 	v, err := WeeklyLoads(src)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := referenceWeeklyLoads(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, v) {
+		t.Errorf("weekly view diverges from the reference:\nreference %+v\ngot       %+v", want, v)
 	}
 	if v.WeekendMean >= v.WeekdayMean {
 		t.Errorf("weekend mean %.1f >= weekday mean %.1f; backbone traffic should dip on weekends",

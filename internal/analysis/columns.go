@@ -34,29 +34,28 @@ type LinkColumns struct {
 // Stream, the chunk passed to yield may be reused between calls.
 type ColumnStream func(yield func(c *LinkColumns) error) error
 
-// snapshots iterates the chunk row-wise: for each snapshot time it fills
-// scratch.Links with that instant's loads and hands the map to visit —
-// recovering the exact per-snapshot view the Stream folds consume, so
-// WeeklyLoadsColumns inherits WeeklyLoads' semantics (and results) verbatim.
-func (c *LinkColumns) snapshots(scratch *wmap.Map, visit func(m *wmap.Map) error) error {
-	if cap(scratch.Links) < len(c.Links) {
-		scratch.Links = make([]wmap.Link, len(c.Links))
+// columnsOf feeds a snapshot stream to the column folds: each snapshot
+// becomes a one-snapshot chunk. The chunk, and the one backing array its
+// load columns share, are reused between snapshots, so a stream costs no
+// allocation per snapshot once its largest map has been seen.
+func columnsOf(src Stream) ColumnStream {
+	return func(yield func(c *LinkColumns) error) error {
+		var c LinkColumns
+		var loads []wmap.Load
+		return src(func(m *wmap.Map) error {
+			if cap(c.Links) < len(m.Links) {
+				c.Links = make([]LinkCol, len(m.Links))
+				loads = make([]wmap.Load, 2*len(m.Links))
+			}
+			c.Links = c.Links[:len(m.Links)]
+			c.Times = append(c.Times[:0], m.Time)
+			for i, l := range m.Links {
+				loads[2*i], loads[2*i+1] = l.LoadAB, l.LoadBA
+				c.Links[i] = LinkCol{Link: l, AB: loads[2*i : 2*i+1], BA: loads[2*i+1 : 2*i+2]}
+			}
+			return yield(&c)
+		})
 	}
-	scratch.Links = scratch.Links[:len(c.Links)]
-	for i := range c.Links {
-		scratch.Links[i] = c.Links[i].Link
-	}
-	for k, t := range c.Times {
-		scratch.Time = t
-		for i := range c.Links {
-			scratch.Links[i].LoadAB = c.Links[i].AB[k]
-			scratch.Links[i].LoadBA = c.Links[i].BA[k]
-		}
-		if err := visit(scratch); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ImbalanceCDFColumns is ImbalanceCDF over a column stream: one scan of the
@@ -215,25 +214,53 @@ func sameTopology(a, b []wmap.Link) bool {
 	return true
 }
 
-// WeeklyLoadsColumns is WeeklyLoads over a column stream: same per-snapshot
-// accumulation order (snapshot-major, link-minor, AB before BA), same view.
+// WeeklyLoadsColumns is the week-cycle fold: every directed load, grouped
+// by its snapshot's weekday in snapshot-major, link-minor order (AB before
+// BA), reduced to per-day medians and the weekday/weekend means.
 func WeeklyLoadsColumns(src ColumnStream) (*WeeklyView, error) {
-	byDay := make([]*stats.Sample, 7)
-	for i := range byDay {
-		byDay[i] = stats.NewSample()
+	var byDay [7]*stats.Sample
+	for d := range byDay {
+		byDay[d] = stats.NewSample()
 	}
-	var scratch wmap.Map
 	err := src(func(c *LinkColumns) error {
-		return c.snapshots(&scratch, func(m *wmap.Map) error {
-			d := int(m.Time.Weekday())
-			for _, l := range m.Links {
-				byDay[d].Add(float64(l.LoadAB), float64(l.LoadBA))
+		for k, t := range c.Times {
+			s := byDay[t.Weekday()]
+			for i := range c.Links {
+				s.Add(float64(c.Links[i].AB[k]), float64(c.Links[i].BA[k]))
 			}
-			return nil
-		})
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return weeklyFromByDay(byDay)
+	// The means sum each day's loads in sorted order (Median sorts them),
+	// day by day: the order a pooled weekday or weekend sample would sum.
+	view := &WeeklyView{}
+	var sum, n [2]float64 // weekday, weekend
+	for d, s := range byDay {
+		view.Samples[d] = s.Len()
+		if s.Len() == 0 {
+			continue
+		}
+		view.ByDay[d], _ = s.Median() // non-empty
+		w := 0
+		if d == int(time.Saturday) || d == int(time.Sunday) {
+			w = 1
+		}
+		for _, v := range s.Values() {
+			sum[w] += v
+		}
+		n[w] += float64(s.Len())
+	}
+	if n[0] == 0 && n[1] == 0 {
+		return nil, stats.ErrEmpty
+	}
+	if n[0] > 0 {
+		view.WeekdayMean = sum[0] / n[0]
+	}
+	if n[1] > 0 {
+		view.WeekendMean = sum[1] / n[1]
+	}
+	return view, nil
 }

@@ -141,8 +141,8 @@ func testImbalanceOptions() map[string]wmap.ImbalanceOptions {
 }
 
 // TestColumnsFoldEquivalence: the column folds must produce views deeply
-// equal to the snapshot-stream folds over the same corpus — the invariant
-// that lets wmanalyze switch Figure 5 onto the grid scan.
+// equal to the reference snapshot folds over the same corpus — the
+// invariant that lets wmanalyze switch Figure 5 onto the grid scan.
 func TestColumnsFoldEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	maps := testCorpus(rng, 120)
@@ -155,7 +155,7 @@ func TestColumnsFoldEquivalence(t *testing.T) {
 		return nil
 	}
 
-	wantImb, err := ImbalanceCDF(stream, wmap.PaperImbalanceOptions())
+	wantImb, err := referenceImbalanceCDF(stream, wmap.PaperImbalanceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +164,13 @@ func TestColumnsFoldEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantImb, gotImb) {
-		t.Errorf("imbalance views diverge:\nstream  %+v\ncolumns %+v", wantImb, gotImb)
+		t.Errorf("imbalance views diverge:\nreference %+v\ncolumns   %+v", wantImb, gotImb)
 	}
 	if gotImb.IntSets == 0 || gotImb.ExtSets == 0 {
 		t.Errorf("corpus too tame: %d internal, %d external sets", gotImb.IntSets, gotImb.ExtSets)
 	}
 
-	wantWk, err := WeeklyLoads(stream)
+	wantWk, err := referenceWeeklyLoads(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestColumnsFoldEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantWk, gotWk) {
-		t.Errorf("weekly views diverge:\nstream  %+v\ncolumns %+v", wantWk, gotWk)
+		t.Errorf("weekly views diverge:\nreference %+v\ncolumns   %+v", wantWk, gotWk)
 	}
 	for d := 0; d < 7; d++ {
 		if gotWk.Samples[d] == 0 {
@@ -208,7 +208,7 @@ func TestColumnsFoldTopologyChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for name, maps := range topologyVariants(rng, 96) {
 		for optName, opt := range testImbalanceOptions() {
-			want, err := ImbalanceCDF(SliceStream(maps), opt)
+			want, err := referenceImbalanceCDF(SliceStream(maps), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func TestColumnsFoldTopologyChanges(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s/%s chunks of %d: views diverge:\nstream  %+v\ncolumns %+v", name, optName, chunkLen, want, got)
+					t.Errorf("%s/%s chunks of %d: views diverge:\nreference %+v\ncolumns   %+v", name, optName, chunkLen, want, got)
 				}
 			}
 		}
@@ -243,7 +243,7 @@ func TestColumnsFoldEmptyChunk(t *testing.T) {
 		})
 	})
 	for optName, opt := range testImbalanceOptions() {
-		want, err := ImbalanceCDF(SliceStream(maps), opt)
+		want, err := referenceImbalanceCDF(SliceStream(maps), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestColumnsFoldEmptyChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: views diverge:\nstream  %+v\ncolumns %+v", optName, want, got)
+			t.Errorf("%s: views diverge:\nreference %+v\ncolumns   %+v", optName, want, got)
 		}
 		if got.MeanParallelism != 1.5 {
 			t.Errorf("%s: mean parallelism = %v, want the last snapshot's 1.5", optName, got.MeanParallelism)

@@ -16,12 +16,14 @@ type HourlyLoadView struct {
 // HourlyLoads consumes a stream and groups every link load (both
 // directions, all links) by the snapshot's hour of day.
 func HourlyLoads(src Stream) (*HourlyLoadView, error) {
-	groups := stats.NewGroupedSample()
+	var hours [24]*stats.Sample // nil until the hour's first load
 	err := src(func(m *wmap.Map) error {
 		h := m.Time.Hour()
+		if hours[h] == nil && len(m.Links) > 0 {
+			hours[h] = stats.NewSample()
+		}
 		for _, l := range m.Links {
-			groups.Add(h, float64(l.LoadAB))
-			groups.Add(h, float64(l.LoadBA))
+			hours[h].Add(float64(l.LoadAB), float64(l.LoadBA))
 		}
 		return nil
 	})
@@ -29,16 +31,11 @@ func HourlyLoads(src Stream) (*HourlyLoadView, error) {
 		return nil, err
 	}
 	view := &HourlyLoadView{}
-	for h := 0; h < 24; h++ {
-		g := groups.Group(h)
+	for h, g := range hours {
 		if g == nil {
 			continue
 		}
-		q, err := g.Quartiles()
-		if err != nil {
-			return nil, err
-		}
-		view.Hours[h] = q
+		view.Hours[h], _ = g.Quartiles() // non-empty
 		view.Samples[h] = g.Len()
 	}
 	return view, nil
@@ -130,35 +127,5 @@ type ImbalanceView struct {
 // ImbalanceCDF consumes a stream and computes the Figure 5c view using the
 // given filters (use wmap.PaperImbalanceOptions for the paper's).
 func ImbalanceCDF(src Stream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
-	internal := stats.NewSample()
-	external := stats.NewSample()
-	var lastParallelism float64
-	err := src(func(m *wmap.Map) error {
-		for _, im := range m.Imbalances(opt) {
-			if im.Internal {
-				internal.Add(float64(im.Spread))
-			} else {
-				external.Add(float64(im.Spread))
-			}
-		}
-		lastParallelism = m.MeanParallelism()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	view := &ImbalanceView{
-		IntSets:         internal.Len(),
-		ExtSets:         external.Len(),
-		MeanParallelism: lastParallelism,
-	}
-	if internal.Len() > 0 {
-		view.Internal, _ = internal.CDF()
-		view.IntWithin1, _ = internal.FractionAtMost(1)
-	}
-	if external.Len() > 0 {
-		view.External, _ = external.CDF()
-		view.ExtWithin2, _ = external.FractionAtMost(2)
-	}
-	return view, nil
+	return ImbalanceCDFColumns(columnsOf(src), opt)
 }

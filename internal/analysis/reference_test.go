@@ -1,0 +1,209 @@
+package analysis
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"ovhweather/internal/stats"
+	"ovhweather/internal/wmap"
+)
+
+// The reference folds below are the Figure 5 folds as first written: one
+// snapshot at a time, through wmap's own imbalance walk and a sample per
+// group. They share no code with the column folds beyond stats.Sample, so a
+// column fold that drifts from them cannot hide behind a twin of itself.
+
+// referenceImbalanceCDF is Figure 5c straight off wmap.Map.Imbalances.
+func referenceImbalanceCDF(src Stream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
+	internal := stats.NewSample()
+	external := stats.NewSample()
+	var lastParallelism float64
+	err := src(func(m *wmap.Map) error {
+		for _, im := range m.Imbalances(opt) {
+			if im.Internal {
+				internal.Add(float64(im.Spread))
+			} else {
+				external.Add(float64(im.Spread))
+			}
+		}
+		lastParallelism = m.MeanParallelism()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	view := &ImbalanceView{
+		IntSets:         internal.Len(),
+		ExtSets:         external.Len(),
+		MeanParallelism: lastParallelism,
+	}
+	if internal.Len() > 0 {
+		view.Internal, _ = internal.CDF()
+		view.IntWithin1, _ = internal.FractionAtMost(1)
+	}
+	if external.Len() > 0 {
+		view.External, _ = external.CDF()
+		view.ExtWithin2, _ = external.FractionAtMost(2)
+	}
+	return view, nil
+}
+
+// referenceWeeklyLoads groups every directed load by the snapshot's
+// weekday, then pools the weekday and weekend groups into fresh samples
+// for their means.
+func referenceWeeklyLoads(src Stream) (*WeeklyView, error) {
+	byDay := make([]*stats.Sample, 7)
+	for i := range byDay {
+		byDay[i] = stats.NewSample()
+	}
+	err := src(func(m *wmap.Map) error {
+		d := int(m.Time.Weekday())
+		for _, l := range m.Links {
+			byDay[d].Add(float64(l.LoadAB), float64(l.LoadBA))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	view := &WeeklyView{}
+	weekday := stats.NewSample()
+	weekend := stats.NewSample()
+	for d := 0; d < 7; d++ {
+		view.Samples[d] = byDay[d].Len()
+		if byDay[d].Len() == 0 {
+			continue
+		}
+		med, err := byDay[d].Median()
+		if err != nil {
+			return nil, err
+		}
+		view.ByDay[d] = med
+		switch time.Weekday(d) {
+		case time.Saturday, time.Sunday:
+			weekend.Add(byDay[d].Values()...)
+		default:
+			weekday.Add(byDay[d].Values()...)
+		}
+	}
+	if weekday.Len() > 0 {
+		view.WeekdayMean, _ = weekday.Mean()
+	}
+	if weekend.Len() > 0 {
+		view.WeekendMean, _ = weekend.Mean()
+	}
+	if weekday.Len() == 0 && weekend.Len() == 0 {
+		return nil, stats.ErrEmpty
+	}
+	return view, nil
+}
+
+// referenceHourlyLoads keeps its hour groups in a map keyed by hour,
+// created on an hour's first observation.
+func referenceHourlyLoads(src Stream) (*HourlyLoadView, error) {
+	groups := make(map[int]*stats.Sample)
+	err := src(func(m *wmap.Map) error {
+		h := m.Time.Hour()
+		for _, l := range m.Links {
+			g, ok := groups[h]
+			if !ok {
+				g = stats.NewSample()
+				groups[h] = g
+			}
+			g.Add(float64(l.LoadAB))
+			g.Add(float64(l.LoadBA))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	view := &HourlyLoadView{}
+	for h := 0; h < 24; h++ {
+		g := groups[h]
+		if g == nil {
+			continue
+		}
+		q, err := g.Quartiles()
+		if err != nil {
+			return nil, err
+		}
+		view.Hours[h] = q
+		view.Samples[h] = g.Len()
+	}
+	return view, nil
+}
+
+// TestFoldsMatchReference: every Figure 5 fold, through every feeder, is
+// deeply equal to its reference — views and errors alike — on corpora that
+// exercise topology changes (mid-corpus growth, same-size edits, a simulated
+// decommission) and snapshots without links.
+func TestFoldsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	corpora := map[string][]*wmap.Map{"corpus": testCorpus(rng, 120)}
+	for name, maps := range topologyVariants(rng, 96) {
+		corpora["variant/"+name] = maps
+	}
+
+	// Nine days around the October 2020 decommission, which must change the
+	// simulated topology inside the window.
+	from := time.Date(2020, time.September, 28, 0, 0, 0, 0, time.UTC)
+	var sim []*wmap.Map
+	if err := simStream(t, wmap.Europe, from, from.AddDate(0, 0, 9), 6*time.Hour)(func(m *wmap.Map) error {
+		sim = append(sim, m)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sameLinkIdentity(sim[0].Links, sim[len(sim)-1].Links) {
+		t.Fatal("netsim window has no topology change")
+	}
+	corpora["netsim"] = sim
+
+	// Every third snapshot loses its links; an all-empty corpus makes the
+	// weekly fold fail with stats.ErrEmpty.
+	sparse := testCorpus(rng, 60)
+	for i := 0; i < len(sparse); i += 3 {
+		sparse[i].Links = nil
+	}
+	corpora["nolinks"] = sparse
+	empty := testCorpus(rng, 10)
+	for _, m := range empty {
+		m.Links = nil
+	}
+	corpora["empty"] = empty
+
+	for name, maps := range corpora {
+		check := func(fold string, want, got any, wantErr, gotErr error) {
+			t.Helper()
+			if !errors.Is(gotErr, wantErr) || !reflect.DeepEqual(want, got) {
+				t.Errorf("%s %s: diverges from the reference:\nreference %+v (err %v)\ngot       %+v (err %v)", name, fold, want, wantErr, got, gotErr)
+			}
+		}
+		want, wantErr := referenceHourlyLoads(SliceStream(maps))
+		got, gotErr := HourlyLoads(SliceStream(maps))
+		check("hourly", want, got, wantErr, gotErr)
+
+		wantWk, wantErr := referenceWeeklyLoads(SliceStream(maps))
+		gotWk, gotErr := WeeklyLoads(SliceStream(maps))
+		check("weekly/stream", wantWk, gotWk, wantErr, gotErr)
+		for _, chunkLen := range []int{1, 5, 16, len(maps)} {
+			gotWk, gotErr := WeeklyLoadsColumns(columnize(maps, chunkLen))
+			check(fmt.Sprintf("weekly/chunks of %d", chunkLen), wantWk, gotWk, wantErr, gotErr)
+		}
+
+		for optName, opt := range testImbalanceOptions() {
+			want, wantErr := referenceImbalanceCDF(SliceStream(maps), opt)
+			got, gotErr := ImbalanceCDF(SliceStream(maps), opt)
+			check("imbalance/"+optName+"/stream", want, got, wantErr, gotErr)
+			for _, chunkLen := range []int{1, 5, 16, len(maps)} {
+				got, gotErr := ImbalanceCDFColumns(columnize(maps, chunkLen), opt)
+				check(fmt.Sprintf("imbalance/%s/chunks of %d", optName, chunkLen), want, got, wantErr, gotErr)
+			}
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ovhweather/internal/stats"
-	"ovhweather/internal/wmap"
 )
 
 // WeeklyView extends the Figure 5a day-cycle analysis to the week: load
@@ -23,57 +22,7 @@ type WeeklyView struct {
 
 // WeeklyLoads consumes a stream and aggregates loads by day of week.
 func WeeklyLoads(src Stream) (*WeeklyView, error) {
-	byDay := make([]*stats.Sample, 7)
-	for i := range byDay {
-		byDay[i] = stats.NewSample()
-	}
-	err := src(func(m *wmap.Map) error {
-		d := int(m.Time.Weekday())
-		for _, l := range m.Links {
-			byDay[d].Add(float64(l.LoadAB), float64(l.LoadBA))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return weeklyFromByDay(byDay)
-}
-
-// weeklyFromByDay reduces the seven per-day sample sets to the WeeklyView;
-// WeeklyLoads and WeeklyLoadsColumns share it so both paths summarize
-// identically.
-func weeklyFromByDay(byDay []*stats.Sample) (*WeeklyView, error) {
-	view := &WeeklyView{}
-	weekday := stats.NewSample()
-	weekend := stats.NewSample()
-	for d := 0; d < 7; d++ {
-		view.Samples[d] = byDay[d].Len()
-		if byDay[d].Len() == 0 {
-			continue
-		}
-		med, err := byDay[d].Median()
-		if err != nil {
-			return nil, err
-		}
-		view.ByDay[d] = med
-		switch time.Weekday(d) {
-		case time.Saturday, time.Sunday:
-			weekend.Add(byDay[d].Values()...)
-		default:
-			weekday.Add(byDay[d].Values()...)
-		}
-	}
-	if weekday.Len() > 0 {
-		view.WeekdayMean, _ = weekday.Mean()
-	}
-	if weekend.Len() > 0 {
-		view.WeekendMean, _ = weekend.Mean()
-	}
-	if weekday.Len() == 0 && weekend.Len() == 0 {
-		return nil, stats.ErrEmpty
-	}
-	return view, nil
+	return WeeklyLoadsColumns(columnsOf(src))
 }
 
 // HourAgg is one pre-aggregated bucket of link-load samples, the shape the

@@ -10,8 +10,11 @@ package dataset
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"ovhweather/internal/extract"
 	"ovhweather/internal/wmap"
@@ -150,4 +153,57 @@ func TestRaceWalkMapsParallelSharedStore(t *testing.T) {
 	walks.Wait()
 	close(stop)
 	rewriter.Wait()
+}
+
+// TestIndexSkipsVanishingTempFiles: WriteSnapshot's temporary files appear
+// and vanish in snapshot directories while Index lists them. Index must
+// neither fail on a name that is gone by the time it looks, nor count one.
+func TestIndexSkipsVanishingTempFiles(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2020, 7, 1, 0, 0, 0, 0, time.UTC)
+	const snapshots = 4
+	for i := 0; i < snapshots; i++ {
+		if err := s.WriteSnapshot(wmap.Europe, at.Add(time.Duration(i)*5*time.Minute), ExtYAML, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Dir(s.SnapshotPath(wmap.Europe, at, ExtYAML))
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f, err := os.CreateTemp(dir, ".tmp-*")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	defer func() {
+		close(stop)
+		churn.Wait()
+	}()
+
+	for i := 0; i < 2000; i++ {
+		entries, err := s.Index(wmap.Europe, ExtYAML)
+		if err != nil {
+			t.Fatalf("Index #%d: %v", i, err)
+		}
+		if len(entries) != snapshots {
+			t.Fatalf("Index #%d: %d entries, want %d", i, len(entries), snapshots)
+		}
+	}
 }

@@ -13,6 +13,7 @@ package dataset
 import (
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -146,23 +147,29 @@ type Entry struct {
 }
 
 // Index walks the store and returns the entries for one map and extension,
-// sorted chronologically.
+// sorted chronologically. Only snapshot files are stat'ed: a concurrent
+// WriteSnapshot may rename its temporary file away between the directory
+// listing and any stat of it.
 func (s *Store) Index(id wmap.MapID, ext string) ([]Entry, error) {
 	base := filepath.Join(s.root, string(id))
 	var out []Entry
-	err := filepath.Walk(base, func(path string, info os.FileInfo, err error) error {
+	err := filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			if os.IsNotExist(err) && path == base {
 				return filepath.SkipAll
 			}
 			return err
 		}
-		if info.IsDir() || !strings.HasSuffix(path, "."+ext) {
+		if d.IsDir() || !strings.HasSuffix(path, "."+ext) {
 			return nil
 		}
 		at, perr := s.parseSnapshotPath(id, path, ext)
 		if perr != nil {
 			return nil // foreign files are not part of the dataset
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
 		}
 		out = append(out, Entry{Map: id, Time: at, Ext: ext, Size: info.Size(), Path: path})
 		return nil

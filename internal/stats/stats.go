@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics used by the dataset
-// analysis: percentiles, empirical distribution functions (CDF and CCDF),
-// histograms, and grouped summaries. All figures in Section 5 of the paper
-// are built from these primitives.
+// analysis: percentiles, empirical distribution functions (CDF and CCDF)
+// and histograms. All figures in Section 5 of the paper are built from
+// these primitives.
 package stats
 
 import (
@@ -234,47 +234,4 @@ func (s *Sample) Histogram(lo, hi float64, n int) ([]HistogramBin, error) {
 		bins[idx].Count++
 	}
 	return bins, nil
-}
-
-// GroupedSample partitions observations by an integer key, such as the hour
-// of day for Figure 5a.
-type GroupedSample struct {
-	groups map[int]*Sample
-}
-
-// NewGroupedSample returns an empty grouped sample.
-func NewGroupedSample() *GroupedSample {
-	return &GroupedSample{groups: make(map[int]*Sample)}
-}
-
-// Add records an observation under the given group key.
-func (g *GroupedSample) Add(key int, v float64) {
-	s, ok := g.groups[key]
-	if !ok {
-		s = NewSample()
-		g.groups[key] = s
-	}
-	s.Add(v)
-}
-
-// Keys returns the group keys in ascending order.
-func (g *GroupedSample) Keys() []int {
-	ks := make([]int, 0, len(g.groups))
-	for k := range g.groups {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
-}
-
-// Group returns the sample for key, or nil when the key has no observations.
-func (g *GroupedSample) Group(key int) *Sample { return g.groups[key] }
-
-// Len returns the total number of observations across all groups.
-func (g *GroupedSample) Len() int {
-	var n int
-	for _, s := range g.groups {
-		n += s.Len()
-	}
-	return n
 }

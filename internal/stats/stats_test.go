@@ -260,30 +260,6 @@ func TestHistogramErrors(t *testing.T) {
 	}
 }
 
-func TestGroupedSample(t *testing.T) {
-	g := NewGroupedSample()
-	g.Add(2, 10)
-	g.Add(0, 1)
-	g.Add(2, 20)
-	keys := g.Keys()
-	if len(keys) != 2 || keys[0] != 0 || keys[1] != 2 {
-		t.Fatalf("Keys = %v", keys)
-	}
-	if g.Group(2).Len() != 2 {
-		t.Errorf("group 2 len = %d", g.Group(2).Len())
-	}
-	if g.Group(5) != nil {
-		t.Error("missing group should be nil")
-	}
-	if g.Len() != 3 {
-		t.Errorf("total len = %d, want 3", g.Len())
-	}
-	m, _ := g.Group(2).Mean()
-	if m != 15 {
-		t.Errorf("group 2 mean = %v, want 15", m)
-	}
-}
-
 // Property: sorting values through Sample preserves multiset membership.
 func TestSampleSortPreservesValues(t *testing.T) {
 	f := func(raw []float32) bool {

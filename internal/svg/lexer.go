@@ -32,12 +32,6 @@ import (
 	"ovhweather/internal/geom"
 )
 
-// UseStdDecoder routes Stream and StreamBytes through the encoding/xml
-// decoder unconditionally. It exists for the ablation benchmark and for
-// wmparse's -std-decoder flag, and must be set before processing begins —
-// it is read concurrently and never synchronized.
-var UseStdDecoder bool
-
 // fastEligible reports whether the document qualifies for the hand-rolled
 // lexer: pure ASCII and free of markup declarations ("<!" opens comments,
 // CDATA sections and directives, none of which the weathermap emits). The
@@ -64,7 +58,7 @@ func fastEligible(data []byte) bool {
 //
 //wm:hotpath
 func StreamBytes(data []byte, fn func(Element) error) error {
-	if UseStdDecoder || !fastEligible(data) {
+	if !fastEligible(data) {
 		return StreamStd(bytes.NewReader(data), fn)
 	}
 	l := lexerPool.Get().(*lexer)

@@ -73,19 +73,16 @@ var streamBufPool = sync.Pool{
 }
 
 // Stream reads an SVG document and invokes fn for every flat element in
-// document order. By default it buffers the document (snapshots are under a
-// megabyte) and runs the hand-rolled fast lexer; UseStdDecoder — and any
-// document outside the lexer's eligible subset — routes through the
-// encoding/xml path of StreamStd instead. Both paths emit identical element
-// sequences and the same ReadError/ValueError taxonomy.
+// document order. It buffers the document (snapshots are under a megabyte)
+// and runs the hand-rolled fast lexer; any document outside the lexer's
+// eligible subset routes through the encoding/xml path of StreamStd
+// instead. Both paths emit identical element sequences and the same
+// ReadError/ValueError taxonomy.
 //
 // A non-nil error from fn aborts the scan and is returned verbatim.
 // Emitted elements never alias Stream's internal buffers and stay valid
 // after Stream returns.
 func Stream(r io.Reader, fn func(Element) error) error {
-	if UseStdDecoder {
-		return StreamStd(r, fn)
-	}
 	bp := streamBufPool.Get().(*[]byte)
 	buf, err := readAllInto(*bp, r)
 	*bp = buf

@@ -196,9 +196,9 @@ func TestReaderCacheFullBlockServesGroups(t *testing.T) {
 
 	// A link query must now be all hits: no new misses.
 	key := LinkKeysOf(maps[0])[1]
-	ab, _, err := rd.LinkSeries(context.Background(), wmap.Europe, key, time.Time{}, time.Time{})
+	ab, _, err := linkSeries(context.Background(), rd, wmap.Europe, key, time.Time{}, time.Time{})
 	if err != nil || ab.Len() != 6 {
-		t.Fatalf("LinkSeries after warm scan: len %d, err %v", ab.Len(), err)
+		t.Fatalf("linkSeries after warm scan: len %d, err %v", ab.Len(), err)
 	}
 	s := rd.BlockCache().Stats()
 	if s.Misses != after.Misses {

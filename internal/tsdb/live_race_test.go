@@ -59,7 +59,7 @@ func TestLiveTailRace(t *testing.T) {
 	// snapshot at at(5*i): every observed point is checkable from its
 	// timestamp alone.
 	checkSeries := func(who string) (int, error) {
-		ab, ba, err := rd.LinkSeries(context.Background(), wmap.Europe, key, time.Time{}, time.Time{})
+		ab, ba, err := linkSeries(context.Background(), rd, wmap.Europe, key, time.Time{}, time.Time{})
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", who, err)
 		}

@@ -115,7 +115,7 @@ func runReadAhead(ctx context.Context, n, workers int, fetch func(i int) (cacheV
 }
 
 // defaultReadAheadWorkers is the worker count the API's scans and
-// LinkSeries use: one decoder per available core.
+// LinkColumnsContext use: one decoder per available core.
 func defaultReadAheadWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }

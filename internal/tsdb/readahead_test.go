@@ -195,12 +195,12 @@ func TestLinkSeriesContextCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := rd.LinkSeries(ctx, wmap.Europe, key, time.Time{}, time.Time{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled LinkSeries = %v, want context.Canceled", err)
+	if _, _, err := linkSeries(ctx, rd, wmap.Europe, key, time.Time{}, time.Time{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled linkSeries = %v, want context.Canceled", err)
 	}
 
-	ab, ba, err := rd.LinkSeries(context.Background(), wmap.Europe, key, time.Time{}, time.Time{})
+	ab, ba, err := linkSeries(context.Background(), rd, wmap.Europe, key, time.Time{}, time.Time{})
 	if err != nil || ab.Len() != 10 || ba.Len() != 10 {
-		t.Errorf("background LinkSeries: %d/%d points, err %v", ab.Len(), ba.Len(), err)
+		t.Errorf("background linkSeries: %d/%d points, err %v", ab.Len(), ba.Len(), err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ovhweather/internal/stats"
 	"ovhweather/internal/wmap"
 )
 
@@ -954,30 +953,6 @@ func (r *Reader) SnapshotAt(id wmap.MapID, at time.Time) (*wmap.Map, error) {
 func (st *readerState) mapHasLink(id wmap.MapID, key LinkKey) bool {
 	a, ok := st.linkDirectory()[key.ID(id)]
 	return ok && a.mapID == id && a.key == key
-}
-
-// LinkSeries extracts one link's two directed load series over [from, to]
-// (inclusive; zero times mean unbounded). Only the link's two columns are
-// decoded per block, on the read-ahead pipeline; a cancelled ctx stops the
-// scan between blocks with ctx.Err(). Periods where the link is absent from
-// the topology contribute no points; a link no topology of the map
-// contains fails with ErrUnknownLink.
-func (r *Reader) LinkSeries(ctx context.Context, id wmap.MapID, key LinkKey, from, to time.Time) (ab, ba *stats.TimeSeries, err error) {
-	ab, ba = stats.NewTimeSeries(), stats.NewTimeSeries()
-	err = r.LinkColumnsContext(ctx, id, key, from, to, func(times []int64, abCol, baCol []wmap.Load) error {
-		ab.Grow(len(times))
-		ba.Grow(len(times))
-		for k, sec := range times {
-			at := time.Unix(sec, 0).UTC()
-			ab.Append(at, float64(abCol[k]))
-			ba.Append(at, float64(baCol[k]))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ab, ba, nil
 }
 
 // LinkColumnsContext streams the raw per-block columns of one link in

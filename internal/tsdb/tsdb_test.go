@@ -326,7 +326,7 @@ func TestLinkSeriesAndOrdinals(t *testing.T) {
 		t.Fatalf("parallel ordinals = %d, %d", keys[1].Ordinal, keys[2].Ordinal)
 	}
 	for ki, wantBase := range map[int][2]int{1: {30, 40}, 2: {50, 60}} {
-		ab, ba, err := rd.LinkSeries(context.Background(), wmap.Europe, keys[ki], time.Time{}, time.Time{})
+		ab, ba, err := linkSeries(context.Background(), rd, wmap.Europe, keys[ki], time.Time{}, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,15 +346,15 @@ func TestLinkSeriesAndOrdinals(t *testing.T) {
 	}
 
 	// Range restriction decodes only what overlaps.
-	ab, _, err := rd.LinkSeries(context.Background(), wmap.Europe, keys[0], at(10), at(20))
+	ab, _, err := linkSeries(context.Background(), rd, wmap.Europe, keys[0], at(10), at(20))
 	if err != nil || ab.Len() != 3 {
 		t.Errorf("ranged series len = %d, err %v", ab.Len(), err)
 	}
 
-	if _, _, err := rd.LinkSeries(context.Background(), wmap.Europe, LinkKey{A: "nope", B: "AMS-IX"}, time.Time{}, time.Time{}); !errors.Is(err, ErrUnknownLink) {
+	if _, _, err := linkSeries(context.Background(), rd, wmap.Europe, LinkKey{A: "nope", B: "AMS-IX"}, time.Time{}, time.Time{}); !errors.Is(err, ErrUnknownLink) {
 		t.Errorf("unknown key = %v, want ErrUnknownLink", err)
 	}
-	if _, _, err := rd.LinkSeries(context.Background(), wmap.World, keys[0], time.Time{}, time.Time{}); !errors.Is(err, ErrUnknownMap) {
+	if _, _, err := linkSeries(context.Background(), rd, wmap.World, keys[0], time.Time{}, time.Time{}); !errors.Is(err, ErrUnknownMap) {
 		t.Errorf("unknown map = %v, want ErrUnknownMap", err)
 	}
 
