@@ -101,7 +101,7 @@ func foldLoads(m *wmap.Map, sum *int64, n *int64) {
 }
 
 // BenchmarkFoldCorpus folds the 7-day corpus once per iteration, comparing
-// the parallel YAML walk against a single-goroutine archive cursor.
+// the parallel YAML walk against a one-worker archive cursor.
 func BenchmarkFoldCorpus(b *testing.B) {
 	f := getArchiveFixture(b)
 	b.Logf("corpus: %d snapshots; YAML %d bytes in %d files, archive %d bytes (%.1fx smaller)",
@@ -125,7 +125,7 @@ func BenchmarkFoldCorpus(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var sum, n int64
-			cur := f.rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+			cur := f.rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 			for cur.Next() {
 				foldLoads(cur.Map(), &sum, &n)
 			}
@@ -169,7 +169,7 @@ func BenchmarkArchiveRangeQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		from := f.from.Add(time.Duration(i%160) * time.Hour)
 		var n int
-		cur := f.rd.Cursor(wmap.Europe, from, from.Add(55*time.Minute))
+		cur := f.rd.CursorParallel(context.Background(), wmap.Europe, from, from.Add(55*time.Minute), 1)
 		for cur.Next() {
 			n++
 		}
@@ -209,7 +209,7 @@ func BenchmarkArchiveLinkSeries(b *testing.B) {
 func BenchmarkArchiveAppend(b *testing.B) {
 	f := getArchiveFixture(b)
 	var maps []*wmap.Map
-	cur := f.rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+	cur := f.rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 	for cur.Next() {
 		maps = append(maps, cur.Map())
 	}

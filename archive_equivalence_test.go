@@ -25,7 +25,7 @@ import (
 // TestArchiveEquivalence proves the columnar archive is a faithful stand-in
 // for the YAML corpus: render the 4-map corpus, build one archive through
 // the processing pipeline's Emit hook (the wmparse -archive path) and one
-// from the on-disk YAMLs (Store.ArchiveTo), and require
+// from the on-disk YAMLs (a WalkMapsParallel per map), and require
 //
 //   - the two archives are byte-identical (the writer is deterministic and
 //     both sources deliver the same series),
@@ -113,14 +113,16 @@ func TestArchiveEquivalence(t *testing.T) {
 	// Path B: re-archive the on-disk YAML corpus.
 	var bufB bytes.Buffer
 	wB := tsdb.NewWriter(&bufB)
-	if err := store.ArchiveTo(context.Background(), wmap.AllMaps(), 4, wB.Append); err != nil {
-		t.Fatal(err)
+	for _, id := range wmap.AllMaps() {
+		if err := store.WalkMapsParallel(context.Background(), id, 4, wB.Append); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := wB.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
-		t.Fatalf("Emit-built and ArchiveTo-built archives differ: %d vs %d bytes",
+		t.Fatalf("Emit-built and YAML-walk-built archives differ: %d vs %d bytes",
 			bufA.Len(), bufB.Len())
 	}
 
@@ -133,13 +135,13 @@ func TestArchiveEquivalence(t *testing.T) {
 	// counterpart structurally.
 	for _, id := range wmap.AllMaps() {
 		var fromYAML []*wmap.Map
-		if err := store.WalkMaps(id, func(m *wmap.Map) error {
+		if err := store.WalkMapsParallel(context.Background(), id, 1, func(m *wmap.Map) error {
 			fromYAML = append(fromYAML, m)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		cur := rd.Cursor(id, time.Time{}, time.Time{})
+		cur := rd.CursorParallel(context.Background(), id, time.Time{}, time.Time{}, 1)
 		i := 0
 		for cur.Next() {
 			if i >= len(fromYAML) {
@@ -168,7 +170,7 @@ func TestArchiveEquivalence(t *testing.T) {
 		return store.WalkMapsParallel(context.Background(), wmap.Europe, 4, yield)
 	}
 	tsdbStream := func(yield func(*wmap.Map) error) error {
-		cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+		cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 		for cur.Next() {
 			if err := yield(cur.Map()); err != nil {
 				return err
@@ -178,7 +180,7 @@ func TestArchiveEquivalence(t *testing.T) {
 	}
 	// The serving-path variant: parallel read-ahead decode over a shared
 	// decoded-block cache, yielding the allocation-free scratch view. Must
-	// be indistinguishable from the sequential cursor — same snapshots,
+	// be indistinguishable from the one-worker cursor — same snapshots,
 	// same order, byte-identical analyses.
 	cachedRd, err := tsdb.NewReader(bytes.NewReader(bufA.Bytes()), int64(bufA.Len()))
 	if err != nil {
@@ -414,7 +416,7 @@ func TestLiveArchiveEquivalence(t *testing.T) {
 	var batch bytes.Buffer
 	wB := tsdb.NewWriter(&batch)
 	wB.SetBlockPoints(blockPts)
-	if err := store.ArchiveTo(context.Background(), []wmap.MapID{wmap.Europe}, 4, wB.Append); err != nil {
+	if err := store.WalkMapsParallel(context.Background(), wmap.Europe, 4, wB.Append); err != nil {
 		t.Fatal(err)
 	}
 	if err := wB.Close(); err != nil {
@@ -432,7 +434,7 @@ func TestLiveArchiveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveStream := func(yield func(*wmap.Map) error) error {
-		cur := closed.Cursor(wmap.Europe, time.Time{}, time.Time{})
+		cur := closed.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 		for cur.Next() {
 			if err := yield(cur.Map()); err != nil {
 				return err

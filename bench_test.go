@@ -63,7 +63,7 @@ func getFixture(b *testing.B) *fixture {
 			panic(err)
 		}
 		fix.europeSVG = buf.Bytes()
-		fix.europeRes, err = extract.Scan(bytes.NewReader(fix.europeSVG))
+		fix.europeRes, err = extract.Scan(bytes.NewReader(fix.europeSVG), extract.ScanOptions{})
 		if err != nil {
 			panic(err)
 		}
@@ -301,7 +301,7 @@ func BenchmarkAlgorithm1Scan(b *testing.B) {
 	b.SetBytes(int64(len(f.europeSVG)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := extract.Scan(bytes.NewReader(f.europeSVG))
+		res, err := extract.Scan(bytes.NewReader(f.europeSVG), extract.ScanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -682,7 +682,7 @@ func BenchmarkProcessMapParallel(b *testing.B) {
 
 // BenchmarkWalkMapsParallel measures the chronological fold over processed
 // snapshots at several decoding worker counts — the read side every figure
-// regeneration pays, reorder buffer included.
+// regeneration pays, ordered delivery included.
 func BenchmarkWalkMapsParallel(b *testing.B) {
 	f := getFixture(b)
 	const snapshots = 64

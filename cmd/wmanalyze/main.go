@@ -188,7 +188,7 @@ func run(cfg config) error {
 			}
 		}
 		return func(yield func(*wmap.Map) error) error {
-			// Snapshots decode on a worker pool; the reorder buffer keeps
+			// Snapshots decode on the ordered pool, which keeps
 			// the yield order chronological, as the analyses require.
 			return store.WalkMapsParallel(ctx, id, cfg.workers, func(m *wmap.Map) error {
 				if m.Time.Before(from) || m.Time.After(to) {

@@ -79,41 +79,18 @@ func main() {
 		Retries: 2,
 	}
 
-	// The live-ingest hook: one attribution cache and scan scratch shared
-	// across the whole crawl (OnStored is called on the poll goroutine, so
-	// no locking), feeding a live archive committed once per cycle.
+	// The live-ingest hook feeds a live archive committed once per cycle.
 	var (
-		arch     *tsdb.Writer
-		dropped  int
-		appended int
+		arch *tsdb.Writer
+		in   *ingester
 	)
 	if *archive != "" {
 		arch, err = tsdb.OpenAppend(*archive)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opt := extract.DefaultOptions()
-		cache := extract.NewAttributionCache(opt)
-		var res extract.ScanResult
-		col.OnStored = func(id wmap.MapID, t time.Time, data []byte) error {
-			if last, ok := arch.LastTime(id); ok && !t.After(last) {
-				return nil // resumed archive already has this poll's timestamp
-			}
-			if err := extract.ScanBytesInto(&res, data, extract.ScanOptions{}); err != nil {
-				dropped++
-				return nil // unparsable snapshot: the batch pipeline would classify it, not abort
-			}
-			m, err := cache.Attribute(&res, id, t)
-			if err != nil {
-				dropped++
-				return nil
-			}
-			if err := arch.Append(m); err != nil {
-				return err
-			}
-			appended++
-			return nil
-		}
+		in = newIngester(arch, extract.DefaultOptions())
+		col.OnStored = in.onStored
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -161,11 +138,64 @@ poll:
 			code = 1
 		} else {
 			s := arch.Stats()
-			log.Printf("archive %s: %d snapshots appended this run (%d unparsable dropped), %d total, %d blocks",
-				*archive, appended, dropped, s.Snapshots, s.Blocks)
+			hits, misses := in.cacheTotals()
+			log.Printf("archive %s: %d snapshots appended this run (%d unparsable dropped), %d total, %d blocks; attribution cache %d hits / %d misses",
+				*archive, in.appended, in.dropped, s.Snapshots, s.Blocks, hits, misses)
 		}
 	}
 	log.Printf("collected %d snapshots (%d from cache, %d skipped, %d failed) into %s",
 		total.Fetched, total.NotModified, total.Skipped, total.Failed, *out)
 	os.Exit(code)
+}
+
+// ingester is the live-ingest hook behind -archive: every stored snapshot
+// is scanned, attributed and appended to the archive. The collector polls
+// the maps in turn, so each map keeps its own attribution cache — a cache
+// holds one topology, and one shared across maps would miss on every call.
+// OnStored runs on the poll goroutine, so nothing here is locked.
+type ingester struct {
+	arch              *tsdb.Writer
+	opt               extract.Options
+	caches            map[wmap.MapID]*extract.AttributionCache
+	res               extract.ScanResult
+	appended, dropped int
+}
+
+func newIngester(arch *tsdb.Writer, opt extract.Options) *ingester {
+	return &ingester{arch: arch, opt: opt, caches: make(map[wmap.MapID]*extract.AttributionCache)}
+}
+
+// onStored is the collector's OnStored hook.
+func (in *ingester) onStored(id wmap.MapID, t time.Time, data []byte) error {
+	if last, ok := in.arch.LastTime(id); ok && !t.After(last) {
+		return nil // resumed archive already has this poll's timestamp
+	}
+	if err := extract.ScanBytesInto(&in.res, data, extract.ScanOptions{}); err != nil {
+		in.dropped++
+		return nil // unparsable snapshot: the batch pipeline would classify it, not abort
+	}
+	cache := in.caches[id]
+	if cache == nil {
+		cache = extract.NewAttributionCache(in.opt)
+		in.caches[id] = cache
+	}
+	m, err := cache.Attribute(&in.res, id, t)
+	if err != nil {
+		in.dropped++
+		return nil
+	}
+	if err := in.arch.Append(m); err != nil {
+		return err
+	}
+	in.appended++
+	return nil
+}
+
+// cacheTotals sums the attribution cache counters over every map.
+func (in *ingester) cacheTotals() (hits, misses int) {
+	for _, c := range in.caches {
+		hits += c.Hits()
+		misses += c.Misses()
+	}
+	return hits, misses
 }

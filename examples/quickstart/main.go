@@ -50,7 +50,7 @@ func main() {
 	fmt.Printf("rendered SVG: %d bytes\n\n", svg.Len())
 
 	// Algorithm 1: scan the flat element sequence.
-	res, err := extract.Scan(bytes.NewReader(svg.Bytes()))
+	res, err := extract.Scan(bytes.NewReader(svg.Bytes()), extract.ScanOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -130,7 +130,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Dataset-backed analysis agrees with simulator ground truth; the
-	// parallel walk must feed the analysis exactly like WalkMaps would.
+	// parallel walk must feed the analysis exactly like a sequential walk
+	// would.
 	dsStream := func(yield func(*wmap.Map) error) error {
 		return store.WalkMapsParallel(context.Background(), wmap.Europe, 4, yield)
 	}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -266,9 +267,9 @@ func TestProcessMapEndToEnd(t *testing.T) {
 			len(back.Nodes), len(back.Links), len(maps[0].Nodes), len(maps[0].Links))
 	}
 
-	// WalkMaps sees the three processed snapshots in order.
+	// The walk sees the three processed snapshots in order.
 	var seen []time.Time
-	err = s.WalkMaps(wmap.AsiaPacific, func(m *wmap.Map) error {
+	err = s.WalkMapsParallel(context.Background(), wmap.AsiaPacific, 1, func(m *wmap.Map) error {
 		seen = append(seen, m.Time)
 		return nil
 	})
@@ -349,7 +350,7 @@ func TestWalkMapsStopsOnCallbackError(t *testing.T) {
 	}
 	sentinel := os.ErrClosed
 	var seen int
-	err := s.WalkMaps(wmap.World, func(*wmap.Map) error {
+	err := s.WalkMapsParallel(context.Background(), wmap.World, 1, func(*wmap.Map) error {
 		seen++
 		if seen == 2 {
 			return sentinel
@@ -366,7 +367,7 @@ func TestWalkMapsCorruptYAML(t *testing.T) {
 	if err := s.WriteSnapshot(wmap.World, ts(0), ExtYAML, []byte("not: [valid")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WalkMaps(wmap.World, func(*wmap.Map) error { return nil }); err == nil {
+	if err := s.WalkMapsParallel(context.Background(), wmap.World, 1, func(*wmap.Map) error { return nil }); err == nil {
 		t.Error("corrupt YAML should abort the walk")
 	}
 }

@@ -2,11 +2,11 @@
 // five-minute SVG snapshots into YAML topologies, and both directions of
 // that conversion are embarrassingly parallel per input — each snapshot's
 // extract→marshal→write chain (and each YAML decode on the way back) touches
-// only its own files. ProcessMapParallel fans snapshots out to a bounded
-// worker pool; WalkMapsParallel decodes concurrently but hands results to
-// the fold function in chronological order through a sliding-window reorder
-// buffer. Both thread a context through so a failing walk or Ctrl-C aborts
-// in-flight workers cleanly.
+// only its own files. ProcessMapParallel and WalkMapsParallel both run on
+// the ordered pool (package ordered): workers process snapshots
+// concurrently, and the calling goroutine consumes the results in
+// chronological order. Both thread a context through so a failing walk or
+// Ctrl-C aborts in-flight workers cleanly.
 //
 // Concurrency contract: a Store holds no mutable state — every method may be
 // called concurrently. WriteSnapshot stays atomic (temp file + rename), so
@@ -19,10 +19,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"ovhweather/internal/extract"
+	"ovhweather/internal/ordered"
 	"ovhweather/internal/wmap"
 )
 
@@ -37,9 +37,10 @@ type ProcessOptions struct {
 	Extract extract.Options
 
 	// Progress, when non-nil, observes completion: it is called once with
-	// (0, total) before processing starts and once after every finished
-	// snapshot with a monotonically increasing done count. Calls are
-	// serialized; Progress must not call back into the processing run.
+	// (0, total) before processing starts and once per finished snapshot,
+	// in chronological order, with a monotonically increasing done count.
+	// Calls are serialized; Progress must not call back into the
+	// processing run.
 	Progress func(done, total int)
 
 	// Emit, when non-nil, receives every successfully processed snapshot in
@@ -65,17 +66,19 @@ func (o ProcessOptions) workers() int {
 	return o.Workers
 }
 
-// ProcessMapParallel is ProcessMap with a bounded worker pool: snapshot
-// entries fan out to opt.Workers goroutines, each running the independent
-// extract→marshal→write chain, and the per-class counters are aggregated
-// under a mutex. Because every counter is a commutative sum, the resulting
-// ProcessReport is deterministic regardless of scheduling.
+// ProcessMapParallel is ProcessMap on the ordered pool: each worker runs
+// the independent extract→marshal→write chain with its own attribution
+// cache and scratch buffers, and the calling goroutine reports progress
+// and emits maps in chronological order. Every counter is a commutative
+// sum of the workers' reports, so the resulting ProcessReport is
+// deterministic regardless of scheduling.
 //
 // Cancelling ctx stops scheduling new snapshots, drains the in-flight
-// workers, and returns ctx.Err() with the partial report. Snapshots already
-// fully written stay in place (the run is resumable — existing YAMLs count
-// as processed on the next run) and WriteSnapshot's atomicity guarantees no
-// half-written YAML survives the abort.
+// workers, and returns ctx.Err() with the partial report, which counts
+// every YAML the run wrote. Snapshots already fully written stay in place
+// (the run is resumable — existing YAMLs count as processed on the next
+// run) and WriteSnapshot's atomicity guarantees no half-written YAML
+// survives the abort.
 func (s *Store) ProcessMapParallel(ctx context.Context, id wmap.MapID, opt ProcessOptions) (ProcessReport, error) {
 	rep := ProcessReport{Map: id}
 	entries, err := s.Index(id, ExtSVG)
@@ -98,168 +101,57 @@ func (s *Store) ProcessMapParallel(ctx context.Context, id wmap.MapID, opt Proce
 	if opt.Progress != nil {
 		opt.Progress(0, total)
 	}
-	if opt.Emit != nil {
-		return s.processOrdered(ctx, id, entries, workers, opt, rep)
-	}
 
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	jobs := make(chan Entry)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker attribution cache and scratch buffers: each worker
-			// consumes snapshots in roughly chronological order, so
-			// consecutive jobs usually share a topology and hit the cache.
-			// Worker-local state also keeps the hot loop lock-free.
-			cache := extract.NewAttributionCache(opt.Extract)
-			scr := &procScratch{}
-			for e := range jobs {
-				out := s.processSnapshot(id, e.Time, cache, scr)
-				mu.Lock()
-				out.count(&rep)
-				done++
-				if opt.Progress != nil {
-					opt.Progress(done, total)
-				}
-				mu.Unlock()
-			}
-			mu.Lock()
-			rep.CacheHits += cache.Hits()
-			rep.CacheMisses += cache.Misses()
-			mu.Unlock()
-		}()
+	// Per-worker state, indexed by the pool's worker index: each worker
+	// takes snapshots in roughly chronological order, so consecutive jobs
+	// usually share a topology and hit its attribution cache.
+	caches := make([]*extract.AttributionCache, workers)
+	scratch := make([]procScratch, workers)
+	reps := make([]ProcessReport, workers)
+	for w := range caches {
+		caches[w] = extract.NewAttributionCache(opt.Extract)
 	}
-
-	var schedErr error
-schedule:
-	for _, e := range entries {
-		select {
-		case jobs <- e:
-		case <-ctx.Done():
-			schedErr = ctx.Err()
-			break schedule
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return rep, schedErr
-}
-
-// processOrdered is the Emit variant of ProcessMapParallel: workers run the
-// same per-snapshot chain, but each snapshot's result also travels through
-// a one-slot channel consumed in chronological order — the reorder-buffer
-// pattern of WalkMapsParallel — so opt.Emit observes the series in time
-// order no matter how workers interleave. The buffered pending channel
-// bounds how many decoded snapshots can run ahead of emission.
-func (s *Store) processOrdered(ctx context.Context, id wmap.MapID, entries []Entry, workers int, opt ProcessOptions, rep ProcessReport) (ProcessReport, error) {
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type job struct {
-		entry Entry
-		res   chan *wmap.Map // capacity 1: the worker's send never blocks
-	}
-	window := 2 * workers
-	pending := make(chan job, window)
-	jobs := make(chan job)
-	go func() {
-		defer close(pending)
-		defer close(jobs)
-		for _, e := range entries {
-			j := job{entry: e, res: make(chan *wmap.Map, 1)}
-			select {
-			case pending <- j:
-			case <-wctx.Done():
-				return
-			}
-			select {
-			case jobs <- j:
-			case <-wctx.Done():
-				return
-			}
-		}
-	}()
-
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	total := len(entries)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			cache := extract.NewAttributionCache(opt.Extract)
-			scr := &procScratch{}
-			defer func() {
-				mu.Lock()
-				rep.CacheHits += cache.Hits()
-				rep.CacheMisses += cache.Misses()
-				mu.Unlock()
-			}()
-			for {
-				select {
-				case j, ok := <-jobs:
-					if !ok {
-						return
-					}
-					out, m := s.processSnapshotEmit(id, j.entry.Time, cache, scr, true)
-					mu.Lock()
-					out.count(&rep)
-					done++
-					if opt.Progress != nil {
-						opt.Progress(done, total)
-					}
-					mu.Unlock()
-					//lint:ignore wmlint/ctxflow j.res has capacity 1 and receives exactly this one send
-					j.res <- m
-				case <-wctx.Done():
-					return
-				}
-			}
-		}()
-	}
+	pool := ordered.Run(ctx, total, workers, func(w, i int) (*wmap.Map, error) {
+		o, m := s.processSnapshot(id, entries[i].Time, caches[w], &scratch[w], opt.Emit != nil)
+		o.count(&reps[w])
+		return m, nil
+	})
+	defer pool.Stop()
 
 	var emitErr error
-deliver:
-	for j := range pending {
-		var m *wmap.Map
-		select {
-		case m = <-j.res:
-		case <-wctx.Done():
-			break deliver
+	done := 0
+	for pool.Next() {
+		done++
+		if opt.Progress != nil {
+			opt.Progress(done, total)
 		}
-		if m != nil {
+		if m := pool.Value(); opt.Emit != nil && m != nil {
 			if err := opt.Emit(m); err != nil {
-				emitErr = fmt.Errorf("dataset: emitting %s at %s: %w", id, j.entry.Time, err)
-				break deliver
+				emitErr = fmt.Errorf("dataset: emitting %s at %s: %w", id, entries[done-1].Time, err)
+				break
 			}
 		}
 	}
-	cancel()
-	wg.Wait()
+	pool.Stop()
+	for w := range reps {
+		reps[w].CacheHits, reps[w].CacheMisses = caches[w].Hits(), caches[w].Misses()
+		rep.add(reps[w])
+	}
 	if emitErr != nil {
 		return rep, emitErr
 	}
-	return rep, ctx.Err()
+	return rep, pool.Err()
 }
 
-// WalkMapsParallel is WalkMaps with concurrent decoding: workers goroutines
-// load and unmarshal YAML snapshots while fn still receives every map in
-// chronological order. Ordering is restored by a sliding-window reorder
-// buffer — each snapshot's result travels through its own one-slot channel,
-// and the delivery loop consumes those channels in index order, so at most
-// window (2×workers) decoded snapshots are ever held ahead of the fold.
+// WalkMapsParallel loads every processed snapshot of one map on the
+// ordered pool — workers goroutines load and unmarshal YAML snapshots —
+// while fn receives every map in chronological order on the calling
+// goroutine, so an unsynchronized fold (a tsdb.Writer's Append, say) is
+// safe.
 //
 // A decoding failure or an error from fn cancels the in-flight workers and
 // is returned; cancelling ctx aborts the walk with ctx.Err(). workers <= 0
-// means runtime.GOMAXPROCS(0); workers == 1 behaves like WalkMaps.
+// means runtime.GOMAXPROCS(0).
 func (s *Store) WalkMapsParallel(ctx context.Context, id wmap.MapID, workers int, fn func(*wmap.Map) error) error {
 	entries, err := s.Index(id, ExtYAML)
 	if err != nil {
@@ -268,85 +160,20 @@ func (s *Store) WalkMapsParallel(ctx context.Context, id wmap.MapID, workers int
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(entries) && len(entries) > 0 {
-		workers = len(entries)
-	}
-
-	wctx, cancel := context.WithCancel(ctx)
-
-	type slot struct {
-		m   *wmap.Map
-		err error
-	}
-	type job struct {
-		entry Entry
-		out   chan slot // capacity 1: the worker's send never blocks
-	}
-
-	// The scheduler feeds jobs in chronological order and parks each job's
-	// result channel in pending; the buffered pending channel is the reorder
-	// window that bounds how far decoding may run ahead of delivery.
-	window := 2 * workers
-	pending := make(chan job, window)
-	jobs := make(chan job)
-	go func() {
-		defer close(pending)
-		defer close(jobs)
-		for _, e := range entries {
-			j := job{entry: e, out: make(chan slot, 1)}
-			select {
-			case pending <- j:
-			case <-wctx.Done():
-				return
-			}
-			select {
-			case jobs <- j:
-			case <-wctx.Done():
-				return
-			}
+	pool := ordered.Run(ctx, len(entries), workers, func(_, i int) (*wmap.Map, error) {
+		m, err := s.LoadMap(id, entries[i].Time)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: %s at %s: %w", id, entries[i].Time, err)
 		}
-	}()
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case j, ok := <-jobs:
-					if !ok {
-						return
-					}
-					m, err := s.LoadMap(id, j.entry.Time)
-					//lint:ignore wmlint/ctxflow j.out has capacity 1 and receives exactly this one send
-					j.out <- slot{m: m, err: err}
-				case <-wctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	// Tear down on every return path: cancel first (LIFO) so in-flight
-	// workers stop, then wait for them before the walk returns.
-	defer wg.Wait()
-	defer cancel()
-
-	for j := range pending {
-		var sl slot
-		select {
-		case sl = <-j.out:
-		case <-wctx.Done():
-			return ctx.Err()
-		}
-		if sl.err != nil {
-			return fmt.Errorf("dataset: %s at %s: %w", id, j.entry.Time, sl.err)
-		}
-		if err := fn(sl.m); err != nil {
+		return m, nil
+	})
+	defer pool.Stop()
+	for pool.Next() {
+		if err := fn(pool.Value()); err != nil {
 			return err
 		}
 	}
-	// A cancelled ctx can close pending before every entry was scheduled, so
-	// a completed drain still reports the cancellation, not success.
-	return ctx.Err()
+	// A cancelled ctx ends the stream early, so a completed drain still
+	// reports the cancellation, not success.
+	return pool.Err()
 }

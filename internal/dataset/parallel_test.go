@@ -241,7 +241,7 @@ func writeSyntheticYAMLs(t *testing.T, s *Store, id wmap.MapID, n int) []time.Ti
 	return times
 }
 
-// TestWalkMapsParallelChronologicalOrder is the reorder-buffer proof: 200
+// TestWalkMapsParallelChronologicalOrder is the ordering proof: 200
 // snapshots with strictly increasing timestamps, decoded by 8 workers, must
 // reach the fold function in exact chronological order.
 func TestWalkMapsParallelChronologicalOrder(t *testing.T) {
@@ -265,25 +265,41 @@ func TestWalkMapsParallelChronologicalOrder(t *testing.T) {
 	}
 }
 
+// referenceWalk is the sequential contract the parallel walk is held to:
+// Index, then LoadMap every entry in order on the calling goroutine.
+func referenceWalk(t *testing.T, s *Store, id wmap.MapID) []*wmap.Map {
+	t.Helper()
+	entries, err := s.Index(id, ExtYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*wmap.Map
+	for _, e := range entries {
+		m, err := s.LoadMap(id, e.Time)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
 // TestWalkMapsParallelMatchesSequential cross-checks the parallel walk
-// against WalkMaps on the same store: same snapshots, same order.
+// against the sequential reference on the same store: same snapshots, same
+// order.
 func TestWalkMapsParallelMatchesSequential(t *testing.T) {
 	s := tempStore(t)
 	writeSyntheticYAMLs(t, s, wmap.World, 40)
-	collect := func(walk func(func(*wmap.Map) error) error) []time.Time {
-		var out []time.Time
-		if err := walk(func(m *wmap.Map) error {
-			out = append(out, m.Time)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	var seq, par []time.Time
+	for _, m := range referenceWalk(t, s, wmap.World) {
+		seq = append(seq, m.Time)
 	}
-	seq := collect(func(fn func(*wmap.Map) error) error { return s.WalkMaps(wmap.World, fn) })
-	par := collect(func(fn func(*wmap.Map) error) error {
-		return s.WalkMapsParallel(context.Background(), wmap.World, 8, fn)
-	})
+	if err := s.WalkMapsParallel(context.Background(), wmap.World, 8, func(m *wmap.Map) error {
+		par = append(par, m.Time)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(seq) != len(par) {
 		t.Fatalf("sequential %d vs parallel %d", len(seq), len(par))
 	}
@@ -315,7 +331,7 @@ func TestWalkMapsParallelStopsOnCallbackError(t *testing.T) {
 }
 
 // TestWalkMapsParallelCorruptYAML checks that a decode failure aborts the
-// parallel walk with the same dataset-prefixed error as WalkMaps.
+// parallel walk with a dataset-prefixed error naming the snapshot.
 func TestWalkMapsParallelCorruptYAML(t *testing.T) {
 	s := tempStore(t)
 	writeSyntheticYAMLs(t, s, wmap.World, 10)

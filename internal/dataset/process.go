@@ -45,6 +45,18 @@ func (r ProcessReport) String() string {
 		r.CacheHits, r.CacheMisses)
 }
 
+// add accumulates another report's counters into r.
+func (r *ProcessReport) add(o ProcessReport) {
+	r.Processed += o.Processed
+	r.ScanFail += o.ScanFail
+	r.AttrFail += o.AttrFail
+	r.XMLFail += o.XMLFail
+	r.WriteFail += o.WriteFail
+	r.OtherFail += o.OtherFail
+	r.CacheHits += o.CacheHits
+	r.CacheMisses += o.CacheMisses
+}
+
 // outcome is the failure class of one processed snapshot, mapping onto the
 // ProcessReport counters.
 type outcome int
@@ -116,19 +128,14 @@ type procScratch struct {
 // extract, marshal, write — and returns the outcome. It shares no state
 // across snapshots except cache and scr, which belong to exactly one worker;
 // that is what makes ProcessMap embarrassingly parallel per input.
-func (s *Store) processSnapshot(id wmap.MapID, at time.Time, cache *extract.AttributionCache, scr *procScratch) outcome {
-	out, _ := s.processSnapshotEmit(id, at, cache, scr, false)
-	return out
-}
-
-// processSnapshotEmit is processSnapshot with an optional map result: when
-// wantMap is true the successfully processed snapshot is also returned so an
-// ordered Emit pipeline can forward it without re-reading the YAML. Snapshots
-// skipped because their YAML already exists are loaded back in that case, so
-// a resumed run still emits the complete series; a load failure downgrades
+//
+// When wantMap is true the successfully processed snapshot is also returned
+// so Emit can forward it without re-reading the YAML. Snapshots skipped
+// because their YAML already exists are loaded back in that case, so a
+// resumed run still emits the complete series; a load failure downgrades
 // the skip to outOtherFail rather than emitting a gap silently. The map is a
 // fresh value on every call (cache.Attribute clones) and safe to retain.
-func (s *Store) processSnapshotEmit(id wmap.MapID, at time.Time, cache *extract.AttributionCache, scr *procScratch, wantMap bool) (outcome, *wmap.Map) {
+func (s *Store) processSnapshot(id wmap.MapID, at time.Time, cache *extract.AttributionCache, scr *procScratch, wantMap bool) (outcome, *wmap.Map) {
 	if s.HasSnapshot(id, at, ExtYAML) {
 		if !wantMap {
 			return outProcessed, nil // already processed in an earlier run
@@ -189,26 +196,4 @@ func (s *Store) LoadMap(id wmap.MapID, at time.Time) (*wmap.Map, error) {
 		return nil, err
 	}
 	return extract.UnmarshalYAML(data)
-}
-
-// WalkMaps loads every processed snapshot of one map in chronological
-// order, invoking fn for each. Decoding failures abort the walk.
-//
-// WalkMaps is the sequential entry point; WalkMapsParallel decodes
-// concurrently while preserving the chronological delivery order.
-func (s *Store) WalkMaps(id wmap.MapID, fn func(*wmap.Map) error) error {
-	entries, err := s.Index(id, ExtYAML)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		m, err := s.LoadMap(id, e.Time)
-		if err != nil {
-			return fmt.Errorf("dataset: %s at %s: %w", id, e.Time, err)
-		}
-		if err := fn(m); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -264,9 +264,12 @@ func CountDuplicateAssignments(res *ScanResult) int {
 // ExtractSVG runs the full pipeline — Scan then Attribute — on one SVG
 // document.
 func ExtractSVG(r io.Reader, id wmap.MapID, at time.Time, opt Options) (*wmap.Map, error) {
-	res, err := ScanCompleteWithOptions(r, ScanOptions{VerifyColors: opt.VerifyColors})
+	res, err := Scan(r, ScanOptions{VerifyColors: opt.VerifyColors})
 	if err != nil {
 		return nil, err
+	}
+	if len(res.Routers) == 0 && len(res.Links) == 0 {
+		return nil, ErrNotWeathermap
 	}
 	return Attribute(res, id, at, opt)
 }

@@ -18,7 +18,7 @@ func scanOf(t *testing.T, m *wmap.Map) *extract.ScanResult {
 	if err := render.Render(&buf, m, render.Options{}); err != nil {
 		t.Fatalf("render: %v", err)
 	}
-	res, err := extract.ScanBytes(buf.Bytes(), extract.ScanOptions{})
+	res, err := extract.Scan(bytes.NewReader(buf.Bytes()), extract.ScanOptions{})
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}

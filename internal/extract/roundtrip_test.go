@@ -159,7 +159,7 @@ func TestPrunedMatchesExhaustiveFullScale(t *testing.T) {
 	if err := render.Render(&buf, m, render.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := extract.Scan(bytes.NewReader(buf.Bytes()))
+	res, err := extract.Scan(bytes.NewReader(buf.Bytes()), extract.ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,12 +92,7 @@ type ScanOptions struct {
 // polygons form a link's arrow pair; the two labellink texts that follow
 // carry its loads; "object" rect/text pairs are routers; "node" rect/text
 // pairs are labels.
-func Scan(r io.Reader) (*ScanResult, error) {
-	return ScanWithOptions(r, ScanOptions{})
-}
-
-// ScanWithOptions is Scan with explicit options.
-func ScanWithOptions(r io.Reader, opt ScanOptions) (*ScanResult, error) {
+func Scan(r io.Reader, opt ScanOptions) (*ScanResult, error) {
 	res := &ScanResult{}
 	err := scanInto(res, opt, func(fn func(svg.Element) error) error {
 		return svg.Stream(r, fn)
@@ -108,18 +103,10 @@ func ScanWithOptions(r io.Reader, opt ScanOptions) (*ScanResult, error) {
 	return res, nil
 }
 
-// ScanBytes runs Algorithm 1 over an in-memory document.
-func ScanBytes(data []byte, opt ScanOptions) (*ScanResult, error) {
-	res := &ScanResult{}
-	if err := ScanBytesInto(res, data, opt); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ScanBytesInto is ScanBytes reusing the caller's result: res is Reset and
-// refilled, so a worker can amortize its slices across a whole map's
-// snapshots. On error res holds a partial scan and must not be used.
+// ScanBytesInto runs Algorithm 1 over an in-memory document, reusing the
+// caller's result: res is Reset and refilled, so a worker can amortize its
+// slices across a whole map's snapshots. On error res holds a partial scan
+// and must not be used.
 func ScanBytesInto(res *ScanResult, data []byte, opt ScanOptions) error {
 	res.Reset()
 	return scanInto(res, opt, func(fn func(svg.Element) error) error {
@@ -235,23 +222,6 @@ func ParseLoad(s string) (wmap.Load, error) {
 	return l, nil
 }
 
-// ErrNotWeathermap is wrapped by Scan failures on documents that are valid
-// SVG but contain none of the weather map's element classes.
+// ErrNotWeathermap is the failure of a document that is valid SVG but
+// contains none of the weather map's element classes.
 var ErrNotWeathermap = errors.New("extract: document contains no weather-map elements")
-
-// ScanComplete runs Scan and additionally requires a non-empty result.
-func ScanComplete(r io.Reader) (*ScanResult, error) {
-	return ScanCompleteWithOptions(r, ScanOptions{})
-}
-
-// ScanCompleteWithOptions is ScanComplete with explicit scan options.
-func ScanCompleteWithOptions(r io.Reader, opt ScanOptions) (*ScanResult, error) {
-	res, err := ScanWithOptions(r, opt)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Routers) == 0 && len(res.Links) == 0 {
-		return nil, ErrNotWeathermap
-	}
-	return res, nil
-}

@@ -3,6 +3,7 @@ package extract
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ovhweather/internal/wmap"
 )
@@ -27,7 +28,7 @@ const (
 )
 
 func TestScanBasic(t *testing.T) {
-	res, err := Scan(strings.NewReader(doc(routerFRA, routerRBX, linkFragment)))
+	res, err := Scan(strings.NewReader(doc(routerFRA, routerRBX, linkFragment)), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestScanErrors(t *testing.T) {
 		{"textless label at EOF", `<rect class="node" x="1" y="1" width="5" height="5"/>`, "textless label"},
 	}
 	for _, c := range cases {
-		_, err := Scan(strings.NewReader(doc(c.body)))
+		_, err := Scan(strings.NewReader(doc(c.body)), ScanOptions{})
 		if err == nil {
 			t.Errorf("%s: expected error", c.name)
 			continue
@@ -91,7 +92,7 @@ func TestScanIgnoresDecorations(t *testing.T) {
 		`<line class="decor" x1="0" y1="0" x2="5" y2="5" stroke="red"/>`,
 		`<text class="title" x="0" y="0">Europe</text>`,
 		routerFRA, routerRBX, linkFragment,
-	)))
+	)), ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,23 +118,23 @@ func TestParseLoad(t *testing.T) {
 	}
 }
 
-func TestScanCompleteRejectsEmpty(t *testing.T) {
-	if _, err := ScanComplete(strings.NewReader(`<svg><line x1="0" y1="0" x2="1" y2="1"/></svg>`)); err == nil {
+func TestExtractSVGRejectsEmpty(t *testing.T) {
+	if _, err := ExtractSVG(strings.NewReader(`<svg><line x1="0" y1="0" x2="1" y2="1"/></svg>`), wmap.Europe, time.Time{}, DefaultOptions()); err == nil {
 		t.Error("empty weather map should be rejected")
 	}
-	if _, err := ScanComplete(strings.NewReader(doc(routerFRA, routerRBX, linkFragment))); err != nil {
+	if _, err := ExtractSVG(strings.NewReader(doc(routerFRA, routerRBX, linkFragment)), wmap.Europe, time.Time{}, DefaultOptions()); err != nil {
 		t.Errorf("complete doc rejected: %v", err)
 	}
 }
 
 func TestScanMalformedSVG(t *testing.T) {
-	if _, err := Scan(strings.NewReader(`<svg><rect class="node" x="NaNpx," width="bogus" height="9"/></svg>`)); err == nil {
+	if _, err := Scan(strings.NewReader(`<svg><rect class="node" x="NaNpx," width="bogus" height="9"/></svg>`), ScanOptions{}); err == nil {
 		t.Error("malformed attribute should fail the scan")
 	}
-	if _, err := Scan(strings.NewReader(`<svg><polygon points="1,2 3"/></svg>`)); err == nil {
+	if _, err := Scan(strings.NewReader(`<svg><polygon points="1,2 3"/></svg>`), ScanOptions{}); err == nil {
 		t.Error("odd points should fail the scan")
 	}
-	if _, err := Scan(strings.NewReader(`not xml`)); err == nil {
+	if _, err := Scan(strings.NewReader(`not xml`), ScanOptions{}); err == nil {
 		t.Error("non-XML should fail the scan")
 	}
 }
@@ -150,24 +151,24 @@ func TestScanVerifyColors(t *testing.T) {
 		`<rect class="node" x="186" y="16" width="10" height="8"/>`,
 		`<text class="node" x="187" y="22">#1</text>`,
 	)
-	if _, err := ScanWithOptions(strings.NewReader(good), ScanOptions{VerifyColors: true}); err != nil {
+	if _, err := Scan(strings.NewReader(good), ScanOptions{VerifyColors: true}); err != nil {
 		t.Fatalf("consistent document rejected: %v", err)
 	}
 
 	// Corrupted: a 42 % load drawn in the disabled-gray band.
 	bad := strings.Replace(good, wmap.LoadColor(42), wmap.LoadColor(0), 1)
-	_, err := ScanWithOptions(strings.NewReader(bad), ScanOptions{VerifyColors: true})
+	_, err := Scan(strings.NewReader(bad), ScanOptions{VerifyColors: true})
 	if err == nil || !strings.Contains(err.Error(), "disagrees with its arrow color") {
 		t.Errorf("err = %v, want color disagreement", err)
 	}
 
 	// The same corrupted document passes without the option (and with
 	// foreign colors under the option).
-	if _, err := Scan(strings.NewReader(bad)); err != nil {
+	if _, err := Scan(strings.NewReader(bad), ScanOptions{}); err != nil {
 		t.Errorf("default scan should not check colors: %v", err)
 	}
 	foreign := strings.Replace(good, wmap.LoadColor(42), "#0000aa", 1)
-	if _, err := ScanWithOptions(strings.NewReader(foreign), ScanOptions{VerifyColors: true}); err != nil {
+	if _, err := Scan(strings.NewReader(foreign), ScanOptions{VerifyColors: true}); err != nil {
 		t.Errorf("foreign palette should pass: %v", err)
 	}
 }

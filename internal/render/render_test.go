@@ -199,7 +199,7 @@ func TestFaultMalformedAttributeBreaksScan(t *testing.T) {
 	if err := WriteFaultySVG(&buf, sc, m, FaultMalformedAttribute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := extract.Scan(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := extract.Scan(bytes.NewReader(buf.Bytes()), extract.ScanOptions{}); err == nil {
 		t.Error("malformed attribute should fail Algorithm 1")
 	}
 }
@@ -214,7 +214,7 @@ func TestFaultMissingRoutersBreaksAttribution(t *testing.T) {
 	if err := WriteFaultySVG(&buf, sc, m, FaultMissingRouters); err != nil {
 		t.Fatal(err)
 	}
-	res, err := extract.Scan(bytes.NewReader(buf.Bytes()))
+	res, err := extract.Scan(bytes.NewReader(buf.Bytes()), extract.ScanOptions{})
 	if err != nil {
 		t.Fatalf("scan should survive missing routers: %v", err)
 	}
@@ -236,7 +236,7 @@ func TestFaultTruncatedBreaksScan(t *testing.T) {
 	if err := WriteFaultySVG(&buf, sc, m, FaultTruncated); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := extract.Scan(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := extract.Scan(bytes.NewReader(buf.Bytes()), extract.ScanOptions{}); err == nil {
 		t.Error("truncated document should fail Algorithm 1")
 	}
 }
@@ -304,7 +304,7 @@ func TestFaultShiftedLabelsBreaksThreshold(t *testing.T) {
 	if err := WriteFaultySVG(&buf, sc, m, FaultShiftedLabels); err != nil {
 		t.Fatal(err)
 	}
-	res, err := extract.Scan(bytes.NewReader(buf.Bytes()))
+	res, err := extract.Scan(bytes.NewReader(buf.Bytes()), extract.ScanOptions{})
 	if err != nil {
 		t.Fatalf("scan should survive shifted labels: %v", err)
 	}
@@ -348,7 +348,7 @@ func TestWritePNGProducesImage(t *testing.T) {
 	}
 
 	// The Discussion's point: the rasterized map is opaque to Algorithm 1.
-	if _, err := extract.Scan(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := extract.Scan(bytes.NewReader(buf.Bytes()), extract.ScanOptions{}); err == nil {
 		t.Error("a PNG must not be scannable as a weather-map SVG")
 	}
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -427,7 +428,7 @@ func TestSyncVisibility(t *testing.T) {
 	}
 
 	// A cursor opened now pins the 3-snapshot state across the refresh.
-	cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+	cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 	defer cur.Close()
 
 	if err := w.Sync(); err != nil {

@@ -186,7 +186,7 @@ func TestReaderCacheFullBlockServesGroups(t *testing.T) {
 	rd.SetBlockCache(NewBlockCache(1 << 20))
 
 	// Full scan caches every block under allColumns.
-	cur := rd.Cursor(wmap.Europe, at(0), at(1000))
+	cur := rd.CursorParallel(context.Background(), wmap.Europe, at(0), at(1000), 1)
 	for cur.Next() {
 	}
 	if err := cur.Err(); err != nil {

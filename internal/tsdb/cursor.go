@@ -5,13 +5,14 @@ import (
 	"sort"
 	"time"
 
+	"ovhweather/internal/ordered"
 	"ovhweather/internal/wmap"
 )
 
 // Cursor iterates one map's snapshots over [from, to] in chronological
 // order:
 //
-//	cur := r.Cursor(id, from, to)
+//	cur := r.CursorParallel(ctx, id, from, to, workers)
 //	defer cur.Close()
 //	for cur.Next() {
 //		m := cur.Map()
@@ -24,14 +25,11 @@ import (
 // be retained by the caller; MapView() instead reuses cursor-owned scratch
 // for allocation-free folds.
 //
-// A plain Cursor decodes blocks one at a time on the calling goroutine.
-// CursorParallel instead decodes on the read-ahead pipeline — a bounded
-// worker pool keeps the next few blocks decoding while the consumer folds
-// the current one — and stops when the context is cancelled. Both paths
-// yield byte-identical snapshots in the same order.
-// Close releases the pipeline early; iterating to completion (Next
-// returning false) closes implicitly, so Close only matters for abandoned
-// iterations.
+// Blocks decode on the ordered pool: a bounded worker pool keeps the next
+// few blocks decoding while the consumer folds the current one, and stops
+// when the context is cancelled. Close releases the pool early; iterating
+// to completion (Next returning false) closes implicitly, so Close only
+// matters for abandoned iterations.
 type Cursor struct {
 	r *Reader
 	// st is the committed state the cursor opened with. Pinning it here is
@@ -41,7 +39,6 @@ type Cursor struct {
 	st         *readerState
 	ids        []int // overlapping block indexes, chronological
 	fromU, toU int64
-	bi         int
 	db         *decodedBlock
 	pi         int
 	vdb        *decodedBlock // block and point Next advanced to;
@@ -49,79 +46,42 @@ type Cursor struct {
 	scratch    *wmap.Map
 	err        error
 
-	// pipeline state; nil ctx means sequential mode
 	ctx     context.Context
-	cancel  context.CancelFunc
-	out     <-chan fetchResult
 	workers int
+	pool    *ordered.Pool[*decodedBlock] // nil until the first Next
 	done    bool
 }
 
-// Cursor positions a new sequential cursor; the block seek is O(log n) in
-// the map's block count.
-func (r *Reader) Cursor(id wmap.MapID, from, to time.Time) *Cursor {
+// CursorParallel positions a cursor that decodes blocks on the ordered
+// pool with the given worker count (at least one decoder, overlapping the
+// consumer) and stops when ctx is cancelled (Err() then returns
+// ctx.Err()). The block seek is O(log n) in the map's block count.
+func (r *Reader) CursorParallel(ctx context.Context, id wmap.MapID, from, to time.Time, workers int) *Cursor {
 	fromU, toU := rangeBounds(from, to)
 	st := r.st()
 	return &Cursor{
-		r:     r,
-		st:    st,
-		ids:   st.blockRange(id, fromU, toU),
-		fromU: fromU,
-		toU:   toU,
+		r:       r,
+		st:      st,
+		ids:     st.blockRange(id, fromU, toU),
+		fromU:   fromU,
+		toU:     toU,
+		ctx:     ctx,
+		workers: workers,
 	}
 }
 
-// CursorParallel positions a cursor that decodes blocks on the read-ahead
-// pipeline with the given worker count and stops when ctx is cancelled
-// (Err() then returns ctx.Err()); workers <= 1 still runs the pipeline (one
-// decoder overlapping the consumer) unless the range spans a single block,
-// which decodes inline.
-func (r *Reader) CursorParallel(ctx context.Context, id wmap.MapID, from, to time.Time, workers int) *Cursor {
-	c := r.Cursor(id, from, to)
-	if workers < 1 {
-		workers = 1
-	}
-	if len(c.ids) > 1 {
-		c.ctx = ctx
-		c.workers = workers
-	}
-	return c
-}
-
-// nextBlock produces the next decoded block, from the pipeline in parallel
-// mode or inline otherwise. ok is false at the end of the range or on
-// error (recorded in c.err).
+// nextBlock receives the next decoded block from the pool, starting it on
+// first use. ok is false at the end of the range, on error or on
+// cancellation (recorded in c.err).
 func (c *Cursor) nextBlock() (ok bool) {
-	if c.ctx != nil {
-		if c.out == nil {
-			ctx, cancel := context.WithCancel(c.ctx)
-			c.cancel = cancel
-			c.out = c.r.startReadAhead(ctx, c.st, c.ids, func(int) int { return allColumns }, c.workers)
-		}
-		res, open := <-c.out
-		if !open {
-			// Closed without a result: either the range is exhausted or the
-			// context was cancelled mid-stream.
-			c.err = c.ctx.Err()
-			return false
-		}
-		if res.err != nil {
-			c.err = res.err
-			return false
-		}
-		c.db = res.v.(*decodedBlock)
-		return true
+	if c.pool == nil {
+		c.pool = c.r.startReadAhead(c.ctx, c.st, c.ids, func(int) int { return allColumns }, c.workers)
 	}
-	if c.bi >= len(c.ids) {
+	if !c.pool.Next() {
+		c.err = c.pool.Err()
 		return false
 	}
-	db, err := c.r.block(c.st, c.ids[c.bi], allColumns)
-	if err != nil {
-		c.err = err
-		return false
-	}
-	c.bi++
-	c.db = db
+	c.db = c.pool.Value()
 	return true
 }
 
@@ -154,15 +114,14 @@ func (c *Cursor) Next() bool {
 	}
 }
 
-// Close stops the cursor, cancelling the read-ahead pipeline so its
-// workers exit. Safe to call multiple times and after Next returned
-// false; required only when abandoning a parallel cursor mid-iteration.
+// Close stops the cursor and returns once the pool's workers have exited.
+// Safe to call multiple times and after Next returned false; required only
+// when abandoning a cursor mid-iteration.
 func (c *Cursor) Close() {
 	c.done = true
 	c.db = nil
-	if c.cancel != nil {
-		c.cancel()
-		c.cancel = nil
+	if c.pool != nil {
+		c.pool.Stop()
 	}
 }
 
@@ -184,5 +143,5 @@ func (c *Cursor) MapView() *wmap.Map {
 }
 
 // Err returns the first error the iteration hit — a decode failure, or the
-// context's error when a parallel cursor was cancelled.
+// context's error when the cursor was cancelled.
 func (c *Cursor) Err() error { return c.err }

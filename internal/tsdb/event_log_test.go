@@ -357,7 +357,7 @@ func TestEventFrameCorruptionTyped(t *testing.T) {
 			}
 			// The damage is confined to the event log: every raw block still
 			// reads clean.
-			cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+			cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 			n := 0
 			for cur.Next() {
 				n++

@@ -132,7 +132,7 @@ func FuzzBlockReader(f *testing.F) {
 			if _, _, ok := rd.Bounds(id); !ok {
 				t.Fatalf("listed map %s has no bounds", id)
 			}
-			cur := rd.Cursor(id, time.Time{}, time.Time{})
+			cur := rd.CursorParallel(context.Background(), id, time.Time{}, time.Time{}, 1)
 			n := 0
 			for cur.Next() {
 				if m := cur.Map(); m == nil || m.ID != id {
@@ -310,7 +310,7 @@ func FuzzAppendRecovery(f *testing.F) {
 		}
 		defer rd.Close()
 		for _, id := range rd.Maps() {
-			cur := rd.Cursor(id, time.Time{}, time.Time{})
+			cur := rd.CursorParallel(context.Background(), id, time.Time{}, time.Time{}, 1)
 			for cur.Next() {
 				if m := cur.Map(); m == nil || m.ID != id {
 					t.Fatalf("cursor yielded map %+v for %s", m, id)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ovhweather/internal/ordered"
 	"ovhweather/internal/wmap"
 )
 
@@ -282,18 +283,14 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 				break
 			}
 		}
-		rctx, cancel := context.WithCancel(ctx)
-		out := runReadAhead(rctx, len(rids), defaultReadAheadWorkers(), func(i int) (cacheValue, error) {
+		pool := ordered.Run(ctx, len(rids), defaultReadAheadWorkers(), func(_, i int) (*decodedRollup, error) {
 			return r.rollup(st, rids[i], res.columnGroup(st.rollups[rids[i]].topoIndex))
 		})
 		err := func() error {
-			defer cancel()
+			defer pool.Stop()
 			i := 0
-			for rv := range out {
-				if rv.err != nil {
-					return rv.err
-				}
-				ru := rv.v.(*decodedRollup)
+			for pool.Next() {
+				ru := pool.Value()
 				m := &st.rollups[rids[i]]
 				i++
 				col := res.cols[m.topoIndex]
@@ -308,7 +305,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 					}
 				}
 			}
-			return ctx.Err()
+			return pool.Err()
 		}()
 		if err != nil {
 			return err
@@ -385,16 +382,12 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 		return ctx.Err()
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	group := func(i int) int { return res.columnGroup(st.blocks[ids[i]].topoIndex) }
-	out := r.startReadAhead(ctx, st, ids, group, defaultReadAheadWorkers())
+	pool := r.startReadAhead(ctx, st, ids, group, defaultReadAheadWorkers())
+	defer pool.Stop()
 	i := 0
-	for rv := range out {
-		if rv.err != nil {
-			return rv.err
-		}
-		db := rv.v.(*decodedBlock)
+	for pool.Next() {
+		db := pool.Value()
 		meta := &st.blocks[ids[i]]
 		i++
 		col := res.cols[meta.topoIndex]
@@ -421,7 +414,7 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 			gl.accumulateRaw(db.times[start:hi], db.cols[2*ci][start:hi], db.cols[2*ci+1][start:hi], s)
 		}
 	}
-	return ctx.Err()
+	return pool.Err()
 }
 
 // accumulateRaw folds trimmed raw points into the link's windows. A
@@ -512,16 +505,12 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 	r.grid.columnScans++
 	r.grid.mu.Unlock()
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := r.startReadAhead(ctx, st, ids, func(int) int { return allColumns }, defaultReadAheadWorkers())
+	pool := r.startReadAhead(ctx, st, ids, func(int) int { return allColumns }, defaultReadAheadWorkers())
+	defer pool.Stop()
 	var c GridChunk
 	i := 0
-	for rv := range out {
-		if rv.err != nil {
-			return rv.err
-		}
-		db := rv.v.(*decodedBlock)
+	for pool.Next() {
+		db := pool.Value()
 		meta := &st.blocks[ids[i]]
 		i++
 		lo := sort.Search(len(db.times), func(k int) bool { return db.times[k] >= fromU })
@@ -543,7 +532,7 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 			return err
 		}
 	}
-	return ctx.Err()
+	return pool.Err()
 }
 
 // gridCounters tallies the grid engine's serving behavior.

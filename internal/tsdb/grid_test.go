@@ -87,7 +87,7 @@ func TestMapHasLinkMatchesWalk(t *testing.T) {
 		// Copy the Europe archive and add a World snapshot whose extra link
 		// exists only on that map.
 		var maps []*wmap.Map
-		cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+		cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 		for cur.Next() {
 			maps = append(maps, cur.Map())
 		}
@@ -522,7 +522,7 @@ func TestGridColumnsMatchesCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cur := rd.Cursor(wmap.Europe, from, to)
+	cur := rd.CursorParallel(context.Background(), wmap.Europe, from, to, 1)
 	defer cur.Close()
 	snaps := 0
 	for cur.Next() {

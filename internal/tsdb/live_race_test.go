@@ -184,7 +184,7 @@ func TestLiveTailRace(t *testing.T) {
 		defer wg.Done()
 		for round := 0; ; round++ {
 			pinned := rd.Snapshots(wmap.Europe)
-			cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+			cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 			n := 0
 			for cur.Next() {
 				m := cur.Map()

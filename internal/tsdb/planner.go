@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ovhweather/internal/ordered"
 	"ovhweather/internal/wmap"
 )
 
@@ -225,16 +226,12 @@ func (r *Reader) RollupTotals(ctx context.Context, id wmap.MapID, res time.Durat
 		min, max           uint8
 	}
 	byStart := make(map[int64]*agg)
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := runReadAhead(rctx, len(tier.entries), defaultReadAheadWorkers(), func(i int) (cacheValue, error) {
+	pool := ordered.Run(ctx, len(tier.entries), defaultReadAheadWorkers(), func(_, i int) (*decodedRollup, error) {
 		return r.rollup(st, tier.entries[i], allColumns)
 	})
-	for resV := range out {
-		if resV.err != nil {
-			return nil, resV.err
-		}
-		ru := resV.v.(*decodedRollup)
+	defer pool.Stop()
+	for pool.Next() {
+		ru := pool.Value()
 		cols := 2 * ru.meta.links
 		for bi, start := range ru.starts {
 			if start < fromU || start > toU || start+sec > horizon {
@@ -258,7 +255,7 @@ func (r *Reader) RollupTotals(ctx context.Context, id wmap.MapID, res time.Durat
 			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := pool.Err(); err != nil {
 		return nil, err
 	}
 	bks := make([]RollupBucket, 0, len(byStart))

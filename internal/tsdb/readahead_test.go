@@ -24,10 +24,32 @@ func collectCursor(t *testing.T, cur *Cursor) []*wmap.Map {
 	return out
 }
 
+// referenceSnapshots is the sequential contract the cursor is held to: it
+// decodes every block of the range on the calling goroutine, in order, and
+// materializes each in-range point.
+func referenceSnapshots(t *testing.T, rd *Reader, id wmap.MapID, from, to time.Time) []*wmap.Map {
+	t.Helper()
+	fromU, toU := rangeBounds(from, to)
+	st := rd.st()
+	var out []*wmap.Map
+	for _, bi := range st.blockRange(id, fromU, toU) {
+		db, err := rd.block(st, bi, allColumns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, sec := range db.times {
+			if sec >= fromU && sec <= toU {
+				out = append(out, materialize(st, db, pi))
+			}
+		}
+	}
+	return out
+}
+
 // TestCursorParallelMatchesSequential proves the read-ahead pipeline is
 // invisible: for several worker counts, ranges, and cache configurations,
-// the parallel cursor yields exactly the snapshots the sequential cursor
-// does, in the same order.
+// the cursor yields exactly the snapshots a sequential decode does, in the
+// same order.
 func TestCursorParallelMatchesSequential(t *testing.T) {
 	var maps []*wmap.Map
 	for i := 0; i < 25; i++ {
@@ -48,7 +70,7 @@ func TestCursorParallelMatchesSequential(t *testing.T) {
 			rd.SetBlockCache(NewBlockCache(1 << 20))
 		}
 		for _, rng := range ranges {
-			want := collectCursor(t, rd.Cursor(wmap.Europe, rng.from, rng.to))
+			want := referenceSnapshots(t, rd, wmap.Europe, rng.from, rng.to)
 			for _, workers := range []int{1, 2, 4, 8} {
 				got := collectCursor(t, rd.CursorParallel(context.Background(), wmap.Europe, rng.from, rng.to, workers))
 				if !reflect.DeepEqual(got, want) {
@@ -144,9 +166,10 @@ func TestCursorParallelPropagatesCorruption(t *testing.T) {
 }
 
 // TestCursorMapViewMatchesMap proves the scratch-backed view is
-// indistinguishable from an owned Map at every step — on the sequential
-// and parallel cursors, with and without a cache — and that the scratch
-// reuse never leaks one snapshot's loads into the next.
+// indistinguishable from an owned Map at every step — with one and with
+// several decoders, with and without a cache — that both match the
+// sequential reference, and that the scratch reuse never leaks one
+// snapshot's loads into the next.
 func TestCursorMapViewMatchesMap(t *testing.T) {
 	var maps []*wmap.Map
 	for i := 0; i < 10; i++ {
@@ -160,15 +183,14 @@ func TestCursorMapViewMatchesMap(t *testing.T) {
 		if withCache {
 			rd.SetBlockCache(NewBlockCache(1 << 20))
 		}
-		for _, parallel := range []bool{false, true} {
-			cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
-			if parallel {
-				cur = rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 4)
-			}
+		ref := referenceSnapshots(t, rd, wmap.Europe, time.Time{}, time.Time{})
+		for _, workers := range []int{1, 4} {
+			parallel := workers > 1
+			cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, workers)
 			i := 0
 			for cur.Next() {
 				view, owned := cur.MapView(), cur.Map()
-				if !reflect.DeepEqual(view, owned) {
+				if !reflect.DeepEqual(view, owned) || i >= len(ref) || !reflect.DeepEqual(owned, ref[i]) {
 					t.Fatalf("cache=%v parallel=%v snapshot %d: MapView diverges from Map", withCache, parallel, i)
 				}
 				if !reflect.DeepEqual(owned.Links, maps[i].Links) {

@@ -987,24 +987,14 @@ func (r *Reader) LinkColumnsContext(ctx context.Context, id wmap.MapID, key Link
 			groups = append(groups, ci)
 		}
 	}
-	return r.linkColumns(ctx, st, ids, groups, fromU, toU, fn)
-}
-
-// linkColumns runs the read-ahead pipeline over the resolved blocks and
-// feeds each block's trimmed columns to fn in order.
-func (r *Reader) linkColumns(ctx context.Context, st *readerState, ids, groups []int, fromU, toU int64, fn func(times []int64, ab, ba []wmap.Load) error) error {
 	if len(ids) == 0 {
 		return ctx.Err()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := r.startReadAhead(ctx, st, ids, func(i int) int { return groups[i] }, defaultReadAheadWorkers())
+	pool := r.startReadAhead(ctx, st, ids, func(i int) int { return groups[i] }, defaultReadAheadWorkers())
+	defer pool.Stop()
 	i := 0
-	for res := range out {
-		if res.err != nil {
-			return res.err
-		}
-		db, ci := res.v.(*decodedBlock), groups[i]
+	for pool.Next() {
+		db, ci := pool.Value(), groups[i]
 		i++
 		lo := sort.Search(len(db.times), func(i int) bool { return db.times[i] >= fromU })
 		hi := sort.Search(len(db.times), func(i int) bool { return db.times[i] > toU })
@@ -1014,7 +1004,7 @@ func (r *Reader) linkColumns(ctx context.Context, st *readerState, ids, groups [
 			}
 		}
 	}
-	return ctx.Err()
+	return pool.Err()
 }
 
 // rangePointCount is an upper bound on the map's snapshots in [from, to]:

@@ -118,7 +118,7 @@ func TestRoundTrip(t *testing.T) {
 	if !ok || !from.Equal(at(0)) || !to.Equal(at(45)) {
 		t.Errorf("bounds = %v..%v, %v", from, to, ok)
 	}
-	cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+	cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 	i := 0
 	for cur.Next() {
 		got := cur.Map()
@@ -228,7 +228,7 @@ func TestBlockRotationAndTopologyDedup(t *testing.T) {
 	}
 
 	rd := openArchive(t, buf.Bytes())
-	cur := rd.Cursor(wmap.Europe, time.Time{}, time.Time{})
+	cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 	n := 0
 	for cur.Next() {
 		got := cur.Map()
@@ -251,7 +251,7 @@ func TestCursorRange(t *testing.T) {
 
 	collect := func(from, to time.Time) []time.Time {
 		var out []time.Time
-		cur := rd.Cursor(wmap.Europe, from, to)
+		cur := rd.CursorParallel(context.Background(), wmap.Europe, from, to, 1)
 		for cur.Next() {
 			out = append(out, cur.Map().Time)
 		}
@@ -279,7 +279,7 @@ func TestCursorRange(t *testing.T) {
 		t.Errorf("pre-history range = %v", got)
 	}
 	// Unknown maps yield an empty, error-free cursor.
-	cur := rd.Cursor(wmap.AsiaPacific, time.Time{}, time.Time{})
+	cur := rd.CursorParallel(context.Background(), wmap.AsiaPacific, time.Time{}, time.Time{}, 1)
 	if cur.Next() || cur.Err() != nil {
 		t.Errorf("unknown-map cursor: next %v, err %v", cur.Next(), cur.Err())
 	}
@@ -409,7 +409,7 @@ func TestEveryByteFlipDetected(t *testing.T) {
 		}
 		detected := false
 		for _, id := range rd.Maps() {
-			cur := rd.Cursor(id, time.Time{}, time.Time{})
+			cur := rd.CursorParallel(context.Background(), id, time.Time{}, time.Time{}, 1)
 			for cur.Next() {
 			}
 			if err := cur.Err(); err != nil {
