@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -27,11 +29,11 @@ func benchWindow(b *testing.B) []*wmap.Map {
 	return maps
 }
 
-// BenchmarkImbalanceCDFColumns folds the window in 16-snapshot chunks, the
-// block size the figures benchmark archives with, decoded up front so only
-// the fold is timed.
-func BenchmarkImbalanceCDFColumns(b *testing.B) {
-	maps := benchWindow(b)
+// benchChunks cuts maps into 16-snapshot chunks, the block size the
+// figures benchmark archives with, decoded up front so only the fold is
+// timed.
+func benchChunks(b *testing.B, maps []*wmap.Map) ColumnStream {
+	b.Helper()
 	var chunks []*LinkColumns
 	if err := columnize(maps, 16)(func(c *LinkColumns) error {
 		chunks = append(chunks, c)
@@ -39,43 +41,114 @@ func BenchmarkImbalanceCDFColumns(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	src := ColumnStream(func(yield func(c *LinkColumns) error) error {
+	return func(yield func(c *LinkColumns) error) error {
 		for _, c := range chunks {
 			if err := yield(c); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	opt := wmap.PaperImbalanceOptions()
+	}
+}
+
+// loadCount is the number of directed load observations in maps.
+func loadCount(maps []*wmap.Map) int {
+	n := 0
+	for _, m := range maps {
+		n += 2 * len(m.Links)
+	}
+	return n
+}
+
+// binnedAll checks that the per-group sample counts add up to want.
+func binnedAll(samples []int, want int) error {
+	got := 0
+	for _, n := range samples {
+		got += n
+	}
+	if got != want {
+		return fmt.Errorf("binned %d loads, want %d", got, want)
+	}
+	return nil
+}
+
+// benchFold times fold over the window and reports the time per snapshot.
+func benchFold(b *testing.B, maps []*wmap.Map, fold func() error) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := ImbalanceCDFColumns(src, opt)
-		if err != nil {
+		if err := fold(); err != nil {
 			b.Fatal(err)
-		}
-		if v.IntSets == 0 {
-			b.Fatal("no internal parallel sets in the window")
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(maps)), "ns/snapshot")
+}
+
+func BenchmarkImbalanceCDFColumns(b *testing.B) {
+	maps := benchWindow(b)
+	src := benchChunks(b, maps)
+	opt := wmap.PaperImbalanceOptions()
+	benchFold(b, maps, func() error {
+		v, err := ImbalanceCDFColumns(src, opt)
+		if err == nil && v.IntSets == 0 {
+			err = errors.New("no internal parallel sets in the window")
+		}
+		return err
+	})
+}
+
+func BenchmarkHourlyLoads(b *testing.B) {
+	maps := benchWindow(b)
+	src := SliceStream(maps)
+	want := loadCount(maps)
+	benchFold(b, maps, func() error {
+		v, err := HourlyLoads(src)
+		if err != nil {
+			return err
+		}
+		return binnedAll(v.Samples[:], want)
+	})
+}
+
+func BenchmarkLoadCDF(b *testing.B) {
+	maps := benchWindow(b)
+	src := SliceStream(maps)
+	want := loadCount(maps)
+	benchFold(b, maps, func() error {
+		v, err := LoadCDF(src)
+		if err != nil {
+			return err
+		}
+		if v.Samples != want || len(v.Internal) == 0 || len(v.External) == 0 {
+			return fmt.Errorf("%d loads (want %d), %d internal and %d external CDF points",
+				v.Samples, want, len(v.Internal), len(v.External))
+		}
+		return nil
+	})
+}
+
+func BenchmarkWeeklyLoadsColumns(b *testing.B) {
+	maps := benchWindow(b)
+	src := benchChunks(b, maps)
+	want := loadCount(maps)
+	benchFold(b, maps, func() error {
+		v, err := WeeklyLoadsColumns(src)
+		if err != nil {
+			return err
+		}
+		return binnedAll(v.Samples[:], want)
+	})
 }
 
 func BenchmarkCongestionStudy(b *testing.B) {
 	maps := benchWindow(b)
 	src := SliceStream(maps)
 	opt := DefaultCongestionOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchFold(b, maps, func() error {
 		v, err := CongestionStudy(src, opt)
-		if err != nil {
-			b.Fatal(err)
+		if err == nil && v.Snapshots != len(maps) {
+			err = fmt.Errorf("folded %d snapshots, want %d", v.Snapshots, len(maps))
 		}
-		if v.Snapshots != len(maps) {
-			b.Fatalf("folded %d snapshots, want %d", v.Snapshots, len(maps))
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(maps)), "ns/snapshot")
+		return err
+	})
 }

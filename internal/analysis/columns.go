@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"time"
 
 	"ovhweather/internal/stats"
@@ -64,8 +65,7 @@ func columnsOf(src Stream) ColumnStream {
 // chunks keep it, so the per-snapshot work is only filter and min/max over
 // the load columns, in the order wmap.Imbalances visits them.
 func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
-	internal := stats.NewSample()
-	external := stats.NewSample()
+	var internal, external stats.PercentHist
 	var lastParallelism float64
 	var ix setIndex
 	var topo []wmap.Link
@@ -81,7 +81,7 @@ func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*Imbalanc
 			ix.build(topo)
 		}
 		for k := range c.Times {
-			ix.fold(c, k, opt, internal, external)
+			ix.fold(c, k, opt, &internal, &external)
 		}
 		lastParallelism = ix.parallelism
 		return nil
@@ -95,11 +95,15 @@ func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*Imbalanc
 		MeanParallelism: lastParallelism,
 	}
 	if internal.Len() > 0 {
-		view.Internal, _ = internal.CDF()
+		if view.Internal, err = internal.CDF(); err != nil {
+			return nil, fmt.Errorf("analysis: internal imbalance CDF: %w", err)
+		}
 		view.IntWithin1, _ = internal.FractionAtMost(1)
 	}
 	if external.Len() > 0 {
-		view.External, _ = external.CDF()
+		if view.External, err = external.CDF(); err != nil {
+			return nil, fmt.Errorf("analysis: external imbalance CDF: %w", err)
+		}
 		view.ExtWithin2, _ = external.FractionAtMost(2)
 	}
 	return view, nil
@@ -160,12 +164,13 @@ func (ix *setIndex) build(links []wmap.Link) {
 	ix.parallelism = tagged.MeanParallelism()
 }
 
-// fold adds snapshot k of c to the samples: for each directed set, the
+// fold adds snapshot k of c to the histograms: for each directed set, the
 // spread of its loads that survive opt's filters, as wmap.Imbalances
-// computes it.
+// computes it. A set with a load outside [0, 100] adds -1 instead, which
+// the histogram rejects, since its spread alone could still look valid.
 //
 //wm:hotpath
-func (ix *setIndex) fold(c *LinkColumns, k int, opt wmap.ImbalanceOptions, internal, external *stats.Sample) {
+func (ix *setIndex) fold(c *LinkColumns, k int, opt wmap.ImbalanceOptions, internal, external *stats.PercentHist) {
 	for _, s := range ix.sets {
 		var n int
 		var mn, mx wmap.Load
@@ -188,10 +193,14 @@ func (ix *setIndex) fold(c *LinkColumns, k int, opt wmap.ImbalanceOptions, inter
 		if n == 0 || n < opt.MinLinks {
 			continue
 		}
+		v := int(mx - mn)
+		if !mn.Valid() || !mx.Valid() {
+			v = -1
+		}
 		if s.internal {
-			internal.Add(float64(mx - mn))
+			internal.Add(v)
 		} else {
-			external.Add(float64(mx - mn))
+			external.Add(v)
 		}
 	}
 }
@@ -218,15 +227,13 @@ func sameTopology(a, b []wmap.Link) bool {
 // by its snapshot's weekday in snapshot-major, link-minor order (AB before
 // BA), reduced to per-day medians and the weekday/weekend means.
 func WeeklyLoadsColumns(src ColumnStream) (*WeeklyView, error) {
-	var byDay [7]*stats.Sample
-	for d := range byDay {
-		byDay[d] = stats.NewSample()
-	}
+	var byDay [7]stats.PercentHist
 	err := src(func(c *LinkColumns) error {
 		for k, t := range c.Times {
-			s := byDay[t.Weekday()]
+			g := &byDay[t.Weekday()]
 			for i := range c.Links {
-				s.Add(float64(c.Links[i].AB[k]), float64(c.Links[i].BA[k]))
+				g.Add(int(c.Links[i].AB[k]))
+				g.Add(int(c.Links[i].BA[k]))
 			}
 		}
 		return nil
@@ -234,33 +241,35 @@ func WeeklyLoadsColumns(src ColumnStream) (*WeeklyView, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The means sum each day's loads in sorted order (Median sorts them),
-	// day by day: the order a pooled weekday or weekend sample would sum.
+	// Integer sums are exact, so the weekday and weekend means are what a
+	// pooled sample would give whatever order its loads were summed in.
 	view := &WeeklyView{}
-	var sum, n [2]float64 // weekday, weekend
-	for d, s := range byDay {
-		view.Samples[d] = s.Len()
-		if s.Len() == 0 {
+	var sum, n [2]int64 // weekday, weekend
+	for d := range byDay {
+		g := &byDay[d]
+		view.Samples[d] = g.Len()
+		if g.Len() == 0 {
 			continue
 		}
-		view.ByDay[d], _ = s.Median() // non-empty
+		if view.ByDay[d], err = g.Median(); err != nil {
+			return nil, fmt.Errorf("analysis: weekly loads on %s: %w", time.Weekday(d), err)
+		}
 		w := 0
 		if d == int(time.Saturday) || d == int(time.Sunday) {
 			w = 1
 		}
-		for _, v := range s.Values() {
-			sum[w] += v
-		}
-		n[w] += float64(s.Len())
+		s, _ := g.Sum() // Median has checked g
+		sum[w] += s
+		n[w] += int64(g.Len())
 	}
 	if n[0] == 0 && n[1] == 0 {
 		return nil, stats.ErrEmpty
 	}
 	if n[0] > 0 {
-		view.WeekdayMean = sum[0] / n[0]
+		view.WeekdayMean = float64(sum[0]) / float64(n[0])
 	}
 	if n[1] > 0 {
-		view.WeekendMean = sum[1] / n[1]
+		view.WeekendMean = float64(sum[1]) / float64(n[1])
 	}
 	return view, nil
 }

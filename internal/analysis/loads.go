@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+
 	"ovhweather/internal/stats"
 	"ovhweather/internal/wmap"
 )
@@ -16,14 +18,12 @@ type HourlyLoadView struct {
 // HourlyLoads consumes a stream and groups every link load (both
 // directions, all links) by the snapshot's hour of day.
 func HourlyLoads(src Stream) (*HourlyLoadView, error) {
-	var hours [24]*stats.Sample // nil until the hour's first load
+	var hours [24]stats.PercentHist
 	err := src(func(m *wmap.Map) error {
-		h := m.Time.Hour()
-		if hours[h] == nil && len(m.Links) > 0 {
-			hours[h] = stats.NewSample()
-		}
+		g := &hours[m.Time.Hour()]
 		for _, l := range m.Links {
-			hours[h].Add(float64(l.LoadAB), float64(l.LoadBA))
+			g.Add(int(l.LoadAB))
+			g.Add(int(l.LoadBA))
 		}
 		return nil
 	})
@@ -31,11 +31,14 @@ func HourlyLoads(src Stream) (*HourlyLoadView, error) {
 		return nil, err
 	}
 	view := &HourlyLoadView{}
-	for h, g := range hours {
-		if g == nil {
+	for h := range hours {
+		g := &hours[h]
+		if g.Len() == 0 {
 			continue
 		}
-		view.Hours[h], _ = g.Quartiles() // non-empty
+		if view.Hours[h], err = g.Quartiles(); err != nil {
+			return nil, fmt.Errorf("analysis: hourly loads at %02dh: %w", h, err)
+		}
 		view.Samples[h] = g.Len()
 	}
 	return view, nil
@@ -77,18 +80,18 @@ type LoadDistView struct {
 // LoadCDF consumes a stream and computes the Figure 5b distributions over
 // every directed load observation.
 func LoadCDF(src Stream) (*LoadDistView, error) {
-	all := stats.NewSample()
-	internal := stats.NewSample()
-	external := stats.NewSample()
+	var all, internal, external stats.PercentHist
 	err := src(func(m *wmap.Map) error {
 		for _, l := range m.Links {
-			a, b := float64(l.LoadAB), float64(l.LoadBA)
-			all.Add(a, b)
+			side := &external
 			if l.Internal() {
-				internal.Add(a, b)
-			} else {
-				external.Add(a, b)
+				side = &internal
 			}
+			a, b := int(l.LoadAB), int(l.LoadBA)
+			all.Add(a)
+			all.Add(b)
+			side.Add(a)
+			side.Add(b)
 		}
 		return nil
 	})
@@ -96,10 +99,10 @@ func LoadCDF(src Stream) (*LoadDistView, error) {
 		return nil, err
 	}
 	view := &LoadDistView{Samples: all.Len()}
-	var cdfErr error
-	if view.All, cdfErr = all.CDF(); cdfErr != nil {
-		return nil, cdfErr
+	if view.All, err = all.CDF(); err != nil {
+		return nil, fmt.Errorf("analysis: load CDF: %w", err)
 	}
+	// all holds every observation, so no query below can fail.
 	if internal.Len() > 0 {
 		view.Internal, _ = internal.CDF()
 		view.MeanInternal, _ = internal.Mean()

@@ -138,6 +138,52 @@ func referenceHourlyLoads(src Stream) (*HourlyLoadView, error) {
 	return view, nil
 }
 
+// referenceLoadCDF is Figure 5b on one sample per link class plus one for
+// all links, each directed load added as it is read.
+func referenceLoadCDF(src Stream) (*LoadDistView, error) {
+	all := stats.NewSample()
+	byClass := map[bool]*stats.Sample{true: stats.NewSample(), false: stats.NewSample()}
+	err := src(func(m *wmap.Map) error {
+		for _, l := range m.Links {
+			for _, v := range [2]wmap.Load{l.LoadAB, l.LoadBA} {
+				all.Add(float64(v))
+				byClass[l.Internal()].Add(float64(v))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	view := &LoadDistView{Samples: all.Len()}
+	if view.All, err = all.CDF(); err != nil {
+		return nil, err
+	}
+	if in := byClass[true]; in.Len() > 0 {
+		if view.Internal, err = in.CDF(); err != nil {
+			return nil, err
+		}
+		if view.MeanInternal, err = in.Mean(); err != nil {
+			return nil, err
+		}
+	}
+	if ex := byClass[false]; ex.Len() > 0 {
+		if view.External, err = ex.CDF(); err != nil {
+			return nil, err
+		}
+		if view.MeanExternal, err = ex.Mean(); err != nil {
+			return nil, err
+		}
+	}
+	if view.P75All, err = all.Percentile(75); err != nil {
+		return nil, err
+	}
+	if view.FracOver60, err = all.FractionGreater(60); err != nil {
+		return nil, err
+	}
+	return view, nil
+}
+
 // TestFoldsMatchReference: every Figure 5 fold, through every feeder, is
 // deeply equal to its reference — views and errors alike — on corpora that
 // exercise topology changes (mid-corpus growth, same-size edits, a simulated
@@ -188,6 +234,10 @@ func TestFoldsMatchReference(t *testing.T) {
 		got, gotErr := HourlyLoads(SliceStream(maps))
 		check("hourly", want, got, wantErr, gotErr)
 
+		wantCDF, wantErr := referenceLoadCDF(SliceStream(maps))
+		gotCDF, gotErr := LoadCDF(SliceStream(maps))
+		check("loadcdf", wantCDF, gotCDF, wantErr, gotErr)
+
 		wantWk, wantErr := referenceWeeklyLoads(SliceStream(maps))
 		gotWk, gotErr := WeeklyLoads(SliceStream(maps))
 		check("weekly/stream", wantWk, gotWk, wantErr, gotErr)
@@ -204,6 +254,73 @@ func TestFoldsMatchReference(t *testing.T) {
 				got, gotErr := ImbalanceCDFColumns(columnize(maps, chunkLen), opt)
 				check(fmt.Sprintf("imbalance/%s/chunks of %d", optName, chunkLen), want, got, wantErr, gotErr)
 			}
+		}
+	}
+}
+
+// TestFoldsRejectOutOfRangeLoads: a load outside [0, 100] anywhere in the
+// corpus makes every Figure 5 fold fail with stats.ErrOutOfRange, through
+// every feeder, rather than bin, clamp or drop it.
+func TestFoldsRejectOutOfRangeLoads(t *testing.T) {
+	bad := map[string]func(maps []*wmap.Map){
+		"101": func(maps []*wmap.Map) { maps[5].Links[0].LoadAB = 101 },
+		"-1":  func(maps []*wmap.Map) { maps[20].Links[3].LoadBA = -1 },
+		"both": func(maps []*wmap.Map) {
+			maps[5].Links[0].LoadAB = 101
+			maps[20].Links[3].LoadBA = -1
+		},
+	}
+	opt := wmap.PaperImbalanceOptions()
+	for name, edit := range bad {
+		maps := testCorpus(rand.New(rand.NewSource(23)), 40)
+		edit(maps)
+		folds := map[string]func() error{
+			"hourly":  func() error { _, err := HourlyLoads(SliceStream(maps)); return err },
+			"loadcdf": func() error { _, err := LoadCDF(SliceStream(maps)); return err },
+			"imbalance/stream": func() error {
+				_, err := ImbalanceCDF(SliceStream(maps), opt)
+				return err
+			},
+			"imbalance/chunks": func() error {
+				_, err := ImbalanceCDFColumns(columnize(maps, 16), opt)
+				return err
+			},
+			"weekly/stream": func() error { _, err := WeeklyLoads(SliceStream(maps)); return err },
+			"weekly/chunks": func() error { _, err := WeeklyLoadsColumns(columnize(maps, 16)); return err },
+		}
+		for fold, run := range folds {
+			if err := run(); !errors.Is(err, stats.ErrOutOfRange) {
+				t.Errorf("load %s: %s err = %v, want stats.ErrOutOfRange", name, fold, err)
+			}
+		}
+	}
+}
+
+// TestFoldAllocsIndependentOfLength: every Figure 5 fold allocates as much
+// over 8N snapshots as over N — its state is fixed-size, not per
+// observation.
+func TestFoldAllocsIndependentOfLength(t *testing.T) {
+	const n = 16
+	short := testCorpus(rand.New(rand.NewSource(29)), n)
+	long := testCorpus(rand.New(rand.NewSource(29)), 8*n)
+	opt := wmap.PaperImbalanceOptions()
+	folds := map[string]func(src Stream) error{
+		"hourly":    func(src Stream) error { _, err := HourlyLoads(src); return err },
+		"loadcdf":   func(src Stream) error { _, err := LoadCDF(src); return err },
+		"imbalance": func(src Stream) error { _, err := ImbalanceCDF(src, opt); return err },
+		"weekly":    func(src Stream) error { _, err := WeeklyLoads(src); return err },
+	}
+	for name, fold := range folds {
+		allocs := func(maps []*wmap.Map) float64 {
+			src := SliceStream(maps)
+			return testing.AllocsPerRun(10, func() {
+				if err := fold(src); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(short), allocs(long); a != b {
+			t.Errorf("%s: %v allocs over %d snapshots, %v over %d", name, a, n, b, 8*n)
 		}
 	}
 }

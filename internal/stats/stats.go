@@ -1,6 +1,8 @@
 // Package stats provides the descriptive statistics used by the dataset
-// analysis: percentiles, empirical distribution functions (CDF and CCDF)
-// and histograms. All figures in Section 5 of the paper are built from
+// analysis: percentiles and empirical distribution functions (CDF and CCDF)
+// over a sorted Sample, and the same queries over PercentHist, an exact
+// count histogram of integer percentages that answers them bit for bit in
+// constant memory. All figures in Section 5 of the paper are built from
 // these primitives.
 package stats
 
@@ -95,24 +97,31 @@ func (s *Sample) StdDev() (float64, error) {
 // interpolation between closest ranks, the same estimator as numpy's default
 // and the one used for the paper's whisker plots.
 func (s *Sample) Percentile(p float64) (float64, error) {
-	if len(s.values) == 0 {
+	s.ensureSorted()
+	return percentile(len(s.values), p, func(k int) float64 { return s.values[k] })
+}
+
+// percentile is the closest-rank interpolation behind Sample.Percentile and
+// PercentHist.Percentile: the p-th percentile of n ordered observations,
+// where at(k) is the k-th smallest, counting from 0.
+func percentile(n int, p float64, at func(k int) float64) (float64, error) {
+	if n == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) {
 		return 0, fmt.Errorf("stats: percentile %v out of range [0, 100]", p)
 	}
-	s.ensureSorted()
-	if len(s.values) == 1 {
-		return s.values[0], nil
+	if n == 1 {
+		return at(0), nil
 	}
-	rank := p / 100 * float64(len(s.values)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s.values[lo], nil
+		return at(lo), nil
 	}
 	frac := rank - float64(lo)
-	return s.values[lo]*(1-frac) + s.values[hi]*frac, nil
+	return at(lo)*(1-frac) + at(hi)*frac, nil
 }
 
 // Median returns the 50th percentile.
@@ -126,16 +135,19 @@ type Quartiles struct {
 }
 
 // Quartiles computes the Figure 5a summary for the sample.
-func (s *Sample) Quartiles() (Quartiles, error) {
+func (s *Sample) Quartiles() (Quartiles, error) { return quartiles(s.Percentile) }
+
+// quartiles reads the Figure 5a summary off a percentile function.
+func quartiles(pct func(p float64) (float64, error)) (Quartiles, error) {
 	var q Quartiles
 	var err error
-	if q.P1, err = s.Percentile(1); err != nil {
+	if q.P1, err = pct(1); err != nil {
 		return q, err
 	}
-	q.P25, _ = s.Percentile(25)
-	q.Median, _ = s.Percentile(50)
-	q.P75, _ = s.Percentile(75)
-	q.P99, _ = s.Percentile(99)
+	q.P25, _ = pct(25)
+	q.Median, _ = pct(50)
+	q.P75, _ = pct(75)
+	q.P99, _ = pct(99)
 	return q, nil
 }
 
@@ -193,45 +205,129 @@ func (s *Sample) FractionAtMost(v float64) (float64, error) {
 
 // FractionGreater returns the empirical P[X > v].
 func (s *Sample) FractionGreater(v float64) (float64, error) {
-	f, err := s.FractionAtMost(v)
+	return complement(s.FractionAtMost(v))
+}
+
+// complement turns P[X <= v] into P[X > v].
+func complement(f float64, err error) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
 	return 1 - f, nil
 }
 
-// HistogramBin is one bin of a fixed-width histogram. The bin covers
-// [Lo, Hi) except for the last bin which also includes Hi.
-type HistogramBin struct {
-	Lo, Hi float64
-	Count  int
+// ErrOutOfRange is returned by every PercentHist query once an observation
+// outside [0, 100] has been added.
+var ErrOutOfRange = errors.New("stats: observation outside [0, 100]")
+
+// PercentHist is an exact count histogram of the integers 0..100. On the
+// same multiset its queries return bit for bit what Sample's return, in
+// constant memory. The zero value is an empty histogram.
+type PercentHist struct {
+	counts [101]int64
+	n      int64 // every Add, binned or not
 }
 
-// Histogram buckets the sample into n equal-width bins spanning [lo, hi].
-// Values outside the range are clamped into the first or last bin, which is
-// the right behaviour for load percentages that are guaranteed in [0, 100].
-func (s *Sample) Histogram(lo, hi float64, n int) ([]HistogramBin, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs n > 0, got %d", n)
+// Add records v. A v outside [0, 100] is counted but not binned.
+func (h *PercentHist) Add(v int) {
+	h.n++
+	if uint(v) <= 100 {
+		h.counts[v]++
 	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram needs hi > lo, got [%v, %v]", lo, hi)
+}
+
+// Len returns the number of observations added.
+func (h *PercentHist) Len() int { return int(h.n) }
+
+// check is every query's precondition: each Add binned, and at least one.
+func (h *PercentHist) check() error {
+	var binned int64
+	for _, c := range h.counts {
+		binned += c
 	}
-	bins := make([]HistogramBin, n)
-	w := (hi - lo) / float64(n)
-	for i := range bins {
-		bins[i].Lo = lo + float64(i)*w
-		bins[i].Hi = lo + float64(i+1)*w
+	if binned != h.n {
+		return ErrOutOfRange
 	}
-	for _, v := range s.values {
-		idx := int((v - lo) / w)
-		if idx < 0 {
-			idx = 0
+	if h.n == 0 {
+		return ErrEmpty
+	}
+	return nil
+}
+
+// Sum returns Σ v·count. Every partial sum is an integer far below 2^53,
+// so a float64 sum of the same observations is exact in any order.
+func (h *PercentHist) Sum() (int64, error) {
+	if err := h.check(); err != nil {
+		return 0, err
+	}
+	var sum int64
+	for v, c := range h.counts {
+		sum += int64(v) * c
+	}
+	return sum, nil
+}
+
+// Mean returns the arithmetic mean.
+func (h *PercentHist) Mean() (float64, error) {
+	sum, err := h.Sum()
+	if err != nil {
+		return 0, err
+	}
+	return float64(sum) / float64(h.n), nil
+}
+
+// Percentile is Sample.Percentile, reading the k-th smallest observation
+// off the cumulative counts.
+func (h *PercentHist) Percentile(p float64) (float64, error) {
+	if err := h.check(); err != nil {
+		return 0, err
+	}
+	return percentile(h.Len(), p, func(k int) float64 {
+		v := 0
+		for r := int64(k); r >= h.counts[v]; v++ {
+			r -= h.counts[v]
 		}
-		if idx >= n {
-			idx = n - 1
-		}
-		bins[idx].Count++
+		return float64(v)
+	})
+}
+
+// Median returns the 50th percentile.
+func (h *PercentHist) Median() (float64, error) { return h.Percentile(50) }
+
+// Quartiles computes the Figure 5a summary.
+func (h *PercentHist) Quartiles() (Quartiles, error) { return quartiles(h.Percentile) }
+
+// CDF is Sample.CDF: one point per distinct observed value.
+func (h *PercentHist) CDF() ([]DistPoint, error) {
+	if err := h.check(); err != nil {
+		return nil, err
 	}
-	return bins, nil
+	pts := make([]DistPoint, 0, len(h.counts)) // one allocation, however many values occur
+	var cum int64
+	for v, c := range h.counts {
+		if c > 0 {
+			cum += c
+			pts = append(pts, DistPoint{Value: float64(v), Fraction: float64(cum) / float64(h.n)})
+		}
+	}
+	return pts, nil
+}
+
+// FractionAtMost is Sample.FractionAtMost: the share of observations below
+// the next float after x, so all of them for a NaN x.
+func (h *PercentHist) FractionAtMost(x float64) (float64, error) {
+	if err := h.check(); err != nil {
+		return 0, err
+	}
+	next := math.Nextafter(x, math.Inf(1))
+	var k int64
+	for v := 0; v <= 100 && !(float64(v) >= next); v++ {
+		k += h.counts[v]
+	}
+	return float64(k) / float64(h.n), nil
+}
+
+// FractionGreater returns the empirical P[X > x].
+func (h *PercentHist) FractionGreater(x float64) (float64, error) {
+	return complement(h.FractionAtMost(x))
 }

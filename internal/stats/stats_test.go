@@ -99,6 +99,9 @@ func TestPercentileOutOfRange(t *testing.T) {
 	if _, err := s.Percentile(101); err == nil {
 		t.Error("Percentile(101) should error")
 	}
+	if _, err := s.Percentile(math.NaN()); err == nil {
+		t.Error("Percentile(NaN) should error")
+	}
 }
 
 // Property: percentiles are monotone in p and bounded by min/max.
@@ -219,44 +222,6 @@ func TestFractionAtMost(t *testing.T) {
 	g, _ := s.FractionGreater(25)
 	if g != 0.5 {
 		t.Errorf("FractionGreater(25) = %v, want 0.5", g)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	s := NewSample(0, 5, 10, 15, 95, 100, 150, -10)
-	bins, err := s.Histogram(0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 10 {
-		t.Fatalf("bins = %d, want 10", len(bins))
-	}
-	// -10 clamps into bin 0; 150 and 100 clamp into bin 9.
-	if bins[0].Count != 3 { // 0, 5, -10
-		t.Errorf("bin0 = %d, want 3", bins[0].Count)
-	}
-	if bins[9].Count != 3 { // 95, 100, 150
-		t.Errorf("bin9 = %d, want 3", bins[9].Count)
-	}
-	if bins[1].Count != 2 { // 10, 15
-		t.Errorf("bin1 = %d, want 2", bins[1].Count)
-	}
-	var total int
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != s.Len() {
-		t.Errorf("total = %d, want %d", total, s.Len())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	s := NewSample(1)
-	if _, err := s.Histogram(0, 10, 0); err == nil {
-		t.Error("n=0 should error")
-	}
-	if _, err := s.Histogram(10, 0, 5); err == nil {
-		t.Error("hi<lo should error")
 	}
 }
 
