@@ -295,18 +295,71 @@ func BenchmarkFig6UpgradeStudy(b *testing.B) {
 }
 
 // BenchmarkAlgorithm1Scan measures the SVG parsing throughput of Algorithm
-// 1 on a full Europe-scale document.
+// 1 on a full Europe-scale document: the cold scan, into a fresh
+// ScanResult, which lexes the whole document and stores its template.
 func BenchmarkAlgorithm1Scan(b *testing.B) {
 	f := getFixture(b)
 	b.SetBytes(int64(len(f.europeSVG)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := extract.Scan(bytes.NewReader(f.europeSVG), extract.ScanOptions{})
-		if err != nil {
+		var res extract.ScanResult
+		if err := extract.ScanBytesInto(&res, f.europeSVG, extract.ScanOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		if len(res.Links) != len(f.endMaps[0].Links) {
 			b.Fatalf("links = %d", len(res.Links))
+		}
+	}
+}
+
+// BenchmarkAlgorithm1ScanSteady measures Algorithm 1 at the polling
+// cadence: two consecutive Europe snapshots, which differ only in loads
+// and arrow colours, alternate through one ScanResult, so every scan after
+// the first two is filled from a stored template.
+func BenchmarkAlgorithm1ScanSteady(b *testing.B) {
+	f := getFixture(b)
+	sim, err := netsim.New(f.sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var maps [2]*wmap.Map
+	var docs [2][]byte
+	for k := range docs {
+		ms, err := sim.SnapshotAt(f.sc.End.Add(time.Duration(k-1) * 5 * time.Minute))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := render.Render(&buf, ms[0], render.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		maps[k], docs[k] = ms[0], buf.Bytes()
+	}
+	if bytes.Equal(docs[0], docs[1]) {
+		b.Fatal("consecutive snapshots render identically")
+	}
+	var res extract.ScanResult
+	for round := 0; round < 2; round++ {
+		for k, doc := range docs {
+			if err := extract.ScanBytesInto(&res, doc, extract.ScanOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Links) != len(maps[k].Links) {
+				b.Fatalf("snapshot %d: links = %d, want %d", k, len(res.Links), len(maps[k].Links))
+			}
+			// The renderer draws the links in map order.
+			for i, l := range maps[k].Links {
+				if got := res.Links[i].Loads; got != [2]wmap.Load{l.LoadAB, l.LoadBA} {
+					b.Fatalf("snapshot %d link %d: loads = %v, want %v %v", k, i, got, l.LoadAB, l.LoadBA)
+				}
+			}
+		}
+	}
+	b.SetBytes(int64(len(docs[0])+len(docs[1])) / 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := extract.ScanBytesInto(&res, docs[i%2], extract.ScanOptions{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

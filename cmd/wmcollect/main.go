@@ -152,7 +152,10 @@ poll:
 // is scanned, attributed and appended to the archive. The collector polls
 // the maps in turn, so each map keeps its own attribution cache — a cache
 // holds one topology, and one shared across maps would miss on every call.
-// OnStored runs on the poll goroutine, so nothing here is locked.
+// The shared res is different: it keeps the scan templates of its last
+// few layouts, one per map, so a poll that only changed loads is filled
+// without lexing. OnStored runs on the poll goroutine, so nothing here is
+// locked.
 type ingester struct {
 	arch              *tsdb.Writer
 	opt               extract.Options

@@ -56,10 +56,15 @@ type ScanResult struct {
 	Routers []RawRouter
 	Links   []RawLink
 	Labels  []RawLabel
+
+	// templates are the layouts of recently scanned documents, kept across
+	// Reset for ScanBytesInto.
+	templates templateSet
 }
 
 // Reset empties the result while keeping its capacity, so the worker-pool
-// path can reuse one ScanResult per worker across snapshots.
+// path can reuse one ScanResult per worker across snapshots. The stored
+// templates survive.
 func (r *ScanResult) Reset() {
 	r.Routers = r.Routers[:0]
 	r.Links = r.Links[:0]
@@ -94,8 +99,8 @@ type ScanOptions struct {
 // pairs are labels.
 func Scan(r io.Reader, opt ScanOptions) (*ScanResult, error) {
 	res := &ScanResult{}
-	err := scanInto(res, opt, func(fn func(svg.Element) error) error {
-		return svg.Stream(r, fn)
+	err := scanInto(res, opt, nil, func(fn func(svg.Element, svg.Spans) error) error {
+		return svg.Stream(r, func(e svg.Element) error { return fn(e, svg.Spans{}) })
 	})
 	if err != nil {
 		return nil, err
@@ -107,99 +112,147 @@ func Scan(r io.Reader, opt ScanOptions) (*ScanResult, error) {
 // caller's result: res is Reset and refilled, so a worker can amortize its
 // slices across a whole map's snapshots. On error res holds a partial scan
 // and must not be used.
+//
+// res also keeps templates of the last few documents it scanned (see
+// template.go). A document that repeats one of them except in its load
+// texts and arrow fills is filled from the template without lexing, with
+// the result a full scan would produce. On such a hit the arrow polygons
+// are shared with the template, so callers must not modify them.
 func ScanBytesInto(res *ScanResult, data []byte, opt ScanOptions) error {
 	res.Reset()
-	return scanInto(res, opt, func(fn func(svg.Element) error) error {
-		return svg.StreamBytes(data, fn)
-	})
+	if res.templates.fill(res, data, opt) {
+		return nil
+	}
+	return scanFull(res, data, opt)
 }
 
-// scanInto is the Algorithm 1 state machine, independent of how the element
-// stream is produced.
-func scanInto(res *ScanResult, opt ScanOptions, stream func(func(svg.Element) error) error) error {
-	var (
-		pendingRouterBox *geom.Rect
-		pendingLink      *RawLink
-		loadsSeen        int
-		pendingLabel     *RawLabel
-	)
-	err := stream(func(e svg.Element) error {
-		switch {
-		case e.ClassHasPrefix("object"):
-			// Router or peering: white box followed by its name.
-			switch e.Tag {
-			case svg.TagRect:
-				box := e.Rect
-				pendingRouterBox = &box
-			case svg.TagText:
-				if pendingRouterBox == nil {
-					return scanErrorf("router name %q without a preceding box", e.Text)
-				}
-				if e.Text == "" {
-					return scanErrorf("router box with empty name")
-				}
-				res.Routers = append(res.Routers, RawRouter{Name: e.Text, Box: *pendingRouterBox})
-				pendingRouterBox = nil
-			}
-		case e.Tag == svg.TagPolygon:
-			// Link arrow: first arrow opens a link, second completes the pair.
-			if len(e.Points) < 3 {
-				return scanErrorf("arrow polygon with %d points", len(e.Points))
-			}
-			if pendingLink == nil {
-				pendingLink = &RawLink{ArrowA: e.Points, Fills: [2]string{e.Fill, ""}}
-				loadsSeen = 0
-			} else if len(pendingLink.ArrowB) == 0 {
-				pendingLink.ArrowB = e.Points
-				pendingLink.Fills[1] = e.Fill
-			} else {
-				return scanErrorf("third arrow before the link's loads")
-			}
-		case e.HasClass("labellink"):
-			// Load percentage: the two loads follow the two arrows.
-			if pendingLink == nil || len(pendingLink.ArrowB) == 0 {
-				return scanErrorf("load %q with no open arrow pair", e.Text)
-			}
-			load, err := ParseLoad(e.Text)
-			if err != nil {
-				return err
-			}
-			if opt.VerifyColors && !wmap.ColorMatchesLoad(pendingLink.Fills[loadsSeen], load) {
-				return scanErrorf("load %s disagrees with its arrow color %s",
-					load, pendingLink.Fills[loadsSeen])
-			}
-			pendingLink.Loads[loadsSeen] = load
-			loadsSeen++
-			if loadsSeen == 2 {
-				res.Links = append(res.Links, *pendingLink)
-				pendingLink = nil
-			}
-		case e.HasClass("node"):
-			// Link label: white box followed by its text.
-			switch e.Tag {
-			case svg.TagRect:
-				pendingLabel = &RawLabel{Box: e.Rect}
-			case svg.TagText:
-				if pendingLabel == nil {
-					return scanErrorf("label text %q without a preceding box", e.Text)
-				}
-				pendingLabel.Text = e.Text
-				res.Labels = append(res.Labels, *pendingLabel)
-				pendingLabel = nil
-			}
-		}
-		return nil
+// scanFull is ScanBytesInto without the template lookup: a full Algorithm
+// 1 scan that stores the document's template when it succeeds.
+func scanFull(res *ScanResult, data []byte, opt ScanOptions) error {
+	rec := res.templates.recorder(data)
+	err := scanInto(res, opt, rec, func(fn func(svg.Element, svg.Spans) error) error {
+		return svg.StreamBytesSpans(data, fn)
 	})
-	if err != nil {
+	if err == nil {
+		res.templates.add(res, rec)
+	}
+	rec.data = nil // don't pin the caller's buffer
+	return err
+}
+
+// scanInto runs the Algorithm 1 state machine over an element stream,
+// independent of how the stream is produced. A non-nil rec is told where
+// each arrow fill and load text lies in the document.
+func scanInto(res *ScanResult, opt ScanOptions, rec *holeRecorder, stream func(func(svg.Element, svg.Spans) error) error) error {
+	st := scanState{res: res, opt: opt, rec: rec}
+	if err := stream(st.element); err != nil {
 		return err
 	}
-	if pendingLink != nil {
-		return scanErrorf("document ends with an incomplete link (%d loads)", loadsSeen)
+	return st.finish()
+}
+
+// scanState is the Algorithm 1 state machine. The pending router box, link
+// and label are held by value, so a scan allocates nothing per element.
+type scanState struct {
+	res *ScanResult
+	opt ScanOptions
+	rec *holeRecorder
+
+	routerBox geom.Rect
+	link      RawLink
+	label     RawLabel
+	loadsSeen int
+
+	hasRouterBox, hasLink, hasLabel bool
+}
+
+//wm:hotpath
+func (st *scanState) element(e svg.Element, sp svg.Spans) error {
+	switch {
+	case e.ClassHasPrefix("object"):
+		// Router or peering: white box followed by its name.
+		switch e.Tag {
+		case svg.TagRect:
+			if st.hasRouterBox {
+				return scanErrorf("unnamed router box followed by another router box")
+			}
+			st.routerBox, st.hasRouterBox = e.Rect, true
+		case svg.TagText:
+			if !st.hasRouterBox {
+				return scanErrorf("router name %q without a preceding box", e.Text)
+			}
+			if e.Text == "" {
+				return scanErrorf("router box with empty name")
+			}
+			st.res.Routers = append(st.res.Routers, RawRouter{Name: e.Text, Box: st.routerBox})
+			st.hasRouterBox = false
+		}
+	case e.Tag == svg.TagPolygon:
+		// Link arrow: first arrow opens a link, second completes the pair.
+		if len(e.Points) < 3 {
+			return scanErrorf("arrow polygon with %d points", len(e.Points))
+		}
+		dir := 0
+		if !st.hasLink {
+			st.link = RawLink{ArrowA: e.Points, Fills: [2]string{e.Fill, ""}}
+			st.hasLink, st.loadsSeen = true, 0
+		} else if len(st.link.ArrowB) == 0 {
+			st.link.ArrowB = e.Points
+			st.link.Fills[1] = e.Fill
+			dir = 1
+		} else {
+			return scanErrorf("third arrow before the link's loads")
+		}
+		st.rec.hole(holeFill, sp.Fill, len(st.res.Links), dir)
+	case e.HasClass("labellink"):
+		// Load percentage: the two loads follow the two arrows.
+		if !st.hasLink || len(st.link.ArrowB) == 0 {
+			return scanErrorf("load %q with no open arrow pair", e.Text)
+		}
+		load, err := ParseLoad(e.Text)
+		if err != nil {
+			return err
+		}
+		if st.opt.VerifyColors && !wmap.ColorMatchesLoad(st.link.Fills[st.loadsSeen], load) {
+			return scanErrorf("load %s disagrees with its arrow color %s",
+				load, st.link.Fills[st.loadsSeen])
+		}
+		st.rec.hole(holeLoad, sp.Text, len(st.res.Links), st.loadsSeen)
+		st.link.Loads[st.loadsSeen] = load
+		st.loadsSeen++
+		if st.loadsSeen == 2 {
+			st.res.Links = append(st.res.Links, st.link)
+			st.hasLink = false
+		}
+	case e.HasClass("node"):
+		// Link label: white box followed by its text.
+		switch e.Tag {
+		case svg.TagRect:
+			if st.hasLabel {
+				return scanErrorf("textless label box followed by another label box")
+			}
+			st.label, st.hasLabel = RawLabel{Box: e.Rect}, true
+		case svg.TagText:
+			if !st.hasLabel {
+				return scanErrorf("label text %q without a preceding box", e.Text)
+			}
+			st.label.Text = e.Text
+			st.res.Labels = append(st.res.Labels, st.label)
+			st.hasLabel = false
+		}
 	}
-	if pendingRouterBox != nil {
+	return nil
+}
+
+// finish rejects a document that ends with an element still pending.
+func (st *scanState) finish() error {
+	if st.hasLink {
+		return scanErrorf("document ends with an incomplete link (%d loads)", st.loadsSeen)
+	}
+	if st.hasRouterBox {
 		return scanErrorf("document ends with an unnamed router box")
 	}
-	if pendingLabel != nil {
+	if st.hasLabel {
 		return scanErrorf("document ends with a textless label box")
 	}
 	return nil

@@ -1,10 +1,13 @@
 package extract
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
+	"ovhweather/internal/netsim"
+	"ovhweather/internal/render"
 	"ovhweather/internal/wmap"
 )
 
@@ -74,6 +77,8 @@ func TestScanErrors(t *testing.T) {
 		{"incomplete link at EOF", `<polygon points="0,0 1,1 2,0"/><polygon points="3,0 4,1 5,0"/><text class="labellink" x="1" y="1">10 %</text>`, "incomplete link"},
 		{"unnamed router at EOF", `<g class="object router"><rect x="1" y="1" width="5" height="5"/></g>`, "unnamed router box"},
 		{"textless label at EOF", `<rect class="node" x="1" y="1" width="5" height="5"/>`, "textless label"},
+		{"unnamed router mid-document", `<g class="object router"><rect x="1" y="1" width="5" height="5"/></g>` + routerFRA, "unnamed router box"},
+		{"textless label mid-document", `<rect class="node" x="1" y="1" width="5" height="5"/><rect class="node" x="9" y="1" width="5" height="5"/><text class="node" x="9" y="1">#1</text>`, "textless label"},
 	}
 	for _, c := range cases {
 		_, err := Scan(strings.NewReader(doc(c.body)), ScanOptions{})
@@ -181,5 +186,47 @@ func TestRenderedDocumentsPassColorCheck(t *testing.T) {
 		if !wmap.ColorMatchesLoad(wmap.LoadColor(l), l) {
 			t.Fatalf("palette inconsistent at %d", l)
 		}
+	}
+}
+
+// TestFullScanAllocs bounds the allocations of a full scan of the Europe
+// map into a warm ScanResult, template store included: the lexer's polygon
+// arena and a handful of fixed costs, nothing per element.
+func TestFullScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled lexer")
+	}
+	sc := netsim.DefaultScenario()
+	sim, err := netsim.New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps, err := sim.SnapshotAt(sc.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := render.Render(&buf, maps[0], render.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var res ScanResult
+	scan := func() {
+		res.Reset()
+		if err := scanFull(&res, data, ScanOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill every template slot, so stores recycle an evicted template.
+	for i := 0; i <= maxTemplates; i++ {
+		scan()
+	}
+	if len(res.Links) != len(maps[0].Links) {
+		t.Fatalf("links = %d, want %d", len(res.Links), len(maps[0].Links))
+	}
+	if allocs := testing.AllocsPerRun(10, scan); allocs > 50 {
+		t.Errorf("full Europe scan allocates %.0f times, want <= 50", allocs)
+	} else {
+		t.Logf("full Europe scan: %.0f allocations", allocs)
 	}
 }

@@ -11,11 +11,7 @@ func FastEligible(data []byte) bool { return fastEligible(data) }
 // eligibility routing of StreamBytes. Callers must only pass eligible
 // documents; the differential tests guard that with FastEligible.
 func LexBytes(data []byte, fn func(Element) error) error {
-	l := lexerPool.Get().(*lexer)
-	err := l.run(data, fn)
-	l.release()
-	lexerPool.Put(l)
-	return err
+	return lex(data, fn, nil)
 }
 
 // ParseFloatFast exposes the no-allocation float parser for differential

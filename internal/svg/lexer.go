@@ -23,6 +23,7 @@ package svg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"strconv"
 	"strings"
@@ -41,12 +42,18 @@ import (
 //
 //wm:hotpath
 func fastEligible(data []byte) bool {
-	for i := 0; i < len(data); i++ {
-		b := data[i]
-		if b >= 0x80 {
+	if bytes.Contains(data, []byte("<!")) {
+		return false
+	}
+	// Eight bytes at a time: any byte >= 0x80 sets its high bit.
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		if binary.LittleEndian.Uint64(data[i:])&0x8080808080808080 != 0 {
 			return false
 		}
-		if b == '!' && i > 0 && data[i-1] == '<' {
+	}
+	for ; i < len(data); i++ {
+		if data[i] >= 0x80 {
 			return false
 		}
 	}
@@ -61,8 +68,46 @@ func StreamBytes(data []byte, fn func(Element) error) error {
 	if !fastEligible(data) {
 		return StreamStd(bytes.NewReader(data), fn)
 	}
+	return lex(data, fn, nil)
+}
+
+// Span is the byte range [Start, End) of a lexed value in its document.
+// No value starts at offset 0 (a document opens with '<'), so the zero Span
+// means the position is unknown.
+type Span struct{ Start, End int }
+
+// Known reports whether the span locates bytes in the document.
+func (s Span) Known() bool { return s.Start > 0 }
+
+// Spans locates the document bytes an element's Text and Fill were lexed
+// from, before entity and newline resolution.
+type Spans struct {
+	// Text is the element's character data when it is exactly one run
+	// (no tag or processing instruction splits it).
+	Text Span
+	// Fill is the raw value of the fill attribute that set Fill.
+	Fill Span
+}
+
+// StreamBytesSpans is StreamBytes that also reports each element's Spans.
+// Documents routed to the std decoder report zero Spans.
+//
+//wm:hotpath
+func StreamBytesSpans(data []byte, fn func(Element, Spans) error) error {
+	if !fastEligible(data) {
+		return StreamStd(bytes.NewReader(data), func(e Element) error { return fn(e, Spans{}) })
+	}
+	return lex(data, nil, fn)
+}
+
+// lex runs a pooled lexer over an eligible document, emitting to exactly
+// one of fn and fnSpans.
+//
+//wm:hotpath
+func lex(data []byte, fn func(Element) error, fnSpans func(Element, Spans) error) error {
 	l := lexerPool.Get().(*lexer)
-	err := l.run(data, fn)
+	l.emit, l.emitSpans = fn, fnSpans
+	err := l.run(data)
 	l.release()
 	lexerPool.Put(l)
 	return err
@@ -104,6 +149,7 @@ var lexerPool = sync.Pool{
 type lexAttr struct {
 	local    []byte
 	value    []byte
+	raw      Span // the quoted value's unresolved bytes in the document
 	nonASCII bool // value contains entity-decoded runes >= 0x80
 }
 
@@ -124,10 +170,15 @@ type lexer struct {
 	buf    []byte // entity/newline-resolved text scratch
 	coords []float64
 
-	pending    Element
-	hasPending bool
-	textBuf    []byte // accumulated trimmed character data of the pending <text>
-	sawRoot    bool
+	emit      func(Element) error
+	emitSpans func(Element, Spans) error
+
+	pending      Element
+	pendingSpans Spans
+	hasPending   bool
+	textBuf      []byte // accumulated trimmed character data of the pending <text>
+	textRuns     int    // character-data runs in textBuf
+	sawRoot      bool
 
 	// strings survives across documents through the pool, so class names,
 	// fill colors, router names and load percentages are allocated once per
@@ -146,6 +197,7 @@ type lexer struct {
 func (l *lexer) release() {
 	l.data = nil
 	l.arena = nil
+	l.emit, l.emitSpans = nil, nil
 	l.pending = Element{}
 	// Frame and attribute entries hold slices of the caller's document
 	// buffer beyond the logical length; zero the backing arrays so a pooled
@@ -157,7 +209,7 @@ func (l *lexer) release() {
 }
 
 //wm:hotpath
-func (l *lexer) run(data []byte, fn func(Element) error) error {
+func (l *lexer) run(data []byte) error {
 	l.data = data
 	l.pos = 0
 	l.frames = l.frames[:0]
@@ -180,7 +232,7 @@ func (l *lexer) run(data []byte, fn func(Element) error) error {
 		switch l.data[l.pos] {
 		case '/':
 			l.pos++
-			if err := l.endTag(fn); err != nil {
+			if err := l.endTag(); err != nil {
 				return err
 			}
 		case '?':
@@ -192,7 +244,7 @@ func (l *lexer) run(data []byte, fn func(Element) error) error {
 			// Unreachable: fastEligible routed every "<!" to the std decoder.
 			return readErrorf("markup declaration in fast path")
 		default:
-			if err := l.startTag(fn); err != nil {
+			if err := l.startTag(); err != nil {
 				return err
 			}
 		}
@@ -307,7 +359,7 @@ func tagOf(local []byte) Tag {
 }
 
 //wm:hotpath
-func (l *lexer) startTag(fn func(Element) error) error {
+func (l *lexer) startTag() error {
 	raw, local, err := l.lexNsName()
 	if err == errNoName {
 		return readErrorf("expected element name after <")
@@ -365,11 +417,14 @@ func (l *lexer) startTag(fn func(Element) error) error {
 			return readErrorf("unquoted or missing attribute value in element")
 		}
 		l.pos++
+		vstart := l.pos
 		val, nonASCII, err := l.resolveText(int(q))
 		if err != nil {
 			return err
 		}
-		l.attrs = append(l.attrs, lexAttr{local: alocal, value: val, nonASCII: nonASCII})
+		// resolveText consumed the closing quote.
+		raw := Span{Start: vstart, End: l.pos - 1}
+		l.attrs = append(l.attrs, lexAttr{local: alocal, value: val, raw: raw, nonASCII: nonASCII})
 	}
 
 	if len(local) == 3 && string(local) == "svg" {
@@ -411,6 +466,9 @@ func (l *lexer) startTag(fn func(Element) error) error {
 			Points: pts,
 		}
 		l.setPending(e)
+		if i := l.attrIndex("fill"); i >= 0 {
+			l.pendingSpans.Fill = l.attrs[i].raw
+		}
 	default:
 		// <line>, <svg> and anything unknown clear the pending slot.
 		l.hasPending = false
@@ -418,13 +476,13 @@ func (l *lexer) startTag(fn func(Element) error) error {
 	l.frames = append(l.frames, lexFrame{raw: raw})
 	if selfClose {
 		l.frames = l.frames[:len(l.frames)-1]
-		return l.maybeEmit(kind, fn)
+		return l.maybeEmit(kind)
 	}
 	return nil
 }
 
 //wm:hotpath
-func (l *lexer) endTag(fn func(Element) error) error {
+func (l *lexer) endTag() error {
 	raw, local, err := l.lexNsName()
 	if err == errNoName {
 		return readErrorf("expected element name after </")
@@ -449,7 +507,7 @@ func (l *lexer) endTag(fn func(Element) error) error {
 		// encoding/xml matches end tags against the raw untranslated name.
 		return readErrorf("element <%s> closed by </%s>", top.raw, raw)
 	}
-	return l.maybeEmit(tagOf(local), fn)
+	return l.maybeEmit(tagOf(local))
 }
 
 // procInst skips a processing instruction, applying the std decoder's
@@ -523,12 +581,15 @@ func procInstVal(s, param []byte) []byte {
 //wm:hotpath
 func (l *lexer) textRun() error {
 	l.buf = l.buf[:0]
+	start := l.pos
 	out, _, err := l.resolveText(-1)
 	if err != nil {
 		return err
 	}
 	if l.hasPending && l.pending.Tag == TagText {
 		l.textBuf = append(l.textBuf, bytes.TrimSpace(out)...)
+		l.textRuns++
+		l.pendingSpans.Text = Span{Start: start, End: l.pos}
 	}
 	return nil
 }
@@ -763,20 +824,28 @@ func (l *lexer) setPending(e Element) {
 		e.Class = l.inheritedClass()
 	}
 	l.pending = e
+	l.pendingSpans = Spans{}
 	l.hasPending = true
 	l.textBuf = l.textBuf[:0]
+	l.textRuns = 0
 }
 
 //wm:hotpath
-func (l *lexer) maybeEmit(kind Tag, fn func(Element) error) error {
+func (l *lexer) maybeEmit(kind Tag) error {
 	if !l.hasPending || kind == "" || l.pending.Tag != kind {
 		return nil
 	}
 	if l.pending.Tag == TagText {
 		l.pending.Text = l.intern(l.textBuf)
+		if l.textRuns != 1 {
+			l.pendingSpans.Text = Span{}
+		}
 	}
 	l.hasPending = false
-	return fn(l.pending)
+	if l.emitSpans != nil {
+		return l.emitSpans(l.pending, l.pendingSpans)
+	}
+	return l.emit(l.pending)
 }
 
 //wm:hotpath
@@ -794,12 +863,24 @@ func (l *lexer) inheritedClass() string {
 //
 //wm:hotpath
 func (l *lexer) attrRaw(name string) (val []byte, nonASCII, ok bool) {
+	i := l.attrIndex(name)
+	if i < 0 {
+		return nil, false, false
+	}
+	return l.attrs[i].value, l.attrs[i].nonASCII, true
+}
+
+// attrIndex returns the index of the named attribute's last occurrence, or
+// -1.
+//
+//wm:hotpath
+func (l *lexer) attrIndex(name string) int {
 	for i := len(l.attrs) - 1; i >= 0; i-- {
 		if string(l.attrs[i].local) == name {
-			return l.attrs[i].value, l.attrs[i].nonASCII, true
+			return i
 		}
 	}
-	return nil, false, false
+	return -1
 }
 
 //wm:hotpath

@@ -3,9 +3,11 @@ package svg
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"testing"
+	"testing/quick"
 )
 
 // lexAll collects the fast lexer's output for one document.
@@ -184,6 +186,36 @@ func TestFastEligible(t *testing.T) {
 			t.Errorf("fastEligible(%q) = %v, want %v", c.data, got, c.want)
 		}
 	}
+
+	// The pre-scan reads eight bytes at a time; it must agree with a
+	// byte-at-a-time reference wherever the offending byte falls.
+	ref := func(data []byte) bool {
+		for i, b := range data {
+			if b >= 0x80 || b == '!' && i > 0 && data[i-1] == '<' {
+				return false
+			}
+		}
+		return true
+	}
+	alphabet := []byte{'<', '!', 'a', ' ', 0x7f, 0x80, 0xc3, 0xff}
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		data := make([]byte, r.Intn(40))
+		for i := range data {
+			data[i] = 'a'
+			if r.Intn(12) == 0 {
+				data[i] = alphabet[r.Intn(len(alphabet))]
+			}
+		}
+		if got, want := fastEligible(data), ref(data); got != want {
+			t.Logf("fastEligible(%q) = %v, want %v", data, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestParseFloatFast checks the no-allocation float parser bit-for-bit
@@ -287,5 +319,58 @@ func TestStreamBytesRetention(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("elements alias the input buffer:\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestStreamBytesSpans checks the spans the fast lexer reports: a fill
+// span covers the raw value of the fill attribute that won, a text span the
+// one character-data run of its element, and anything else, including
+// every element of a document routed to encoding/xml, gets zero spans.
+func TestStreamBytesSpans(t *testing.T) {
+	type got struct {
+		e  Element
+		sp Spans
+	}
+	collect := func(doc string) []got {
+		var out []got
+		if err := StreamBytesSpans([]byte(doc), func(e Element, sp Spans) error {
+			out = append(out, got{e, sp})
+			return nil
+		}); err != nil {
+			t.Fatalf("%q: %v", doc, err)
+		}
+		return out
+	}
+	raw := func(doc string, s Span) string { return doc[s.Start:s.End] }
+
+	doc := `<svg><polygon points="0,0 1,1 2,0" fill="#a" fill='#b&amp;c'/>` +
+		`<text class="labellink" x="1" y="1"> 42 % </text>` +
+		`<text x="1" y="1">4<g/>2</text>` +
+		`<text x="1" y="1"></text><rect x="1" y="1" width="1" height="1" fill="#fff"/></svg>`
+	els := collect(doc)
+	if len(els) != 5 {
+		t.Fatalf("%d elements, want 5", len(els))
+	}
+	if p := els[0]; p.e.Fill != "#b&c" || raw(doc, p.sp.Fill) != "#b&amp;c" || p.sp.Text.Known() {
+		t.Errorf("polygon: fill %q, spans %+v", p.e.Fill, p.sp)
+	}
+	if l := els[1]; l.e.Text != "42 %" || raw(doc, l.sp.Text) != " 42 % " || l.sp.Fill.Known() {
+		t.Errorf("load text: %q, spans %+v", l.e.Text, l.sp)
+	}
+	if s := els[2]; s.e.Text != "42" || s.sp != (Spans{}) {
+		t.Errorf("split text: %q, spans %+v, want none", s.e.Text, s.sp)
+	}
+	if e := els[3]; e.sp != (Spans{}) {
+		t.Errorf("empty text: spans %+v, want none", e.sp)
+	}
+	if r := els[4]; r.sp != (Spans{}) {
+		t.Errorf("rect: spans %+v, want none", r.sp)
+	}
+
+	// A comment routes the document to encoding/xml: no spans at all.
+	for _, g := range collect(`<svg><!-- c --><polygon points="0,0 1,1 2,0" fill="#a"/><text x="1" y="1">7 %</text></svg>`) {
+		if g.sp != (Spans{}) {
+			t.Errorf("std path reported spans %+v for %+v", g.sp, g.e)
+		}
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"ovhweather/internal/geom"
 )
@@ -60,14 +62,43 @@ func (e Element) ClassHasPrefix(prefix string) bool {
 }
 
 // HasClass reports whether cls appears as one of the space-separated class
-// tokens.
+// tokens. Tokens are split exactly as strings.Fields splits them, Unicode
+// spaces included, but walked in place instead of collected into a slice.
 func (e Element) HasClass(cls string) bool {
-	for _, tok := range strings.Fields(e.Class) {
-		if tok == cls {
+	s := e.Class
+	i := 0
+	for i < len(s) {
+		for i < len(s) {
+			n, sp := spaceAt(s, i)
+			if !sp {
+				break
+			}
+			i += n
+		}
+		start := i
+		for i < len(s) {
+			n, sp := spaceAt(s, i)
+			if sp {
+				break
+			}
+			i += n
+		}
+		if i > start && s[start:i] == cls {
 			return true
 		}
 	}
 	return false
+}
+
+// spaceAt reports the width of the rune at s[i] and whether
+// unicode.IsSpace holds for it. Invalid UTF-8 decodes to RuneError, which
+// is not a space, as in strings.Fields.
+func spaceAt(s string, i int) (int, bool) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return 1, c == ' ' || '\t' <= c && c <= '\r'
+	}
+	r, n := utf8.DecodeRuneInString(s[i:])
+	return n, unicode.IsSpace(r)
 }
 
 // ParsePoints parses an SVG points attribute ("x1,y1 x2,y2 ..." with

@@ -2,6 +2,7 @@ package svg
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,6 +92,42 @@ func TestClassPredicates(t *testing.T) {
 	}
 	if e.HasClass("high") {
 		t.Error("HasClass should not match token prefixes")
+	}
+
+	// HasClass walks tokens in place; it must split exactly as
+	// strings.Fields does, Unicode spaces and invalid UTF-8 included.
+	ref := func(class, cls string) bool {
+		for _, tok := range strings.Fields(class) {
+			if tok == cls {
+				return true
+			}
+		}
+		return false
+	}
+	pieces := []string{"a", "b", "ab", "link", "labellink", " ", "\t", "\n", "\v", "\f", "\r",
+		"\u0085", "\u00a0", "\u2003", "\u3000", "\u200b", "\xff", "\xc2", "é", ""}
+	gen := func(r *rand.Rand, n int) string {
+		var b strings.Builder
+		for i := r.Intn(n + 1); i > 0; i-- {
+			b.WriteString(pieces[r.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		class := gen(r, 8)
+		cls := gen(r, 2)
+		if fields := strings.Fields(class); len(fields) > 0 && r.Intn(2) == 0 {
+			cls = fields[r.Intn(len(fields))]
+		}
+		if got, want := (Element{Class: class}).HasClass(cls), ref(class, cls); got != want {
+			t.Logf("HasClass(%q) on class %q = %v, strings.Fields says %v", cls, class, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }
 
