@@ -25,8 +25,8 @@ type ChurnView struct {
 
 // ChurnStudy consumes a stream and diffs consecutive snapshots, keeping the
 // intervals with topology changes. Load-only changes are ignored (they
-// happen at every snapshot). The comparison itself is events.ChurnTracker —
-// the same state machine the live write-time detector runs.
+// happen at every snapshot). The comparison itself is events.ChurnTracker,
+// which diffs with wmap.Compare as the live write-time detector does.
 func ChurnStudy(src Stream) (*ChurnView, error) {
 	view := &ChurnView{}
 	var tr events.ChurnTracker

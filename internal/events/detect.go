@@ -1,16 +1,19 @@
 package events
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"ovhweather/internal/peeringdb"
 	"ovhweather/internal/wmap"
 )
 
-// ChurnTracker diffs consecutive snapshots of one map. It is the single
-// implementation of snapshot-to-snapshot topology comparison, shared by
-// the offline ChurnStudy fold and the live Detector.
+// ChurnTracker diffs consecutive snapshots of one map for the offline
+// ChurnStudy fold. It keeps the previous snapshot itself; the live
+// Detector keeps a copy of the skeleton instead. Both diff with
+// wmap.Compare.
 type ChurnTracker struct {
 	prev *wmap.Map
 }
@@ -155,18 +158,16 @@ type pendingChurn struct {
 	delta int       // net count change; 0 means the flap cancelled out
 }
 
-// maintGroup is the previous snapshot's load vector of one directed
-// parallel group, the state the make-before-break signature is matched
-// against.
-type maintGroup struct {
-	labels []string
-	loads  []wmap.Load
-}
-
 // Detector runs every event state machine over one map's snapshot stream.
 // Feed snapshots in chronological order through Observe; each call
 // returns the events that became final at that snapshot, in a
 // deterministic order. Detector is not safe for concurrent use.
+//
+// Between two topology changes only the loads move, so the detector
+// resolves each topology once into a plan (see plan) and checks every
+// snapshot against its own copy of the last skeleton. A snapshot with an
+// unchanged topology costs one pass over its loads, with no map lookups
+// and no allocations. The detector never retains the caller's map.
 //
 // A Detector must never be copied: its trackers and maps are one
 // causally ordered state machine, and a value copy forks that history
@@ -178,11 +179,77 @@ type Detector struct {
 	cfg Config
 	db  *peeringdb.DB
 
-	churn     ChurnTracker
-	pending   map[churnKey]*pendingChurn
+	// nodes and links copy the last observed snapshot: its skeleton, which
+	// the plan was built from, and its loads, which wmap.Compare diffs
+	// against on the next topology change.
+	nodes   []wmap.Node
+	links   []wmap.Link
+	started bool
+	plan    plan
+
+	pending map[churnKey]*pendingChurn
+	// congested is the hysteresis state of directions outside the plan:
+	// a direction that vanished while congested stays so until it returns.
 	congested map[DirKey]bool
-	maint     map[[2]string]*maintGroup
 	peers     map[string]*UpgradeTracker
+	egress    []wmap.Load // scratch for UpgradeTracker.Observe
+}
+
+// plan is one topology resolved for the per-snapshot pass. Directions are
+// numbered in EachDirection order: link i's AB direction is 2i and its BA
+// direction 2i+1.
+type plan struct {
+	// Congestion: every direction's slot in dirs and hot. Directions with
+	// equal keys share a slot, as they share one map entry by key.
+	slot []int32
+	dirs []DirKey
+	hot  []bool
+
+	// Maintenance: the directed parallel groups of two or more members,
+	// in (From, To) order. members lists each group's directions in link
+	// order, and last their loads at the previous snapshot.
+	groups  []dirGroup
+	members []int32
+	last    []wmap.Load
+
+	// Upgrades: the peerings with links, in name order, and each one's
+	// egress directions in link order.
+	peers  []peerPlan
+	egress []int32
+}
+
+// dirGroup is one directed parallel group of a plan.
+type dirGroup struct {
+	from, to   string
+	start, end int32 // its span of plan.members and plan.last
+	// fresh marks a group whose previous snapshot had no group of the
+	// same key and size, so the drain signature has nothing to match.
+	fresh bool
+}
+
+// peerPlan is one peering of a plan.
+type peerPlan struct {
+	name       string
+	tr         *UpgradeTracker
+	start, end int32 // its span of plan.egress
+}
+
+// dirLoad returns the load of direction di of the links.
+func dirLoad(links []wmap.Link, di int32) wmap.Load {
+	l := &links[di>>1]
+	if di&1 == 0 {
+		return l.LoadAB
+	}
+	return l.LoadBA
+}
+
+// dirLabel returns the from-side label of direction di of the links.
+func dirLabel(links []wmap.Link, di int32) string {
+	l := &links[di>>1]
+	if di&1 == 0 {
+		return l.LabelA
+	}
+	return l.LabelB
 }
 
 // NewDetector returns a detector for one map. db may be nil, in which
@@ -194,27 +261,71 @@ func NewDetector(id wmap.MapID, cfg Config, db *peeringdb.DB) *Detector {
 		db:        db,
 		pending:   make(map[churnKey]*pendingChurn),
 		congested: make(map[DirKey]bool),
-		maint:     make(map[[2]string]*maintGroup),
 		peers:     make(map[string]*UpgradeTracker),
 	}
 }
 
 // Observe feeds the next snapshot and returns the newly final events.
-// The returned slice is freshly allocated and owned by the caller.
+// The returned slice is freshly allocated and owned by the caller; it is
+// nil when nothing became final.
 func (d *Detector) Observe(m *wmap.Map) []Emitted {
 	var out []Emitted
-	prev := d.churn.Prev()
-	diff := d.churn.Observe(m)
-	out = d.observeChurn(out, m.Time, diff)
-	out = d.observeCongestion(out, m)
-	out = d.observeMaintenance(out, prev, m)
-	out = d.observeUpgrades(out, m)
+	if d.started && sameSkeleton(m, d.nodes, d.links) {
+		// The churn diff is empty by construction; only pending
+		// debounces can become final.
+		out = d.observeChurn(out, m.Time, nil)
+	} else {
+		out = d.retopologize(out, m)
+	}
+	out = d.observeLoads(out, m)
 	// Render each event's summary exactly once, here, so the string is
 	// built at detection time and travels with the event through the
 	// archive cache, the broadcaster, and every response that serves it.
 	for i := range out {
 		out[i].Event.Summary = out[i].Event.Summarize()
 	}
+	return out
+}
+
+// sameSkeleton reports whether m has exactly the nodes (Name, Kind) and
+// links (A, B, LabelA, LabelB) given, in the same order: everything the
+// churn diff and the plan depend on.
+//
+//wm:hotpath
+func sameSkeleton(m *wmap.Map, nodes []wmap.Node, links []wmap.Link) bool {
+	if len(m.Nodes) != len(nodes) || len(m.Links) != len(links) {
+		return false
+	}
+	for i := range nodes {
+		if m.Nodes[i] != nodes[i] {
+			return false
+		}
+	}
+	for i := range links {
+		x, y := &m.Links[i], &links[i]
+		if x.A != y.A || x.B != y.B || x.LabelA != y.LabelA || x.LabelB != y.LabelB {
+			return false
+		}
+	}
+	return true
+}
+
+// retopologize handles a snapshot whose skeleton differs from the last
+// one (or the first snapshot): it diffs the topologies for churn, moves
+// the hysteresis and maintenance state over to a new plan, and takes a
+// copy of the new skeleton.
+func (d *Detector) retopologize(out []Emitted, m *wmap.Map) []Emitted {
+	var diff *wmap.Diff
+	if d.started {
+		if df := wmap.Compare(&wmap.Map{Nodes: d.nodes, Links: d.links}, m); !df.Empty() {
+			diff = df
+		}
+	}
+	out = d.observeChurn(out, m.Time, diff)
+	d.replan(m)
+	d.nodes = append(d.nodes[:0], m.Nodes...)
+	d.links = append(d.links[:0], m.Links...)
+	d.started = true
 	return out
 }
 
@@ -270,110 +381,116 @@ func (d *Detector) observeChurn(out []Emitted, t time.Time, diff *wmap.Diff) []E
 	return out
 }
 
-// observeCongestion applies the hysteresis thresholds to every direction.
-func (d *Detector) observeCongestion(out []Emitted, m *wmap.Map) []Emitted {
-	EachDirection(m, func(dir Direction) {
-		k := dir.Key()
-		hot := d.congested[k]
-		switch {
-		case !hot && dir.Load >= d.cfg.CongestionOn:
+// replan resolves m's topology into a new plan. Congestion state moves
+// over by DirKey, through d.congested; a maintenance group keeps the
+// previous snapshot's loads of the group with its key when that group
+// had the same size; upgrade trackers are kept by peering name.
+func (d *Detector) replan(m *wmap.Map) {
+	old := &d.plan
+	for s, k := range old.dirs {
+		if old.hot[s] {
 			d.congested[k] = true
-			out = append(out, Emitted{EmitTime: m.Time, Event: Event{
-				Map: d.id, Type: TypeCongestionOnset, Time: m.Time,
-				A: dir.From, B: dir.To, LabelA: dir.Label, Ordinal: dir.Ordinal,
-				Load: dir.Load,
-			}})
-		case hot && dir.Load < d.cfg.CongestionOff:
+		} else {
 			delete(d.congested, k)
-			out = append(out, Emitted{EmitTime: m.Time, Event: Event{
-				Map: d.id, Type: TypeCongestionClear, Time: m.Time,
-				A: dir.From, B: dir.To, LabelA: dir.Label, Ordinal: dir.Ordinal,
-				Load: dir.Load,
-			}})
-		}
-	})
-	return out
-}
-
-// observeMaintenance matches the make-before-break signature: within a
-// directed parallel group of unchanged membership, one member's load
-// collapses from >= DrainHigh to <= DrainLow while the siblings' combined
-// load absorbs at least half of what drained.
-func (d *Detector) observeMaintenance(out []Emitted, prev, m *wmap.Map) []Emitted {
-	groups := make(map[[2]string]*maintGroup)
-	EachDirection(m, func(dir Direction) {
-		k := [2]string{dir.From, dir.To}
-		g := groups[k]
-		if g == nil {
-			g = &maintGroup{}
-			groups[k] = g
-		}
-		g.labels = append(g.labels, dir.Label)
-		g.loads = append(g.loads, dir.Load)
-	})
-	if prev != nil {
-		keys := make([][2]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
-		for _, k := range keys {
-			cur, old := groups[k], d.maint[k]
-			if old == nil || len(old.loads) != len(cur.loads) || len(cur.loads) < 2 {
-				continue // membership changed (or no parallels): not a drain
-			}
-			var sumOld, sumCur int
-			for i := range cur.loads {
-				sumOld += int(old.loads[i])
-				sumCur += int(cur.loads[i])
-			}
-			for i := range cur.loads {
-				if old.loads[i] < d.cfg.DrainHigh || cur.loads[i] > d.cfg.DrainLow {
-					continue
-				}
-				othersOld := sumOld - int(old.loads[i])
-				othersCur := sumCur - int(cur.loads[i])
-				if 2*othersCur < 2*othersOld+int(old.loads[i]) {
-					continue // the load vanished instead of moving: not make-before-break
-				}
-				out = append(out, Emitted{EmitTime: m.Time, Event: Event{
-					Map: d.id, Type: TypeMaintenance, Time: m.Time,
-					A: k[0], B: k[1], LabelA: cur.labels[i], Ordinal: i,
-					Load: old.loads[i],
-				}})
-			}
 		}
 	}
-	d.maint = groups
-	return out
-}
+	oldLast := make(map[[2]string][]wmap.Load, len(old.groups))
+	for _, g := range old.groups {
+		oldLast[[2]string{g.from, g.to}] = old.last[g.start:g.end]
+	}
 
-// observeUpgrades advances the per-peering trackers.
-func (d *Detector) observeUpgrades(out []Emitted, m *wmap.Map) []Emitted {
-	names := make([]string, 0, 4)
+	// One walk assigns every direction its congestion slot and its
+	// directed group; a second places the members of the groups with
+	// parallels, in sorted group order and link order within a group.
+	nd := 2 * len(m.Links)
+	p := plan{slot: make([]int32, 0, nd)}
+	slots := make(map[DirKey]int32, nd)
+	type groupAcc struct {
+		from, to string
+		size     int32
+	}
+	groupOf := make(map[[2]string]int32)
+	var groups []groupAcc // in first-seen order
+	dirGroups := make([]int32, 0, nd)
+	EachDirection(m, func(dir Direction) {
+		k := dir.Key()
+		s, ok := slots[k]
+		if !ok {
+			s = int32(len(p.dirs))
+			slots[k] = s
+			p.dirs = append(p.dirs, k)
+			p.hot = append(p.hot, d.congested[k])
+		}
+		p.slot = append(p.slot, s)
+		g, ok := groupOf[[2]string{dir.From, dir.To}]
+		if !ok {
+			g = int32(len(groups))
+			groupOf[[2]string{dir.From, dir.To}] = g
+			groups = append(groups, groupAcc{from: dir.From, to: dir.To})
+		}
+		groups[g].size++
+		dirGroups = append(dirGroups, g)
+	})
+	order := make([]int32, 0, len(groups))
+	for g := range groups {
+		if groups[g].size >= 2 { // a group without parallels is never a drain
+			order = append(order, int32(g))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		x, y := &groups[a], &groups[b]
+		if c := strings.Compare(x.from, y.from); c != 0 {
+			return c
+		}
+		return strings.Compare(x.to, y.to)
+	})
+	var n int32
+	for _, g := range order {
+		n += groups[g].size
+	}
+	p.members, p.last = make([]int32, n), make([]wmap.Load, n)
+	p.groups = make([]dirGroup, 0, len(order))
+	next := make([]int32, len(groups)) // where each group's next member goes
+	for i := range next {
+		next[i] = -1
+	}
+	n = 0
+	for _, g := range order {
+		acc := groups[g]
+		prev, ok := oldLast[[2]string{acc.from, acc.to}]
+		fresh := !ok || len(prev) != int(acc.size)
+		if !fresh {
+			copy(p.last[n:], prev)
+		}
+		p.groups = append(p.groups, dirGroup{from: acc.from, to: acc.to, start: n, end: n + acc.size, fresh: fresh})
+		next[g] = n
+		n += acc.size
+	}
+	for di, g := range dirGroups {
+		if next[g] >= 0 {
+			p.members[next[g]] = int32(di)
+			next[g]++
+		}
+	}
+
+	var names []string
 	for _, n := range m.Nodes {
 		if n.Kind == wmap.Peering {
 			names = append(names, n.Name)
 		}
 	}
 	sort.Strings(names)
-	var loads []wmap.Load
 	for _, name := range names {
-		loads = loads[:0]
-		for _, l := range m.Links {
+		start := int32(len(p.egress))
+		for i, l := range m.Links {
 			switch name {
 			case l.B:
-				loads = append(loads, l.LoadAB) // egress from the backbone side
+				p.egress = append(p.egress, int32(2*i)) // egress from the backbone side
 			case l.A:
-				loads = append(loads, l.LoadBA)
+				p.egress = append(p.egress, int32(2*i+1))
 			}
 		}
-		if len(loads) == 0 {
+		if int32(len(p.egress)) == start {
 			continue
 		}
 		tr := d.peers[name]
@@ -381,27 +498,111 @@ func (d *Detector) observeUpgrades(out []Emitted, m *wmap.Map) []Emitted {
 			tr = &UpgradeTracker{}
 			d.peers[name] = tr
 		}
-		prevCount := tr.prevCount
-		addedNow, activatedNow := tr.Observe(m.Time, loads)
-		if addedNow {
-			ev := Event{
-				Map: d.id, Type: TypeUpgrade, Time: m.Time,
-				Node: name, Delta: len(loads) - prevCount,
+		p.peers = append(p.peers, peerPlan{name: name, tr: tr, start: start, end: int32(len(p.egress))})
+	}
+	d.plan = p
+}
+
+// observeLoads runs the load-driven detectors over the snapshot through
+// the plan of its topology: congestion hysteresis per direction, the
+// make-before-break signature per parallel group, and the upgrade
+// trackers per peering, in that order. It also records the loads in the
+// detector's copy of the links.
+//
+//wm:hotpath
+func (d *Detector) observeLoads(out []Emitted, m *wmap.Map) []Emitted {
+	p, t, links := &d.plan, m.Time, m.Links
+	for i := range links {
+		d.links[i].LoadAB, d.links[i].LoadBA = links[i].LoadAB, links[i].LoadBA
+	}
+
+	for di, s := range p.slot {
+		load, hot := dirLoad(links, int32(di)), p.hot[s]
+		switch {
+		case !hot && load >= d.cfg.CongestionOn:
+			p.hot[s] = true
+			out = append(out, d.congestionEvent(TypeCongestionOnset, t, p.dirs[s], load))
+		case hot && load < d.cfg.CongestionOff:
+			p.hot[s] = false
+			out = append(out, d.congestionEvent(TypeCongestionClear, t, p.dirs[s], load))
+		}
+	}
+
+	// Maintenance: within a directed parallel group of unchanged
+	// membership, one member's load collapses from >= DrainHigh to <=
+	// DrainLow while the siblings' combined load absorbs at least half of
+	// what drained.
+	for gi := range p.groups {
+		g := &p.groups[gi]
+		members, last := p.members[g.start:g.end], p.last[g.start:g.end]
+		if !g.fresh {
+			var sumOld, sumCur int
+			for j, di := range members {
+				sumOld += int(last[j])
+				sumCur += int(dirLoad(links, di))
 			}
-			if d.db != nil {
-				for _, up := range d.db.UpgradesBetween(m.Time.Add(-d.cfg.DBWindow), m.Time.Add(d.cfg.DBWindow)) {
-					if up.Peering == name {
-						ev.Confirmed = true
-						ev.Gbps = up.GbpsAfter
-						break
-					}
+			for j, di := range members {
+				old, cur := last[j], dirLoad(links, di)
+				if old < d.cfg.DrainHigh || cur > d.cfg.DrainLow {
+					continue
 				}
+				if 2*(sumCur-int(cur)) < 2*(sumOld-int(old))+int(old) {
+					continue // the load vanished instead of moving: not make-before-break
+				}
+				out = append(out, Emitted{EmitTime: t, Event: Event{
+					Map: d.id, Type: TypeMaintenance, Time: t,
+					A: g.from, B: g.to, LabelA: dirLabel(links, di), Ordinal: j,
+					Load: old,
+				}})
 			}
-			out = append(out, Emitted{EmitTime: m.Time, Event: ev})
+		}
+		g.fresh = false
+		for j, di := range members {
+			last[j] = dirLoad(links, di)
+		}
+	}
+
+	for i := range p.peers {
+		pp := &p.peers[i]
+		loads := d.egress[:0]
+		for _, di := range p.egress[pp.start:pp.end] {
+			loads = append(loads, dirLoad(links, di))
+		}
+		d.egress = loads
+		prevCount := pp.tr.prevCount
+		addedNow, activatedNow := pp.tr.Observe(t, loads)
+		if addedNow {
+			out = append(out, d.upgradeEvent(t, pp.name, len(loads)-prevCount))
 		}
 		if activatedNow {
-			tr.Rearm()
+			pp.tr.Rearm()
 		}
 	}
 	return out
+}
+
+// congestionEvent builds a congestion onset or clear of direction k.
+func (d *Detector) congestionEvent(ty Type, t time.Time, k DirKey, load wmap.Load) Emitted {
+	return Emitted{EmitTime: t, Event: Event{
+		Map: d.id, Type: ty, Time: t,
+		A: k.From, B: k.To, LabelA: k.Label, Ordinal: k.Ordinal,
+		Load: load,
+	}}
+}
+
+// upgradeEvent builds the upgrade of the peering by delta parallel links,
+// confirmed when the PeeringDB announces a capacity change within
+// DBWindow of t.
+func (d *Detector) upgradeEvent(t time.Time, name string, delta int) Emitted {
+	ev := Event{Map: d.id, Type: TypeUpgrade, Time: t, Node: name, Delta: delta}
+	if d.db != nil {
+		for _, up := range d.db.UpgradesBetween(t.Add(-d.cfg.DBWindow), t.Add(d.cfg.DBWindow)) {
+			if up.Peering == name {
+				ev.Confirmed = true
+				ev.Gbps = up.GbpsAfter
+				break
+			}
+		}
+	}
+	return Emitted{EmitTime: t, Event: ev}
 }

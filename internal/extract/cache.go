@@ -22,6 +22,12 @@ import (
 // again persists for a long run. A fingerprint collision cannot corrupt
 // output because a hit additionally requires full geometry equality.
 //
+// A scan filled from a template (see template.go), or one whose full scan
+// stored a template, names that template in its ScanResult. The cache
+// records the template of the geometry it holds, so a result naming the
+// same template is a hit without fingerprinting or comparing anything:
+// templates are immutable and own their geometry.
+//
 // An AttributionCache is not safe for concurrent use; the worker-pool path
 // creates one per worker. It must never be copied by value — the template
 // map is spliced in place on every hit, so a copy would alias mutable
@@ -41,6 +47,8 @@ type AttributionCache struct {
 	// template is the attribution of the cached geometry; loads in its
 	// links are stale and overwritten on every hit.
 	template *wmap.Map
+	// tmpl is the scan template the cached geometry equals, if known.
+	tmpl *template
 
 	hits, misses int
 }
@@ -68,20 +76,13 @@ func (c *AttributionCache) Misses() int { return c.misses }
 // Attribute is Attribute(res, id, at, c.opt) with memoization. The returned
 // map is owned by the caller; the cache never aliases it.
 func (c *AttributionCache) Attribute(res *ScanResult, id wmap.MapID, at time.Time) (*wmap.Map, error) {
+	if c.valid && res.tmpl != nil && res.tmpl == c.tmpl {
+		return c.hit(res, id, at), nil
+	}
 	fp := fingerprintGeometry(res)
 	if c.valid && fp == c.fingerprint && c.sameGeometry(res) {
-		c.hits++
-		m := c.template.Clone()
-		m.ID = id
-		m.Time = at
-		// Attribute appends one output link per scanned link, in scan
-		// order, with LoadAB = Loads[0] and LoadBA = Loads[1]; splice the
-		// fresh loads by index.
-		for i := range m.Links {
-			m.Links[i].LoadAB = res.Links[i].Loads[0]
-			m.Links[i].LoadBA = res.Links[i].Loads[1]
-		}
-		return m, nil
+		c.tmpl = res.tmpl
+		return c.hit(res, id, at), nil
 	}
 
 	c.misses++
@@ -93,6 +94,22 @@ func (c *AttributionCache) Attribute(res *ScanResult, id wmap.MapID, at time.Tim
 	}
 	c.store(fp, res, m)
 	return m, nil
+}
+
+// hit returns the cached attribution with res's loads.
+func (c *AttributionCache) hit(res *ScanResult, id wmap.MapID, at time.Time) *wmap.Map {
+	c.hits++
+	m := c.template.Clone()
+	m.ID = id
+	m.Time = at
+	// Attribute appends one output link per scanned link, in scan order,
+	// with LoadAB = Loads[0] and LoadBA = Loads[1]; splice the fresh loads
+	// by index.
+	for i := range m.Links {
+		m.Links[i].LoadAB = res.Links[i].Loads[0]
+		m.Links[i].LoadBA = res.Links[i].Loads[1]
+	}
+	return m
 }
 
 // store replaces the cache entry with deep copies of res's geometry and the
@@ -110,6 +127,7 @@ func (c *AttributionCache) store(fp uint64, res *ScanResult, m *wmap.Map) {
 		})
 	}
 	c.template = m.Clone()
+	c.tmpl = res.tmpl
 }
 
 // sameGeometry reports whether res's geometry equals the cached entry,

@@ -2,6 +2,7 @@ package extract_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -206,5 +207,62 @@ func TestAttributionCacheErrorNotCached(t *testing.T) {
 	}
 	if c.Hits() != 1 || c.Misses() != 2 {
 		t.Errorf("hits=%d misses=%d, want 1/2", c.Hits(), c.Misses())
+	}
+}
+
+// TestAttributionCacheTemplateHits replays rendered ticks of all four maps
+// across a Europe topology change through one shared ScanResult, with one
+// cache per map. Results filled from a template hit without a geometry
+// compare; every attribution must still equal uncached Attribute, and the
+// hits and misses must equal those of a cache fed the same documents
+// through Scan, which carries no template and compares geometry.
+func TestAttributionCacheTemplateHits(t *testing.T) {
+	window := renderWindow(t, templateChange.Add(-15*time.Minute), 6)
+	opt := extract.DefaultOptions()
+	ids := wmap.AllMaps()
+	var caches, compared []*extract.AttributionCache
+	for range ids {
+		caches = append(caches, extract.NewAttributionCache(opt))
+		compared = append(compared, extract.NewAttributionCache(opt))
+	}
+	var res extract.ScanResult
+	for pass := 0; pass < 2; pass++ {
+		for k, row := range window {
+			at := templateChange.Add(time.Duration(pass*len(window)+k) * 5 * time.Minute)
+			for i, data := range row {
+				if err := extract.ScanBytesInto(&res, data, extract.ScanOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				got, err := caches[i].Attribute(&res, ids[i], at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := extract.Attribute(&res, ids[i], at, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pass %d tick %d %s: cached attribution differs from Attribute", pass, k, ids[i])
+				}
+				if !extract.CacheTemplateKnown(caches[i]) {
+					t.Fatalf("pass %d tick %d %s: cache does not know the scan's template", pass, k, ids[i])
+				}
+				plain, err := extract.Scan(bytes.NewReader(data), extract.ScanOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := compared[i].Attribute(plain, ids[i], at); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i, id := range ids {
+		c, ref := caches[i], compared[i]
+		if c.Hits() != ref.Hits() || c.Misses() != ref.Misses() {
+			t.Errorf("%s: %d hits / %d misses, geometry-compared cache %d / %d",
+				id, c.Hits(), c.Misses(), ref.Hits(), ref.Misses())
+		}
+		t.Logf("%s: %d hits / %d misses", id, c.Hits(), c.Misses())
 	}
 }

@@ -4,3 +4,7 @@ package extract
 // a stored template instead of a full scan. Test-only: the extract_test
 // package checks hit rates through it.
 func TemplateHits(r *ScanResult) int { return r.templates.hits }
+
+// CacheTemplateKnown reports whether c knows the scan template its cached
+// geometry equals, so that results filled from it hit without a compare.
+func CacheTemplateKnown(c *AttributionCache) bool { return c.tmpl != nil }

@@ -60,6 +60,9 @@ type ScanResult struct {
 	// templates are the layouts of recently scanned documents, kept across
 	// Reset for ScanBytesInto.
 	templates templateSet
+	// tmpl is the template whose geometry the result holds: the one that
+	// filled it, or the one its full scan just stored. nil when unknown.
+	tmpl *template
 }
 
 // Reset empties the result while keeping its capacity, so the worker-pool
@@ -69,6 +72,7 @@ func (r *ScanResult) Reset() {
 	r.Routers = r.Routers[:0]
 	r.Links = r.Links[:0]
 	r.Labels = r.Labels[:0]
+	r.tmpl = nil
 }
 
 // ScanError describes a structural violation found while scanning.
@@ -117,7 +121,10 @@ func Scan(r io.Reader, opt ScanOptions) (*ScanResult, error) {
 // template.go). A document that repeats one of them except in its load
 // texts and arrow fills is filled from the template without lexing, with
 // the result a full scan would produce. On such a hit the arrow polygons
-// are shared with the template, so callers must not modify them.
+// are shared with the template, so callers must not modify them. The
+// result also remembers which template its geometry came from, which lets
+// an AttributionCache skip comparing it; a caller that edits the routers,
+// arrows or labels of a result must not hand it to one.
 func ScanBytesInto(res *ScanResult, data []byte, opt ScanOptions) error {
 	res.Reset()
 	if res.templates.fill(res, data, opt) {
@@ -134,7 +141,7 @@ func scanFull(res *ScanResult, data []byte, opt ScanOptions) error {
 		return svg.StreamBytesSpans(data, fn)
 	})
 	if err == nil {
-		res.templates.add(res, rec)
+		res.tmpl = res.templates.add(res, rec)
 	}
 	rec.data = nil // don't pin the caller's buffer
 	return err

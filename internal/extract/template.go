@@ -126,18 +126,25 @@ func (r *holeRecorder) hole(kind holeKind, sp svg.Span, link, dir int) {
 }
 
 // add stores the template of the document res was just fully scanned
-// from, evicting the least recently used one when the set is full.
-func (s *templateSet) add(res *ScanResult, rec *holeRecorder) {
+// from, evicting the least recently used one when the set is full, and
+// returns it (nil when the document is ineligible).
+//
+// A template is never refilled: a ScanResult and an AttributionCache hold
+// template pointers as proof of which geometry they saw, so every stored
+// layout gets a template of its own. Only the evicted template's buffers
+// are recycled; nothing reads an evicted template's contents again.
+func (s *templateSet) add(res *ScanResult, rec *holeRecorder) *template {
 	data := rec.data
 	if !rec.ok || len(rec.holes) == 0 {
-		return
+		return nil
 	}
-	var t *template
+	t := &template{}
 	if len(s.tpls) < maxTemplates {
-		t = &template{}
 		s.tpls = append(s.tpls, t)
 	} else {
-		t = s.tpls[len(s.tpls)-1]
+		old := s.tpls[len(s.tpls)-1]
+		t.doc, t.holes, t.routers, t.arrows, t.labels = old.doc, old.holes, old.routers, old.arrows, old.labels
+		s.tpls[len(s.tpls)-1] = t
 	}
 	s.toFront(len(s.tpls) - 1)
 
@@ -163,6 +170,7 @@ func (s *templateSet) add(res *ScanResult, rec *holeRecorder) {
 		pts = append(pts, l.ArrowB...)
 		t.arrows = append(t.arrows, [2]geom.Polygon{pts[a:b:b], pts[b:len(pts):len(pts)]})
 	}
+	return t
 }
 
 // fill fills the Reset res from the first stored template data matches,
@@ -174,6 +182,7 @@ func (s *templateSet) fill(res *ScanResult, data []byte, opt ScanOptions) bool {
 		if t.fill(res, data, opt, s) {
 			s.toFront(i)
 			s.hits++
+			res.tmpl = t
 			return true
 		}
 	}

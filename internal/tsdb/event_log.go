@@ -97,16 +97,11 @@ func (w *Writer) detector(id wmap.MapID) *events.Detector {
 }
 
 // evObserve feeds one appended snapshot to the map's detector and pends
-// whatever became final. The detector retains the snapshot for diffing, so
-// it gets a clone — Append's caller keeps ownership of m.
+// whatever became final. The detector copies what it keeps of m, so
+// Append's caller keeps ownership of it.
 func (w *Writer) evObserve(m *wmap.Map) {
-	c := &wmap.Map{
-		ID: m.ID, Time: m.Time,
-		Nodes: append([]wmap.Node(nil), m.Nodes...),
-		Links: append([]wmap.Link(nil), m.Links...),
-	}
-	for _, e := range w.detector(c.ID).Observe(c) {
-		w.evPending[c.ID] = append(w.evPending[c.ID], e.Event)
+	for _, e := range w.detector(m.ID).Observe(m) {
+		w.evPending[m.ID] = append(w.evPending[m.ID], e.Event)
 	}
 }
 
@@ -168,12 +163,11 @@ func (w *Writer) rebuildEvents() error {
 		if !ok {
 			fr = -1
 		}
+		// One map per block: the detector keeps no reference to it, so
+		// each point only rewrites the time and the loads.
+		m := &wmap.Map{ID: id, Nodes: topo.nodes, Links: append([]wmap.Link(nil), topo.links...)}
 		for pi, t := range db.times {
-			m := &wmap.Map{
-				ID: id, Time: time.Unix(t, 0).UTC(),
-				Nodes: append([]wmap.Node(nil), topo.nodes...),
-				Links: append([]wmap.Link(nil), topo.links...),
-			}
+			m.Time = time.Unix(t, 0).UTC()
 			for li := range m.Links {
 				m.Links[li].LoadAB = db.cols[2*li][pi]
 				m.Links[li].LoadBA = db.cols[2*li+1][pi]

@@ -36,11 +36,40 @@ type blockMeta struct {
 	links      int
 }
 
-// openBlock accumulates one map's current window before encoding.
+// openBlock accumulates one map's current window before encoding. Its 2L
+// load columns (link i stores AB at column 2i, BA at 2i+1) share one slab
+// and grow together, so a point allocates only when every column is full.
 type openBlock struct {
 	topoIndex int
 	times     []int64
-	cols      [][]uint8 // 2L columns: link i stores AB at 2i, BA at 2i+1
+	ncols     int
+	stride    int     // points each column has room for
+	loads     []uint8 // column c holds its points at loads[c*stride:]
+}
+
+// col returns column c's points.
+func (ob *openBlock) col(c int) []uint8 {
+	return ob.loads[c*ob.stride : c*ob.stride+len(ob.times)]
+}
+
+// add appends one point: the snapshot time and the links' loads.
+//
+//wm:hotpath
+func (ob *openBlock) add(t int64, links []wmap.Link) {
+	n := len(ob.times)
+	if n == ob.stride {
+		stride := max(2*ob.stride, 1)
+		loads := make([]uint8, ob.ncols*stride)
+		for c := 0; c < ob.ncols; c++ {
+			copy(loads[c*stride:], ob.col(c))
+		}
+		ob.loads, ob.stride = loads, stride
+	}
+	for i := range links {
+		ob.loads[2*i*ob.stride+n] = uint8(links[i].LoadAB)
+		ob.loads[(2*i+1)*ob.stride+n] = uint8(links[i].LoadBA)
+	}
+	ob.times = append(ob.times, t)
 }
 
 // ArchiveStats summarizes an archive for logs, tests, and benchmarks.
@@ -400,8 +429,20 @@ func (w *Writer) intern(s string) uint64 {
 }
 
 // internTopology returns the dictionary index of the snapshot's topology,
-// adding a new entry (and interning its strings) when unseen.
+// adding a new entry (and interning its strings) when unseen. The map's
+// current topology, that of its open block or else of its rollup run, is
+// tried first: between topology changes it matches, and the skeleton is
+// never hashed.
 func (w *Writer) internTopology(m *wmap.Map) (int, error) {
+	cur := -1
+	if ob := w.open[m.ID]; ob != nil {
+		cur = ob.topoIndex
+	} else if accs := w.accs[m.ID]; len(accs) > 0 && accs[0].run != nil {
+		cur = accs[0].run.topoIndex
+	}
+	if cur >= 0 && w.topos[cur].equalMap(m) {
+		return cur, nil
+	}
 	fp := fingerprintTopology(m.Nodes, m.Links)
 	for _, i := range w.topoByFP[fp] {
 		if w.topos[i].equalMap(m) {
@@ -498,14 +539,10 @@ func (w *Writer) Append(m *wmap.Map) error {
 		}
 	}
 	if ob == nil {
-		ob = &openBlock{topoIndex: ti, cols: make([][]uint8, 2*len(m.Links))}
+		ob = &openBlock{topoIndex: ti, ncols: 2 * len(m.Links)}
 		w.open[m.ID] = ob
 	}
-	ob.times = append(ob.times, t)
-	for i, l := range m.Links {
-		ob.cols[2*i] = append(ob.cols[2*i], uint8(l.LoadAB))
-		ob.cols[2*i+1] = append(ob.cols[2*i+1], uint8(l.LoadBA))
-	}
+	ob.add(t, m.Links)
 	if w.rollupEnabled() {
 		w.rollupAdd(m.ID, ti, t, m.Links)
 	}
@@ -555,8 +592,8 @@ func (w *Writer) flushBlock(id wmap.MapID, ob *openBlock) error {
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	L := len(ob.cols) / 2
-	payload := make([]byte, 0, 32+4*len(ob.cols)+n+n*len(ob.cols)/4)
+	L := ob.ncols / 2
+	payload := make([]byte, 0, 32+4*ob.ncols+n+n*ob.ncols/4)
 	payload = binary.AppendUvarint(payload, w.intern(string(id)))
 	payload = binary.AppendUvarint(payload, uint64(ob.topoIndex))
 	payload = binary.AppendUvarint(payload, uint64(ob.times[0]))
@@ -567,23 +604,26 @@ func (w *Writer) flushBlock(id wmap.MapID, ob *openBlock) error {
 	for i := 1; i < n; i++ {
 		timeCol = binary.AppendUvarint(timeCol, uint64(ob.times[i]-ob.times[i-1]))
 	}
-	colBufs := make([][]byte, len(ob.cols))
-	for c, col := range ob.cols {
-		buf := make([]byte, 0, len(col)+1)
-		buf = binary.AppendUvarint(buf, uint64(col[0]))
+	// The columns are encoded back to back into one buffer; ends[c] is
+	// where column c's encoding stops.
+	colData := make([]byte, 0, ob.ncols*(n+1))
+	ends := make([]int, ob.ncols)
+	for c := range ends {
+		col := ob.col(c)
+		colData = binary.AppendUvarint(colData, uint64(col[0]))
 		for i := 1; i < len(col); i++ {
-			buf = binary.AppendVarint(buf, int64(col[i])-int64(col[i-1]))
+			colData = binary.AppendVarint(colData, int64(col[i])-int64(col[i-1]))
 		}
-		colBufs[c] = buf
+		ends[c] = len(colData)
 	}
 	payload = binary.AppendUvarint(payload, uint64(len(timeCol)))
-	for _, cb := range colBufs {
-		payload = binary.AppendUvarint(payload, uint64(len(cb)))
+	start := 0
+	for _, end := range ends {
+		payload = binary.AppendUvarint(payload, uint64(end-start))
+		start = end
 	}
 	payload = append(payload, timeCol...)
-	for _, cb := range colBufs {
-		payload = append(payload, cb...)
-	}
+	payload = append(payload, colData...)
 	if len(payload) > math.MaxInt32 {
 		return fmt.Errorf("tsdb: block payload of %d bytes exceeds the frame limit", len(payload))
 	}

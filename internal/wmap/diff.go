@@ -72,47 +72,63 @@ func Compare(old, new *Map) *Diff {
 	sort.Slice(d.NodesAdded, func(i, j int) bool { return d.NodesAdded[i].Name < d.NodesAdded[j].Name })
 	sort.Slice(d.NodesRemoved, func(i, j int) bool { return d.NodesRemoved[i].Name < d.NodesRemoved[j].Name })
 
-	oldLinks := make(map[linkIdentity]int)
-	type loadPair struct{ ab, ba Load }
-	oldLoads := make(map[linkIdentity][]loadPair)
-	for _, l := range old.Links {
-		id := identityOf(l)
-		oldLinks[id]++
-		ab, ba := l.LoadAB, l.LoadBA
-		if l.A > l.B {
-			ab, ba = ba, ab // normalize to the identity's endpoint order
-		}
-		oldLoads[id] = append(oldLoads[id], loadPair{ab, ba})
+	// Links are diffed as multisets per identity. Each identity's old
+	// loads queue up in one flat slice, in old link order, for the load
+	// change accounting.
+	type idAcc struct {
+		id         linkIdentity
+		old, new   int
+		head, tail int // the identity's unmatched old loads are loads[head:tail]
 	}
-	newLinks := make(map[linkIdentity]int)
-	for _, l := range new.Links {
+	type loadPair struct{ ab, ba Load }
+	normalized := func(l Link) loadPair {
+		if l.A > l.B {
+			return loadPair{l.LoadBA, l.LoadAB} // the identity's endpoint order
+		}
+		return loadPair{l.LoadAB, l.LoadBA}
+	}
+	index := make(map[linkIdentity]int, len(old.Links))
+	accs := make([]idAcc, 0, len(old.Links))
+	accOf := func(l Link) *idAcc {
 		id := identityOf(l)
-		newLinks[id]++
+		k, ok := index[id]
+		if !ok {
+			k = len(accs)
+			index[id] = k
+			accs = append(accs, idAcc{id: id})
+		}
+		return &accs[k]
+	}
+	for _, l := range old.Links {
+		accOf(l).old++
+	}
+	off := 0
+	for k := range accs {
+		accs[k].head, accs[k].tail = off, off
+		off += accs[k].old
+	}
+	loads := make([]loadPair, len(old.Links))
+	for _, l := range old.Links {
+		a := accOf(l)
+		loads[a.tail] = normalized(l)
+		a.tail++
+	}
+	for _, l := range new.Links {
+		a := accOf(l)
+		a.new++
 		// Load change accounting: match against the old multiset in order,
 		// with both sides normalized to the identity's endpoint order.
-		if lp := oldLoads[id]; len(lp) > 0 {
-			ab, ba := l.LoadAB, l.LoadBA
-			if l.A > l.B {
-				ab, ba = ba, ab
-			}
-			if lp[0].ab != ab || lp[0].ba != ba {
+		if a.head < a.tail {
+			if loads[a.head] != normalized(l) {
 				d.LoadChanges++
 			}
-			oldLoads[id] = lp[1:]
+			a.head++
 		}
 	}
 
-	ids := make(map[linkIdentity]struct{})
-	for id := range oldLinks {
-		ids[id] = struct{}{}
-	}
-	for id := range newLinks {
-		ids[id] = struct{}{}
-	}
-	for id := range ids {
-		delta := newLinks[id] - oldLinks[id]
-		ld := LinkDelta{A: id.a, B: id.b, LabelA: id.la, LabelB: id.lb}
-		switch {
+	for _, a := range accs {
+		ld := LinkDelta{A: a.id.a, B: a.id.b, LabelA: a.id.la, LabelB: a.id.lb}
+		switch delta := a.new - a.old; {
 		case delta > 0:
 			ld.Count = delta
 			d.LinksAdded = append(d.LinksAdded, ld)
@@ -129,7 +145,10 @@ func Compare(old, new *Map) *Diff {
 			if s[i].B != s[j].B {
 				return s[i].B < s[j].B
 			}
-			return s[i].LabelA < s[j].LabelA
+			if s[i].LabelA != s[j].LabelA {
+				return s[i].LabelA < s[j].LabelA
+			}
+			return s[i].LabelB < s[j].LabelB
 		})
 	}
 	sortDeltas(d.LinksAdded)

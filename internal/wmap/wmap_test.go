@@ -414,6 +414,32 @@ func TestCompareOrientationInsensitive(t *testing.T) {
 	}
 }
 
+// TestCompareDeltaOrder requires link deltas that differ only in LabelB
+// to come out in LabelB order on every call: Compare collects them by
+// ranging over a map, so any tie left to the sort shows as random order.
+func TestCompareDeltaOrder(t *testing.T) {
+	small := &Map{Nodes: []Node{{Name: "a", Kind: Router}, {Name: "b", Kind: Router}}}
+	big := small.Clone()
+	for _, lb := range []string{"r", "p", "q"} {
+		big.Links = append(big.Links, Link{A: "a", B: "b", LabelA: "x", LabelB: lb})
+	}
+	order := func(ds []LinkDelta) string {
+		var s string
+		for _, d := range ds {
+			s += d.LabelB
+		}
+		return s
+	}
+	for i := 0; i < 200; i++ {
+		if got := order(Compare(small, big).LinksAdded); got != "pqr" {
+			t.Fatalf("call %d: LinksAdded in LabelB order %q, want \"pqr\"", i, got)
+		}
+		if got := order(Compare(big, small).LinksRemoved); got != "pqr" {
+			t.Fatalf("call %d: LinksRemoved in LabelB order %q, want \"pqr\"", i, got)
+		}
+	}
+}
+
 func TestLoadColorBands(t *testing.T) {
 	for l := Load(0); l <= 100; l++ {
 		c := LoadColor(l)
