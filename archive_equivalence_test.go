@@ -18,6 +18,7 @@ import (
 	"ovhweather/internal/extract"
 	"ovhweather/internal/netsim"
 	"ovhweather/internal/render"
+	"ovhweather/internal/routing"
 	"ovhweather/internal/tsdb"
 	"ovhweather/internal/wmap"
 )
@@ -46,26 +47,32 @@ func TestArchiveEquivalence(t *testing.T) {
 	}
 	cache := render.NewSceneCache(render.Options{})
 
-	// Render: 6 hours at 5-minute steps, all maps, plus one corrupted Europe
+	// Render: 6 hours at 5-minute steps, all maps; one Europe hour across
+	// the 2020-10-02 decommission, so that the churn, site growth and path
+	// figures have a topology change to report; and one corrupted Europe
 	// file the pipeline must reject without emitting.
-	from := sc.Start.AddDate(0, 2, 0)
-	steps := 0
-	for at := from; at.Before(from.Add(6 * time.Hour)); at = at.Add(5 * time.Minute) {
-		for _, id := range wmap.AllMaps() {
-			m, err := sim.MapAt(id, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			if err := cache.WriteSVGCached(&sb, m); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.WriteSnapshot(id, at, dataset.ExtSVG, []byte(sb.String())); err != nil {
-				t.Fatal(err)
+	steps := map[wmap.MapID]int{}
+	renderWindow := func(ids []wmap.MapID, from time.Time, d time.Duration) {
+		for at := from; at.Before(from.Add(d)); at = at.Add(5 * time.Minute) {
+			for _, id := range ids {
+				m, err := sim.MapAt(id, at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				if err := cache.WriteSVGCached(&sb, m); err != nil {
+					t.Fatal(err)
+				}
+				if err := store.WriteSnapshot(id, at, dataset.ExtSVG, []byte(sb.String())); err != nil {
+					t.Fatal(err)
+				}
+				steps[id]++
 			}
 		}
-		steps++
 	}
+	from := sc.Start.AddDate(0, 2, 0)
+	renderWindow(wmap.AllMaps(), from, 6*time.Hour)
+	renderWindow([]wmap.MapID{wmap.Europe}, time.Date(2020, time.October, 1, 23, 30, 0, 0, time.UTC), time.Hour)
 	badAt := from.Add(6 * time.Hour)
 	{
 		m, err := sim.MapAt(wmap.Europe, badAt)
@@ -98,16 +105,19 @@ func TestArchiveEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Processed != steps {
-			t.Fatalf("%s: processed = %d, want %d", id, rep.Processed, steps)
+		if rep.Processed != steps[id] {
+			t.Fatalf("%s: processed = %d, want %d", id, rep.Processed, steps[id])
 		}
 	}
 	if err := wA.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := wA.Stats().Snapshots; got != steps*len(wmap.AllMaps()) {
-		t.Fatalf("archive snapshots = %d, want %d (the corrupted file must not be emitted)",
-			got, steps*len(wmap.AllMaps()))
+	total := 0
+	for _, n := range steps {
+		total += n
+	}
+	if got := wA.Stats().Snapshots; got != total {
+		t.Fatalf("archive snapshots = %d, want %d (the corrupted file must not be emitted)", got, total)
 	}
 
 	// Path B: re-archive the on-disk YAML corpus.
@@ -198,6 +208,9 @@ func TestArchiveEquivalence(t *testing.T) {
 		return cur.Err()
 	}
 	want := renderAnalyses(t, yamlStream)
+	if !strings.Contains(want, "2020-10-01 -> 2020-10-02") || strings.Contains(want, "no site-level changes") {
+		t.Fatalf("the YAML figures show no decommission, so comparing them proves nothing:\n%s", want)
+	}
 	if got := renderAnalyses(t, tsdbStream); got != want {
 		t.Errorf("analysis output diverges between tsdb and YAML paths:\n--- tsdb ---\n%s\n--- yaml ---\n%s", got, want)
 	}
@@ -248,14 +261,10 @@ func renderAnalyses(t *testing.T, stream analysis.Stream) string {
 		t.Fatal(err)
 	}
 	analysis.WriteInfraSeries(&sb, infra, time.Hour)
-	// The studies that now fold through the shared event-detector
-	// primitives (events.ChurnTracker, EachDirection, UpgradeTracker):
-	// their figures must stay byte-identical across every ingest path.
-	churn, err := analysis.ChurnStudy(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analysis.WriteChurn(&sb, churn)
+	// The studies that fold through the shared event-detector primitives
+	// (events.ChurnTracker, wmap.Topology, UpgradeTracker): their figures
+	// must stay byte-identical across every ingest path.
+	sb.WriteString(renderTopologyStudies(t, stream))
 	cong, err := analysis.CongestionStudy(stream, analysis.DefaultCongestionOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -448,4 +457,107 @@ func TestLiveArchiveEquivalence(t *testing.T) {
 	if got, want := renderAnalyses(t, liveStream), renderAnalyses(t, yamlStream); got != want {
 		t.Errorf("figures from the follow-mode archive diverge from the YAML analyses:\n--- live ---\n%s\n--- yaml ---\n%s", got, want)
 	}
+}
+
+// TestStudiesOverMapView runs the topology-change studies over two days of
+// hourly Europe snapshots across the 2020-10-02 decommission and the
+// 2020-10-03 peering links, once through owned
+// snapshots (Cursor.Map) and once through the cursor's reused view
+// (Cursor.MapView, the wmanalyze -archive stream). A study that keeps a
+// yielded map sees the view overwritten under it, diffs every snapshot
+// against itself and reports no change; each must render the same figures
+// from both streams, and those figures must show the decommission.
+func TestStudiesOverMapView(t *testing.T) {
+	sim, err := netsim.New(netsim.DefaultScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := tsdb.NewWriter(&buf)
+	from := time.Date(2020, time.October, 1, 12, 0, 0, 0, time.UTC)
+	for at := from; at.Before(from.Add(48 * time.Hour)); at = at.Add(time.Hour) {
+		m, err := sim.MapAt(wmap.Europe, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := tsdb.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func(view bool) analysis.Stream {
+		return func(yield func(*wmap.Map) error) error {
+			cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 2)
+			defer cur.Close()
+			for cur.Next() {
+				m := cur.Map()
+				if view {
+					m = cur.MapView()
+				}
+				if err := yield(m); err != nil {
+					return err
+				}
+			}
+			return cur.Err()
+		}
+	}
+
+	churn, err := analysis.ChurnStudy(stream(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(churn.Events) != 2 {
+		t.Fatalf("owned snapshots: %d churn events, want 2 (the decommission and the monthly peering links)", len(churn.Events))
+	}
+	want := renderTopologyStudies(t, stream(false))
+	for _, site := range []string{"lon ", "ath ", "cph "} {
+		if !strings.Contains(want, "  "+site) {
+			t.Errorf("owned snapshots: site growth does not show %q:\n%s", site, want)
+		}
+	}
+	if got := renderTopologyStudies(t, stream(true)); got != want {
+		t.Errorf("studies over Cursor.MapView diverge from Cursor.Map:\n--- view ---\n%s\n--- owned ---\n%s", got, want)
+	}
+}
+
+// renderTopologyStudies renders the studies that compare snapshots with
+// earlier ones: churn, per-site growth and path stability between routers
+// of the stream's first snapshot.
+func renderTopologyStudies(t *testing.T, stream analysis.Stream) string {
+	t.Helper()
+	var sb strings.Builder
+	churn, err := analysis.ChurnStudy(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysis.WriteChurn(&sb, churn)
+	growth, err := analysis.SiteGrowthStudy(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysis.WriteSiteGrowth(&sb, growth, 0)
+	var pairs [][2]string
+	if err := stream(func(m *wmap.Map) error {
+		if pairs == nil {
+			routers := routing.NewGraph(m).Routers()
+			for i := 0; i+1 < len(routers); i += 7 {
+				pairs = append(pairs, [2]string{routers[i], routers[len(routers)-1-i]})
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := analysis.PathStabilityStudy(stream, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analysis.WritePathStability(&sb, paths)
+	return sb.String()
 }

@@ -269,7 +269,7 @@ func run(cfg config) error {
 		}
 		analysis.WriteInfraSeries(out, infra, 60*24*time.Hour)
 		var last *wmap.Map
-		if err := stream(sc.End, sc.End, time.Hour)(func(m *wmap.Map) error { last = m; return nil }); err != nil {
+		if err := stream(sc.End, sc.End, time.Hour)(func(m *wmap.Map) error { last = m.Clone(); return nil }); err != nil {
 			return err
 		}
 		if last != nil {

@@ -539,6 +539,49 @@ func TestChurnStudy(t *testing.T) {
 	}
 }
 
+// TestChurnStudyMatchesCompare feeds ChurnStudy hourly Europe snapshots
+// across the October 2020 decommission through one reused map, as
+// Cursor.MapView does, and requires exactly the Diffs, LoadChanges
+// included, that wmap.Compare gives on every pair of owned consecutive
+// snapshots.
+func TestChurnStudyMatchesCompare(t *testing.T) {
+	var owned []*wmap.Map
+	from := time.Date(2020, time.October, 1, 12, 0, 0, 0, time.UTC)
+	if err := simStream(t, wmap.Europe, from, from.Add(47*time.Hour), time.Hour)(func(m *wmap.Map) error {
+		owned = append(owned, m)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var want []ChurnEvent
+	for i := 1; i < len(owned); i++ {
+		if d := wmap.Compare(owned[i-1], owned[i]); !d.Empty() {
+			want = append(want, ChurnEvent{From: owned[i-1].Time, To: owned[i].Time, Diff: d})
+		}
+	}
+	if len(want) != 2 || want[0].Diff.LoadChanges == 0 {
+		t.Fatalf("window holds %d changes (load changes %+v); want the decommission and the peering links", len(want), want)
+	}
+	view := &wmap.Map{}
+	got, err := ChurnStudy(func(yield func(*wmap.Map) error) error {
+		for _, m := range owned {
+			view.ID, view.Time = m.ID, m.Time
+			view.Nodes = append(view.Nodes[:0], m.Nodes...)
+			view.Links = append(view.Links[:0], m.Links...)
+			if err := yield(view); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Events, want) {
+		t.Errorf("ChurnStudy over a reused map:\n got %+v\nwant %+v", got.Events, want)
+	}
+}
+
 func TestPathStabilityStudy(t *testing.T) {
 	// A stable window, then the October 2020 decommission: any reroute in
 	// the change interval must be flagged as topology-correlated.

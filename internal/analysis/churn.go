@@ -30,12 +30,13 @@ type ChurnView struct {
 func ChurnStudy(src Stream) (*ChurnView, error) {
 	view := &ChurnView{}
 	var tr events.ChurnTracker
+	var prev time.Time
 	err := src(func(m *wmap.Map) error {
 		view.Snapshots++
-		prev := tr.Prev()
-		if d := tr.Observe(m); d != nil {
-			view.Events = append(view.Events, ChurnEvent{From: prev.Time, To: m.Time, Diff: d})
+		if d, _ := tr.Observe(m); d != nil {
+			view.Events = append(view.Events, ChurnEvent{From: prev, To: m.Time, Diff: d})
 		}
+		prev = m.Time
 		return nil
 	})
 	if err != nil {

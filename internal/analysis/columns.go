@@ -60,39 +60,40 @@ func columnsOf(src Stream) ColumnStream {
 }
 
 // ImbalanceCDFColumns is ImbalanceCDF over a column stream: one scan of the
-// archive feeds every directed parallel set. A chunk's topology is grouped
-// into directed sets once (setIndex) and reused for as long as the following
-// chunks keep it, so the per-snapshot work is only filter and min/max over
-// the load columns, in the order wmap.Imbalances visits them.
+// archive feeds every directed parallel set. A chunk's topology is indexed
+// once (wmap.Topology) and reused for as long as the following chunks keep
+// it, so the per-snapshot work is only filter and min/max over the load
+// columns, in the order wmap.Imbalances visits them.
 func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
 	var internal, external stats.PercentHist
-	var lastParallelism float64
-	var ix setIndex
-	var topo []wmap.Link
+	var topo *wmap.Topology
+	var indexed, cur wmap.Map // the links topo indexes, and the chunk's
 	err := src(func(c *LinkColumns) error {
 		if len(c.Times) == 0 {
 			return nil
 		}
-		topo = topo[:0]
+		cur.Links = cur.Links[:0]
 		for i := range c.Links {
-			topo = append(topo, c.Links[i].Link)
+			cur.Links = append(cur.Links, c.Links[i].Link)
 		}
-		if !sameTopology(topo, ix.links) {
-			ix.build(topo)
+		if topo == nil || !wmap.SameSkeleton(&indexed, &cur) {
+			indexed.Links = append(indexed.Links[:0], cur.Links...)
+			topo = wmap.NewTopology(nil, cur.Links)
 		}
 		for k := range c.Times {
-			ix.fold(c, k, opt, &internal, &external)
+			foldImbalance(topo, c, k, opt, &internal, &external)
 		}
-		lastParallelism = ix.parallelism
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	view := &ImbalanceView{
-		IntSets:         internal.Len(),
-		ExtSets:         external.Len(),
-		MeanParallelism: lastParallelism,
+		IntSets: internal.Len(),
+		ExtSets: external.Len(),
+	}
+	if topo != nil {
+		view.MeanParallelism = topo.MeanParallelism()
 	}
 	if internal.Len() > 0 {
 		if view.Internal, err = internal.CDF(); err != nil {
@@ -109,75 +110,23 @@ func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*Imbalanc
 	return view, nil
 }
 
-// setIndex is one topology's directed parallel sets, laid out for the
-// column fold: sets in wmap.Imbalances order (ParallelGroups order, A→B
-// before B→A), each naming the load columns of its links. The zero value
-// indexes the empty topology.
-type setIndex struct {
-	links       []wmap.Link // the topology indexed (identity fields are what count)
-	sets        []dirSet
-	members     []colRef // every set's columns, back to back
-	parallelism float64  // wmap.Map.MeanParallelism of the topology
-}
-
-// dirSet is one directed set: members[lo:hi] are its links' columns.
-type dirSet struct {
-	internal bool
-	lo, hi   int
-}
-
-// colRef is one link of a directed set: its column, and whether the set
-// reads the link's BA load rather than its AB load.
-type colRef struct {
-	col int
-	ba  bool
-}
-
-// build indexes links. The grouping itself is wmap's: ParallelGroups runs
-// over a copy of the topology whose LoadAB carries each link's column
-// index, so the sets come out in exactly the order Imbalances walks them.
-func (ix *setIndex) build(links []wmap.Link) {
-	ix.links = append(ix.links[:0], links...)
-	tagged := &wmap.Map{Links: make([]wmap.Link, len(links))}
-	for i, l := range links {
-		l.LoadAB = wmap.Load(i)
-		tagged.Links[i] = l
-	}
-	ix.sets, ix.members = ix.sets[:0], ix.members[:0]
-	for _, g := range tagged.ParallelGroups() {
-		internal := wmap.KindOfName(g.A) == wmap.Router && wmap.KindOfName(g.B) == wmap.Router
-		for _, from := range [2]string{g.A, g.B} {
-			lo := len(ix.members)
-			for _, l := range g.Links {
-				// DirectedLoads' rule: AB when from is the link's A, else
-				// BA when it is its B.
-				switch from {
-				case l.A:
-					ix.members = append(ix.members, colRef{col: int(l.LoadAB)})
-				case l.B:
-					ix.members = append(ix.members, colRef{col: int(l.LoadAB), ba: true})
-				}
-			}
-			ix.sets = append(ix.sets, dirSet{internal: internal, lo: lo, hi: len(ix.members)})
-		}
-	}
-	ix.parallelism = tagged.MeanParallelism()
-}
-
-// fold adds snapshot k of c to the histograms: for each directed set, the
-// spread of its loads that survive opt's filters, as wmap.Imbalances
-// computes it. A set with a load outside [0, 100] adds -1 instead, which
-// the histogram rejects, since its spread alone could still look valid.
+// foldImbalance adds snapshot k of c, whose topology t indexes, to the
+// histograms: for each directed set, the spread of its loads that survive
+// opt's filters, as wmap.Imbalances computes it. A set with a load outside
+// [0, 100] adds -1 instead, which the histogram rejects, since its spread
+// alone could still look valid.
 //
 //wm:hotpath
-func (ix *setIndex) fold(c *LinkColumns, k int, opt wmap.ImbalanceOptions, internal, external *stats.PercentHist) {
-	for _, s := range ix.sets {
+func foldImbalance(t *wmap.Topology, c *LinkColumns, k int, opt wmap.ImbalanceOptions, internal, external *stats.PercentHist) {
+	sets := t.Sets()
+	for i := range sets {
+		s := &sets[i]
 		var n int
 		var mn, mx wmap.Load
-		for _, r := range ix.members[s.lo:s.hi] {
-			l := c.Links[r.col].AB[k]
-			if r.ba {
-				l = c.Links[r.col].BA[k]
+		for _, di := range s.Dirs {
+			l := c.Links[di>>1].AB[k]
+			if di&1 != 0 {
+				l = c.Links[di>>1].BA[k]
 			}
 			if (opt.IgnoreZero && l == 0) || (opt.IgnoreOne && l == 1) {
 				continue
@@ -197,30 +146,12 @@ func (ix *setIndex) fold(c *LinkColumns, k int, opt wmap.ImbalanceOptions, inter
 		if !mn.Valid() || !mx.Valid() {
 			v = -1
 		}
-		if s.internal {
+		if s.Internal {
 			internal.Add(v)
 		} else {
 			external.Add(v)
 		}
 	}
-}
-
-// sameTopology reports whether a and b list the same links in the same
-// order, by the identity fields (A, B, LabelA, LabelB) — all that the
-// parallel grouping and events.EachDirection read. Snapshots decoded from
-// one stored topology share its strings, so an unchanged topology compares
-// at pointer speed.
-func sameTopology(a, b []wmap.Link) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := &a[i], &b[i]
-		if x.A != y.A || x.B != y.B || x.LabelA != y.LabelA || x.LabelB != y.LabelB {
-			return false
-		}
-	}
-	return true
 }
 
 // WeeklyLoadsColumns is the week-cycle fold: every directed load, grouped

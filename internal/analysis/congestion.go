@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"ovhweather/internal/events"
 	"ovhweather/internal/wmap"
 )
 
@@ -54,30 +53,31 @@ type CongestionView struct {
 
 // CongestionStudy consumes a stream and reports occasional congestion
 // (fraction of hot readings, Figure 5b's tail) and the links that are hot
-// persistently. Direction enumeration and parallel-ordinal assignment are
-// events.EachDirection — the same walk the live congestion detector runs,
-// so offline and live agree on which physical direction is which. The walk
-// runs once per topology: it resolves every direction's accumulator into a
-// slice the following snapshots index by link position.
+// persistently. Directions are identified by wmap.DirKey, as the live
+// congestion detector identifies them, so offline and live agree on which
+// physical direction is which. Each topology is indexed once
+// (wmap.Topology): every direction's accumulator is resolved into a slice
+// the following snapshots index by link position.
 func CongestionStudy(src Stream, opt CongestionOptions) (*CongestionView, error) {
-	counts := make(map[events.DirKey]*dirAcc)
+	counts := make(map[wmap.DirKey]*dirAcc)
 	view := &CongestionView{Options: opt}
-	var topo []wmap.Link // the topology dirs resolves
+	var indexed wmap.Map // the skeleton dirs resolves
 	var dirs []*dirAcc   // link i's AB accumulator at 2i, BA at 2i+1
 
 	err := src(func(m *wmap.Map) error {
 		view.Snapshots++
-		if !sameTopology(m.Links, topo) {
-			topo = append(topo[:0], m.Links...)
+		if !wmap.SameSkeleton(&indexed, m) {
+			indexed.Nodes = append(indexed.Nodes[:0], m.Nodes...)
+			indexed.Links = append(indexed.Links[:0], m.Links...)
 			dirs = dirs[:0]
-			events.EachDirection(m, func(dir events.Direction) {
-				a := counts[dir.Key()]
+			for _, k := range wmap.NewTopology(nil, m.Links).Keys() {
+				a := counts[k]
 				if a == nil {
 					a = &dirAcc{}
-					counts[dir.Key()] = a
+					counts[k] = a
 				}
 				dirs = append(dirs, a)
-			})
+			}
 		}
 		observeDirections(m.Links, dirs, opt.Threshold, view)
 		return nil

@@ -8,39 +8,51 @@ import (
 	"testing"
 	"time"
 
-	"ovhweather/internal/events"
 	"ovhweather/internal/wmap"
 )
 
 // referenceCongestion is CongestionStudy as it was before the direction
-// index: events.EachDirection and a DirKey lookup for every snapshot. The
-// indexed fold must agree with it exactly.
+// index: a walk over both directions of every link and a DirKey lookup for
+// every snapshot. The walk's ordinal counter for an endpoint pair advances
+// once per physical link, in both orientations. The indexed fold must
+// agree with it exactly.
 func referenceCongestion(src Stream, opt CongestionOptions) (*CongestionView, error) {
 	type acc struct {
 		hot, seen int
 		peak      wmap.Load
 	}
-	counts := make(map[events.DirKey]*acc)
+	counts := make(map[wmap.DirKey]*acc)
 	view := &CongestionView{Options: opt}
 
 	err := src(func(m *wmap.Map) error {
 		view.Snapshots++
-		events.EachDirection(m, func(dir events.Direction) {
-			a := counts[dir.Key()]
-			if a == nil {
-				a = &acc{}
-				counts[dir.Key()] = a
+		ordinals := make(map[[2]string]int)
+		for _, l := range m.Links {
+			for _, dir := range []struct {
+				key  wmap.DirKey
+				load wmap.Load
+			}{
+				{wmap.DirKey{From: l.A, To: l.B, Label: l.LabelA, Ordinal: ordinals[[2]string{l.A, l.B}]}, l.LoadAB},
+				{wmap.DirKey{From: l.B, To: l.A, Label: l.LabelB, Ordinal: ordinals[[2]string{l.B, l.A}]}, l.LoadBA},
+			} {
+				a := counts[dir.key]
+				if a == nil {
+					a = &acc{}
+					counts[dir.key] = a
+				}
+				a.seen++
+				view.Observations++
+				if dir.load >= opt.Threshold {
+					a.hot++
+					view.HotReadings++
+				}
+				if dir.load > a.peak {
+					a.peak = dir.load
+				}
 			}
-			a.seen++
-			view.Observations++
-			if dir.Load >= opt.Threshold {
-				a.hot++
-				view.HotReadings++
-			}
-			if dir.Load > a.peak {
-				a.peak = dir.Load
-			}
-		})
+			ordinals[[2]string{l.A, l.B}]++
+			ordinals[[2]string{l.B, l.A}]++
+		}
 		return nil
 	})
 	if err != nil {

@@ -10,7 +10,10 @@ import (
 )
 
 // Stream produces snapshots in chronological order, invoking yield for
-// each; it stops early when yield errors.
+// each; it stops early when yield errors. The map passed to yield may be a
+// view that is valid only until the next call (tsdb's Cursor.MapView
+// overwrites one map for every snapshot): a fold must neither keep it nor
+// mutate it, and copies what it needs past the call.
 type Stream func(yield func(*wmap.Map) error) error
 
 // SliceStream adapts an in-memory snapshot list to a Stream.

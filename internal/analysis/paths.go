@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"time"
 
+	"ovhweather/internal/events"
 	"ovhweather/internal/routing"
 	"ovhweather/internal/wmap"
 )
@@ -43,16 +44,14 @@ func PathStabilityStudy(src Stream, pairs [][2]string) (*PathStabilityView, erro
 	}
 	view := &PathStabilityView{Pairs: len(pairs)}
 	prevPaths := make(map[[2]string]routing.Path)
-	var prevMap *wmap.Map
+	var tr events.ChurnTracker // a topology change is a diff that is not empty
 	var prevTime time.Time
 
 	err := src(func(m *wmap.Map) error {
 		view.Snapshots++
 		g := routing.NewGraph(m)
-		topoChanged := false
-		if prevMap != nil {
-			topoChanged = !wmap.Compare(prevMap, m).Empty()
-		}
+		diff, _ := tr.Observe(m)
+		topoChanged := diff != nil
 		for _, pair := range pairs {
 			p, err := g.Trace(pair[0], pair[1])
 			if err != nil {
@@ -73,7 +72,6 @@ func PathStabilityStudy(src Stream, pairs [][2]string) (*PathStabilityView, erro
 			}
 			prevPaths[pair] = p
 		}
-		prevMap = m
 		prevTime = m.Time
 		return nil
 	})

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -13,24 +15,86 @@ import (
 )
 
 // The reference folds below are the Figure 5 folds as first written: one
-// snapshot at a time, through wmap's own imbalance walk and a sample per
-// group. They share no code with the column folds beyond stats.Sample, so a
-// column fold that drifts from them cannot hide behind a twin of itself.
+// snapshot at a time, through the imbalance walk wmap.Imbalances first ran
+// and a sample per group. They share no code with the column folds beyond
+// stats.Sample, so a column fold that drifts from them cannot hide behind a
+// twin of itself.
 
-// referenceImbalanceCDF is Figure 5c straight off wmap.Map.Imbalances.
+// referenceParallelGroups groups the map's links by their sorted endpoint
+// names, in name order; links keep map order within a group.
+func referenceParallelGroups(m *wmap.Map) [][]wmap.Link {
+	idx := make(map[[2]string]int)
+	var keys [][2]string
+	var groups [][]wmap.Link
+	for _, l := range m.Links {
+		a, b := l.Endpoints()
+		gi, ok := idx[[2]string{a, b}]
+		if !ok {
+			gi = len(groups)
+			idx[[2]string{a, b}] = gi
+			keys = append(keys, [2]string{a, b})
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], l)
+	}
+	order := make([]int, len(groups))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := keys[order[i]], keys[order[j]]
+		return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1])
+	})
+	out := make([][]wmap.Link, len(groups))
+	for i, gi := range order {
+		out[i] = groups[gi]
+	}
+	return out
+}
+
+// referenceImbalanceCDF is Figure 5c by the paper's definition: for each
+// parallel group, from its lesser endpoint and then from its greater, the
+// spread of the directed loads that survive the filters, and the mean
+// group size over the groups with an OVH router.
 func referenceImbalanceCDF(src Stream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
 	internal := stats.NewSample()
 	external := stats.NewSample()
 	var lastParallelism float64
 	err := src(func(m *wmap.Map) error {
-		for _, im := range m.Imbalances(opt) {
-			if im.Internal {
-				internal.Add(float64(im.Spread))
-			} else {
-				external.Add(float64(im.Spread))
+		var links, groups int
+		for _, g := range referenceParallelGroups(m) {
+			a, b := g[0].Endpoints()
+			if wmap.KindOfName(a) == wmap.Router || wmap.KindOfName(b) == wmap.Router {
+				links += len(g)
+				groups++
+			}
+			for _, from := range [2]string{a, b} {
+				var kept []float64
+				for _, l := range g {
+					load := l.LoadBA
+					if from == l.A {
+						load = l.LoadAB
+					}
+					if (opt.IgnoreZero && load == 0) || (opt.IgnoreOne && load == 1) {
+						continue
+					}
+					kept = append(kept, float64(load))
+				}
+				if len(kept) == 0 || len(kept) < opt.MinLinks {
+					continue
+				}
+				spread := slices.Max(kept) - slices.Min(kept)
+				if wmap.KindOfName(a) == wmap.Router && wmap.KindOfName(b) == wmap.Router {
+					internal.Add(spread)
+				} else {
+					external.Add(spread)
+				}
 			}
 		}
-		lastParallelism = m.MeanParallelism()
+		lastParallelism = 0
+		if groups > 0 {
+			lastParallelism = float64(links) / float64(groups)
+		}
 		return nil
 	})
 	if err != nil {

@@ -51,14 +51,19 @@ type SiteGrowth struct {
 }
 
 // SiteGrowthStudy consumes a stream and reports per-site growth between its
-// first and last snapshots.
+// first and last snapshots. It keeps the first snapshot's site stats and a
+// copy of the last skeleton, never a streamed map.
 func SiteGrowthStudy(src Stream) (*SiteGrowthView, error) {
-	var first, last *wmap.Map
+	var first map[string]SiteStats
+	var last wmap.Map
 	err := src(func(m *wmap.Map) error {
 		if first == nil {
-			first = m
+			first = siteStats(m)
 		}
-		last = m
+		if !wmap.SameSkeleton(&last, m) {
+			last.Nodes = append(last.Nodes[:0], m.Nodes...)
+			last.Links = append(last.Links[:0], m.Links...)
+		}
 		return nil
 	})
 	if err != nil {
@@ -67,10 +72,7 @@ func SiteGrowthStudy(src Stream) (*SiteGrowthView, error) {
 	if first == nil {
 		return nil, fmt.Errorf("analysis: empty stream")
 	}
-	view := &SiteGrowthView{
-		First: siteStats(first),
-		Last:  siteStats(last),
-	}
+	view := &SiteGrowthView{First: first, Last: siteStats(&last)}
 	names := make(map[string]struct{})
 	for s := range view.First {
 		names[s] = struct{}{}

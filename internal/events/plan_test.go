@@ -290,7 +290,7 @@ func TestDetectorSteadyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := netsimWindow(t, sim, wmap.Europe, time.Date(2020, 11, 4, 3, 0, 0, 0, time.UTC), 2)
-	if !sameSkeleton(ms[1], ms[0].Nodes, ms[0].Links) {
+	if !wmap.SameSkeleton(ms[1], ms[0]) {
 		t.Fatal("window spans a topology change")
 	}
 	d := NewDetector(wmap.Europe, DefaultConfig(), nil)
@@ -321,7 +321,7 @@ func BenchmarkDetectorObserve(b *testing.B) {
 	}
 	window := netsimWindow(b, sim, wmap.Europe, time.Date(2020, 11, 4, 6, 0, 0, 0, time.UTC), 48)
 	for _, m := range window[1:] {
-		if !sameSkeleton(m, window[0].Nodes, window[0].Links) {
+		if !wmap.SameSkeleton(m, window[0]) {
 			b.Fatal("window spans a topology change")
 		}
 	}

@@ -16,6 +16,35 @@ type refMaintGroup struct {
 	loads  []wmap.Load
 }
 
+// Direction is one directed load reading of one physical link: endpoints,
+// the label on the from side, and the link's position among the parallels
+// between the same endpoints.
+type Direction struct {
+	From, To string
+	Label    string
+	Ordinal  int
+	Load     wmap.Load
+}
+
+// EachDirection visits both directions of every link of a snapshot in
+// link slice order, assigning parallel ordinals the way the congestion
+// fold always has: the ordinal counter for an endpoint pair advances once
+// per physical link, in both orientations.
+func EachDirection(m *wmap.Map, fn func(Direction)) {
+	ordinals := make(map[[2]string]int)
+	for _, l := range m.Links {
+		fn(Direction{From: l.A, To: l.B, Label: l.LabelA, Ordinal: ordinals[[2]string{l.A, l.B}], Load: l.LoadAB})
+		fn(Direction{From: l.B, To: l.A, Label: l.LabelB, Ordinal: ordinals[[2]string{l.B, l.A}], Load: l.LoadBA})
+		ordinals[[2]string{l.A, l.B}]++
+		ordinals[[2]string{l.B, l.A}]++
+	}
+}
+
+// Key returns the cross-snapshot identity of the direction.
+func (d Direction) Key() wmap.DirKey {
+	return wmap.DirKey{From: d.From, To: d.To, Label: d.Label, Ordinal: d.Ordinal}
+}
+
 // referenceDetector is the detector as it was before plans: it keeps
 // the previous snapshot, diffs every pair of snapshots with wmap.Compare,
 // and walks every snapshot's directions through string-keyed maps. It is
@@ -26,9 +55,9 @@ type referenceDetector struct {
 	cfg Config
 	db  *peeringdb.DB
 
-	churn     ChurnTracker
+	prev      *wmap.Map
 	pending   map[churnKey]*pendingChurn
-	congested map[DirKey]bool
+	congested map[wmap.DirKey]bool
 	maint     map[[2]string]*refMaintGroup
 	peers     map[string]*UpgradeTracker
 }
@@ -40,7 +69,7 @@ func newReferenceDetector(id wmap.MapID, cfg Config, db *peeringdb.DB) *referenc
 		cfg:       cfg,
 		db:        db,
 		pending:   make(map[churnKey]*pendingChurn),
-		congested: make(map[DirKey]bool),
+		congested: make(map[wmap.DirKey]bool),
 		maint:     make(map[[2]string]*refMaintGroup),
 		peers:     make(map[string]*UpgradeTracker),
 	}
@@ -50,8 +79,14 @@ func newReferenceDetector(id wmap.MapID, cfg Config, db *peeringdb.DB) *referenc
 // The returned slice is freshly allocated and owned by the caller.
 func (d *referenceDetector) Observe(m *wmap.Map) []Emitted {
 	var out []Emitted
-	prev := d.churn.Prev()
-	diff := d.churn.Observe(m)
+	prev := d.prev
+	d.prev = m
+	var diff *wmap.Diff
+	if prev != nil {
+		if df := wmap.Compare(prev, m); !df.Empty() {
+			diff = df
+		}
+	}
 	out = d.observeChurn(out, m.Time, diff)
 	out = d.observeCongestion(out, m)
 	out = d.observeMaintenance(out, prev, m)

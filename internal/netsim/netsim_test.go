@@ -371,13 +371,11 @@ func TestDupLabelGroupsExist(t *testing.T) {
 	sim, sc := mustSim(t)
 	m := mustMap(t, sim, wmap.Europe, sc.Start)
 	found := false
-	for _, g := range m.ParallelGroups() {
-		if len(g.Links) < 2 {
-			continue
-		}
+	topo := wmap.NewTopology(m.Nodes, m.Links)
+	for _, g := range topo.ParallelSets() {
 		labels := make(map[string]int)
-		for _, l := range g.Links {
-			labels[l.LabelA]++
+		for _, di := range g.Dirs {
+			labels[topo.Keys()[di].Label]++
 		}
 		for _, n := range labels {
 			if n > 1 {

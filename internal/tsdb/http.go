@@ -562,7 +562,7 @@ func (a *api) handleImbalance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	imbs := m.Imbalances(wmap.PaperImbalanceOptions())
+	imbs := wmap.NewTopology(nil, m.Links).Imbalances(m.Links, wmap.PaperImbalanceOptions())
 
 	bp := getEncBuf()
 	b := *bp

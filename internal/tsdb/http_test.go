@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -148,6 +150,129 @@ func TestAPIImbalance(t *testing.T) {
 	}
 	getJSON(t, h, "/api/v1/imbalance?map=world&at=1999-01-01T00:00:00Z", http.StatusNotFound)
 	getJSON(t, h, "/api/v1/imbalance", http.StatusBadRequest)
+}
+
+// imbalanceRow is one row of the /api/v1/imbalance response, in its field
+// order.
+type imbalanceRow struct {
+	From     string `json:"from"`
+	To       string `json:"to"`
+	Internal bool   `json:"internal"`
+	Spread   int    `json:"spread"`
+	Links    int    `json:"links"`
+}
+
+// referenceImbalanceRows is the Figure 5c imbalance of every directed set
+// of parallel links as first written: group the links by their sorted
+// endpoints, order the groups by those names, and visit each group from
+// its first endpoint, then from its second, dropping 0 % and 1 % loads and
+// the sets left with fewer than two links.
+func referenceImbalanceRows(m *wmap.Map) []imbalanceRow {
+	type group struct {
+		a, b  string
+		links []wmap.Link
+	}
+	var groups []*group
+	byPair := map[[2]string]*group{}
+	for _, l := range m.Links {
+		a, b := l.Endpoints()
+		g := byPair[[2]string{a, b}]
+		if g == nil {
+			g = &group{a: a, b: b}
+			byPair[[2]string{a, b}] = g
+			groups = append(groups, g)
+		}
+		g.links = append(g.links, l)
+	}
+	sort.Slice(groups, func(i, j int) bool {
+		if groups[i].a != groups[j].a {
+			return groups[i].a < groups[j].a
+		}
+		return groups[i].b < groups[j].b
+	})
+	rows := []imbalanceRow{}
+	for _, g := range groups {
+		internal := wmap.KindOfName(g.a) == wmap.Router && wmap.KindOfName(g.b) == wmap.Router
+		for _, dir := range [2][2]string{{g.a, g.b}, {g.b, g.a}} {
+			var kept []wmap.Load
+			for _, l := range g.links {
+				load := l.LoadBA
+				if dir[0] == l.A {
+					load = l.LoadAB
+				}
+				if load > 1 {
+					kept = append(kept, load)
+				}
+			}
+			if len(kept) < 2 {
+				continue
+			}
+			mn, mx := slices.Min(kept), slices.Max(kept)
+			rows = append(rows, imbalanceRow{From: dir[0], To: dir[1], Internal: internal, Spread: int(mx - mn), Links: len(kept)})
+		}
+	}
+	return rows
+}
+
+// TestAPIImbalanceRows pins the whole /api/v1/imbalance body, row order
+// included, on a map with five parallel groups: internal and external
+// sets, links listed in both orientations, repeated labels, and sets the
+// paper's filters drop (a single link, a set left with one load above
+// 1 %).
+func TestAPIImbalanceRows(t *testing.T) {
+	nodes := []wmap.Node{
+		{Name: "par-g1", Kind: wmap.Router},
+		{Name: "fra-g1", Kind: wmap.Router},
+		{Name: "lon-g1", Kind: wmap.Router},
+		{Name: "AMS-IX", Kind: wmap.Peering},
+		{Name: "VODAFONE", Kind: wmap.Peering},
+	}
+	links := []wmap.Link{
+		{A: "par-g1", B: "fra-g1", LabelA: "#1", LabelB: "#1", LoadAB: 30, LoadBA: 10},
+		{A: "fra-g1", B: "par-g1", LabelA: "#2", LabelB: "#2", LoadAB: 12, LoadBA: 35},
+		{A: "par-g1", B: "fra-g1", LabelA: "#3", LabelB: "#3", LoadAB: 1, LoadBA: 0},
+		{A: "par-g1", B: "AMS-IX", LabelA: "#1", LabelB: "#1", LoadAB: 40, LoadBA: 5},
+		{A: "AMS-IX", B: "par-g1", LabelA: "#1", LabelB: "#1", LoadAB: 1, LoadBA: 52},
+		{A: "lon-g1", B: "fra-g1", LabelA: "#1", LabelB: "#1", LoadAB: 60, LoadBA: 61},
+		{A: "lon-g1", B: "fra-g1", LabelA: "#2", LabelB: "#2", LoadAB: 0, LoadBA: 70},
+		{A: "lon-g1", B: "VODAFONE", LabelA: "#1", LabelB: "#1", LoadAB: 20, LoadBA: 20},
+		{A: "fra-g1", B: "VODAFONE", LabelA: "#1", LabelB: "#1", LoadAB: 33, LoadBA: 44},
+		{A: "fra-g1", B: "VODAFONE", LabelA: "#1", LabelB: "#1", LoadAB: 37, LoadBA: 41},
+	}
+	var maps []*wmap.Map
+	for i := 0; i < 3; i++ {
+		m := &wmap.Map{ID: wmap.Europe, Time: at(5 * i), Nodes: nodes, Links: slices.Clone(links)}
+		for j := range m.Links {
+			if l := &m.Links[j]; l.LoadAB > 1 { // loads move, the filtered ones stay filtered
+				l.LoadAB += wmap.Load(3 * i * (j % 3))
+			}
+		}
+		maps = append(maps, m)
+	}
+	h := NewAPIHandler(openArchive(t, buildArchive(t, 2, maps...)))
+	for _, m := range maps {
+		rows := referenceImbalanceRows(m)
+		if len(rows) != 6 {
+			t.Fatalf("fixture yields %d rows, want 6: %+v", len(rows), rows)
+		}
+		want, err := json.Marshal(struct {
+			Map        string         `json:"map"`
+			Time       time.Time      `json:"time"`
+			Imbalances []imbalanceRow `json:"imbalances"`
+		}{"europe", m.Time, rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := "/api/v1/imbalance?map=europe&at=" + m.Time.Format(time.RFC3339)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d (%s)", url, rec.Code, rec.Body)
+		}
+		if got := rec.Body.String(); got != string(want)+"\n" {
+			t.Errorf("GET %s:\n got %s\nwant %s", url, got, want)
+		}
+	}
 }
 
 // TestAPIConditionalGet exercises the ETag protocol: a 200 carries a tag

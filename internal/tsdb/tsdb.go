@@ -90,26 +90,6 @@ func newTopology(m *wmap.Map) (*topology, error) {
 	return t, nil
 }
 
-// equalMap reports whether the snapshot has exactly this topology,
-// ignoring loads.
-func (t *topology) equalMap(m *wmap.Map) bool {
-	if len(t.nodes) != len(m.Nodes) || len(t.links) != len(m.Links) {
-		return false
-	}
-	for i, n := range m.Nodes {
-		if t.nodes[i] != n {
-			return false
-		}
-	}
-	for i, l := range m.Links {
-		tl := t.links[i]
-		if tl.A != l.A || tl.B != l.B || tl.LabelA != l.LabelA || tl.LabelB != l.LabelB {
-			return false
-		}
-	}
-	return true
-}
-
 // fingerprintTopology hashes a snapshot's skeleton for dictionary lookup;
 // loads never contribute.
 func fingerprintTopology(nodes []wmap.Node, links []wmap.Link) uint64 {

@@ -440,12 +440,15 @@ func (w *Writer) internTopology(m *wmap.Map) (int, error) {
 	} else if accs := w.accs[m.ID]; len(accs) > 0 && accs[0].run != nil {
 		cur = accs[0].run.topoIndex
 	}
-	if cur >= 0 && w.topos[cur].equalMap(m) {
+	same := func(i int) bool {
+		return wmap.SameSkeleton(&wmap.Map{Nodes: w.topos[i].nodes, Links: w.topos[i].links}, m)
+	}
+	if cur >= 0 && same(cur) {
 		return cur, nil
 	}
 	fp := fingerprintTopology(m.Nodes, m.Links)
 	for _, i := range w.topoByFP[fp] {
-		if w.topos[i].equalMap(m) {
+		if same(i) {
 			return i, nil
 		}
 	}

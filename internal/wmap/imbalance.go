@@ -30,45 +30,9 @@ type Imbalance struct {
 }
 
 // Imbalances computes the load imbalance for every directed set of parallel
-// links on the map, applying the given filters. Each unordered group yields
-// up to two directed sets (one per direction), matching the paper's
+// links on the map, applying the given filters. Each node pair yields up
+// to two directed sets (one per direction), matching the paper's
 // methodology for Figure 5c.
 func (m *Map) Imbalances(opt ImbalanceOptions) []Imbalance {
-	var out []Imbalance
-	for _, g := range m.ParallelGroups() {
-		internal := KindOfName(g.A) == Router && KindOfName(g.B) == Router
-		for _, dir := range [2][2]string{{g.A, g.B}, {g.B, g.A}} {
-			loads := g.DirectedLoads(dir[0])
-			kept := loads[:0:0]
-			for _, l := range loads {
-				if opt.IgnoreZero && l == 0 {
-					continue
-				}
-				if opt.IgnoreOne && l == 1 {
-					continue
-				}
-				kept = append(kept, l)
-			}
-			if len(kept) < opt.MinLinks || len(kept) == 0 {
-				continue
-			}
-			mn, mx := kept[0], kept[0]
-			for _, l := range kept[1:] {
-				if l < mn {
-					mn = l
-				}
-				if l > mx {
-					mx = l
-				}
-			}
-			out = append(out, Imbalance{
-				From:     dir[0],
-				To:       dir[1],
-				Internal: internal,
-				Spread:   int(mx - mn),
-				Links:    len(kept),
-			})
-		}
-	}
-	return out
+	return NewTopology(nil, m.Links).Imbalances(m.Links, opt)
 }

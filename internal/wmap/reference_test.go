@@ -133,3 +133,129 @@ func TestCompareMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// ParallelGroup is the set of parallel links between one unordered node
+// pair.
+type ParallelGroup struct {
+	A, B  string // lexicographically ordered endpoints
+	Links []Link
+}
+
+// ParallelGroups partitions the map's links into groups of parallels,
+// ordered by endpoint names. Links within a group keep map order. It is
+// the grouping the imbalance walk was first written on, and the reference
+// the Topology's sets are held to.
+func (m *Map) ParallelGroups() []ParallelGroup {
+	idx := make(map[[2]string]int)
+	var groups []ParallelGroup
+	for _, l := range m.Links {
+		a, b := l.Endpoints()
+		key := [2]string{a, b}
+		gi, ok := idx[key]
+		if !ok {
+			gi = len(groups)
+			idx[key] = gi
+			groups = append(groups, ParallelGroup{A: a, B: b})
+		}
+		groups[gi].Links = append(groups[gi].Links, l)
+	}
+	sort.Slice(groups, func(i, j int) bool {
+		if groups[i].A != groups[j].A {
+			return groups[i].A < groups[j].A
+		}
+		return groups[i].B < groups[j].B
+	})
+	return groups
+}
+
+// DirectedLoads returns, for the group, the loads in the direction from
+// "from" toward the other endpoint. from must be one of g.A or g.B.
+func (g ParallelGroup) DirectedLoads(from string) []Load {
+	out := make([]Load, 0, len(g.Links))
+	for _, l := range g.Links {
+		switch from {
+		case l.A:
+			out = append(out, l.LoadAB)
+		case l.B:
+			out = append(out, l.LoadBA)
+		}
+	}
+	return out
+}
+
+// referenceMeanParallelism is MeanParallelism over ParallelGroups.
+func referenceMeanParallelism(m *Map) float64 {
+	groups := m.ParallelGroups()
+	if len(groups) == 0 {
+		return 0
+	}
+	var total, n int
+	for _, g := range groups {
+		if KindOfName(g.A) == Router || KindOfName(g.B) == Router {
+			total += len(g.Links)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(total) / float64(n)
+}
+
+// referenceImbalances is Imbalances over ParallelGroups and DirectedLoads.
+func referenceImbalances(m *Map, opt ImbalanceOptions) []Imbalance {
+	var out []Imbalance
+	for _, g := range m.ParallelGroups() {
+		internal := KindOfName(g.A) == Router && KindOfName(g.B) == Router
+		for _, dir := range [2][2]string{{g.A, g.B}, {g.B, g.A}} {
+			loads := g.DirectedLoads(dir[0])
+			kept := loads[:0:0]
+			for _, l := range loads {
+				if opt.IgnoreZero && l == 0 {
+					continue
+				}
+				if opt.IgnoreOne && l == 1 {
+					continue
+				}
+				kept = append(kept, l)
+			}
+			if len(kept) < opt.MinLinks || len(kept) == 0 {
+				continue
+			}
+			mn, mx := kept[0], kept[0]
+			for _, l := range kept[1:] {
+				if l < mn {
+					mn = l
+				}
+				if l > mx {
+					mx = l
+				}
+			}
+			out = append(out, Imbalance{
+				From:     dir[0],
+				To:       dir[1],
+				Internal: internal,
+				Spread:   int(mx - mn),
+				Links:    len(kept),
+			})
+		}
+	}
+	return out
+}
+
+// referenceKeys is the direction walk the congestion fold and detector
+// first ran: both directions of every link in link order, the ordinal
+// counter of an endpoint pair advancing once per physical link in both
+// orientations.
+func referenceKeys(m *Map) []DirKey {
+	ordinals := make(map[[2]string]int)
+	var out []DirKey
+	for _, l := range m.Links {
+		out = append(out,
+			DirKey{From: l.A, To: l.B, Label: l.LabelA, Ordinal: ordinals[[2]string{l.A, l.B}]},
+			DirKey{From: l.B, To: l.A, Label: l.LabelB, Ordinal: ordinals[[2]string{l.B, l.A}]})
+		ordinals[[2]string{l.A, l.B}]++
+		ordinals[[2]string{l.B, l.A}]++
+	}
+	return out
+}

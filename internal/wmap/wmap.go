@@ -226,73 +226,10 @@ func (m *Map) RouterDegrees() []int {
 	return out
 }
 
-// ParallelGroup is the set of parallel links between one unordered node
-// pair.
-type ParallelGroup struct {
-	A, B  string // lexicographically ordered endpoints
-	Links []Link
-}
-
-// ParallelGroups partitions the map's links into groups of parallels,
-// ordered by endpoint names. Links within a group keep map order.
-func (m *Map) ParallelGroups() []ParallelGroup {
-	idx := make(map[[2]string]int)
-	var groups []ParallelGroup
-	for _, l := range m.Links {
-		a, b := l.Endpoints()
-		key := [2]string{a, b}
-		gi, ok := idx[key]
-		if !ok {
-			gi = len(groups)
-			idx[key] = gi
-			groups = append(groups, ParallelGroup{A: a, B: b})
-		}
-		groups[gi].Links = append(groups[gi].Links, l)
-	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].A != groups[j].A {
-			return groups[i].A < groups[j].A
-		}
-		return groups[i].B < groups[j].B
-	})
-	return groups
-}
-
-// MeanParallelism returns the average number of parallel links per group —
-// the "OVH routers had in average 6.58 parallel links" statistic of the
-// paper — computed over groups that involve at least one OVH router.
-func (m *Map) MeanParallelism() float64 {
-	groups := m.ParallelGroups()
-	if len(groups) == 0 {
-		return 0
-	}
-	var total, n int
-	for _, g := range groups {
-		if KindOfName(g.A) == Router || KindOfName(g.B) == Router {
-			total += len(g.Links)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
-}
-
-// DirectedLoads returns, for the group, the loads in the direction from
-// "from" toward the other endpoint. from must be one of g.A or g.B.
-func (g ParallelGroup) DirectedLoads(from string) []Load {
-	out := make([]Load, 0, len(g.Links))
-	for _, l := range g.Links {
-		switch from {
-		case l.A:
-			out = append(out, l.LoadAB)
-		case l.B:
-			out = append(out, l.LoadBA)
-		}
-	}
-	return out
-}
+// MeanParallelism returns the average number of parallel links per node
+// pair, over the pairs that involve at least one OVH router: the "OVH
+// routers had in average 6.58 parallel links" statistic of the paper.
+func (m *Map) MeanParallelism() float64 { return NewTopology(nil, m.Links).MeanParallelism() }
 
 // Stats summarizes a map the way Table 1 does.
 type Stats struct {
