@@ -127,7 +127,7 @@ func BenchmarkFoldCorpus(b *testing.B) {
 			var sum, n int64
 			cur := f.rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 			for cur.Next() {
-				foldLoads(cur.Map(), &sum, &n)
+				foldLoads(cur.MapView().Clone(), &sum, &n)
 			}
 			if err := cur.Err(); err != nil || n != int64(f.snapshots) {
 				b.Fatalf("cursor: %d snapshots, err %v", n, err)
@@ -211,7 +211,7 @@ func BenchmarkArchiveAppend(b *testing.B) {
 	var maps []*wmap.Map
 	cur := f.rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 	for cur.Next() {
-		maps = append(maps, cur.Map())
+		maps = append(maps, cur.MapView().Clone())
 	}
 	if err := cur.Err(); err != nil {
 		b.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"ovhweather/internal/extract"
 	"ovhweather/internal/netsim"
 	"ovhweather/internal/render"
-	"ovhweather/internal/routing"
 	"ovhweather/internal/tsdb"
 	"ovhweather/internal/wmap"
 )
@@ -157,7 +156,7 @@ func TestArchiveEquivalence(t *testing.T) {
 			if i >= len(fromYAML) {
 				t.Fatalf("%s: archive yields more than %d snapshots", id, len(fromYAML))
 			}
-			got, want := cur.Map(), fromYAML[i]
+			got, want := cur.MapView().Clone(), fromYAML[i]
 			if got.ID != want.ID || !got.Time.Equal(want.Time) {
 				t.Fatalf("%s[%d]: identity %s@%s, want %s@%s",
 					id, i, got.ID, got.Time, want.ID, want.Time)
@@ -182,7 +181,7 @@ func TestArchiveEquivalence(t *testing.T) {
 	tsdbStream := func(yield func(*wmap.Map) error) error {
 		cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 		for cur.Next() {
-			if err := yield(cur.Map()); err != nil {
+			if err := yield(cur.MapView().Clone()); err != nil {
 				return err
 			}
 		}
@@ -445,7 +444,7 @@ func TestLiveArchiveEquivalence(t *testing.T) {
 	liveStream := func(yield func(*wmap.Map) error) error {
 		cur := closed.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 		for cur.Next() {
-			if err := yield(cur.Map()); err != nil {
+			if err := yield(cur.MapView().Clone()); err != nil {
 				return err
 			}
 		}
@@ -462,8 +461,8 @@ func TestLiveArchiveEquivalence(t *testing.T) {
 // TestStudiesOverMapView runs the topology-change studies over two days of
 // hourly Europe snapshots across the 2020-10-02 decommission and the
 // 2020-10-03 peering links, once through owned
-// snapshots (Cursor.Map) and once through the cursor's reused view
-// (Cursor.MapView, the wmanalyze -archive stream). A study that keeps a
+// snapshots (clones of Cursor.MapView) and once through the cursor's
+// reused view itself (the wmanalyze -archive stream). A study that keeps a
 // yielded map sees the view overwritten under it, diffs every snapshot
 // against itself and reports no change; each must render the same figures
 // from both streams, and those figures must show the decommission.
@@ -496,9 +495,9 @@ func TestStudiesOverMapView(t *testing.T) {
 			cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 2)
 			defer cur.Close()
 			for cur.Next() {
-				m := cur.Map()
-				if view {
-					m = cur.MapView()
+				m := cur.MapView()
+				if !view {
+					m = m.Clone()
 				}
 				if err := yield(m); err != nil {
 					return err
@@ -545,7 +544,10 @@ func renderTopologyStudies(t *testing.T, stream analysis.Stream) string {
 	var pairs [][2]string
 	if err := stream(func(m *wmap.Map) error {
 		if pairs == nil {
-			routers := routing.NewGraph(m).Routers()
+			var routers []string
+			for _, n := range m.Routers() {
+				routers = append(routers, n.Name)
+			}
 			for i := 0; i+1 < len(routers); i += 7 {
 				pairs = append(pairs, [2]string{routers[i], routers[len(routers)-1-i]})
 			}

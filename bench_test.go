@@ -456,7 +456,7 @@ func BenchmarkAblationImbalanceFilters(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var sets int
 			for i := 0; i < b.N; i++ {
-				sets = len(m.Imbalances(cfg.opt))
+				sets = len(wmap.NewTopology(nil, m.Links).Imbalances(m.Links, cfg.opt))
 			}
 			b.ReportMetric(float64(sets), "sets")
 		})
@@ -702,7 +702,8 @@ func BenchmarkProcessMapParallel(b *testing.B) {
 	const snapshots = 24
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			store, err := dataset.Open(b.TempDir())
+			root := b.TempDir()
+			store, err := dataset.Open(root)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -716,7 +717,7 @@ func BenchmarkProcessMapParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				removeYAMLs(b, store.Root())
+				removeYAMLs(b, root)
 				b.StartTimer()
 				rep, err := store.ProcessMapParallel(context.Background(), wmap.Europe, dataset.ProcessOptions{
 					Workers: workers,

@@ -11,7 +11,9 @@
 //
 // The vet mode implements the cmd/go vettool contract (-flags, -V=full,
 // and the single *.cfg argument) without depending on x/tools; it also
-// analyzes test files, which the standalone mode skips.
+// analyzes test files, which the standalone mode skips. Only the
+// standalone mode runs deadexport, which needs every package's callers
+// at once.
 package main
 
 import (
@@ -71,24 +73,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	pkgs, err := lint.Load(patterns...)
+	pkgs, err := lint.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wmlint: %v\n", err)
 		os.Exit(2)
 	}
-	found := 0
-	for _, pkg := range pkgs {
-		diags, err := lint.RunAnalyzers(pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wmlint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, d := range diags {
-			fmt.Println(lint.FormatDiagnostic(pkg.Fset, d))
-			found++
-		}
+	diags, err := lint.Check(pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wmlint: %v\n", err)
+		os.Exit(2)
 	}
-	if found > 0 {
+	for _, d := range diags {
+		fmt.Println(lint.FormatDiagnostic(pkgs[0].Fset, d))
+	}
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

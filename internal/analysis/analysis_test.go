@@ -9,7 +9,6 @@ import (
 
 	"ovhweather/internal/netsim"
 	"ovhweather/internal/peeringdb"
-	"ovhweather/internal/routing"
 	"ovhweather/internal/stats"
 	"ovhweather/internal/status"
 	"ovhweather/internal/wmap"
@@ -597,8 +596,10 @@ func TestPathStabilityStudy(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	g := routing.NewGraph(first)
-	routers := g.Routers()
+	var routers []string
+	for _, n := range first.Routers() {
+		routers = append(routers, n.Name)
+	}
 	pairs := [][2]string{
 		{routers[0], routers[len(routers)/2]},
 		{routers[1], routers[len(routers)-1]},

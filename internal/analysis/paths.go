@@ -38,6 +38,8 @@ type PathStabilityView struct {
 // PathStabilityStudy traces the given router pairs on every snapshot.
 // Pairs whose routers are absent from a snapshot are skipped for that
 // snapshot (routers come and go across two years).
+//
+//lint:ignore wmlint/deadexport routing-substrate extension (README "Beyond the paper")
 func PathStabilityStudy(src Stream, pairs [][2]string) (*PathStabilityView, error) {
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("analysis: no router pairs to trace")
@@ -85,6 +87,8 @@ func PathStabilityStudy(src Stream, pairs [][2]string) (*PathStabilityView, erro
 }
 
 // WritePathStability renders the study.
+//
+//lint:ignore wmlint/deadexport renders PathStabilityStudy (README "Beyond the paper")
 func WritePathStability(w io.Writer, v *PathStabilityView) {
 	fmt.Fprintf(w, "Path stability — %d pairs, %d traces over %d snapshots: %d reroute(s), %d correlated with topology changes\n",
 		v.Pairs, v.Traces, v.Snapshots, len(v.Changes), v.Correlated)

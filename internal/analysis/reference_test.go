@@ -3,6 +3,7 @@ package analysis
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -19,6 +20,65 @@ import (
 // and a sample per group. They share no code with the column folds beyond
 // stats.Sample, so a column fold that drifts from them cannot hide behind a
 // twin of itself.
+
+// sample is the references' accumulator: a stats.Sample for the
+// distribution functions, which also keeps its observations for the
+// counts, pools, means and percentiles the views report.
+type sample struct {
+	*stats.Sample
+	vs []float64
+}
+
+func newSample() *sample { return &sample{Sample: stats.NewSample()} }
+
+func (s *sample) Add(vs ...float64) {
+	s.Sample.Add(vs...)
+	s.vs = append(s.vs, vs...)
+}
+
+func (s *sample) Len() int { return len(s.vs) }
+
+func (s *sample) Mean() (float64, error) {
+	if len(s.vs) == 0 {
+		return 0, stats.ErrEmpty
+	}
+	var sum float64
+	for _, v := range s.vs {
+		sum += v
+	}
+	return sum / float64(len(s.vs)), nil
+}
+
+// Percentile interpolates linearly between the closest ranks (numpy's
+// default estimator) for p in [0, 100].
+func (s *sample) Percentile(p float64) (float64, error) {
+	if len(s.vs) == 0 {
+		return 0, stats.ErrEmpty
+	}
+	v := slices.Clone(s.vs)
+	slices.Sort(v)
+	rank := p / 100 * float64(len(v)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return v[lo], nil
+	}
+	frac := rank - float64(lo)
+	return v[lo]*(1-frac) + v[hi]*frac, nil
+}
+
+// Quartiles reads the Figure 5a summary off the sample's percentiles.
+func (s *sample) Quartiles() (stats.Quartiles, error) {
+	var q stats.Quartiles
+	var err error
+	if q.P1, err = s.Percentile(1); err != nil {
+		return q, err
+	}
+	q.P25, _ = s.Percentile(25)
+	q.Median, _ = s.Percentile(50)
+	q.P75, _ = s.Percentile(75)
+	q.P99, _ = s.Percentile(99)
+	return q, nil
+}
 
 // referenceParallelGroups groups the map's links by their sorted endpoint
 // names, in name order; links keep map order within a group.
@@ -57,8 +117,8 @@ func referenceParallelGroups(m *wmap.Map) [][]wmap.Link {
 // spread of the directed loads that survive the filters, and the mean
 // group size over the groups with an OVH router.
 func referenceImbalanceCDF(src Stream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
-	internal := stats.NewSample()
-	external := stats.NewSample()
+	internal := newSample()
+	external := newSample()
 	var lastParallelism float64
 	err := src(func(m *wmap.Map) error {
 		var links, groups int
@@ -120,9 +180,9 @@ func referenceImbalanceCDF(src Stream, opt wmap.ImbalanceOptions) (*ImbalanceVie
 // weekday, then pools the weekday and weekend groups into fresh samples
 // for their means.
 func referenceWeeklyLoads(src Stream) (*WeeklyView, error) {
-	byDay := make([]*stats.Sample, 7)
+	byDay := make([]*sample, 7)
 	for i := range byDay {
-		byDay[i] = stats.NewSample()
+		byDay[i] = newSample()
 	}
 	err := src(func(m *wmap.Map) error {
 		d := int(m.Time.Weekday())
@@ -135,23 +195,23 @@ func referenceWeeklyLoads(src Stream) (*WeeklyView, error) {
 		return nil, err
 	}
 	view := &WeeklyView{}
-	weekday := stats.NewSample()
-	weekend := stats.NewSample()
+	weekday := newSample()
+	weekend := newSample()
 	for d := 0; d < 7; d++ {
 		view.Samples[d] = byDay[d].Len()
 		if byDay[d].Len() == 0 {
 			continue
 		}
-		med, err := byDay[d].Median()
+		med, err := byDay[d].Percentile(50)
 		if err != nil {
 			return nil, err
 		}
 		view.ByDay[d] = med
 		switch time.Weekday(d) {
 		case time.Saturday, time.Sunday:
-			weekend.Add(byDay[d].Values()...)
+			weekend.Add(byDay[d].vs...)
 		default:
-			weekday.Add(byDay[d].Values()...)
+			weekday.Add(byDay[d].vs...)
 		}
 	}
 	if weekday.Len() > 0 {
@@ -169,13 +229,13 @@ func referenceWeeklyLoads(src Stream) (*WeeklyView, error) {
 // referenceHourlyLoads keeps its hour groups in a map keyed by hour,
 // created on an hour's first observation.
 func referenceHourlyLoads(src Stream) (*HourlyLoadView, error) {
-	groups := make(map[int]*stats.Sample)
+	groups := make(map[int]*sample)
 	err := src(func(m *wmap.Map) error {
 		h := m.Time.Hour()
 		for _, l := range m.Links {
 			g, ok := groups[h]
 			if !ok {
-				g = stats.NewSample()
+				g = newSample()
 				groups[h] = g
 			}
 			g.Add(float64(l.LoadAB))
@@ -205,8 +265,8 @@ func referenceHourlyLoads(src Stream) (*HourlyLoadView, error) {
 // referenceLoadCDF is Figure 5b on one sample per link class plus one for
 // all links, each directed load added as it is read.
 func referenceLoadCDF(src Stream) (*LoadDistView, error) {
-	all := stats.NewSample()
-	byClass := map[bool]*stats.Sample{true: stats.NewSample(), false: stats.NewSample()}
+	all := newSample()
+	byClass := map[bool]*sample{true: newSample(), false: newSample()}
 	err := src(func(m *wmap.Map) error {
 		for _, l := range m.Links {
 			for _, v := range [2]wmap.Load{l.LoadAB, l.LoadBA} {
@@ -242,9 +302,11 @@ func referenceLoadCDF(src Stream) (*LoadDistView, error) {
 	if view.P75All, err = all.Percentile(75); err != nil {
 		return nil, err
 	}
-	if view.FracOver60, err = all.FractionGreater(60); err != nil {
+	atMost60, err := all.FractionAtMost(60)
+	if err != nil {
 		return nil, err
 	}
+	view.FracOver60 = 1 - atMost60
 	return view, nil
 }
 

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -267,12 +268,13 @@ func TestServerStatusFeed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	feed, err := status.ReadJSON(resp.Body)
+	var feed []status.Event
+	err = json.NewDecoder(resp.Body).Decode(&feed)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if feed.Len() == 0 {
+	if len(feed) == 0 {
 		t.Error("served feed is empty")
 	}
 }

@@ -105,13 +105,6 @@ func (s *Server) SetTime(t time.Time) error {
 	return nil
 }
 
-// Now returns the server's virtual time.
-func (s *Server) Now() time.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.now
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(r.URL.Path, "/")

@@ -31,7 +31,7 @@ func TestSnapshotPathLayout(t *testing.T) {
 	s := tempStore(t)
 	at := time.Date(2022, 3, 7, 14, 35, 0, 0, time.UTC)
 	p := s.SnapshotPath(wmap.Europe, at, ExtSVG)
-	want := filepath.Join(s.Root(), "europe", "2022", "03", "07", "1435.svg")
+	want := filepath.Join(s.root, "europe", "2022", "03", "07", "1435.svg")
 	if p != want {
 		t.Errorf("path = %q, want %q", p, want)
 	}
@@ -62,7 +62,7 @@ func TestWriteSnapshotAtomicNoTempLeftover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err := filepath.Walk(s.Root(), func(path string, info os.FileInfo, err error) error {
+	err := filepath.Walk(s.root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func TestIndexSortedAndTyped(t *testing.T) {
 	if err := s.WriteSnapshot(wmap.Europe, ts(0), ExtYAML, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	os.WriteFile(filepath.Join(s.Root(), "europe", "README.svg"), []byte("not a snapshot"), 0o644)
+	os.WriteFile(filepath.Join(s.root, "europe", "README.svg"), []byte("not a snapshot"), 0o644)
 
 	entries, err := s.Index(wmap.Europe, ExtSVG)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestCoverageSegmentsAndGaps(t *testing.T) {
 	if len(cov.Segments) != 2 {
 		t.Fatalf("segments = %+v", cov.Segments)
 	}
-	if len(cov.Gaps) != 1 || cov.Gaps[0].Duration() != 240*time.Minute {
+	if len(cov.Gaps) != 1 || cov.Gaps[0].To.Sub(cov.Gaps[0].From) != 240*time.Minute {
 		t.Errorf("gaps = %+v", cov.Gaps)
 	}
 	if !cov.First.Equal(ts(0)) || !cov.Last.Equal(ts(330)) {

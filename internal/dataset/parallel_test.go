@@ -399,7 +399,7 @@ func TestProcessMapParallelCancellation(t *testing.T) {
 	}
 	// Store integrity: no temp files, and every YAML present is complete.
 	yamls := 0
-	err = filepath.Walk(s.Root(), func(path string, info os.FileInfo, err error) error {
+	err = filepath.Walk(s.root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}

@@ -50,9 +50,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's directory.
-func (s *Store) Root() string { return s.root }
-
 // SnapshotPath returns the canonical path of a snapshot file.
 func (s *Store) SnapshotPath(id wmap.MapID, at time.Time, ext string) string {
 	at = at.UTC()

@@ -59,13 +59,6 @@ func (b *Broadcaster) Subscribe(buf int) *Subscriber {
 // that events stopped happening.
 func (s *Subscriber) C() <-chan Event { return s.ch }
 
-// Dropped returns how many events this subscriber lost to a full queue.
-func (s *Subscriber) Dropped() uint64 {
-	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
-	return s.dropped
-}
-
 // Close unregisters the subscriber and closes its channel. Safe to call
 // twice; safe to call while the broadcaster publishes.
 func (s *Subscriber) Close() {

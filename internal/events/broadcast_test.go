@@ -7,6 +7,13 @@ import (
 	"ovhweather/internal/wmap"
 )
 
+// dropped returns how many events s lost to a full queue.
+func dropped(s *Subscriber) uint64 {
+	s.b.mu.Lock()
+	defer s.b.mu.Unlock()
+	return s.dropped
+}
+
 func TestBroadcastDelivery(t *testing.T) {
 	b := NewBroadcaster()
 	s1 := b.Subscribe(8)
@@ -47,10 +54,10 @@ func TestBroadcastSlowConsumerDrops(t *testing.T) {
 	}
 	// The slow queue holds one event; nine were dropped for it, none for
 	// the fast one.
-	if got := slow.Dropped(); got != 9 {
+	if got := dropped(slow); got != 9 {
 		t.Fatalf("slow dropped %d, want 9", got)
 	}
-	if got := fast.Dropped(); got != 0 {
+	if got := dropped(fast); got != 0 {
 		t.Fatalf("fast dropped %d, want 0", got)
 	}
 	st := b.Stats()
@@ -133,7 +140,7 @@ func TestBroadcast32Goroutines(t *testing.T) {
 				s := b.Subscribe(1)
 				defer s.Close()
 				for i := 0; i < rounds; i++ {
-					_ = s.Dropped()
+					_ = dropped(s)
 				}
 			}
 		}(g)

@@ -99,15 +99,6 @@ func ParseType(s string) (Type, error) {
 	return 0, fmt.Errorf("events: unknown event type %q", s)
 }
 
-// Types lists every event type in wire order.
-func Types() []Type {
-	out := make([]Type, 0, int(maxType))
-	for t := TypeChurn; t <= maxType; t++ {
-		out = append(out, t)
-	}
-	return out
-}
-
 // Event is one detected evolution event. Which fields are meaningful
 // depends on Type:
 //

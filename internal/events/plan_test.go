@@ -122,7 +122,7 @@ func TestDetectorMatchesReference(t *testing.T) {
 		}
 	})
 
-	for _, ty := range Types() {
+	for _, ty := range types() {
 		if counts[ty] == 0 {
 			t.Errorf("no %s events across the streams; the corpus does not exercise that detector", ty)
 		}

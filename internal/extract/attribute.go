@@ -227,6 +227,8 @@ func closerBox(pt geom.Point, a, b geom.Rect) bool {
 // parallel links whose labels share text (and sit symmetrically) can grab
 // the same physical label box, which the consuming algorithm forbids by
 // construction.
+//
+//lint:ignore wmlint/deadexport the label-consumption ablation entry point (DESIGN.md §5)
 func CountDuplicateAssignments(res *ScanResult) int {
 	assigned := make([]int, len(res.Labels))
 	for _, raw := range res.Links {

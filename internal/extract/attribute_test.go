@@ -56,11 +56,15 @@ func TestAttributeBasic(t *testing.T) {
 		t.Error("router-peering link should be external")
 	}
 	// Node kinds inferred from the name case.
-	if n, _ := m.Node("fra-r1"); n.Kind != wmap.Router {
-		t.Errorf("fra-r1 kind = %v", n.Kind)
+	kinds := map[string]wmap.NodeKind{}
+	for _, n := range m.Nodes {
+		kinds[n.Name] = n.Kind
 	}
-	if n, _ := m.Node("RBX-PEER"); n.Kind != wmap.Peering {
-		t.Errorf("RBX-PEER kind = %v", n.Kind)
+	if k := kinds["fra-r1"]; k != wmap.Router {
+		t.Errorf("fra-r1 kind = %v", k)
+	}
+	if k := kinds["RBX-PEER"]; k != wmap.Peering {
+		t.Errorf("RBX-PEER kind = %v", k)
 	}
 }
 

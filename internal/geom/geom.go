@@ -43,9 +43,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by the factor k.
 func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
-// Dot returns the dot product of p and q treated as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z component of the cross product of p and q treated as
 // vectors. Its sign tells on which side of p the vector q lies.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
@@ -86,12 +83,6 @@ type Segment struct {
 // Seg is shorthand for Segment{A: a, B: b}.
 func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
 
-// Len returns the length of the segment.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
-// Mid returns the midpoint of the segment.
-func (s Segment) Mid() Point { return Mid(s.A, s.B) }
-
 // Dir returns the unit direction vector from A to B. For a degenerate
 // segment (A == B) it returns the zero vector.
 func (s Segment) Dir() Point {
@@ -109,19 +100,6 @@ func (s Segment) PointAt(t float64) Point {
 	return Point{s.A.X + t*(s.B.X-s.A.X), s.A.Y + t*(s.B.Y-s.A.Y)}
 }
 
-// DistToPoint returns the shortest distance from p to any point of the
-// segment.
-func (s Segment) DistToPoint(p Point) float64 {
-	ab := s.B.Sub(s.A)
-	l2 := ab.Dot(ab)
-	if l2 < Epsilon {
-		return p.Dist(s.A)
-	}
-	t := p.Sub(s.A).Dot(ab) / l2
-	t = math.Max(0, math.Min(1, t))
-	return p.Dist(s.PointAt(t))
-}
-
 // Line is an infinite straight line through two distinct points. It is the
 // geometric object Algorithm 2 derives from a link's two arrow bases.
 type Line struct {
@@ -131,23 +109,9 @@ type Line struct {
 // LineThrough returns the infinite line through p and q.
 func LineThrough(p, q Point) Line { return Line{P: p, Q: q} }
 
-// LineOf returns the infinite line supporting the segment.
-func LineOf(s Segment) Line { return Line{P: s.A, Q: s.B} }
-
 // Degenerate reports whether the line's defining points coincide, in which
 // case the line is not well defined.
 func (l Line) Degenerate() bool { return l.P.Eq(l.Q) }
-
-// DistToPoint returns the perpendicular distance from p to the line. For a
-// degenerate line it returns the distance to the single defining point.
-func (l Line) DistToPoint(p Point) float64 {
-	d := l.Q.Sub(l.P)
-	n := d.Norm()
-	if n < Epsilon {
-		return p.Dist(l.P)
-	}
-	return math.Abs(d.Cross(p.Sub(l.P))) / n
-}
 
 // Side reports the sign of the cross product of the line direction with the
 // vector to p: +1 if p lies on the left of P→Q, -1 on the right, 0 when p is
@@ -178,22 +142,6 @@ func RectFromXYWH(x, y, w, h float64) Rect {
 	return r.Canon()
 }
 
-// RectAround returns the axis-aligned bounding rectangle of the given
-// points. It returns the empty Rect when pts is empty.
-func RectAround(pts []Point) Rect {
-	if len(pts) == 0 {
-		return Rect{}
-	}
-	r := Rect{Min: pts[0], Max: pts[0]}
-	for _, p := range pts[1:] {
-		r.Min.X = math.Min(r.Min.X, p.X)
-		r.Min.Y = math.Min(r.Min.Y, p.Y)
-		r.Max.X = math.Max(r.Max.X, p.X)
-		r.Max.Y = math.Max(r.Max.Y, p.Y)
-	}
-	return r
-}
-
 // Canon returns the rectangle with Min and Max swapped per axis as needed so
 // that Min.X <= Max.X and Min.Y <= Max.Y.
 func (r Rect) Canon() Rect {
@@ -215,9 +163,6 @@ func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
 // Center returns the rectangle's center point.
 func (r Rect) Center() Point { return Mid(r.Min, r.Max) }
 
-// Empty reports whether the rectangle has zero or negative area.
-func (r Rect) Empty() bool { return r.W() <= 0 || r.H() <= 0 }
-
 // Contains reports whether p lies inside or on the boundary of r, with an
 // Epsilon tolerance on the boundary.
 func (r Rect) Contains(p Point) bool {
@@ -234,26 +179,6 @@ func (r Rect) Inflate(d float64) Rect {
 	}
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Min: Pt(math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)),
-		Max: Pt(math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)),
-	}
-}
-
-// Overlaps reports whether r and s share any area.
-func (r Rect) Overlaps(s Rect) bool {
-	return r.Min.X < s.Max.X && s.Min.X < r.Max.X &&
-		r.Min.Y < s.Max.Y && s.Min.Y < r.Max.Y
-}
-
 // Corners returns the four corners of r in clockwise order starting from
 // Min (top-left in SVG coordinates).
 func (r Rect) Corners() [4]Point {
@@ -262,17 +187,6 @@ func (r Rect) Corners() [4]Point {
 		Pt(r.Max.X, r.Min.Y),
 		r.Max,
 		Pt(r.Min.X, r.Max.Y),
-	}
-}
-
-// Edges returns the four boundary segments of r.
-func (r Rect) Edges() [4]Segment {
-	c := r.Corners()
-	return [4]Segment{
-		Seg(c[0], c[1]),
-		Seg(c[1], c[2]),
-		Seg(c[2], c[3]),
-		Seg(c[3], c[0]),
 	}
 }
 
@@ -320,28 +234,11 @@ func (r Rect) DistToPoint(p Point) float64 {
 // anchors the link at a router.
 type Polygon []Point
 
-// Bounds returns the axis-aligned bounding rectangle of the polygon.
-func (pg Polygon) Bounds() Rect { return RectAround(pg) }
-
 // Centroid returns the vertex centroid of the polygon (not the area
 // centroid; the vertex centroid is what the flat SVG processing needs, and
 // it is stable under the collinear and repeated vertices that appear in
 // generated arrow shapes).
 func (pg Polygon) Centroid() Point { return Centroid(pg) }
-
-// Area returns the absolute area enclosed by the polygon using the shoelace
-// formula. Self-intersecting polygons yield the net signed area's magnitude.
-func (pg Polygon) Area() float64 {
-	if len(pg) < 3 {
-		return 0
-	}
-	var s float64
-	for i := range pg {
-		j := (i + 1) % len(pg)
-		s += pg[i].Cross(pg[j])
-	}
-	return math.Abs(s) / 2
-}
 
 // ArrowTip returns the vertex of an arrow-shaped polygon that is farthest
 // from the vertex centroid. For the isoceles arrow heads the weathermap

@@ -17,9 +17,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); !got.Eq(Pt(6, 8)) {
 		t.Errorf("Scale = %v, want (6, 8)", got)
 	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v, want -5", got)
-	}
 	if got := p.Cross(q); got != -6-4 {
 		t.Errorf("Cross = %v, want -10", got)
 	}
@@ -68,12 +65,6 @@ func TestCentroid(t *testing.T) {
 
 func TestSegmentBasics(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(3, 4))
-	if got := s.Len(); got != 5 {
-		t.Errorf("Len = %v, want 5", got)
-	}
-	if got := s.Mid(); !got.Eq(Pt(1.5, 2)) {
-		t.Errorf("Mid = %v, want (1.5, 2)", got)
-	}
 	if got := s.Dir(); !got.Eq(Pt(0.6, 0.8)) {
 		t.Errorf("Dir = %v, want (0.6, 0.8)", got)
 	}
@@ -89,52 +80,10 @@ func TestSegmentDegenerateDir(t *testing.T) {
 	}
 }
 
-func TestSegmentDistToPoint(t *testing.T) {
-	s := Seg(Pt(0, 0), Pt(10, 0))
-	cases := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(5, 3), 3},      // perpendicular foot inside
-		{Pt(-4, 3), 5},     // beyond A
-		{Pt(13, 4), 5},     // beyond B
-		{Pt(7, 0), 0},      // on segment
-		{Pt(0, 0), 0},      // at endpoint
-		{Pt(10, -2), 2},    // below endpoint B
-		{Pt(5, -1.5), 1.5}, // other side
-	}
-	for _, c := range cases {
-		if got := s.DistToPoint(c.p); math.Abs(got-c.want) > Epsilon {
-			t.Errorf("DistToPoint(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestSegmentDistToPointDegenerate(t *testing.T) {
-	s := Seg(Pt(2, 2), Pt(2, 2))
-	if got := s.DistToPoint(Pt(5, 6)); got != 5 {
-		t.Errorf("degenerate DistToPoint = %v, want 5", got)
-	}
-}
-
-func TestLineDistToPoint(t *testing.T) {
-	l := LineThrough(Pt(0, 0), Pt(10, 0))
-	if got := l.DistToPoint(Pt(100, 7)); math.Abs(got-7) > Epsilon {
-		t.Errorf("DistToPoint = %v, want 7 (infinite line extends)", got)
-	}
-	diag := LineThrough(Pt(0, 0), Pt(1, 1))
-	if got := diag.DistToPoint(Pt(1, 0)); math.Abs(got-math.Sqrt2/2) > Epsilon {
-		t.Errorf("DistToPoint diag = %v, want %v", got, math.Sqrt2/2)
-	}
-}
-
 func TestLineDegenerate(t *testing.T) {
 	l := LineThrough(Pt(3, 3), Pt(3, 3))
 	if !l.Degenerate() {
 		t.Fatal("expected degenerate line")
-	}
-	if got := l.DistToPoint(Pt(6, 7)); got != 5 {
-		t.Errorf("degenerate DistToPoint = %v, want 5", got)
 	}
 }
 
@@ -166,12 +115,6 @@ func TestRectBasics(t *testing.T) {
 	if !r.Center().Eq(Pt(5, 2)) {
 		t.Errorf("Center = %v", r.Center())
 	}
-	if r.Empty() {
-		t.Error("rect should not be empty")
-	}
-	if !(Rect{}).Empty() {
-		t.Error("zero rect should be empty")
-	}
 	if !r.Contains(Pt(0, 0)) || !r.Contains(Pt(10, 4)) || !r.Contains(Pt(5, 2)) {
 		t.Error("Contains failed for interior/boundary points")
 	}
@@ -188,28 +131,6 @@ func TestRectInflate(t *testing.T) {
 	shrunk := r.Inflate(-2)
 	if shrunk.Contains(Pt(3.5, 3.5)) {
 		t.Error("deflated rect should not contain (3.5, 3.5)")
-	}
-}
-
-func TestRectUnionOverlaps(t *testing.T) {
-	a := RectFromXYWH(0, 0, 10, 10)
-	b := RectFromXYWH(5, 5, 10, 10)
-	c := RectFromXYWH(20, 20, 5, 5)
-	if !a.Overlaps(b) {
-		t.Error("a should overlap b")
-	}
-	if a.Overlaps(c) {
-		t.Error("a should not overlap c")
-	}
-	u := a.Union(c)
-	if !u.Contains(Pt(0, 0)) || !u.Contains(Pt(25, 25)) {
-		t.Errorf("Union = %+v", u)
-	}
-	if got := a.Union(Rect{}); got != a {
-		t.Errorf("union with empty = %+v, want a", got)
-	}
-	if got := (Rect{}).Union(a); got != a {
-		t.Errorf("empty union a = %+v, want a", got)
 	}
 }
 
@@ -292,28 +213,6 @@ func TestIntersectsLineSymmetric(t *testing.T) {
 	}
 }
 
-func TestPolygonArea(t *testing.T) {
-	sq := Polygon{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)}
-	if got := sq.Area(); got != 16 {
-		t.Errorf("square Area = %v, want 16", got)
-	}
-	tri := Polygon{Pt(0, 0), Pt(4, 0), Pt(0, 3)}
-	if got := tri.Area(); got != 6 {
-		t.Errorf("triangle Area = %v, want 6", got)
-	}
-	if got := (Polygon{Pt(0, 0), Pt(1, 1)}).Area(); got != 0 {
-		t.Errorf("degenerate Area = %v, want 0", got)
-	}
-}
-
-func TestPolygonAreaOrientationInvariant(t *testing.T) {
-	cw := Polygon{Pt(0, 0), Pt(0, 4), Pt(4, 4), Pt(4, 0)}
-	ccw := Polygon{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)}
-	if cw.Area() != ccw.Area() {
-		t.Errorf("area depends on orientation: %v vs %v", cw.Area(), ccw.Area())
-	}
-}
-
 // arrow builds an arrow polygon pointing from base toward tip: a triangle
 // head whose base edge is perpendicular to the direction of travel.
 func arrow(base, tip Point, halfWidth float64) Polygon {
@@ -362,19 +261,5 @@ func TestArrowEmpty(t *testing.T) {
 	}
 	if _, ok := (Polygon{Pt(1, 2)}).ArrowBase(); ok {
 		t.Error("ArrowBase on single-point polygon should fail")
-	}
-}
-
-func TestPolygonBounds(t *testing.T) {
-	pg := Polygon{Pt(3, 7), Pt(-1, 2), Pt(5, 0)}
-	b := pg.Bounds()
-	if !b.Min.Eq(Pt(-1, 0)) || !b.Max.Eq(Pt(5, 7)) {
-		t.Errorf("Bounds = %+v", b)
-	}
-}
-
-func TestRectAroundEmpty(t *testing.T) {
-	if got := RectAround(nil); got != (Rect{}) {
-		t.Errorf("RectAround(nil) = %+v, want zero", got)
 	}
 }

@@ -2,35 +2,6 @@ package geom
 
 import "math"
 
-// Perimeter returns the rectangle's boundary length.
-func (r Rect) Perimeter() float64 { return 2 * (r.W() + r.H()) }
-
-// PerimeterPoint returns the boundary point at arc position s, measured
-// clockwise (in SVG screen coordinates) from the top-left corner: along the
-// top edge, down the right edge, along the bottom edge, up the left edge.
-// s wraps modulo the perimeter; negative values wrap backwards.
-func (r Rect) PerimeterPoint(s float64) Point {
-	p := r.Perimeter()
-	if p <= 0 {
-		return r.Min
-	}
-	s = math.Mod(s, p)
-	if s < 0 {
-		s += p
-	}
-	w, h := r.W(), r.H()
-	switch {
-	case s < w:
-		return Pt(r.Min.X+s, r.Min.Y)
-	case s < w+h:
-		return Pt(r.Max.X, r.Min.Y+(s-w))
-	case s < 2*w+h:
-		return Pt(r.Max.X-(s-w-h), r.Max.Y)
-	default:
-		return Pt(r.Min.X, r.Max.Y-(s-2*w-h))
-	}
-}
-
 // BoundaryToward returns the point where the ray from the rectangle's
 // center toward dir (an absolute angle in radians, SVG orientation: y grows
 // downward) crosses the boundary, along with its perimeter arc position.
@@ -55,9 +26,10 @@ func (r Rect) BoundaryToward(angle float64) (Point, float64) {
 	return pt, r.PerimeterPos(pt)
 }
 
-// PerimeterPos returns the arc position of a boundary point p, the inverse
-// of PerimeterPoint. Points off the boundary are projected to the nearest
-// edge first.
+// PerimeterPos returns the arc position of a boundary point p, measured
+// clockwise (in SVG screen coordinates) from the top-left corner: along
+// the top edge, down the right edge, along the bottom edge, up the left
+// edge. Points off the boundary are projected to the nearest edge first.
 func (r Rect) PerimeterPos(p Point) float64 {
 	w, h := r.W(), r.H()
 	// Distances to the four edges.
@@ -77,29 +49,5 @@ func (r Rect) PerimeterPos(p Point) float64 {
 		return w + h + (r.Max.X - clampX)
 	default:
 		return 2*w + h + (r.Max.Y - clampY)
-	}
-}
-
-// OutwardNormal returns the unit outward normal of the edge containing the
-// perimeter position s.
-func (r Rect) OutwardNormal(s float64) Point {
-	p := r.Perimeter()
-	if p <= 0 {
-		return Pt(0, -1)
-	}
-	s = math.Mod(s, p)
-	if s < 0 {
-		s += p
-	}
-	w, h := r.W(), r.H()
-	switch {
-	case s < w:
-		return Pt(0, -1) // top edge faces up (negative y)
-	case s < w+h:
-		return Pt(1, 0)
-	case s < 2*w+h:
-		return Pt(0, 1)
-	default:
-		return Pt(-1, 0)
 	}
 }

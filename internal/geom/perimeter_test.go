@@ -6,10 +6,28 @@ import (
 	"testing/quick"
 )
 
-func TestPerimeter(t *testing.T) {
-	r := RectFromXYWH(0, 0, 10, 4)
-	if got := r.Perimeter(); got != 28 {
-		t.Errorf("Perimeter = %v, want 28", got)
+// perimeterPoint is the inverse of Rect.PerimeterPos: the boundary point
+// at arc position s, which wraps modulo the perimeter (negative values
+// wrap backwards).
+func perimeterPoint(r Rect, s float64) Point {
+	p := 2 * (r.W() + r.H())
+	if p <= 0 {
+		return r.Min
+	}
+	s = math.Mod(s, p)
+	if s < 0 {
+		s += p
+	}
+	w, h := r.W(), r.H()
+	switch {
+	case s < w:
+		return Pt(r.Min.X+s, r.Min.Y)
+	case s < w+h:
+		return Pt(r.Max.X, r.Min.Y+(s-w))
+	case s < 2*w+h:
+		return Pt(r.Max.X-(s-w-h), r.Max.Y)
+	default:
+		return Pt(r.Min.X, r.Max.Y-(s-2*w-h))
 	}
 }
 
@@ -31,8 +49,8 @@ func TestPerimeterPointCorners(t *testing.T) {
 		{26, Pt(0, 2)},  // mid left
 	}
 	for _, c := range cases {
-		if got := r.PerimeterPoint(c.s); !got.Eq(c.want) {
-			t.Errorf("PerimeterPoint(%v) = %v, want %v", c.s, got, c.want)
+		if got := perimeterPoint(r, c.s); !got.Eq(c.want) {
+			t.Errorf("perimeterPoint(%v) = %v, want %v", c.s, got, c.want)
 		}
 	}
 }
@@ -40,12 +58,12 @@ func TestPerimeterPointCorners(t *testing.T) {
 func TestPerimeterRoundTrip(t *testing.T) {
 	r := RectFromXYWH(5, 7, 30, 12)
 	f := func(raw uint16) bool {
-		s := float64(raw) / 65535 * r.Perimeter()
-		p := r.PerimeterPoint(s)
+		s := float64(raw) / 65535 * 2 * (r.W() + r.H())
+		p := perimeterPoint(r, s)
 		back := r.PerimeterPos(p)
 		// Positions at corners may map to the adjacent edge start; compare
 		// points, not arc values.
-		return r.PerimeterPoint(back).Dist(p) < 1e-9
+		return perimeterPoint(r, back).Dist(p) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -68,7 +86,7 @@ func TestBoundaryToward(t *testing.T) {
 		if !got.Eq(c.want) {
 			t.Errorf("BoundaryToward(%v) = %v, want %v", c.angle, got, c.want)
 		}
-		if back := r.PerimeterPoint(s); back.Dist(got) > 1e-9 {
+		if back := perimeterPoint(r, s); back.Dist(got) > 1e-9 {
 			t.Errorf("arc position inconsistent: %v vs %v", back, got)
 		}
 	}
@@ -88,28 +106,10 @@ func TestBoundaryTowardAlwaysOnBoundary(t *testing.T) {
 	}
 }
 
-func TestOutwardNormal(t *testing.T) {
-	r := RectFromXYWH(0, 0, 10, 4)
-	cases := []struct {
-		s    float64
-		want Point
-	}{
-		{5, Pt(0, -1)},  // top
-		{12, Pt(1, 0)},  // right
-		{19, Pt(0, 1)},  // bottom
-		{26, Pt(-1, 0)}, // left
-	}
-	for _, c := range cases {
-		if got := r.OutwardNormal(c.s); !got.Eq(c.want) {
-			t.Errorf("OutwardNormal(%v) = %v, want %v", c.s, got, c.want)
-		}
-	}
-}
-
 func TestPerimeterDegenerate(t *testing.T) {
 	var r Rect
-	if got := r.PerimeterPoint(5); !got.Eq(r.Min) {
-		t.Errorf("degenerate PerimeterPoint = %v", got)
+	if got := perimeterPoint(r, 5); !got.Eq(r.Min) {
+		t.Errorf("degenerate perimeterPoint = %v", got)
 	}
 	p, s := r.BoundaryToward(1)
 	if !p.Eq(r.Center()) || s != 0 {

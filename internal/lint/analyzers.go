@@ -4,6 +4,7 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		CtxFlow,
+		DeadExport,
 		HotPathAlloc,
 		PoolPair,
 		Sharded,

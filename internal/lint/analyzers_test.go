@@ -42,7 +42,7 @@ func TestSharded(t *testing.T) {
 func TestAllAnalyzersHaveDocs(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range lint.All() {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
+		if a.Name == "" || a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
 			t.Errorf("analyzer %+v incomplete", a)
 		}
 		if seen[a.Name] {
@@ -71,4 +71,8 @@ func TestByName(t *testing.T) {
 	if got := lint.ByName("nosuch"); len(got) != 0 {
 		t.Errorf("ByName(nosuch) = %v, want empty", got)
 	}
+}
+
+func TestDeadExport(t *testing.T) {
+	linttest.RunModule(t, fixture("deadexport"), lint.DeadExport)
 }

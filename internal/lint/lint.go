@@ -13,7 +13,8 @@
 //
 // Packages reach a Pass two ways: the standalone loader in load.go
 // ("wmlint ./...") and the go-vet unitchecker protocol in unitchecker.go
-// ("go vet -vettool=$(which wmlint) ./...").
+// ("go vet -vettool=$(which wmlint) ./..."). Module analyzers, which need
+// every package at once, run only in the standalone mode.
 package lint
 
 import (
@@ -34,6 +35,10 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass) error
+	// RunModule, set instead of Run, inspects every package the
+	// standalone loader checked at once. go vet shows a tool one package
+	// at a time, so module analyzers do not run under it.
+	RunModule func(pass *ModulePass) error
 }
 
 // A Pass is one analyzer's view of one type-checked package.
@@ -56,20 +61,82 @@ type Diagnostic struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.diags = append(p.diags, newDiagnostic(p.Analyzer, pos, format, args))
 }
 
-// RunAnalyzers applies each analyzer to the package and returns the
-// surviving diagnostics — suppressed findings are dropped, the rest come
-// back sorted by file position. The returned diagnostics use pkg.Fset.
+// A ModulePass is one module analyzer's view of a whole load.
+type ModulePass struct {
+	Analyzer *Analyzer
+	// Pkgs are the packages the patterns matched; findings belong here.
+	Pkgs []*Package
+	// Callers are the packages of the modules nested under theirs. Their
+	// uses count, but they are not reported on.
+	Callers []*Package
+
+	diags []Diagnostic
+}
+
+// Reportf records a finding at pos.
+func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
+	p.diags = append(p.diags, newDiagnostic(p.Analyzer, pos, format, args))
+}
+
+func newDiagnostic(a *Analyzer, pos token.Pos, format string, args []any) Diagnostic {
+	return Diagnostic{Pos: pos, Analyzer: a.Name, Message: fmt.Sprintf(format, args...)}
+}
+
+// Check runs the analyzers over packages from one Load: the
+// per-package ones on each package, the module ones once over all of
+// them, with the packages of nested modules loaded as extra callers.
+// Suppressed findings are dropped, the rest come back sorted by
+// position in the load's FileSet.
+func Check(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var out []Diagnostic
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		diags, err := RunAnalyzers(pkg, analyzers)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, diags...)
+		files = append(files, pkg.Files...)
+	}
+	var module []*Analyzer
+	for _, a := range analyzers {
+		if a.RunModule != nil {
+			module = append(module, a)
+		}
+	}
+	if len(module) > 0 && len(pkgs) > 0 {
+		callers, err := loadNested(pkgs)
+		if err != nil {
+			return nil, err
+		}
+		fset := pkgs[0].Fset
+		sup := collectSuppressions(fset, files)
+		for _, a := range module {
+			pass := &ModulePass{Analyzer: a, Pkgs: pkgs, Callers: callers}
+			if err := a.RunModule(pass); err != nil {
+				return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
+			}
+			out = append(out, sup.filter(fset, pass.diags)...)
+		}
+	}
+	sortDiagnostics(out)
+	return out, nil
+}
+
+// RunAnalyzers applies each per-package analyzer to the package and
+// returns the surviving diagnostics — suppressed findings are dropped,
+// the rest come back sorted by file position. Module analyzers are
+// skipped; Check runs them. The returned diagnostics use pkg.Fset.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	sup := collectSuppressions(pkg.Fset, pkg.Files)
 	var out []Diagnostic
 	for _, a := range analyzers {
+		if a.Run == nil {
+			continue
+		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -80,19 +147,19 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
 		}
-		for _, d := range pass.diags {
-			if !sup.suppressed(pkg.Fset, a.Name, d.Pos) {
-				out = append(out, d)
-			}
-		}
+		out = append(out, sup.filter(pkg.Fset, pass.diags)...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos != out[j].Pos {
-			return out[i].Pos < out[j].Pos
-		}
-		return out[i].Analyzer < out[j].Analyzer
-	})
+	sortDiagnostics(out)
 	return out, nil
+}
+
+func sortDiagnostics(diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		if diags[i].Pos != diags[j].Pos {
+			return diags[i].Pos < diags[j].Pos
+		}
+		return diags[i].Analyzer < diags[j].Analyzer
+	})
 }
 
 // suppressions maps "filename:line" to the analyzer names ignored there.
@@ -132,9 +199,16 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
 	return sup
 }
 
-func (s suppressions) suppressed(fset *token.FileSet, analyzer string, pos token.Pos) bool {
-	p := fset.Position(pos)
-	return s[fmt.Sprintf("%s:%d", p.Filename, p.Line)][analyzer]
+// filter returns the diagnostics no suppression covers.
+func (s suppressions) filter(fset *token.FileSet, diags []Diagnostic) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range diags {
+		p := fset.Position(d.Pos)
+		if !s[fmt.Sprintf("%s:%d", p.Filename, p.Line)][d.Analyzer] {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // --- annotation helpers -------------------------------------------------

@@ -11,7 +11,8 @@
 // fails the test on any missing, unexpected, or pattern-mismatched
 // diagnostic — so every fixture doubles as a false-positive guard: an
 // unannotated line that triggers the analyzer fails the test exactly
-// like an annotated line that doesn't.
+// like an annotated line that doesn't. A module analyzer's fixture is a
+// whole module instead, with its own go.mod; see RunModule.
 package linttest
 
 import (
@@ -49,14 +50,43 @@ func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
+	compare(t, pkg.Fset, pkg.Files, diags)
+}
 
-	wants := collectWants(t, pkg.Fset, pkg.Files)
+// RunModule applies a module analyzer to every package of the fixture
+// module in dir (a path under testdata holding a go.mod), with the modules
+// nested in it as callers, and checks the diagnostics against the // want
+// comments of the module's own packages.
+func RunModule(t *testing.T, dir string, a *lint.Analyzer) {
+	t.Helper()
+	pkgs, err := lint.Load(dir, "./...")
+	if err != nil {
+		t.Fatalf("loading fixture module %s: %v", dir, err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatalf("fixture module %s has no packages", dir)
+	}
+	diags, err := lint.Check(pkgs, []*lint.Analyzer{a})
+	if err != nil {
+		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Files...)
+	}
+	compare(t, pkgs[0].Fset, files, diags)
+}
+
+// compare fails the test on every diagnostic the files' // want comments
+// do not expect and every expectation no diagnostic meets.
+func compare(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.Diagnostic) {
+	t.Helper()
+	wants := collectWants(t, fset, files)
 
 	// Index diagnostics by file:line, in order.
 	got := map[string][]string{}
 	for _, d := range diags {
-		p := pkg.Fset.Position(d.Pos)
-		key := fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
+		key := lineKey(fset.Position(d.Pos))
 		got[key] = append(got[key], d.Message)
 	}
 
@@ -86,6 +116,13 @@ func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	}
 }
 
+// lineKey names a line by its file's last two path elements, which tell
+// apart the same file name in two fixture packages.
+func lineKey(p token.Position) string {
+	dir, file := filepath.Split(p.Filename)
+	return fmt.Sprintf("%s:%d", filepath.Join(filepath.Base(dir), file), p.Line)
+}
+
 var wantRe = regexp.MustCompile(`// want((?: +(?:"(?:[^"\\]|\\.)*"|` + "`[^`]*`" + `))+)`)
 
 // collectWants parses the // want comments into per-line expectation
@@ -100,8 +137,7 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[stri
 				if m == nil {
 					continue
 				}
-				p := fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
+				key := lineKey(fset.Position(c.Pos()))
 				for _, tok := range tokenizeWants(m[1]) {
 					pat, err := strconv.Unquote(tok)
 					if err != nil {

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -24,6 +25,9 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	moduleDir    string // root of the package's module; "" outside Load
+	testImported bool   // some _test.go file of the load imports it
 }
 
 // listedPackage is the subset of `go list -json` output the loader reads.
@@ -36,6 +40,9 @@ type listedPackage struct {
 	DepOnly    bool
 	Standard   bool
 	Incomplete bool
+	Module     *struct{ Dir string }
+
+	TestImports, XTestImports []string
 }
 
 // Load resolves the patterns with the go tool and type-checks every
@@ -44,10 +51,16 @@ type listedPackage struct {
 // `go list -export` guarantees exists in the build cache; that keeps the
 // loader free of any dependency on x/tools while staying exact about
 // types. Test files are not loaded in this mode (the vettool path covers
-// them); see unitchecker.go.
-func Load(patterns ...string) ([]*Package, error) {
+// them); see unitchecker.go. The go tool runs in dir ("" for the
+// current directory).
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	return load(token.NewFileSet(), dir, patterns)
+}
+
+func load(fset *token.FileSet, dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-deps", "-export", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -57,6 +70,7 @@ func Load(patterns ...string) ([]*Package, error) {
 	}
 
 	exports := map[string]string{}
+	testImports := map[string]bool{}
 	var targets []*listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
@@ -72,10 +86,12 @@ func Load(patterns ...string) ([]*Package, error) {
 		if !p.DepOnly && p.Name != "" {
 			cp := p
 			targets = append(targets, &cp)
+			for _, path := range append(p.TestImports, p.XTestImports...) {
+				testImports[path] = true
+			}
 		}
 	}
 
-	fset := token.NewFileSet()
 	imp := newExportImporter(fset, exports, nil)
 	var pkgs []*Package
 	for _, t := range targets {
@@ -87,9 +103,50 @@ func Load(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		if t.Module != nil {
+			pkg.moduleDir = t.Module.Dir
+		}
+		pkg.testImported = testImports[t.ImportPath]
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// loadNested loads every package of every module nested under the
+// modules of pkgs, into their FileSet. A nested module is a directory
+// below a module root holding its own go.mod; dot-directories and
+// testdata are not searched.
+func loadNested(pkgs []*Package) ([]*Package, error) {
+	roots := map[string]bool{}
+	for _, pkg := range pkgs {
+		if pkg.moduleDir != "" {
+			roots[pkg.moduleDir] = true
+		}
+	}
+	var nested []*Package
+	for root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if !d.IsDir() || path == root {
+				return nil
+			}
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err != nil {
+				return nil
+			}
+			more, err := load(pkgs[0].Fset, path, []string{"./..."})
+			nested = append(nested, more...)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return nested, nil
 }
 
 // newExportImporter builds a types.Importer that reads gc export data

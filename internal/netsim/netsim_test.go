@@ -170,23 +170,23 @@ func TestDiurnalContinuity(t *testing.T) {
 // above 60 %, external mean below internal mean.
 func TestFig5bLoadDistribution(t *testing.T) {
 	sim, sc := mustSim(t)
-	intS, extS := stats.NewSample(), stats.NewSample()
+	var intS, extS, all stats.PercentHist
 	for day := 0; day < 28; day += 4 {
 		for _, hr := range []int{3, 9, 15, 20} {
 			at := sc.Start.AddDate(0, 8, day).Add(time.Duration(hr) * time.Hour)
 			m := mustMap(t, sim, wmap.Europe, at)
 			for _, l := range m.Links {
-				s := extS
+				s := &extS
 				if l.Internal() {
-					s = intS
+					s = &intS
 				}
-				s.Add(float64(l.LoadAB), float64(l.LoadBA))
+				for _, h := range []*stats.PercentHist{s, &all} {
+					h.Add(int(l.LoadAB))
+					h.Add(int(l.LoadBA))
+				}
 			}
 		}
 	}
-	all := stats.NewSample()
-	all.Add(intS.Values()...)
-	all.Add(extS.Values()...)
 	p75, err := all.Percentile(75)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestFig5cImbalanceShape(t *testing.T) {
 	var intLE1, intN, extLE2, extN int
 	for day := 0; day < 20; day += 5 {
 		m := mustMap(t, sim, wmap.Europe, sc.Start.AddDate(0, 3, day).Add(14*time.Hour))
-		for _, im := range m.Imbalances(wmap.PaperImbalanceOptions()) {
+		for _, im := range wmap.NewTopology(nil, m.Links).Imbalances(m.Links, wmap.PaperImbalanceOptions()) {
 			if im.Internal {
 				intN++
 				if im.Spread <= 1 {
@@ -438,27 +438,6 @@ func TestMapAtUnknownMap(t *testing.T) {
 	}
 }
 
-func TestRunVisitsAllMapsPerStep(t *testing.T) {
-	sc := DefaultScenario()
-	sc.End = sc.Start.Add(20 * time.Minute)
-	sim, err := New(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[wmap.MapID]int)
-	if err := sim.Run(5*time.Minute, func(m *wmap.Map) error {
-		counts[m.ID]++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range wmap.AllMaps() {
-		if counts[id] != 5 { // t = 0, 5, 10, 15, 20 minutes
-			t.Errorf("map %s visited %d times, want 5", id, counts[id])
-		}
-	}
-}
-
 func TestNamePoolUniqueRouters(t *testing.T) {
 	sim, _ := mustSim(t)
 	_ = sim
@@ -537,33 +516,14 @@ func TestScalewayLikeScenario(t *testing.T) {
 		t.Errorf("external = %d", e)
 	}
 	// Hotter links than OVH: mean load at a fixed instant noticeably higher.
-	hot := stats.NewSample()
+	var hot stats.PercentHist
 	for _, l := range m.Links {
-		hot.Add(float64(l.LoadAB), float64(l.LoadBA))
+		hot.Add(int(l.LoadAB))
+		hot.Add(int(l.LoadBA))
 	}
 	mean, _ := hot.Mean()
 	if mean < 20 {
 		t.Errorf("scaleway-like mean load = %.1f, expected hotter than OVH's ~20", mean)
-	}
-}
-
-// TestMergedGlobalOverview: combining all four maps yields the paper's
-// global network view with the dedup total of Table 1.
-func TestMergedGlobalOverview(t *testing.T) {
-	sim, sc := mustSim(t)
-	maps, err := sim.SnapshotAt(sc.End)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := wmap.Merge(maps...)
-	if got := len(global.Routers()); got != 181 {
-		t.Errorf("global routers = %d, want 181", got)
-	}
-	if got := len(global.InternalLinks()); got != 744+76+407+96 {
-		t.Errorf("global internal = %d", got)
-	}
-	if err := global.Validate(); err != nil {
-		t.Errorf("global view invalid: %v", err)
 	}
 }
 

@@ -172,27 +172,6 @@ func (s *Simulator) SnapshotAt(t time.Time) ([]*wmap.Map, error) {
 	return out, nil
 }
 
-// Run steps chronologically from the scenario start to its end, invoking fn
-// with each snapshot of each map. The step defaults to the scenario step.
-// fn errors abort the run.
-func (s *Simulator) Run(step time.Duration, fn func(*wmap.Map) error) error {
-	if step <= 0 {
-		step = s.sc.Step
-	}
-	for t := s.sc.Start; !t.After(s.sc.End); t = t.Add(step) {
-		for _, msc := range s.sc.Maps {
-			m, err := s.MapAt(msc.ID, t)
-			if err != nil {
-				return err
-			}
-			if err := fn(m); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // render materializes the weather-map view of the state at time t.
 func (st *mapState) render(t time.Time, p TrafficParams, start time.Time) *wmap.Map {
 	m := &wmap.Map{ID: st.sc.ID, Time: t}

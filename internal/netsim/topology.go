@@ -332,16 +332,6 @@ func (st *mapState) groupBetween(a, b string) *simGroup {
 	return nil
 }
 
-func (st *mapState) internalGroups() []*simGroup {
-	var out []*simGroup
-	for _, g := range st.groups {
-		if g.internal {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // widenableInternalGroups returns internal groups eligible for extra
 // parallels. Edge-router attachments stay single links so the degree-1
 // population of Figure 4c survives filler and upgrade events.

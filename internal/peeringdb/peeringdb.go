@@ -12,9 +12,7 @@
 package peeringdb
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -22,11 +20,11 @@ import (
 
 // Record is one capacity announcement for a peering.
 type Record struct {
-	Peering string    `json:"peering"` // e.g. "AMS-IX"
-	Network string    `json:"network"` // announcing network, e.g. "OVH"
-	Gbps    int       `json:"gbps"`    // announced total capacity
-	Updated time.Time `json:"updated"` // announcement time
-	Comment string    `json:"comment,omitempty"`
+	Peering string    // e.g. "AMS-IX"
+	Network string    // announcing network, e.g. "OVH"
+	Gbps    int       // announced total capacity
+	Updated time.Time // announcement time
+	Comment string
 }
 
 // DB is an in-memory capacity registry with full history. It is safe for
@@ -56,40 +54,6 @@ func (db *DB) Announce(rec Record) error {
 	sort.SliceStable(h, func(i, j int) bool { return h[i].Updated.Before(h[j].Updated) })
 	db.history[rec.Peering] = h
 	return nil
-}
-
-// CapacityAt returns the capacity announced for the peering as of time t.
-// ok is false when no record predates t.
-func (db *DB) CapacityAt(peering string, t time.Time) (gbps int, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	h := db.history[peering]
-	for i := len(h) - 1; i >= 0; i-- {
-		if !h[i].Updated.After(t) {
-			return h[i].Gbps, true
-		}
-	}
-	return 0, false
-}
-
-// History returns the peering's full announcement history in chronological
-// order. The slice is a copy.
-func (db *DB) History(peering string) []Record {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return append([]Record(nil), db.history[peering]...)
-}
-
-// Peerings lists the registered peering names in lexicographic order.
-func (db *DB) Peerings() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.history))
-	for n := range db.history {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Upgrade describes a detected capacity change in the database.
@@ -129,37 +93,4 @@ func (db *DB) UpgradesBetween(from, to time.Time) []Upgrade {
 		return out[i].Peering < out[j].Peering
 	})
 	return out
-}
-
-// WriteJSON serializes the full database.
-func (db *DB) WriteJSON(w io.Writer) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var all []Record
-	names := make([]string, 0, len(db.history))
-	for n := range db.history {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		all = append(all, db.history[n]...)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(all)
-}
-
-// ReadJSON loads a database serialized by WriteJSON.
-func ReadJSON(r io.Reader) (*DB, error) {
-	var all []Record
-	if err := json.NewDecoder(r).Decode(&all); err != nil {
-		return nil, fmt.Errorf("peeringdb: %w", err)
-	}
-	db := New()
-	for _, rec := range all {
-		if err := db.Announce(rec); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
 }

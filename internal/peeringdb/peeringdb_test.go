@@ -1,7 +1,6 @@
 package peeringdb
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
@@ -26,25 +25,6 @@ func seeded(t *testing.T) *DB {
 	return db
 }
 
-func TestCapacityAt(t *testing.T) {
-	db := seeded(t)
-	if _, ok := db.CapacityAt("AMS-IX", day(1).Add(-time.Hour)); ok {
-		t.Error("capacity before first record should be unknown")
-	}
-	if g, ok := db.CapacityAt("AMS-IX", day(5)); !ok || g != 400 {
-		t.Errorf("capacity day 5 = %d, %v; want 400", g, ok)
-	}
-	if g, ok := db.CapacityAt("AMS-IX", day(12)); !ok || g != 500 {
-		t.Errorf("capacity day 12 = %d, %v; want 500 (inclusive)", g, ok)
-	}
-	if g, ok := db.CapacityAt("AMS-IX", day(20)); !ok || g != 500 {
-		t.Errorf("capacity day 20 = %d, %v; want 500", g, ok)
-	}
-	if _, ok := db.CapacityAt("NOPE-IX", day(20)); ok {
-		t.Error("unknown peering should be unknown")
-	}
-}
-
 func TestAnnounceValidation(t *testing.T) {
 	db := New()
 	if err := db.Announce(Record{Gbps: 100, Updated: day(1)}); err == nil {
@@ -59,10 +39,7 @@ func TestAnnounceOutOfOrder(t *testing.T) {
 	db := New()
 	db.Announce(Record{Peering: "X", Gbps: 200, Updated: day(10)})
 	db.Announce(Record{Peering: "X", Gbps: 100, Updated: day(1)})
-	if g, _ := db.CapacityAt("X", day(5)); g != 100 {
-		t.Errorf("capacity day 5 = %d, want 100", g)
-	}
-	h := db.History("X")
+	h := db.history["X"]
 	if len(h) != 2 || h[0].Gbps != 100 || h[1].Gbps != 200 {
 		t.Errorf("history = %+v", h)
 	}
@@ -80,49 +57,5 @@ func TestUpgradesBetween(t *testing.T) {
 	}
 	if got := db.UpgradesBetween(day(13), day(31)); len(got) != 0 {
 		t.Errorf("window after upgrade: %+v", got)
-	}
-}
-
-func TestPeerings(t *testing.T) {
-	db := seeded(t)
-	ps := db.Peerings()
-	if len(ps) != 2 || ps[0] != "AMS-IX" || ps[1] != "DE-CIX" {
-		t.Errorf("peerings = %v", ps)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	db := seeded(t)
-	var buf bytes.Buffer
-	if err := db.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, _ := back.CapacityAt("AMS-IX", day(20)); g != 500 {
-		t.Errorf("restored capacity = %d", g)
-	}
-	if len(back.History("AMS-IX")) != 2 {
-		t.Errorf("restored history = %+v", back.History("AMS-IX"))
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Error("garbage should fail")
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`[{"peering":"","gbps":5,"updated":"2022-03-01T00:00:00Z"}]`))); err == nil {
-		t.Error("invalid record should fail")
-	}
-}
-
-func TestHistoryIsCopy(t *testing.T) {
-	db := seeded(t)
-	h := db.History("AMS-IX")
-	h[0].Gbps = 9999
-	if g, _ := db.CapacityAt("AMS-IX", day(5)); g != 400 {
-		t.Error("History must return a copy")
 	}
 }

@@ -143,7 +143,7 @@ func TestLayoutInvariantsQuick(t *testing.T) {
 		}
 		for i := range sc.Nodes {
 			for j := i + 1; j < len(sc.Nodes); j++ {
-				if sc.Nodes[i].Box.Overlaps(sc.Nodes[j].Box) {
+				if overlaps(sc.Nodes[i].Box, sc.Nodes[j].Box) {
 					return false
 				}
 			}

@@ -25,6 +25,8 @@ import (
 // boxes, filled triangles for arrows, no text (names and percentages would
 // need a font rasterizer, and their absence only strengthens the point).
 // scale shrinks the canvas; 0.25 keeps Europe-scale images manageable.
+//
+//lint:ignore wmlint/deadexport rasterized-map contrast extension (README "Beyond the paper")
 func WritePNG(w io.Writer, sc *Scene, m *wmap.Map, scale float64) error {
 	if len(m.Links) != len(sc.Links) || len(m.Nodes) != len(sc.Nodes) {
 		return fmt.Errorf("render: map does not match scene")

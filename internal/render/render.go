@@ -109,20 +109,6 @@ func (c *SceneCache) Scene(m *wmap.Map) (*Scene, error) {
 	return sc, nil
 }
 
-// Len returns the number of cached layouts.
-func (c *SceneCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.scenes)
-}
-
-// Evict clears the cache.
-func (c *SceneCache) Evict() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.scenes = make(map[uint64]*Scene)
-}
-
 // WriteSVGCached renders m using the cache.
 func (c *SceneCache) WriteSVGCached(w io.Writer, m *wmap.Map) error {
 	sc, err := c.Scene(m)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ovhweather/internal/extract"
+	"ovhweather/internal/geom"
 	"ovhweather/internal/netsim"
 	"ovhweather/internal/svg"
 	"ovhweather/internal/wmap"
@@ -46,7 +47,7 @@ func TestLayoutBasics(t *testing.T) {
 	// No two node boxes overlap.
 	for i := range sc.Nodes {
 		for j := i + 1; j < len(sc.Nodes); j++ {
-			if sc.Nodes[i].Box.Overlaps(sc.Nodes[j].Box) {
+			if overlaps(sc.Nodes[i].Box, sc.Nodes[j].Box) {
 				t.Errorf("boxes %d and %d overlap", i, j)
 			}
 		}
@@ -139,21 +140,23 @@ func TestSceneCacheReuse(t *testing.T) {
 	if s1 != s2 {
 		t.Error("same topology should share a cached scene")
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache len = %d", c.Len())
+	if len(c.scenes) != 1 {
+		t.Errorf("cache len = %d", len(c.scenes))
 	}
 	m3 := smallMap()
 	m3.Links = append(m3.Links, wmap.Link{A: "rbx-r1", B: "ARELION", LabelA: "#1", LabelB: "#1"})
 	if _, err := c.Scene(m3); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Errorf("cache len after new topology = %d", c.Len())
+	if len(c.scenes) != 2 {
+		t.Errorf("cache len after new topology = %d", len(c.scenes))
 	}
-	c.Evict()
-	if c.Len() != 0 {
-		t.Errorf("cache len after evict = %d", c.Len())
-	}
+}
+
+// overlaps reports whether a and b share any area.
+func overlaps(a, b geom.Rect) bool {
+	return a.Min.X < b.Max.X && b.Min.X < a.Max.X &&
+		a.Min.Y < b.Max.Y && b.Min.Y < a.Max.Y
 }
 
 func TestTopologyFingerprint(t *testing.T) {

@@ -59,19 +59,6 @@ func NewGraph(m *wmap.Map) *Graph {
 	return g
 }
 
-// Routers returns the router names in index order.
-func (g *Graph) Routers() []string { return g.nodes }
-
-// Degree returns the number of distinct neighbours of the named router
-// (parallel links collapse to one edge).
-func (g *Graph) Degree(name string) int {
-	i, ok := g.index[name]
-	if !ok {
-		return 0
-	}
-	return len(g.adj[i])
-}
-
 // Distances runs a breadth-first search from src and returns the hop count
 // to every router (-1 when unreachable).
 func (g *Graph) Distances(src string) (map[string]int, error) {
@@ -172,22 +159,4 @@ func (g *Graph) Trace(src, dst string) (Path, error) {
 		return nil, fmt.Errorf("routing: %s and %s are not connected", src, dst)
 	}
 	return paths[0], nil
-}
-
-// Diameter returns the longest shortest-path distance among connected
-// router pairs, a size measure of the backbone.
-func (g *Graph) Diameter() int {
-	max := 0
-	for _, n := range g.nodes {
-		dist, err := g.Distances(n)
-		if err != nil {
-			continue
-		}
-		for _, d := range dist {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }

@@ -34,6 +34,36 @@ func histXs() []float64 {
 	return xs
 }
 
+// Len, Mean, Percentile, Median, Quartiles and FractionGreater complete
+// Sample's side of the comparison: PercentHist answers them, and histDiff
+// checks it does so exactly as the sorted sample would.
+
+func (s *Sample) Len() int { return len(s.values) }
+
+func (s *Sample) Mean() (float64, error) {
+	if len(s.values) == 0 {
+		return 0, ErrEmpty
+	}
+	var sum float64
+	for _, v := range s.values {
+		sum += v
+	}
+	return sum / float64(len(s.values)), nil
+}
+
+func (s *Sample) Percentile(p float64) (float64, error) {
+	s.ensureSorted()
+	return percentile(len(s.values), p, func(k int) float64 { return s.values[k] })
+}
+
+func (s *Sample) Median() (float64, error) { return s.Percentile(50) }
+
+func (s *Sample) Quartiles() (Quartiles, error) { return quartiles(s.Percentile) }
+
+func (s *Sample) FractionGreater(v float64) (float64, error) {
+	return complement(s.FractionAtMost(v))
+}
+
 // histDiff runs every PercentHist query and Sample's counterpart on the
 // multiset vals and describes the first result or error that differs, or
 // returns "" when all match exactly.

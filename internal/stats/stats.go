@@ -35,13 +35,6 @@ func (s *Sample) Add(vs ...float64) {
 	s.sorted = false
 }
 
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.values) }
-
-// Values returns the observations in insertion order until the first sort;
-// afterwards in ascending order. The returned slice is owned by the Sample.
-func (s *Sample) Values() []float64 { return s.values }
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.values)
@@ -49,61 +42,11 @@ func (s *Sample) ensureSorted() {
 	}
 }
 
-// Min returns the smallest observation.
-func (s *Sample) Min() (float64, error) {
-	if len(s.values) == 0 {
-		return 0, ErrEmpty
-	}
-	s.ensureSorted()
-	return s.values[0], nil
-}
-
-// Max returns the largest observation.
-func (s *Sample) Max() (float64, error) {
-	if len(s.values) == 0 {
-		return 0, ErrEmpty
-	}
-	s.ensureSorted()
-	return s.values[len(s.values)-1], nil
-}
-
-// Mean returns the arithmetic mean.
-func (s *Sample) Mean() (float64, error) {
-	if len(s.values) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values)), nil
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() (float64, error) {
-	m, err := s.Mean()
-	if err != nil {
-		return 0, err
-	}
-	var ss float64
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.values))), nil
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) using linear
-// interpolation between closest ranks, the same estimator as numpy's default
-// and the one used for the paper's whisker plots.
-func (s *Sample) Percentile(p float64) (float64, error) {
-	s.ensureSorted()
-	return percentile(len(s.values), p, func(k int) float64 { return s.values[k] })
-}
-
-// percentile is the closest-rank interpolation behind Sample.Percentile and
-// PercentHist.Percentile: the p-th percentile of n ordered observations,
-// where at(k) is the k-th smallest, counting from 0.
+// percentile is the closest-rank interpolation behind
+// PercentHist.Percentile, the same estimator as numpy's default and the
+// one used for the paper's whisker plots: the p-th percentile (p in
+// [0, 100]) of n ordered observations, where at(k) is the k-th smallest,
+// counting from 0.
 func percentile(n int, p float64, at func(k int) float64) (float64, error) {
 	if n == 0 {
 		return 0, ErrEmpty
@@ -124,18 +67,12 @@ func percentile(n int, p float64, at func(k int) float64) (float64, error) {
 	return at(lo)*(1-frac) + at(hi)*frac, nil
 }
 
-// Median returns the 50th percentile.
-func (s *Sample) Median() (float64, error) { return s.Percentile(50) }
-
 // Quartiles bundles the five-number-plus-whiskers summary used by the
 // hour-of-day load plot (Figure 5a): median, 25th/75th percentiles, and the
 // 1st/99th percentile whiskers.
 type Quartiles struct {
 	P1, P25, Median, P75, P99 float64
 }
-
-// Quartiles computes the Figure 5a summary for the sample.
-func (s *Sample) Quartiles() (Quartiles, error) { return quartiles(s.Percentile) }
 
 // quartiles reads the Figure 5a summary off a percentile function.
 func quartiles(pct func(p float64) (float64, error)) (Quartiles, error) {
@@ -201,11 +138,6 @@ func (s *Sample) FractionAtMost(v float64) (float64, error) {
 	s.ensureSorted()
 	idx := sort.SearchFloat64s(s.values, math.Nextafter(v, math.Inf(1)))
 	return float64(idx) / float64(len(s.values)), nil
-}
-
-// FractionGreater returns the empirical P[X > v].
-func (s *Sample) FractionGreater(v float64) (float64, error) {
-	return complement(s.FractionAtMost(v))
 }
 
 // complement turns P[X <= v] into P[X > v].

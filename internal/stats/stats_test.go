@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,9 +10,6 @@ import (
 
 func TestSampleEmpty(t *testing.T) {
 	s := NewSample()
-	if _, err := s.Min(); err != ErrEmpty {
-		t.Errorf("Min on empty: err = %v, want ErrEmpty", err)
-	}
 	if _, err := s.Mean(); err != ErrEmpty {
 		t.Errorf("Mean on empty: err = %v, want ErrEmpty", err)
 	}
@@ -28,12 +26,6 @@ func TestSampleBasics(t *testing.T) {
 	if n := s.Len(); n != 4 {
 		t.Fatalf("Len = %d, want 4", n)
 	}
-	if v, _ := s.Min(); v != 1 {
-		t.Errorf("Min = %v, want 1", v)
-	}
-	if v, _ := s.Max(); v != 4 {
-		t.Errorf("Max = %v, want 4", v)
-	}
 	if v, _ := s.Mean(); v != 2.5 {
 		t.Errorf("Mean = %v, want 2.5", v)
 	}
@@ -44,23 +36,12 @@ func TestSampleBasics(t *testing.T) {
 
 func TestSampleAddAfterSort(t *testing.T) {
 	s := NewSample(3, 1)
-	if v, _ := s.Min(); v != 1 {
-		t.Fatalf("Min = %v", v)
+	if v, _ := s.Percentile(0); v != 1 {
+		t.Fatalf("Percentile(0) = %v", v)
 	}
 	s.Add(0.5)
-	if v, _ := s.Min(); v != 0.5 {
-		t.Errorf("Min after Add = %v, want 0.5", v)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	s := NewSample(2, 4, 4, 4, 5, 5, 7, 9)
-	sd, err := s.StdDev()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sd-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", sd)
+	if v, _ := s.Percentile(0); v != 0.5 {
+		t.Errorf("Percentile(0) after Add = %v, want 0.5", v)
 	}
 }
 
@@ -104,7 +85,7 @@ func TestPercentileOutOfRange(t *testing.T) {
 	}
 }
 
-// Property: percentiles are monotone in p and bounded by min/max.
+// Property: percentiles are monotone in p and bounded by the extremes.
 func TestPercentileMonotone(t *testing.T) {
 	f := func(raw []uint8, pa, pb uint8) bool {
 		if len(raw) == 0 {
@@ -121,8 +102,7 @@ func TestPercentileMonotone(t *testing.T) {
 		}
 		v1, _ := s.Percentile(p1)
 		v2, _ := s.Percentile(p2)
-		mn, _ := s.Min()
-		mx, _ := s.Max()
+		mn, mx := slices.Min(s.values), slices.Max(s.values)
 		return v1 <= v2 && v1 >= mn && v2 <= mx
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -233,10 +213,8 @@ func TestSampleSortPreservesValues(t *testing.T) {
 			vals[i] = float64(v)
 		}
 		s := NewSample(vals...)
-		if len(vals) > 0 {
-			s.Min() // force sort
-		}
-		got := append([]float64(nil), s.Values()...)
+		s.Percentile(50) // force sort
+		got := append([]float64(nil), s.values...)
 		sort.Float64s(vals)
 		sort.Float64s(got)
 		if len(got) != len(vals) {

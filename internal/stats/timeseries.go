@@ -29,19 +29,6 @@ func (ts *TimeSeries) Append(t time.Time, v float64) {
 	ts.sorted = false
 }
 
-// Grow reserves capacity for n further points, so a producer that knows
-// the series length avoids the append doubling dance.
-func (ts *TimeSeries) Grow(n int) {
-	if free := cap(ts.points) - len(ts.points); free < n {
-		grown := make([]TimePoint, len(ts.points), len(ts.points)+n)
-		copy(grown, ts.points)
-		ts.points = grown
-	}
-}
-
-// Len returns the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.points) }
-
 func (ts *TimeSeries) ensureSorted() {
 	if ts.sorted {
 		return
@@ -88,15 +75,6 @@ func (ts *TimeSeries) At(t time.Time) (float64, bool) {
 		return 0, false
 	}
 	return ts.points[idx-1].V, true
-}
-
-// Between returns the points with First.T <= t <= Last.T restricted to the
-// half-open window [from, to).
-func (ts *TimeSeries) Between(from, to time.Time) []TimePoint {
-	ts.ensureSorted()
-	lo := sort.Search(len(ts.points), func(i int) bool { return !ts.points[i].T.Before(from) })
-	hi := sort.Search(len(ts.points), func(i int) bool { return !ts.points[i].T.Before(to) })
-	return ts.points[lo:hi]
 }
 
 // Deltas returns the step changes between consecutive points: one TimePoint
@@ -165,62 +143,11 @@ func (ts *TimeSeries) Resample(step time.Duration) *TimeSeries {
 	return out
 }
 
-// WindowAgg is one resample window's full aggregate: the same mean
-// Resample emits plus the count, sum, and extremes — the shape the load
-// API's min/max bands are built from when no rollup tier can serve them.
-type WindowAgg struct {
-	T        time.Time
-	Count    int
-	Sum      float64
-	Min, Max float64
-}
-
-// ResampleAgg is Resample keeping the whole aggregate per window instead
-// of just the mean: identical bucketing (fixed windows of width step
-// anchored at the first point, empty windows skipped, partial last window
-// emitted), so ResampleAgg[i].Sum/Count equals Resample's i-th value
-// exactly.
-func (ts *TimeSeries) ResampleAgg(step time.Duration) []WindowAgg {
-	ts.ensureSorted()
-	if len(ts.points) == 0 || step <= 0 {
-		return nil
-	}
-	var out []WindowAgg
-	cur := ts.points[0].T
-	agg := WindowAgg{T: cur}
-	flush := func() {
-		if agg.Count > 0 {
-			out = append(out, agg)
-		}
-		agg = WindowAgg{T: cur}
-	}
-	for _, p := range ts.points {
-		for p.T.Sub(cur) >= step {
-			flush()
-			cur = cur.Add(step)
-			agg.T = cur
-		}
-		if agg.Count == 0 || p.V < agg.Min {
-			agg.Min = p.V
-		}
-		if agg.Count == 0 || p.V > agg.Max {
-			agg.Max = p.V
-		}
-		agg.Sum += p.V
-		agg.Count++
-	}
-	flush()
-	return out
-}
-
 // Gap is a pause between consecutive timestamps, used by the collection
 // time-frame analysis (Figures 2 and 3).
 type Gap struct {
 	From, To time.Time
 }
-
-// Duration returns the gap length.
-func (g Gap) Duration() time.Duration { return g.To.Sub(g.From) }
 
 // Intervals returns the durations between consecutive timestamps in
 // chronological order. This is the raw material of Figure 3.

@@ -65,20 +65,6 @@ func TestTimeSeriesAt(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesBetween(t *testing.T) {
-	ts := NewTimeSeries()
-	for i := 0; i < 10; i++ {
-		ts.Append(at(i*5), float64(i))
-	}
-	got := ts.Between(at(10), at(25))
-	if len(got) != 3 { // 10, 15, 20
-		t.Fatalf("Between len = %d, want 3: %+v", len(got), got)
-	}
-	if got[0].V != 2 || got[2].V != 4 {
-		t.Errorf("Between = %+v", got)
-	}
-}
-
 func TestTimeSeriesDeltasAndChanges(t *testing.T) {
 	ts := NewTimeSeries()
 	ts.Append(at(0), 100)
@@ -159,48 +145,13 @@ func TestResampleMultiWindowGap(t *testing.T) {
 }
 
 func TestResampleEdge(t *testing.T) {
-	if got := NewTimeSeries().Resample(time.Hour).Len(); got != 0 {
+	if got := len(NewTimeSeries().Resample(time.Hour).Points()); got != 0 {
 		t.Errorf("resample empty = %d points", got)
 	}
 	ts := NewTimeSeries()
 	ts.Append(at(0), 5)
-	if got := ts.Resample(0).Len(); got != 0 {
+	if got := len(ts.Resample(0).Points()); got != 0 {
 		t.Errorf("resample step 0 = %d points", got)
-	}
-}
-
-// TestResampleAggMatchesResample: the aggregate resample must bucket
-// exactly like Resample — same windows, same skipping, Sum/Count equal to
-// the mean bit for bit — while carrying counts and extremes alongside.
-func TestResampleAggMatchesResample(t *testing.T) {
-	ts := NewTimeSeries()
-	for i := 0; i < 500; i++ {
-		// Irregular spacing with multi-window gaps and float-unfriendly values.
-		ts.Append(at(7*i+i%13), float64((i*37)%101)/3)
-	}
-	means := ts.Resample(time.Hour).Points()
-	aggs := ts.ResampleAgg(time.Hour)
-	if len(aggs) != len(means) {
-		t.Fatalf("agg windows = %d, mean windows = %d", len(aggs), len(means))
-	}
-	total := 0
-	for i, a := range aggs {
-		if !a.T.Equal(means[i].T) {
-			t.Errorf("window %d at %v, want %v", i, a.T, means[i].T)
-		}
-		if got := a.Sum / float64(a.Count); got != means[i].V {
-			t.Errorf("window %d mean = %v, want %v", i, got, means[i].V)
-		}
-		if a.Min > a.Max || a.Sum < a.Min*float64(a.Count) || a.Sum > a.Max*float64(a.Count) {
-			t.Errorf("window %d aggregate inconsistent: %+v", i, a)
-		}
-		total += a.Count
-	}
-	if total != ts.Len() {
-		t.Errorf("aggregated %d points, series holds %d", total, ts.Len())
-	}
-	if got := NewTimeSeries().ResampleAgg(time.Hour); got != nil {
-		t.Errorf("empty ResampleAgg = %v", got)
 	}
 }
 
@@ -233,8 +184,8 @@ func TestGapsLargerThan(t *testing.T) {
 	if gaps[0].From != at(5) || gaps[0].To != at(40) {
 		t.Errorf("gap = %+v", gaps[0])
 	}
-	if gaps[0].Duration() != 35*time.Minute {
-		t.Errorf("duration = %v", gaps[0].Duration())
+	if d := gaps[0].To.Sub(gaps[0].From); d != 35*time.Minute {
+		t.Errorf("duration = %v", d)
 	}
 }
 

@@ -12,7 +12,6 @@ package status
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -41,15 +40,6 @@ type Event struct {
 // Open reports whether the event has no announced end.
 func (e Event) Open() bool { return e.End.IsZero() }
 
-// Covers reports whether t falls inside the event's window. Open events
-// cover everything after their start.
-func (e Event) Covers(t time.Time) bool {
-	if t.Before(e.Start) {
-		return false
-	}
-	return e.Open() || !t.After(e.End)
-}
-
 // Feed is an ordered collection of status events.
 type Feed struct {
 	events []Event
@@ -66,38 +56,6 @@ func NewFeed(events ...Event) *Feed {
 func (f *Feed) Add(e Event) {
 	f.events = append(f.events, e)
 	sort.SliceStable(f.events, func(i, j int) bool { return f.events[i].Start.Before(f.events[j].Start) })
-}
-
-// Len returns the number of events.
-func (f *Feed) Len() int { return len(f.events) }
-
-// Events returns all events in start order. The slice is a copy.
-func (f *Feed) Events() []Event { return append([]Event(nil), f.events...) }
-
-// At returns the events whose window covers t.
-func (f *Feed) At(t time.Time) []Event {
-	var out []Event
-	for _, e := range f.events {
-		if e.Covers(t) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Between returns the events overlapping the window [from, to].
-func (f *Feed) Between(from, to time.Time) []Event {
-	var out []Event
-	for _, e := range f.events {
-		if e.Start.After(to) {
-			continue
-		}
-		if !e.Open() && e.End.Before(from) {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // Explains returns the first event of the given kind whose window covers t
@@ -125,18 +83,4 @@ func (f *Feed) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(f.events)
-}
-
-// ReadJSON loads a feed serialized by WriteJSON.
-func ReadJSON(r io.Reader) (*Feed, error) {
-	var events []Event
-	if err := json.NewDecoder(r).Decode(&events); err != nil {
-		return nil, fmt.Errorf("status: %w", err)
-	}
-	for i, e := range events {
-		if e.ID == "" || e.Start.IsZero() {
-			return nil, fmt.Errorf("status: event %d missing id or start", i)
-		}
-	}
-	return NewFeed(events...), nil
 }

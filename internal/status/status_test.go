@@ -2,6 +2,8 @@ package status
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,50 +24,12 @@ func sampleFeed() *Feed {
 
 func TestFeedOrderingAndAccessors(t *testing.T) {
 	f := sampleFeed()
-	if f.Len() != 3 {
-		t.Fatalf("len = %d", f.Len())
+	if len(f.events) != 3 {
+		t.Fatalf("len = %d", len(f.events))
 	}
-	evs := f.Events()
+	evs := f.events
 	if evs[0].ID != "U1" || evs[1].ID != "M1" || evs[2].ID != "I1" {
 		t.Errorf("order = %v, %v, %v", evs[0].ID, evs[1].ID, evs[2].ID)
-	}
-	// Events() returns a copy.
-	evs[0].ID = "mutated"
-	if f.Events()[0].ID != "U1" {
-		t.Error("Events leaked internal slice")
-	}
-}
-
-func TestCovers(t *testing.T) {
-	e := Event{Start: at(9, 0), End: at(23, 0)}
-	if e.Covers(at(8, 23)) {
-		t.Error("before start should not be covered")
-	}
-	if !e.Covers(at(9, 0)) || !e.Covers(at(15, 0)) || !e.Covers(at(23, 0)) {
-		t.Error("window should be covered inclusively")
-	}
-	if e.Covers(at(23, 1)) {
-		t.Error("after end should not be covered")
-	}
-	open := Event{Start: at(15, 3)}
-	if !open.Open() || !open.Covers(at(30, 0)) {
-		t.Error("open event should cover everything after start")
-	}
-}
-
-func TestAtAndBetween(t *testing.T) {
-	f := sampleFeed()
-	got := f.At(at(15, 4))
-	if len(got) != 2 { // M1 window + open incident I1
-		t.Fatalf("At = %+v", got)
-	}
-	between := f.Between(at(1, 0), at(3, 0))
-	if len(between) != 1 || between[0].ID != "U1" {
-		t.Errorf("Between = %+v", between)
-	}
-	all := f.Between(at(1, 0), at(30, 0))
-	if len(all) != 3 {
-		t.Errorf("full window = %d events", len(all))
 	}
 }
 
@@ -95,29 +59,23 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := f.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back []Event
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 3 {
-		t.Errorf("restored len = %d", back.Len())
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Error("garbage should fail")
-	}
-	if _, err := ReadJSON(bytes.NewReader([]byte(`[{"kind":"maintenance"}]`))); err == nil {
-		t.Error("event without id/start should fail")
+	if !reflect.DeepEqual(back, f.events) {
+		t.Errorf("restored %+v, want %+v", back, f.events)
 	}
 }
 
 func TestFromScenario(t *testing.T) {
 	sc := netsim.DefaultScenario()
 	feed := FromScenario(sc)
-	if feed.Len() == 0 {
+	if len(feed.events) == 0 {
 		t.Fatal("empty feed from default scenario")
 	}
 	var maint, upg int
-	for _, e := range feed.Events() {
+	for _, e := range feed.events {
 		switch e.Kind {
 		case Maintenance:
 			maint++

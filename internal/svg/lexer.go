@@ -113,19 +113,6 @@ func lex(data []byte, fn func(Element) error, fnSpans func(Element, Spans) error
 	return err
 }
 
-// ParseBytes is Parse for an in-memory document.
-func ParseBytes(data []byte) ([]Element, error) {
-	var out []Element
-	err := StreamBytes(data, func(e Element) error {
-		out = append(out, e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Intern-table bounds: adversarial documents must not grow a pooled lexer
 // without limit, so only short strings are interned and the table stops
 // admitting new entries once full. Lookups past the cap still work — they

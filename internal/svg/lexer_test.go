@@ -284,9 +284,13 @@ func TestLexerPoolReuse(t *testing.T) {
 	docB := []byte(`<svg><polygon points="0,0 1,1 2,0" fill="#123456"/></svg>`)
 	for i := 0; i < 3; i++ {
 		for _, doc := range [][]byte{docA, docB} {
-			fast, err := ParseBytes(doc)
+			var fast []Element
+			err := StreamBytes(doc, func(e Element) error {
+				fast = append(fast, e)
+				return nil
+			})
 			if err != nil {
-				t.Fatalf("ParseBytes: %v", err)
+				t.Fatalf("StreamBytes: %v", err)
 			}
 			std, err := stdAll(string(doc))
 			if err != nil {

@@ -50,6 +50,8 @@ func (e *ValueError) Error() string {
 }
 
 // Parse is the DOM-style entry point; Stream is the streaming equivalent.
+//
+//lint:ignore wmlint/deadexport the DOM side of the streaming-vs-DOM ablation (DESIGN.md §5)
 func Parse(r io.Reader) ([]Element, error) {
 	var out []Element
 	err := Stream(r, func(e Element) error {

@@ -40,9 +40,6 @@ func (sw *Writer) printf(format string, args ...any) {
 	}
 }
 
-// Err returns the first error encountered, if any.
-func (sw *Writer) Err() error { return sw.err }
-
 // BeginGroup opens a <g> element with the given class.
 func (sw *Writer) BeginGroup(class string) {
 	sw.printf(`<g class="%s">`+"\n", escape(class))
@@ -50,7 +47,7 @@ func (sw *Writer) BeginGroup(class string) {
 }
 
 // EndGroup closes the innermost open <g>. Closing with no open group is an
-// error surfaced through Err/Close.
+// error surfaced through Close.
 func (sw *Writer) EndGroup() {
 	if sw.open == 0 {
 		if sw.err == nil {
@@ -79,14 +76,6 @@ func (sw *Writer) Text(p geom.Point, class, content string) {
 func (sw *Writer) Polygon(pg geom.Polygon, class, fill string) {
 	sw.printf(`<polygon class="%s" points="%s" fill="%s"/>`+"\n",
 		escape(class), FormatPoints(pg), escape(fill))
-}
-
-// Line draws a stroked line segment (used for decorative map features; the
-// parser ignores them, which exercises the "skip unknown elements" path).
-func (sw *Writer) Line(s geom.Segment, class, stroke string) {
-	sw.printf(`<line class="%s" x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s"/>`+"\n",
-		escape(class), trimFloat(s.A.X), trimFloat(s.A.Y),
-		trimFloat(s.B.X), trimFloat(s.B.Y), escape(stroke))
 }
 
 // Raw writes a preformatted fragment verbatim. The fault injector uses it to

@@ -197,8 +197,8 @@ func TestReaderCacheFullBlockServesGroups(t *testing.T) {
 	// A link query must now be all hits: no new misses.
 	key := LinkKeysOf(maps[0])[1]
 	ab, _, err := linkSeries(context.Background(), rd, wmap.Europe, key, time.Time{}, time.Time{})
-	if err != nil || ab.Len() != 6 {
-		t.Fatalf("linkSeries after warm scan: len %d, err %v", ab.Len(), err)
+	if err != nil || len(ab.Points()) != 6 {
+		t.Fatalf("linkSeries after warm scan: len %d, err %v", len(ab.Points()), err)
 	}
 	s := rd.BlockCache().Stats()
 	if s.Misses != after.Misses {

@@ -125,15 +125,12 @@ func (c *Cursor) Close() {
 	}
 }
 
-// Map returns the snapshot Next advanced to, freshly materialized: the
-// caller owns it and may retain or mutate it.
-func (c *Cursor) Map() *wmap.Map { return materialize(c.st, c.vdb, c.vpi) }
-
 // MapView returns the snapshot Next advanced to, backed by cursor-owned
 // scratch storage: zero steady-state allocations, built for full-corpus
 // folds that read each snapshot and move on. The returned map (and its
 // Nodes/Links slices) is only valid until the next call to Next or
-// MapView and must not be mutated or retained — use Map for an owned copy.
+// MapView and must not be mutated or retained — Clone it for an owned
+// copy.
 func (c *Cursor) MapView() *wmap.Map {
 	if c.scratch == nil {
 		c.scratch = &wmap.Map{}

@@ -76,21 +76,11 @@ func (w *Writer) SetEventDetection(enabled bool, db *peeringdb.DB) error {
 	return nil
 }
 
-// SetEventConfig overrides the detector parameters (events.DefaultConfig
-// otherwise). Call it before the first Append or Sync.
-func (w *Writer) SetEventConfig(cfg events.Config) error {
-	if w.evReady {
-		return errors.New("tsdb: SetEventConfig must be called before the first append")
-	}
-	w.evCfg = cfg
-	return nil
-}
-
 // detector returns (creating on first use) the map's event detector.
 func (w *Writer) detector(id wmap.MapID) *events.Detector {
 	det := w.detectors[id]
 	if det == nil {
-		det = events.NewDetector(id, w.evCfg, w.evDB)
+		det = events.NewDetector(id, events.DefaultConfig(), w.evDB)
 		w.detectors[id] = det
 	}
 	return det

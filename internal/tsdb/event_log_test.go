@@ -110,9 +110,6 @@ func TestEventDetectionDisabled(t *testing.T) {
 	if err := w.SetEventDetection(true, nil); err == nil {
 		t.Fatal("SetEventDetection accepted after the first append")
 	}
-	if err := w.SetEventConfig(events.DefaultConfig()); err == nil {
-		t.Fatal("SetEventConfig accepted after the first append")
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func FuzzBlockReader(f *testing.F) {
 			cur := rd.CursorParallel(context.Background(), id, time.Time{}, time.Time{}, 1)
 			n := 0
 			for cur.Next() {
-				if m := cur.Map(); m == nil || m.ID != id {
+				if m := cur.MapView().Clone(); m == nil || m.ID != id {
 					t.Fatalf("cursor yielded map %+v for %s", m, id)
 				}
 				n++
@@ -312,7 +312,7 @@ func FuzzAppendRecovery(f *testing.F) {
 		for _, id := range rd.Maps() {
 			cur := rd.CursorParallel(context.Background(), id, time.Time{}, time.Time{}, 1)
 			for cur.Next() {
-				if m := cur.Map(); m == nil || m.ID != id {
+				if m := cur.MapView().Clone(); m == nil || m.ID != id {
 					t.Fatalf("cursor yielded map %+v for %s", m, id)
 				}
 			}

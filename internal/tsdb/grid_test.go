@@ -89,7 +89,7 @@ func TestMapHasLinkMatchesWalk(t *testing.T) {
 		var maps []*wmap.Map
 		cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 		for cur.Next() {
-			maps = append(maps, cur.Map())
+			maps = append(maps, cur.MapView().Clone())
 		}
 		if err := cur.Err(); err != nil {
 			t.Fatal(err)

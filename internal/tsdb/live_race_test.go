@@ -187,7 +187,7 @@ func TestLiveTailRace(t *testing.T) {
 			cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 			n := 0
 			for cur.Next() {
-				m := cur.Map()
+				m := cur.MapView().Clone()
 				i := int(m.Time.Sub(base) / (5 * time.Minute))
 				if got, want := int(m.Links[0].LoadAB), i%101; got != want {
 					fail(fmt.Errorf("cursor round %d: snapshot %d LoadAB = %d, want %d", round, i, got, want))

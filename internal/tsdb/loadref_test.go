@@ -17,7 +17,7 @@ import (
 // planner can prove them exact, raw blocks elsewhere — and every response
 // must be byte-identical to the plain reference below: the link's raw
 // series from linkSeries, resampled by stats.TimeSeries.Resample (or
-// ResampleAgg for bands=1) and encoded point by point. The grid path and
+// resampleAgg for bands=1) and encoded point by point. The grid path and
 // the per-link path sharing an engine means they can no longer disagree;
 // this reference is what keeps both honest.
 
@@ -27,8 +27,6 @@ import (
 func linkSeries(ctx context.Context, r *Reader, id wmap.MapID, key LinkKey, from, to time.Time) (ab, ba *stats.TimeSeries, err error) {
 	ab, ba = stats.NewTimeSeries(), stats.NewTimeSeries()
 	err = r.LinkColumnsContext(ctx, id, key, from, to, func(times []int64, abCol, baCol []wmap.Load) error {
-		ab.Grow(len(times))
-		ba.Grow(len(times))
 		for k, sec := range times {
 			at := time.Unix(sec, 0).UTC()
 			ab.Append(at, float64(abCol[k]))
@@ -59,8 +57,92 @@ func appendSeries(b []byte, ts *stats.TimeSeries) []byte {
 	return append(b, ']')
 }
 
+// windowAgg is one resample window's full aggregate: the same mean
+// Resample emits plus the count, sum and extremes, the shape of the load
+// API's min/max bands.
+type windowAgg struct {
+	T        time.Time
+	Count    int
+	Sum      float64
+	Min, Max float64
+}
+
+// resampleAgg is ts.Resample keeping the whole aggregate per window
+// instead of just the mean: identical bucketing (fixed windows of width
+// step anchored at the first point, empty windows skipped, partial last
+// window emitted), so resampleAgg[i].Sum/Count equals Resample's i-th
+// value exactly.
+func resampleAgg(ts *stats.TimeSeries, step time.Duration) []windowAgg {
+	points := ts.Points()
+	if len(points) == 0 || step <= 0 {
+		return nil
+	}
+	var out []windowAgg
+	cur := points[0].T
+	agg := windowAgg{T: cur}
+	flush := func() {
+		if agg.Count > 0 {
+			out = append(out, agg)
+		}
+		agg = windowAgg{T: cur}
+	}
+	for _, p := range points {
+		for p.T.Sub(cur) >= step {
+			flush()
+			cur = cur.Add(step)
+			agg.T = cur
+		}
+		if agg.Count == 0 || p.V < agg.Min {
+			agg.Min = p.V
+		}
+		if agg.Count == 0 || p.V > agg.Max {
+			agg.Max = p.V
+		}
+		agg.Sum += p.V
+		agg.Count++
+	}
+	flush()
+	return out
+}
+
+// TestResampleAggMatchesResample: the aggregate resample must bucket
+// exactly like Resample — same windows, same skipping, Sum/Count equal to
+// the mean bit for bit — while carrying counts and extremes alongside.
+func TestResampleAggMatchesResample(t *testing.T) {
+	ts := stats.NewTimeSeries()
+	t0 := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 500; i++ {
+		// Irregular spacing with multi-window gaps and float-unfriendly values.
+		ts.Append(t0.Add(time.Duration(7*i+i%13)*time.Minute), float64((i*37)%101)/3)
+	}
+	means := ts.Resample(time.Hour).Points()
+	aggs := resampleAgg(ts, time.Hour)
+	if len(aggs) != len(means) {
+		t.Fatalf("agg windows = %d, mean windows = %d", len(aggs), len(means))
+	}
+	total := 0
+	for i, a := range aggs {
+		if !a.T.Equal(means[i].T) {
+			t.Errorf("window %d at %v, want %v", i, a.T, means[i].T)
+		}
+		if got := a.Sum / float64(a.Count); got != means[i].V {
+			t.Errorf("window %d mean = %v, want %v", i, got, means[i].V)
+		}
+		if a.Min > a.Max || a.Sum < a.Min*float64(a.Count) || a.Sum > a.Max*float64(a.Count) {
+			t.Errorf("window %d aggregate inconsistent: %+v", i, a)
+		}
+		total += a.Count
+	}
+	if total != len(ts.Points()) {
+		t.Errorf("aggregated %d points, series holds %d", total, len(ts.Points()))
+	}
+	if got := resampleAgg(stats.NewTimeSeries(), time.Hour); got != nil {
+		t.Errorf("empty resampleAgg = %v", got)
+	}
+}
+
 // appendAggSeries appends one field of an aggregate resample as a series.
-func appendAggSeries(b []byte, aggs []stats.WindowAgg, sel func(wa *stats.WindowAgg) float64) []byte {
+func appendAggSeries(b []byte, aggs []windowAgg, sel func(wa *windowAgg) float64) []byte {
 	b = append(b, '[')
 	var enc timeEncoder
 	for i := range aggs {
@@ -103,10 +185,10 @@ func referenceLoadBody(t *testing.T, rd *Reader, linkID string, from, to time.Ti
 		b = appendSeries(b, ba.Resample(step))
 		return append(b, '}', '\n')
 	}
-	mean := func(wa *stats.WindowAgg) float64 { return wa.Sum / float64(wa.Count) }
-	lo := func(wa *stats.WindowAgg) float64 { return wa.Min }
-	hi := func(wa *stats.WindowAgg) float64 { return wa.Max }
-	abAgg, baAgg := ab.ResampleAgg(step), ba.ResampleAgg(step)
+	mean := func(wa *windowAgg) float64 { return wa.Sum / float64(wa.Count) }
+	lo := func(wa *windowAgg) float64 { return wa.Min }
+	hi := func(wa *windowAgg) float64 { return wa.Max }
+	abAgg, baAgg := resampleAgg(ab, step), resampleAgg(ba, step)
 	b = append(b, `,"ab":`...)
 	b = appendAggSeries(b, abAgg, mean)
 	b = append(b, `,"ba":`...)

@@ -16,7 +16,7 @@ func collectCursor(t *testing.T, cur *Cursor) []*wmap.Map {
 	t.Helper()
 	var out []*wmap.Map
 	for cur.Next() {
-		out = append(out, cur.Map())
+		out = append(out, cur.MapView().Clone())
 	}
 	if err := cur.Err(); err != nil {
 		t.Fatal(err)
@@ -166,10 +166,10 @@ func TestCursorParallelPropagatesCorruption(t *testing.T) {
 }
 
 // TestCursorMapViewMatchesMap proves the scratch-backed view is
-// indistinguishable from an owned Map at every step — with one and with
-// several decoders, with and without a cache — that both match the
-// sequential reference, and that the scratch reuse never leaks one
-// snapshot's loads into the next.
+// indistinguishable from an owned materialized snapshot at every step —
+// with one and with several decoders, with and without a cache — that
+// both match the sequential reference, and that the scratch reuse never
+// leaks one snapshot's loads into the next.
 func TestCursorMapViewMatchesMap(t *testing.T) {
 	var maps []*wmap.Map
 	for i := 0; i < 10; i++ {
@@ -189,7 +189,7 @@ func TestCursorMapViewMatchesMap(t *testing.T) {
 			cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, workers)
 			i := 0
 			for cur.Next() {
-				view, owned := cur.MapView(), cur.Map()
+				view, owned := cur.MapView(), materialize(cur.st, cur.vdb, cur.vpi)
 				if !reflect.DeepEqual(view, owned) || i >= len(ref) || !reflect.DeepEqual(owned, ref[i]) {
 					t.Fatalf("cache=%v parallel=%v snapshot %d: MapView diverges from Map", withCache, parallel, i)
 				}
@@ -222,7 +222,7 @@ func TestLinkSeriesContextCancelled(t *testing.T) {
 	}
 
 	ab, ba, err := linkSeries(context.Background(), rd, wmap.Europe, key, time.Time{}, time.Time{})
-	if err != nil || ab.Len() != 10 || ba.Len() != 10 {
-		t.Errorf("background linkSeries: %d/%d points, err %v", ab.Len(), ba.Len(), err)
+	if err != nil || len(ab.Points()) != 10 || len(ba.Points()) != 10 {
+		t.Errorf("background linkSeries: %d/%d points, err %v", len(ab.Points()), len(ba.Points()), err)
 	}
 }

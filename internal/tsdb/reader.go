@@ -145,6 +145,8 @@ func OpenFile(path string) (*Reader, error) {
 // values — return a *CorruptError; NewReader never panics on arbitrary
 // input. Readers opened this way have no file to watch, so Refresh is
 // unavailable.
+//
+//lint:ignore wmlint/deadexport in-memory counterpart of NewWriter, the seam the fuzzers and equivalence tests read through
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	st, err := parseClosed(r, size)
 	if err != nil {

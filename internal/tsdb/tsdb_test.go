@@ -121,7 +121,7 @@ func TestRoundTrip(t *testing.T) {
 	cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 	i := 0
 	for cur.Next() {
-		got := cur.Map()
+		got := cur.MapView().Clone()
 		if !reflect.DeepEqual(got, &wmap.Map{
 			ID: want[i].ID, Time: want[i].Time.UTC(),
 			Nodes: want[i].Nodes, Links: want[i].Links,
@@ -231,7 +231,7 @@ func TestBlockRotationAndTopologyDedup(t *testing.T) {
 	cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
 	n := 0
 	for cur.Next() {
-		got := cur.Map()
+		got := cur.MapView().Clone()
 		if len(got.Links) != len(maps[n].Links) {
 			t.Fatalf("snapshot %d: %d links, want %d", n, len(got.Links), len(maps[n].Links))
 		}
@@ -253,7 +253,7 @@ func TestCursorRange(t *testing.T) {
 		var out []time.Time
 		cur := rd.CursorParallel(context.Background(), wmap.Europe, from, to, 1)
 		for cur.Next() {
-			out = append(out, cur.Map().Time)
+			out = append(out, cur.MapView().Clone().Time)
 		}
 		if err := cur.Err(); err != nil {
 			t.Fatal(err)
@@ -330,8 +330,8 @@ func TestLinkSeriesAndOrdinals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ab.Len() != 8 || ba.Len() != 8 {
-			t.Fatalf("key %d: series lengths %d, %d", ki, ab.Len(), ba.Len())
+		if len(ab.Points()) != 8 || len(ba.Points()) != 8 {
+			t.Fatalf("key %d: series lengths %d, %d", ki, len(ab.Points()), len(ba.Points()))
 		}
 		for i, p := range ab.Points() {
 			if p.V != float64(wantBase[0]+i) || !p.T.Equal(at(5*i)) {
@@ -347,8 +347,8 @@ func TestLinkSeriesAndOrdinals(t *testing.T) {
 
 	// Range restriction decodes only what overlaps.
 	ab, _, err := linkSeries(context.Background(), rd, wmap.Europe, keys[0], at(10), at(20))
-	if err != nil || ab.Len() != 3 {
-		t.Errorf("ranged series len = %d, err %v", ab.Len(), err)
+	if err != nil || len(ab.Points()) != 3 {
+		t.Errorf("ranged series len = %d, err %v", len(ab.Points()), err)
 	}
 
 	if _, _, err := linkSeries(context.Background(), rd, wmap.Europe, LinkKey{A: "nope", B: "AMS-IX"}, time.Time{}, time.Time{}); !errors.Is(err, ErrUnknownLink) {

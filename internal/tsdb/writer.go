@@ -129,7 +129,6 @@ type Writer struct {
 	// discipline as rollupReady, after which enablement, config, and (on a
 	// resumed archive) the rebuilt detector state are frozen.
 	evEnabled bool
-	evCfg     events.Config
 	evDB      *peeringdb.DB
 	evReady   bool
 	detectors map[wmap.MapID]*events.Detector
@@ -155,7 +154,6 @@ func NewWriter(w io.Writer) *Writer {
 		rollupRes:   res,
 		accs:        make(map[wmap.MapID][]*rollupAcc),
 		evEnabled:   true,
-		evCfg:       events.DefaultConfig(),
 		detectors:   make(map[wmap.MapID]*events.Detector),
 		evPending:   make(map[wmap.MapID][]events.Event),
 	}

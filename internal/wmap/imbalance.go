@@ -28,11 +28,3 @@ type Imbalance struct {
 	Spread   int  // max load − min load, percentage points
 	Links    int  // number of links contributing after filtering
 }
-
-// Imbalances computes the load imbalance for every directed set of parallel
-// links on the map, applying the given filters. Each node pair yields up
-// to two directed sets (one per direction), matching the paper's
-// methodology for Figure 5c.
-func (m *Map) Imbalances(opt ImbalanceOptions) []Imbalance {
-	return NewTopology(nil, m.Links).Imbalances(m.Links, opt)
-}

@@ -150,20 +150,45 @@ func NewTopology(nodes []Node, links []Link) *Topology {
 			names = append(names, n.Name)
 		}
 	}
+	if len(names) == 0 {
+		return t
+	}
 	sort.Strings(names)
-	var egress []int32 // every peering's egress, back to back
+	peerOf := make(map[string]int32, len(names))
 	for _, name := range names {
-		start := len(egress)
+		if _, ok := peerOf[name]; !ok {
+			peerOf[name] = int32(len(peerOf))
+		}
+	}
+	// Every peering's egress, back to back in link order: one pass over
+	// the links counts each peering's directions, a second fills them. A
+	// direction is egress toward its to side; a link between two peerings
+	// is egress of both, a link from a peering to itself only by its AB
+	// direction. A repeated name repeats its entry.
+	each := func(fn func(p, di int32)) {
 		for i, l := range links {
-			switch name {
-			case l.B:
-				egress = append(egress, int32(2*i)) // egress from the backbone side
-			case l.A:
-				egress = append(egress, int32(2*i+1))
+			if p, ok := peerOf[l.B]; ok {
+				fn(p, int32(2*i))
+			}
+			if p, ok := peerOf[l.A]; ok && l.A != l.B {
+				fn(p, int32(2*i+1))
 			}
 		}
-		if len(egress) > start {
-			t.peers = append(t.peers, PeerEgress{Name: name, Dirs: egress[start:len(egress):len(egress)]})
+	}
+	at := make([]int32, len(peerOf)+1) // peering p's egress is egress[at[p]:at[p+1]]
+	each(func(p, _ int32) { at[p+1]++ })
+	for p := range len(peerOf) {
+		at[p+1] += at[p]
+	}
+	egress := make([]int32, at[len(peerOf)])
+	fill := slices.Clone(at[:len(peerOf)])
+	each(func(p, di int32) {
+		egress[fill[p]] = di
+		fill[p]++
+	})
+	for _, name := range names {
+		if p := peerOf[name]; at[p] < at[p+1] {
+			t.peers = append(t.peers, PeerEgress{Name: name, Dirs: egress[at[p]:at[p+1]:at[p+1]]})
 		}
 	}
 	return t
@@ -175,9 +200,8 @@ func (t *Topology) Keys() []DirKey { return t.keys }
 // Sets returns the directed parallel sets in the order of the paper's
 // imbalance walk: node pairs ordered by their lesser name, then their
 // greater, and each pair's set from the lesser name before the one from
-// the greater. A link
-// from a node to itself, which Validate rejects, gives one set holding
-// both its directions.
+// the greater. A link from a node to itself, which Validate rejects,
+// gives one set holding both its directions.
 func (t *Topology) Sets() []DirSet { return t.sets }
 
 // ParallelSets returns the directed sets of two or more directions, the
@@ -236,8 +260,9 @@ func DirLoad(links []Link, di int32) Load {
 // SameSkeleton reports whether two snapshots have the same skeleton: the
 // same nodes, by value, and the same links by (A, B, LabelA, LabelB), in
 // the same order. Loads never count: a Topology, and any Compare diff
-// that is not Empty, depend on nothing else. Snapshots decoded from one stored topology share its strings, so an
-// unchanged skeleton compares at pointer speed.
+// that is not Empty, depend on nothing else. Snapshots decoded from one
+// stored topology share its strings, so an unchanged skeleton compares
+// at pointer speed.
 //
 //wm:hotpath
 func SameSkeleton(a, b *Map) bool {

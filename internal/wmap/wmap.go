@@ -48,15 +48,6 @@ func (id MapID) Title() string {
 	}
 }
 
-// Valid reports whether id names one of the four backbone maps.
-func (id MapID) Valid() bool {
-	switch id {
-	case Europe, World, NorthAmerica, AsiaPacific:
-		return true
-	}
-	return false
-}
-
 // ParseMapID resolves a map name (id form or title form, case-insensitive)
 // to a MapID.
 func ParseMapID(s string) (MapID, error) {
@@ -145,32 +136,11 @@ type Map struct {
 	Links []Link
 }
 
-// Node returns the named node; ok is false when absent.
-func (m *Map) Node(name string) (Node, bool) {
-	for _, n := range m.Nodes {
-		if n.Name == name {
-			return n, true
-		}
-	}
-	return Node{}, false
-}
-
 // Routers returns the OVH routers on the map.
 func (m *Map) Routers() []Node {
 	var out []Node
 	for _, n := range m.Nodes {
 		if n.Kind == Router {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Peerings returns the physical peerings on the map.
-func (m *Map) Peerings() []Node {
-	var out []Node
-	for _, n := range m.Nodes {
-		if n.Kind == Peering {
 			out = append(out, n)
 		}
 	}
