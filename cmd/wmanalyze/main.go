@@ -73,7 +73,7 @@ func main() {
 	flag.BoolVar(&cfg.useSim, "sim", false, "analyze the simulator directly instead of a dataset")
 	flag.StringVar(&cfg.mapStr, "map", "europe", "map analyzed in Figures 4-6")
 	flag.StringVar(&cfg.figures, "figures", "all", "comma-separated subset: 1,2,3,4,5,6 or all; add rollup for the tier-backed weekly fold (-archive only)")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "YAML-decoding worker-pool size (1 = sequential); also the -archive block-decode pipeline width")
+	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "YAML-decoding worker-pool size (1 = sequential); with -archive, the block-decode width of the snapshot walks (the column folds behind Figure 5c and the weekly fold always decode with GOMAXPROCS workers)")
 	flag.DurationVar(&cfg.simStep, "sim-step", 6*time.Hour, "sampling step in -sim mode")
 	flag.Int64Var(&cfg.cacheBytes, "block-cache", tsdb.DefaultBlockCacheBytes, "decoded-block cache budget in bytes for -archive reads (0 disables)")
 	flag.StringVar(&profiles.CPU, "cpuprofile", "", "write a pprof CPU profile to `file`")

@@ -349,6 +349,121 @@ func TestTornTailMatrix(t *testing.T) {
 	}
 }
 
+// TestResumeOverCorruptCommittedBlock: recovery re-verifies only the
+// committed tail, so a raw block damaged deeper in the committed prefix
+// first shows when the resumed writer replays it to rebuild its detectors
+// and rollup accumulators. The resume must not fail: event detection,
+// which replays every block, is always switched off; rollups, which replay
+// only the points past their flushed frontier, are switched off only when
+// the damaged block lies past that frontier. Either way the writer closes
+// into an archive a reader opens.
+func TestResumeOverCorruptCommittedBlock(t *testing.T) {
+	const committed, total = 200, 300
+	dir := t.TempDir()
+	start := func(path string) *Writer {
+		t.Helper()
+		w, err := OpenAppend(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetBlockPoints(4)
+		// One tier, so the rollup frontier is that tier's and falls inside
+		// the committed prefix.
+		if err := w.SetRollupResolutions(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	path := filepath.Join(dir, "live.tsdb")
+	w := start(path)
+	for i := 0; i < committed; i++ {
+		if err := w.Append(seqMap(wmap.Europe, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	at0 := w.Stats()
+	st := captureFiles(t, path)
+	ck, err := readCheckpoint(CheckpointPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := parseFooterData(ck.payload, 0, ck.dataEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontier := int64(-1)
+	for _, m := range fd.rollups {
+		frontier = max(frontier, m.lastPoint)
+	}
+	tail := fd.blocks[0].offset
+	for _, b := range fd.blocks {
+		tail = max(tail, b.offset)
+	}
+	before, past := -1, -1
+	for i, b := range fd.blocks {
+		switch {
+		case b.lastUnix <= frontier && before < 0:
+			before = i
+		case b.lastUnix > frontier && b.offset != tail && past < 0:
+			past = i
+		}
+	}
+	if frontier < 0 || before < 0 || past < 0 {
+		t.Fatalf("fixture lacks a block on each side of the rollup frontier (frontier %d, blocks %d/%d)", frontier, before, past)
+	}
+
+	// resume reopens the crash state with block bi flipped (bi < 0: intact),
+	// appends the rest of the stream, and returns the closed writer's stats.
+	resume := func(name string, bi int) ArchiveStats {
+		t.Helper()
+		data := append([]byte(nil), st.data...)
+		if bi >= 0 {
+			b := fd.blocks[bi]
+			data[b.offset+4+int64(b.payloadLen)/2] ^= 0xFF
+		}
+		p := restoreFiles(t, dir, name, fileState{data: data, ckpt: st.ckpt})
+		w := start(p)
+		for i := committed; i < total; i++ {
+			if err := w.Append(seqMap(wmap.Europe, i)); err != nil {
+				t.Fatalf("%s: append %d: %v", name, i, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+		out, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewReader(bytes.NewReader(out), int64(len(out))); err != nil {
+			t.Fatalf("%s: closed archive does not open: %v", name, err)
+		}
+		return w.Stats()
+	}
+
+	clean := resume("clean.tsdb", -1)
+	if clean.RollupBlocks <= at0.RollupBlocks || clean.EventBlocks <= at0.EventBlocks {
+		t.Fatalf("intact resume wrote no new rollup or event frames (%+v after %+v); the test exercises nothing", clean, at0)
+	}
+	got := resume("before.tsdb", before)
+	if got.EventBlocks != at0.EventBlocks {
+		t.Errorf("block before the frontier: %d event frames, want detection off at %d", got.EventBlocks, at0.EventBlocks)
+	}
+	if got.RollupBlocks != clean.RollupBlocks {
+		t.Errorf("block before the frontier: %d rollup blocks, want rollups kept (%d)", got.RollupBlocks, clean.RollupBlocks)
+	}
+	got = resume("past.tsdb", past)
+	if got.EventBlocks != at0.EventBlocks {
+		t.Errorf("block past the frontier: %d event frames, want detection off at %d", got.EventBlocks, at0.EventBlocks)
+	}
+	if got.RollupBlocks != at0.RollupBlocks {
+		t.Errorf("block past the frontier: %d rollup blocks, want rollups off at %d", got.RollupBlocks, at0.RollupBlocks)
+	}
+}
+
 // TestCheckpointFlipMatrix flips every byte of the checkpoint file itself.
 // Allowed outcomes: a typed *CorruptError, or a recovery that still
 // reproduces the committed state exactly (flips in the commit-version

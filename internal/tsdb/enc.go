@@ -1,6 +1,12 @@
 package tsdb
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+)
 
 // On-disk layout constants. All multi-byte integers inside sections are
 // unsigned LEB128 varints (zigzag for signed deltas); the block and footer
@@ -9,7 +15,7 @@ const (
 	headerMagic = "wmtsdb1\n"
 	tailMagic   = "wmtsend\n"
 
-	// frameOverhead is the fixed framing around a block payload: a u32
+	// frameOverhead is the fixed framing around a frame payload: a u32
 	// length prefix and a u32 CRC suffix.
 	frameOverhead = 8
 
@@ -84,4 +90,93 @@ func (d *dec) byte(what string) (byte, error) {
 	c := d.b[d.pos]
 	d.pos++
 	return c, nil
+}
+
+// frame locates one framed payload in the data section. Raw blocks, rollup
+// blocks and event frames share the framing — u32le payload length,
+// payload, u32le CRC32(payload) — and each index row embeds its frame.
+type frame struct {
+	offset     int64 // file offset of the length prefix
+	payloadLen int
+}
+
+// end is the file offset just past the frame's checksum.
+func (f frame) end() int64 { return f.offset + frameOverhead + int64(f.payloadLen) }
+
+// writeFrame frames payload at the current offset and returns where it
+// landed; the caller indexes it.
+func (w *Writer) writeFrame(payload []byte) (frame, error) {
+	if len(payload) > math.MaxInt32 {
+		return frame{}, fmt.Errorf("tsdb: frame payload of %d bytes exceeds the frame limit", len(payload))
+	}
+	if err := w.ensureHeader(); err != nil {
+		return frame{}, err
+	}
+	f := frame{offset: w.off, payloadLen: len(payload)}
+	var pre, sum [4]byte
+	binary.LittleEndian.PutUint32(pre[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	return f, w.writeAll(pre[:], payload, sum[:])
+}
+
+// readFrame reads frame f below size, checks its length prefix against the
+// index and its checksum, and returns a decoder over the payload. what
+// names the frame kind in errors.
+func readFrame(r io.ReaderAt, size int64, f frame, what string) (dec, error) {
+	buf, err := readAtFull(r, size, f.offset, frameOverhead+f.payloadLen)
+	if err != nil {
+		return dec{}, err
+	}
+	if got := binary.LittleEndian.Uint32(buf[:4]); int(got) != f.payloadLen {
+		return dec{}, corruptf(f.offset, "%s length prefix %d disagrees with index's %d", what, got, f.payloadLen)
+	}
+	payload := buf[4 : 4+f.payloadLen]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4+f.payloadLen:]) {
+		return dec{}, corruptf(f.offset, "%s checksum mismatch", what)
+	}
+	return dec{b: payload, off: f.offset + 4}, nil
+}
+
+// header reads a payload's leading uvarints and checks them against want,
+// the index row's copy of the same fields. All are read before any is
+// compared, so a malformed varint is reported where it sits.
+func (d *dec) header(what string, want ...uint64) error {
+	same := true
+	for _, v := range want {
+		got, err := d.uvarint("header field")
+		if err != nil {
+			return err
+		}
+		same = same && got == v
+	}
+	if !same {
+		return corruptf(d.off, "%s header disagrees with footer index", what)
+	}
+	return nil
+}
+
+// frameRow checks the fields every index row shares — a map ref into the
+// string table and a frame inside the data section — and returns the
+// frame. d has just read the row, so errors point past it.
+func (fd *footerData) frameRow(d *dec, what string, mapRef, off, payloadLen uint64, dataEnd int64) (frame, error) {
+	if mapRef >= uint64(len(fd.strs)) {
+		return frame{}, corruptf(d.abs(), "%s map ref %d outside string table of %d", what, mapRef, len(fd.strs))
+	}
+	if off < uint64(len(headerMagic)) || off > uint64(dataEnd) || payloadLen > math.MaxInt32 ||
+		off+frameOverhead+payloadLen > uint64(dataEnd) {
+		return frame{}, corruptf(d.abs(), "%s frame [%d, +%d] outside data section", what, off, payloadLen)
+	}
+	return frame{offset: int64(off), payloadLen: int(payloadLen)}, nil
+}
+
+// fields reads one index row of len(raw) uvarints.
+func (d *dec) fields(raw []uint64) error {
+	for i := range raw {
+		v, err := d.uvarint("index field")
+		if err != nil {
+			return err
+		}
+		raw[i] = v
+	}
+	return nil
 }

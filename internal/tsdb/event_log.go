@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"log"
 	"math"
 	"sort"
 	"time"
@@ -55,20 +53,19 @@ var ErrNoEvents = errors.New("tsdb: archive holds no event log")
 // lastPoint is the map's newest appended snapshot at flush time — the
 // resume frontier.
 type eventMeta struct {
-	mapRef     uint64
-	offset     int64 // file offset of the frame's length prefix
-	payloadLen int
-	firstUnix  int64
-	lastUnix   int64
-	lastPoint  int64
-	count      int
+	frame
+	mapRef    uint64
+	firstUnix int64
+	lastUnix  int64
+	lastPoint int64
+	count     int
 }
 
 // SetEventDetection enables or disables write-time event detection
 // (enabled by default) and attaches the PeeringDB used to confirm upgrade
 // events (nil confirms nothing). Call it before the first Append or Sync.
 func (w *Writer) SetEventDetection(enabled bool, db *peeringdb.DB) error {
-	if w.evReady {
+	if w.resumed {
 		return errors.New("tsdb: SetEventDetection must be called before the first append")
 	}
 	w.evEnabled = enabled
@@ -95,81 +92,26 @@ func (w *Writer) evObserve(m *wmap.Map) {
 	}
 }
 
-// ensureEventState lazily reconstructs a resumed archive's detector state by
-// replaying every committed raw block. It runs once, at the first
-// append/sync/close, so SetEventDetection can still be called after
-// OpenAppend. A corrupt raw block disables detection for this writer
-// (logged) rather than failing the resume, exactly like ensureRollupState:
-// recovery only guarantees the committed tail, deeper damage surfaces when
-// read.
-func (w *Writer) ensureEventState() error {
-	if w.evReady {
-		return nil
-	}
-	w.evReady = true
-	if !w.evEnabled || len(w.index) == 0 || w.f == nil {
-		return nil
-	}
-	if err := w.rebuildEvents(); err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			log.Printf("tsdb: resume: cannot rebuild event state, disabling event detection for this writer: %v", err)
-			w.evEnabled = false
-			w.detectors = make(map[wmap.MapID]*events.Detector)
-			w.evPending = make(map[wmap.MapID][]events.Event)
-			return nil
+// replayEvents feeds a committed raw block through the map's detector and
+// re-pends the emissions past the map's event frontier; see ensureResumed.
+func (w *Writer) replayEvents(id wmap.MapID, frontier int64, bm *blockMeta, db *decodedBlock) {
+	det := w.detector(id)
+	topo := w.topos[bm.topoIndex]
+	// One map per block: the detector keeps no reference to it, so each
+	// point only rewrites the time and the loads.
+	m := &wmap.Map{ID: id, Nodes: topo.nodes, Links: append([]wmap.Link(nil), topo.links...)}
+	for pi, t := range db.times {
+		m.Time = time.Unix(t, 0).UTC()
+		for li := range m.Links {
+			m.Links[li].LoadAB = db.cols[2*li][pi]
+			m.Links[li].LoadBA = db.cols[2*li+1][pi]
 		}
-		return err
-	}
-	return nil
-}
-
-// rebuildEvents replays the committed raw blocks — all of them, because
-// detector state (hysteresis sets, debounce pendings, upgrade trackers)
-// depends on the whole history — through fresh detectors, suppressing
-// emissions at or before each map's flushed frontier and re-pending the
-// rest. At every commit the flushed frames cover exactly the emissions up
-// to the frontier, so the rebuilt pending set equals the crashed writer's.
-func (w *Writer) rebuildEvents() error {
-	frontier := make(map[wmap.MapID]int64)
-	for i := range w.evIndex {
-		m := &w.evIndex[i]
-		id := wmap.MapID(w.strs[m.mapRef])
-		if cur, ok := frontier[id]; !ok || m.lastPoint > cur {
-			frontier[id] = m.lastPoint
-		}
-	}
-	// w.index is in flush order, which is chronological per map.
-	for i := range w.index {
-		bm := &w.index[i]
-		id := wmap.MapID(w.strs[bm.mapRef])
-		db, err := decodeBlockAt(w.f, w.off, bm, nil)
-		if err != nil {
-			return err
-		}
-		det := w.detector(id)
-		topo := w.topos[bm.topoIndex]
-		fr, ok := frontier[id]
-		if !ok {
-			fr = -1
-		}
-		// One map per block: the detector keeps no reference to it, so
-		// each point only rewrites the time and the loads.
-		m := &wmap.Map{ID: id, Nodes: topo.nodes, Links: append([]wmap.Link(nil), topo.links...)}
-		for pi, t := range db.times {
-			m.Time = time.Unix(t, 0).UTC()
-			for li := range m.Links {
-				m.Links[li].LoadAB = db.cols[2*li][pi]
-				m.Links[li].LoadBA = db.cols[2*li+1][pi]
-			}
-			for _, e := range det.Observe(m) {
-				if e.EmitTime.Unix() > fr {
-					w.evPending[id] = append(w.evPending[id], e.Event)
-				}
+		for _, e := range det.Observe(m) {
+			if e.EmitTime.Unix() > frontier {
+				w.evPending[id] = append(w.evPending[id], e.Event)
 			}
 		}
 	}
-	return nil
 }
 
 // flushEvents drains the map's pending events into one event frame. It
@@ -188,27 +130,8 @@ func (w *Writer) flushEvents(id wmap.MapID) error {
 	return nil
 }
 
-// flushFinalEvents drains every map's pending events at Close, in map-id
-// order so the bytes are a pure function of the append sequence.
-func (w *Writer) flushFinalEvents() error {
-	ids := make([]string, 0, len(w.evPending))
-	for id := range w.evPending {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if err := w.flushEvents(wmap.MapID(id)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writeEventFrame encodes and writes one event frame and indexes it.
 func (w *Writer) writeEventFrame(id wmap.MapID, evs []events.Event) error {
-	if err := w.ensureHeader(); err != nil {
-		return err
-	}
 	lastPoint := w.last[id]
 	ref := func(s string) uint64 {
 		if s == "" {
@@ -247,26 +170,18 @@ func (w *Writer) writeEventFrame(id wmap.MapID, evs []events.Event) error {
 		payload = binary.AppendUvarint(payload, uint64(ev.Load))
 		payload = binary.AppendUvarint(payload, uint64(ev.Gbps))
 	}
-	if len(payload) > math.MaxInt32 {
-		return errors.New("tsdb: event payload exceeds the frame limit")
-	}
-	meta := eventMeta{
-		mapRef:     w.strIDs[string(id)],
-		offset:     w.off,
-		payloadLen: len(payload),
-		firstUnix:  first,
-		lastUnix:   last,
-		lastPoint:  lastPoint,
-		count:      len(evs),
-	}
-	var frame [4]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(len(payload)))
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	if err := w.writeAll(frame[:], payload, sum[:]); err != nil {
+	f, err := w.writeFrame(payload)
+	if err != nil {
 		return err
 	}
-	w.evIndex = append(w.evIndex, meta)
+	w.evIndex = append(w.evIndex, eventMeta{
+		frame:     f,
+		mapRef:    w.strIDs[string(id)],
+		firstUnix: first,
+		lastUnix:  last,
+		lastPoint: lastPoint,
+		count:     len(evs),
+	})
 	return nil
 }
 
@@ -274,34 +189,23 @@ func (w *Writer) writeEventFrame(id wmap.MapID, evs []events.Event) error {
 // cross-checked like parseBlockMeta, so arbitrary bytes fail typed before
 // any frame read.
 func (fd *footerData) parseEventMeta(d *dec, dataEnd int64) (eventMeta, error) {
-	var m eventMeta
 	var raw [7]uint64
-	for i := range raw {
-		v, err := d.uvarint("event index field")
-		if err != nil {
-			return m, err
-		}
-		raw[i] = v
+	if err := d.fields(raw[:]); err != nil {
+		return eventMeta{}, err
 	}
-	m.mapRef = raw[0]
-	m.offset = int64(raw[1])
-	m.payloadLen = int(raw[2])
-	m.firstUnix = int64(raw[3])
-	m.lastUnix = int64(raw[4])
-	m.lastPoint = int64(raw[5])
-	m.count = int(raw[6])
+	f, err := fd.frameRow(d, "event", raw[0], raw[1], raw[2], dataEnd)
+	if err != nil {
+		return eventMeta{}, err
+	}
+	m := eventMeta{frame: f, mapRef: raw[0], firstUnix: int64(raw[3]), lastUnix: int64(raw[4]),
+		lastPoint: int64(raw[5]), count: int(raw[6])}
 	switch {
-	case m.mapRef >= uint64(len(fd.strs)):
-		return m, corruptf(d.abs(), "event map ref %d outside string table of %d", m.mapRef, len(fd.strs))
 	case m.count < 1:
 		return m, corruptf(d.abs(), "event frame with %d events", m.count)
 	case raw[3] > maxUnixSeconds || raw[4] > maxUnixSeconds || raw[5] > maxUnixSeconds:
 		return m, corruptf(d.abs(), "event time fields absurd")
 	case m.lastUnix < m.firstUnix || m.lastPoint < m.lastUnix:
 		return m, corruptf(d.abs(), "event frame time order [%d, %d] past frontier %d invalid", m.firstUnix, m.lastUnix, m.lastPoint)
-	case m.offset < int64(len(headerMagic)) || raw[2] > math.MaxInt32 ||
-		m.offset+int64(frameOverhead)+int64(m.payloadLen) > dataEnd:
-		return m, corruptf(d.abs(), "event frame [%d, +%d] outside data section", m.offset, m.payloadLen)
 	}
 	return m, nil
 }
@@ -329,30 +233,12 @@ func (de *decodedEvents) cost() int64 {
 // the frame's claimed time bounds. A flipped byte that survives the CRC
 // cannot surface as a silently different event.
 func decodeEventsAt(r io.ReaderAt, size int64, meta *eventMeta, strs []string) (*decodedEvents, error) {
-	frame, err := readAtFull(r, size, meta.offset, frameOverhead+meta.payloadLen)
+	d, err := readFrame(r, size, meta.frame, "event frame")
 	if err != nil {
 		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(frame[:4]); int(got) != meta.payloadLen {
-		return nil, corruptf(meta.offset, "event frame length prefix %d disagrees with index's %d", got, meta.payloadLen)
-	}
-	payload := frame[4 : 4+meta.payloadLen]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(frame[4+meta.payloadLen:]) {
-		return nil, corruptf(meta.offset, "event frame checksum mismatch")
-	}
-	d := &dec{b: payload, off: meta.offset + 4}
-
-	var hdr [3]uint64
-	names := [3]string{"map ref", "last point", "event count"}
-	for i := range hdr {
-		v, err := d.uvarint(names[i])
-		if err != nil {
-			return nil, err
-		}
-		hdr[i] = v
-	}
-	if hdr[0] != meta.mapRef || hdr[1] != uint64(meta.lastPoint) || hdr[2] != uint64(meta.count) {
-		return nil, corruptf(meta.offset+4, "event frame header disagrees with footer index")
+	if err := d.header("event frame", meta.mapRef, uint64(meta.lastPoint), uint64(meta.count)); err != nil {
+		return nil, err
 	}
 	str := func(ref uint64) (string, error) {
 		if ref == 0 {
@@ -457,19 +343,11 @@ func decodeEventsAt(r io.ReaderAt, size int64, meta *eventMeta, strs []string) (
 }
 
 // eventFrame returns event frame ei of st, through the cache when one is
-// attached — the same singleflight dance as block and rollup, under
-// kindEvents keys.
+// attached.
 func (r *Reader) eventFrame(st *readerState, ei int) (*decodedEvents, error) {
-	if r.cache == nil {
-		return decodeEventsAt(r.r, st.size, &st.events[ei], st.strs)
-	}
-	v, err := r.cache.getOrLoad(cacheKey{arch: r.cacheID, kind: kindEvents, block: ei, group: allColumns}, func() (cacheValue, error) {
+	return cached(r, kindEvents, ei, allColumns, func() (*decodedEvents, error) {
 		return decodeEventsAt(r.r, st.size, &st.events[ei], st.strs)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*decodedEvents), nil
 }
 
 // EventFilter selects archived events. The zero value selects everything.

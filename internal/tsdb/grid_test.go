@@ -59,6 +59,27 @@ func randomGridArchive(t *testing.T, rng *rand.Rand) (*Reader, int) {
 	return rd, n
 }
 
+// matches reports whether the link has this key's four strings.
+func (k LinkKey) matches(l wmap.Link) bool {
+	return k.A == l.A && k.B == l.B && k.LabelA == l.LabelA && k.LabelB == l.LabelB
+}
+
+// linkIndex is the original column lookup: the column-group index of the
+// key's link in the topology, found by walking its links, or -1 when
+// absent.
+func (t *topology) linkIndex(k LinkKey) int {
+	seen := 0
+	for i, l := range t.links {
+		if k.matches(l) {
+			if seen == k.Ordinal {
+				return i
+			}
+			seen++
+		}
+	}
+	return -1
+}
+
 // mapHasLinkReference is the original walk: whether any topology of the
 // map's blocks carries the key.
 func mapHasLinkReference(st *readerState, id wmap.MapID, key LinkKey) bool {

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -219,28 +220,17 @@ func (r *Reader) Refresh() (changed bool, err error) {
 	if ns.fp == cur.fp {
 		return false, nil
 	}
-	if len(ns.blocks) < len(cur.blocks) || len(ns.strs) < len(cur.strs) ||
-		len(ns.topos) < len(cur.topos) || len(ns.rollups) < len(cur.rollups) ||
-		len(ns.events) < len(cur.events) {
+	if len(ns.strs) < len(cur.strs) || len(ns.topos) < len(cur.topos) ||
+		!extends(ns.blocks, cur.blocks) || !extends(ns.rollups, cur.rollups) || !extends(ns.events, cur.events) {
 		return false, ErrArchiveReplaced
-	}
-	for i := range cur.blocks {
-		if ns.blocks[i] != cur.blocks[i] {
-			return false, ErrArchiveReplaced
-		}
-	}
-	for i := range cur.rollups {
-		if ns.rollups[i] != cur.rollups[i] {
-			return false, ErrArchiveReplaced
-		}
-	}
-	for i := range cur.events {
-		if ns.events[i] != cur.events[i] {
-			return false, ErrArchiveReplaced
-		}
 	}
 	r.state.Store(ns)
 	return true, nil
+}
+
+// extends reports whether next begins with every row of cur.
+func extends[T comparable](next, cur []T) bool {
+	return len(next) >= len(cur) && slices.Equal(next[:len(cur)], cur)
 }
 
 // Close releases the underlying file when the reader owns one.
@@ -580,40 +570,38 @@ func (fd *footerData) parseTopology(d *dec, prev *topology) (*topology, error) {
 }
 
 func (fd *footerData) parseBlockMeta(d *dec, dataEnd int64) (blockMeta, error) {
-	var m blockMeta
 	var raw [8]uint64
-	for i := range raw {
-		v, err := d.uvarint("block index field")
-		if err != nil {
-			return m, err
-		}
-		raw[i] = v
+	if err := d.fields(raw[:]); err != nil {
+		return blockMeta{}, err
 	}
-	m.mapRef = raw[0]
-	m.offset = int64(raw[1])
-	m.payloadLen = int(raw[2])
-	m.topoIndex = int(raw[3])
-	m.baseUnix = int64(raw[4])
-	m.lastUnix = int64(raw[5])
-	m.points = int(raw[6])
-	m.links = int(raw[7])
+	f, err := fd.frameRow(d, "block", raw[0], raw[1], raw[2], dataEnd)
+	if err != nil {
+		return blockMeta{}, err
+	}
+	if err := fd.topoRow(d, "block", raw[3], raw[7]); err != nil {
+		return blockMeta{}, err
+	}
+	m := blockMeta{frame: f, mapRef: raw[0], topoIndex: int(raw[3]), baseUnix: int64(raw[4]),
+		lastUnix: int64(raw[5]), points: int(raw[6]), links: int(raw[7])}
 	switch {
-	case m.mapRef >= uint64(len(fd.strs)):
-		return m, corruptf(d.abs(), "block map ref %d outside string table of %d", m.mapRef, len(fd.strs))
-	case raw[3] >= uint64(len(fd.topos)):
-		return m, corruptf(d.abs(), "block topology index %d outside table of %d", raw[3], len(fd.topos))
-	case m.links != len(fd.topos[m.topoIndex].links):
-		return m, corruptf(d.abs(), "block link count %d disagrees with topology's %d",
-			m.links, len(fd.topos[m.topoIndex].links))
 	case m.points < 1:
 		return m, corruptf(d.abs(), "block with %d points", m.points)
 	case raw[4] > maxUnixSeconds || m.lastUnix < m.baseUnix:
 		return m, corruptf(d.abs(), "block time range [%d, %d] invalid", m.baseUnix, m.lastUnix)
-	case m.offset < int64(len(headerMagic)) || raw[2] > math.MaxInt32 ||
-		m.offset+int64(frameOverhead)+int64(m.payloadLen) > dataEnd:
-		return m, corruptf(d.abs(), "block frame [%d, +%d] outside data section", m.offset, m.payloadLen)
 	}
 	return m, nil
+}
+
+// topoRow checks an index row's topology index and its link count against
+// that topology.
+func (fd *footerData) topoRow(d *dec, what string, ti, links uint64) error {
+	if ti >= uint64(len(fd.topos)) {
+		return corruptf(d.abs(), "%s topology index %d outside table of %d", what, ti, len(fd.topos))
+	}
+	if n := len(fd.topos[ti].links); links != uint64(n) {
+		return corruptf(d.abs(), "%s link count %d disagrees with topology's %d", what, links, n)
+	}
+	return nil
 }
 
 // Maps lists the archived map ids in lexicographic order.
@@ -688,7 +676,7 @@ func (r *Reader) SetBlockCache(c *BlockCache) { r.cache = c }
 func (r *Reader) BlockCache() *BlockCache { return r.cache }
 
 // decodedBlock is one block's columns in memory; unneeded columns stay nil.
-// Once returned by decodeBlock a decodedBlock is immutable: instances are
+// Once returned by decodeBlockAt a decodedBlock is immutable: instances are
 // shared by the block cache across concurrent queries, and materialize
 // clones everything it hands to callers.
 type decodedBlock struct {
@@ -697,7 +685,7 @@ type decodedBlock struct {
 	cols  [][]wmap.Load
 }
 
-// groupWant converts a cache column group to decodeBlock's column filter:
+// groupWant converts a cache column group to a decoder's column filter:
 // allColumns decodes everything, otherwise only the link's two directed
 // columns.
 func groupWant(group int) func(ci int) bool {
@@ -707,86 +695,56 @@ func groupWant(group int) func(ci int) bool {
 	return func(ci int) bool { return ci == 2*group || ci == 2*group+1 }
 }
 
-// block returns block bi of st with the given column group decoded,
-// through the cache when one is attached. A fully decoded cached block
-// satisfies any group request, so single-link queries ride on blocks a
-// cursor already paid to decode. Cache keys use the reader's stable
-// cacheID: committed blocks are immutable, so an entry decoded before a
+// cached returns entry i of the given kind with the given column group
+// decoded, through the cache when one is attached. A fully decoded cached
+// entry satisfies any group request, so single-link queries ride on blocks
+// a cursor already paid to decode. Cache keys use the reader's stable
+// cacheID: committed frames are immutable, so an entry decoded before a
 // Refresh stays correct after it.
+func cached[T cacheValue](r *Reader, kind uint8, i, group int, decode func() (T, error)) (T, error) {
+	if r.cache == nil {
+		return decode()
+	}
+	if group != allColumns {
+		if v, ok := r.cache.get(cacheKey{arch: r.cacheID, kind: kind, block: i, group: allColumns}); ok {
+			return v.(T), nil
+		}
+	}
+	v, err := r.cache.getOrLoad(cacheKey{arch: r.cacheID, kind: kind, block: i, group: group}, func() (cacheValue, error) {
+		return decode()
+	})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+// block returns raw block bi of st with the given column group decoded.
 func (r *Reader) block(st *readerState, bi, group int) (*decodedBlock, error) {
-	if r.cache == nil {
-		return r.decodeBlock(st, bi, groupWant(group))
-	}
-	if group != allColumns {
-		if v, ok := r.cache.get(cacheKey{arch: r.cacheID, kind: kindRaw, block: bi, group: allColumns}); ok {
-			return v.(*decodedBlock), nil
-		}
-	}
-	v, err := r.cache.getOrLoad(cacheKey{arch: r.cacheID, kind: kindRaw, block: bi, group: group}, func() (cacheValue, error) {
-		return r.decodeBlock(st, bi, groupWant(group))
+	return cached(r, kindRaw, bi, group, func() (*decodedBlock, error) {
+		return decodeBlockAt(r.r, st.size, &st.blocks[bi], groupWant(group))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*decodedBlock), nil
 }
 
-// rollup returns rollup block ri of st with the given column group decoded,
-// through the cache when one is attached — the same probe-then-load dance
-// as block, under kindRollup keys.
+// rollup returns rollup block ri of st with the given column group decoded.
 func (r *Reader) rollup(st *readerState, ri, group int) (*decodedRollup, error) {
-	if r.cache == nil {
-		return decodeRollupAt(r.r, st.size, &st.rollups[ri], groupWant(group))
-	}
-	if group != allColumns {
-		if v, ok := r.cache.get(cacheKey{arch: r.cacheID, kind: kindRollup, block: ri, group: allColumns}); ok {
-			return v.(*decodedRollup), nil
-		}
-	}
-	v, err := r.cache.getOrLoad(cacheKey{arch: r.cacheID, kind: kindRollup, block: ri, group: group}, func() (cacheValue, error) {
+	return cached(r, kindRollup, ri, group, func() (*decodedRollup, error) {
 		return decodeRollupAt(r.r, st.size, &st.rollups[ri], groupWant(group))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*decodedRollup), nil
 }
 
-// decodeBlock reads and decodes one block. want selects load columns by
-// column index (nil means all); unselected columns are skipped without
+// decodeBlockAt reads and decodes one raw block. want selects load columns
+// by column index (nil means all); unselected columns are skipped without
 // decoding — the columnar payoff for single-link queries.
-func (r *Reader) decodeBlock(st *readerState, bi int, want func(ci int) bool) (*decodedBlock, error) {
-	return decodeBlockAt(r.r, st.size, &st.blocks[bi], want)
-}
-
-// decodeBlockAt is decodeBlock against any readable source: the writer's
-// rollup rebuild replays raw blocks through it without opening a Reader.
 func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, want func(ci int) bool) (*decodedBlock, error) {
-	frame, err := readAtFull(r, size, meta.offset, frameOverhead+meta.payloadLen)
+	d, err := readFrame(r, size, meta.frame, "block")
 	if err != nil {
 		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(frame[:4]); int(got) != meta.payloadLen {
-		return nil, corruptf(meta.offset, "block length prefix %d disagrees with index's %d", got, meta.payloadLen)
-	}
-	payload := frame[4 : 4+meta.payloadLen]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(frame[4+meta.payloadLen:]) {
-		return nil, corruptf(meta.offset, "block checksum mismatch")
-	}
-	d := &dec{b: payload, off: meta.offset + 4}
-
-	var hdr [5]uint64
-	names := [5]string{"map ref", "topology index", "base time", "point count", "link count"}
-	for i := range hdr {
-		v, err := d.uvarint(names[i])
-		if err != nil {
-			return nil, err
-		}
-		hdr[i] = v
-	}
-	if hdr[0] != meta.mapRef || hdr[1] != uint64(meta.topoIndex) || hdr[2] != uint64(meta.baseUnix) ||
-		hdr[3] != uint64(meta.points) || hdr[4] != uint64(meta.links) {
-		return nil, corruptf(meta.offset+4, "block header disagrees with footer index")
+	if err := d.header("block", meta.mapRef, uint64(meta.topoIndex), uint64(meta.baseUnix),
+		uint64(meta.points), uint64(meta.links)); err != nil {
+		return nil, err
 	}
 	n, L := meta.points, meta.links
 
@@ -978,11 +936,16 @@ func (r *Reader) LinkColumnsContext(ctx context.Context, id wmap.MapID, key Link
 	// lacks the link contribute nothing and never enter the pipeline.
 	// Consecutive blocks mostly share a topology, so the column is only
 	// re-resolved when the topology changes.
+	_, topoIdx := st.topoKeyIndexes()
 	var ids, groups []int
 	prevTi, ci := -1, -1
 	for _, bi := range st.blockRange(id, fromU, toU) {
 		if ti := st.blocks[bi].topoIndex; ti != prevTi {
-			prevTi, ci = ti, st.topos[ti].linkIndex(key)
+			var ok bool
+			if ci, ok = topoIdx[ti][key]; !ok {
+				ci = -1
+			}
+			prevTi = ti
 		}
 		if ci >= 0 {
 			ids = append(ids, bi)

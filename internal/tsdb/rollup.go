@@ -3,9 +3,7 @@ package tsdb
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
-	"log"
 	"math"
 	"sort"
 	"time"
@@ -20,9 +18,9 @@ import (
 // weighted mean-of-means via the count column — instead of decoding every
 // raw point; see planner.go for the read side.
 //
-// Rollup blocks are framed exactly like raw blocks (u32le payload length,
-// payload, u32le CRC32) and live interleaved with them in the data
-// section, always after the raw block whose flush event produced them.
+// Rollup blocks are framed exactly like raw blocks (writeFrame) and live
+// interleaved with them in the data section, always after the raw block
+// whose flush event produced them.
 // Payload layout, all varints unless stated:
 //
 //	uvarint mapRef, resolution (s), topoIndex, firstBucketStart, B, L
@@ -59,10 +57,9 @@ var ErrNoRollup = errors.New("tsdb: no rollup tier at that resolution")
 
 // rollupMeta is one footer rollup-index row, mirroring blockMeta.
 type rollupMeta struct {
+	frame
 	mapRef      uint64
 	res         int64 // bucket resolution, seconds
-	offset      int64 // file offset of the block's length prefix
-	payloadLen  int
 	topoIndex   int
 	firstBucket int64 // start of the first bucket, unix seconds
 	lastBucket  int64 // start of the last bucket, unix seconds
@@ -159,7 +156,7 @@ func (acc *rollupAcc) addPoint(ti int, t int64, cols int) *rollupBucket {
 // Sync; no arguments disables rollups entirely. Resolutions must be whole
 // positive seconds; they are sorted and deduplicated.
 func (w *Writer) SetRollupResolutions(res ...time.Duration) error {
-	if w.rollupReady {
+	if w.resumed {
 		return errors.New("tsdb: SetRollupResolutions must be called before the first append")
 	}
 	secs := make([]int64, 0, len(res))
@@ -182,94 +179,23 @@ func (w *Writer) SetRollupResolutions(res ...time.Duration) error {
 
 func (w *Writer) rollupEnabled() bool { return len(w.rollupRes) > 0 }
 
-// ensureRollupState lazily reconstructs the unflushed accumulator state of
-// a resumed archive by replaying raw points newer than each tier's flushed
-// frontier. It runs once, at the first append/sync/close, so that
-// SetRollupResolutions can still be called after OpenAppend. A corrupt raw
-// block disables rollup maintenance for this writer (logged, typed reads
-// still fail at read time) rather than failing the resume: recovery only
-// guarantees the committed tail, deeper damage surfaces when read.
-func (w *Writer) ensureRollupState() error {
-	if w.rollupReady {
-		return nil
-	}
-	w.rollupReady = true
-	if !w.rollupEnabled() || len(w.index) == 0 || w.f == nil {
-		return nil
-	}
-	if err := w.rebuildRollups(); err != nil {
-		var ce *CorruptError
-		if errors.As(err, &ce) {
-			log.Printf("tsdb: resume: cannot rebuild rollup state, disabling rollups for this writer: %v", err)
-			w.rollupRes = nil
-			w.accs = make(map[wmap.MapID][]*rollupAcc)
-			return nil
-		}
-		return err
-	}
-	return nil
-}
-
-// rebuildRollups replays raw blocks into fresh accumulators, skipping
-// points at or before each (map, resolution) tier's flushed frontier —
-// the newest point any flushed rollup block of that tier covers. At every
-// commit the flushed entries cover exactly the points up to the frontier,
-// so the rebuilt state equals the crashed writer's state at that commit
-// and the resumed byte stream matches a writer that never stopped.
-// Topology changes crossed during the replay (possible when migrating a
-// v1 archive) retire runs into the done queue; nothing is written here —
-// queued fragments flush at the first flush event.
-func (w *Writer) rebuildRollups() error {
-	frontier := make(map[wmap.MapID]map[int64]int64)
-	for i := range w.rollups {
-		m := &w.rollups[i]
-		id := wmap.MapID(w.strs[m.mapRef])
-		byRes := frontier[id]
-		if byRes == nil {
-			byRes = make(map[int64]int64)
-			frontier[id] = byRes
-		}
-		if m.lastPoint > byRes[m.res] {
-			byRes[m.res] = m.lastPoint
-		}
-	}
-	// w.index is in flush order, which is chronological per map.
-	for i := range w.index {
-		bm := &w.index[i]
-		id := wmap.MapID(w.strs[bm.mapRef])
-		accs := w.rollupAccs(id)
-		minS := int64(math.MaxInt64)
+// replayRollups folds a committed raw block's points past the tier
+// frontiers (resolution → newest flushed point) into the map's
+// accumulators; see ensureResumed.
+func replayRollups(accs []*rollupAcc, front map[int64]int64, bm *blockMeta, db *decodedBlock) {
+	cols := 2 * bm.links
+	for pi, t := range db.times {
 		for _, acc := range accs {
-			s, ok := frontier[id][acc.res]
-			if !ok {
-				s = -1
+			if s, ok := front[acc.res]; ok && t <= s {
+				continue
 			}
-			if s < minS {
-				minS = s
-			}
-		}
-		if bm.lastUnix <= minS {
-			continue
-		}
-		db, err := decodeBlockAt(w.f, w.off, bm, nil)
-		if err != nil {
-			return err
-		}
-		cols := 2 * bm.links
-		for pi, t := range db.times {
-			for _, acc := range accs {
-				if s, ok := frontier[id][acc.res]; ok && t <= s {
-					continue
-				}
-				acc.retire(bm.topoIndex)
-				b := acc.addPoint(bm.topoIndex, t, cols)
-				for c := 0; c < cols; c++ {
-					b.observe(c, uint8(db.cols[c][pi]))
-				}
+			acc.retire(bm.topoIndex)
+			b := acc.addPoint(bm.topoIndex, t, cols)
+			for c := 0; c < cols; c++ {
+				b.observe(c, uint8(db.cols[c][pi]))
 			}
 		}
 	}
-	return nil
 }
 
 // rollupAccs returns (creating on first use) the map's per-tier
@@ -338,22 +264,6 @@ func (w *Writer) flushRollups(id wmap.MapID, final bool) error {
 	return nil
 }
 
-// flushFinalRollups drains every accumulator at Close, in map-id order so
-// the bytes are a pure function of the append sequence.
-func (w *Writer) flushFinalRollups() error {
-	ids := make([]string, 0, len(w.accs))
-	for id := range w.accs {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if err := w.flushRollups(wmap.MapID(id), true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writeRollupRun encodes and writes one run's buckets as a rollup block
 // and indexes it. includeCur adds the partial current bucket (topology
 // change: the run can never grow again); otherwise only sealed buckets
@@ -368,9 +278,6 @@ func (w *Writer) writeRollupRun(id wmap.MapID, res int64, run *rollupRun, includ
 	}
 	if len(buckets) == 0 {
 		return nil
-	}
-	if err := w.ensureHeader(); err != nil {
-		return err
 	}
 	B, cols := len(buckets), run.cols
 
@@ -417,30 +324,21 @@ func (w *Writer) writeRollupRun(id wmap.MapID, res int64, run *rollupRun, includ
 			payload = append(payload, b.maxs[c])
 		}
 	}
-	if len(payload) > math.MaxInt32 {
-		return errors.New("tsdb: rollup payload exceeds the frame limit")
+	f, err := w.writeFrame(payload)
+	if err != nil {
+		return err
 	}
-
-	meta := rollupMeta{
+	w.rollups = append(w.rollups, rollupMeta{
+		frame:       f,
 		mapRef:      w.strIDs[string(id)],
 		res:         res,
-		offset:      w.off,
-		payloadLen:  len(payload),
 		topoIndex:   run.topoIndex,
 		firstBucket: buckets[0].start,
 		lastBucket:  buckets[B-1].start,
 		lastPoint:   buckets[B-1].last,
 		buckets:     B,
 		links:       cols / 2,
-	}
-	var frame [4]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(len(payload)))
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	if err := w.writeAll(frame[:], payload, sum[:]); err != nil {
-		return err
-	}
-	w.rollups = append(w.rollups, meta)
+	})
 	return nil
 }
 
@@ -448,33 +346,21 @@ func (w *Writer) writeRollupRun(id wmap.MapID, res int64, run *rollupRun, includ
 // is cross-checked against the tables and the data section exactly like
 // parseBlockMeta, so arbitrary bytes fail typed before any block read.
 func (fd *footerData) parseRollupMeta(d *dec, dataEnd int64) (rollupMeta, error) {
-	var m rollupMeta
 	var raw [10]uint64
-	for i := range raw {
-		v, err := d.uvarint("rollup index field")
-		if err != nil {
-			return m, err
-		}
-		raw[i] = v
+	if err := d.fields(raw[:]); err != nil {
+		return rollupMeta{}, err
 	}
-	m.mapRef = raw[0]
-	m.res = int64(raw[1])
-	m.offset = int64(raw[2])
-	m.payloadLen = int(raw[3])
-	m.topoIndex = int(raw[4])
-	m.firstBucket = int64(raw[5])
-	m.lastBucket = int64(raw[6])
-	m.lastPoint = int64(raw[7])
-	m.buckets = int(raw[8])
-	m.links = int(raw[9])
+	f, err := fd.frameRow(d, "rollup", raw[0], raw[2], raw[3], dataEnd)
+	if err != nil {
+		return rollupMeta{}, err
+	}
+	if err := fd.topoRow(d, "rollup", raw[4], raw[9]); err != nil {
+		return rollupMeta{}, err
+	}
+	m := rollupMeta{frame: f, mapRef: raw[0], res: int64(raw[1]), topoIndex: int(raw[4]),
+		firstBucket: int64(raw[5]), lastBucket: int64(raw[6]), lastPoint: int64(raw[7]),
+		buckets: int(raw[8]), links: int(raw[9])}
 	switch {
-	case m.mapRef >= uint64(len(fd.strs)):
-		return m, corruptf(d.abs(), "rollup map ref %d outside string table of %d", m.mapRef, len(fd.strs))
-	case raw[4] >= uint64(len(fd.topos)):
-		return m, corruptf(d.abs(), "rollup topology index %d outside table of %d", raw[4], len(fd.topos))
-	case m.links != len(fd.topos[m.topoIndex].links):
-		return m, corruptf(d.abs(), "rollup link count %d disagrees with topology's %d",
-			m.links, len(fd.topos[m.topoIndex].links))
 	case m.buckets < 1:
 		return m, corruptf(d.abs(), "rollup block with %d buckets", m.buckets)
 	case raw[1] == 0 || raw[1] > maxUnixSeconds:
@@ -487,9 +373,6 @@ func (fd *footerData) parseRollupMeta(d *dec, dataEnd int64) (rollupMeta, error)
 		return m, corruptf(d.abs(), "rollup claims %d buckets over span [%d, %d]", m.buckets, m.firstBucket, m.lastBucket)
 	case m.lastPoint < m.lastBucket || m.lastPoint >= m.lastBucket+m.res:
 		return m, corruptf(d.abs(), "rollup last point %d outside last bucket [%d, +%d)", m.lastPoint, m.lastBucket, m.res)
-	case m.offset < int64(len(headerMagic)) || raw[3] > math.MaxInt32 ||
-		m.offset+int64(frameOverhead)+int64(m.payloadLen) > dataEnd:
-		return m, corruptf(d.abs(), "rollup frame [%d, +%d] outside data section", m.offset, m.payloadLen)
 	}
 	return m, nil
 }
@@ -535,31 +418,13 @@ const maxRollupCount = int64(1) << 48
 //
 //wm:hotpath
 func decodeRollupAt(r io.ReaderAt, size int64, meta *rollupMeta, want func(ci int) bool) (*decodedRollup, error) {
-	frame, err := readAtFull(r, size, meta.offset, frameOverhead+meta.payloadLen)
+	d, err := readFrame(r, size, meta.frame, "rollup block")
 	if err != nil {
 		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(frame[:4]); int(got) != meta.payloadLen {
-		return nil, corruptf(meta.offset, "rollup length prefix %d disagrees with index's %d", got, meta.payloadLen)
-	}
-	payload := frame[4 : 4+meta.payloadLen]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(frame[4+meta.payloadLen:]) {
-		return nil, corruptf(meta.offset, "rollup block checksum mismatch")
-	}
-	d := &dec{b: payload, off: meta.offset + 4}
-
-	var hdr [6]uint64
-	names := [6]string{"map ref", "resolution", "topology index", "first bucket", "bucket count", "link count"}
-	for i := range hdr {
-		v, err := d.uvarint(names[i])
-		if err != nil {
-			return nil, err
-		}
-		hdr[i] = v
-	}
-	if hdr[0] != meta.mapRef || hdr[1] != uint64(meta.res) || hdr[2] != uint64(meta.topoIndex) ||
-		hdr[3] != uint64(meta.firstBucket) || hdr[4] != uint64(meta.buckets) || hdr[5] != uint64(meta.links) {
-		return nil, corruptf(meta.offset+4, "rollup header disagrees with footer index")
+	if err := d.header("rollup block", meta.mapRef, uint64(meta.res), uint64(meta.topoIndex),
+		uint64(meta.firstBucket), uint64(meta.buckets), uint64(meta.links)); err != nil {
+		return nil, err
 	}
 	B, cols, res := meta.buckets, 2*meta.links, meta.res
 

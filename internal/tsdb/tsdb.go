@@ -125,11 +125,6 @@ func (k LinkKey) String() string {
 	return fmt.Sprintf("%s(%s)-%s(%s)#%d", k.A, k.LabelA, k.B, k.LabelB, k.Ordinal)
 }
 
-// matches reports whether the link has this key's four strings.
-func (k LinkKey) matches(l wmap.Link) bool {
-	return k.A == l.A && k.B == l.B && k.LabelA == l.LabelA && k.LabelB == l.LabelB
-}
-
 // ID derives the stable identifier the query API exposes for the link on
 // the given map: a 64-bit FNV-1a over the map id, the key strings, and the
 // ordinal, rendered as hex.
@@ -167,19 +162,4 @@ func linkKeys(links []wmap.Link) []LinkKey {
 		out[i] = k
 	}
 	return out
-}
-
-// linkIndex returns the column-group index of the key's link in the
-// topology, or -1 when absent.
-func (t *topology) linkIndex(k LinkKey) int {
-	seen := 0
-	for i, l := range t.links {
-		if k.matches(l) {
-			if seen == k.Ordinal {
-				return i
-			}
-			seen++
-		}
-	}
-	return -1
 }

@@ -8,8 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"math"
+	"log"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,14 +27,13 @@ const DefaultBlockPoints = 512
 // blockMeta is one footer-index row: everything a reader needs to decide
 // whether a block overlaps a query and to fetch it, without decoding it.
 type blockMeta struct {
-	mapRef     uint64 // string-table id of the map id
-	offset     int64  // file offset of the block's length prefix
-	payloadLen int
-	topoIndex  int
-	baseUnix   int64 // first snapshot time, unix seconds
-	lastUnix   int64 // last snapshot time, unix seconds
-	points     int
-	links      int
+	frame
+	mapRef    uint64 // string-table id of the map id
+	topoIndex int
+	baseUnix  int64 // first snapshot time, unix seconds
+	lastUnix  int64 // last snapshot time, unix seconds
+	points    int
+	links     int
 }
 
 // openBlock accumulates one map's current window before encoding. Its 2L
@@ -117,20 +117,20 @@ type Writer struct {
 	last  map[wmap.MapID]int64
 	index []blockMeta
 
-	// Rollup tier state; see rollup.go. rollupReady flips at the first
-	// append/sync/close, after which the resolutions are frozen and (on a
-	// resumed archive) the accumulators have been rebuilt from raw blocks.
-	rollupRes   []int64 // tier resolutions in seconds, ascending
-	rollupReady bool
-	rollups     []rollupMeta
-	accs        map[wmap.MapID][]*rollupAcc
+	// resumed flips at the first append/sync/close (ensureResumed), after
+	// which the rollup resolutions and the event-detection settings are
+	// frozen and, on a resumed archive, the accumulators and detectors
+	// have been rebuilt from the committed raw blocks.
+	resumed bool
 
-	// Event-log state; see event_log.go. evReady flips with the same
-	// discipline as rollupReady, after which enablement, config, and (on a
-	// resumed archive) the rebuilt detector state are frozen.
+	// Rollup tier state; see rollup.go.
+	rollupRes []int64 // tier resolutions in seconds, ascending
+	rollups   []rollupMeta
+	accs      map[wmap.MapID][]*rollupAcc
+
+	// Event-log state; see event_log.go.
 	evEnabled bool
 	evDB      *peeringdb.DB
-	evReady   bool
 	detectors map[wmap.MapID]*events.Detector
 	evPending map[wmap.MapID][]events.Event
 	evIndex   []eventMeta
@@ -309,60 +309,38 @@ func verifyTailBlock(r io.ReaderAt, fd *footerData, dataEnd int64) error {
 		}
 		return nil
 	}
-	last := &fd.blocks[0]
-	for i := range fd.blocks[1:] {
-		if fd.blocks[1+i].offset > last.offset {
-			last = &fd.blocks[1+i]
+	last := fd.blocks[0].frame
+	for _, m := range fd.blocks[1:] {
+		if m.offset > last.offset {
+			last = m.frame
 		}
 	}
-	end := last.offset + frameOverhead + int64(last.payloadLen)
 	// Rollup and event frames written after the last raw block extend the
-	// tail; each must be contiguous with and checked like the block before it.
-	type tailFrame struct {
-		offset     int64
-		payloadLen int
-		what       string
-	}
-	var tail []tailFrame
-	for i := range fd.rollups {
-		if m := &fd.rollups[i]; m.offset > last.offset {
-			tail = append(tail, tailFrame{m.offset, m.payloadLen, "rollup block"})
+	// tail; each must be contiguous with and checked like the frame before it.
+	tail := []frame{last}
+	for _, m := range fd.rollups {
+		if m.offset > last.offset {
+			tail = append(tail, m.frame)
 		}
 	}
-	for i := range fd.events {
-		if m := &fd.events[i]; m.offset > last.offset {
-			tail = append(tail, tailFrame{m.offset, m.payloadLen, "event frame"})
+	for _, m := range fd.events {
+		if m.offset > last.offset {
+			tail = append(tail, m.frame)
 		}
 	}
 	sort.Slice(tail, func(a, b int) bool { return tail[a].offset < tail[b].offset })
-	for _, m := range tail {
-		if m.offset != end {
-			return corruptf(m.offset, "%s at %d not contiguous with committed tail at %d", m.what, m.offset, end)
+	end := last.offset
+	for _, f := range tail {
+		if f.offset != end {
+			return corruptf(f.offset, "frame at %d not contiguous with committed tail at %d", f.offset, end)
 		}
-		end = m.offset + frameOverhead + int64(m.payloadLen)
+		end = f.end()
 	}
 	if end != dataEnd {
 		return corruptf(dataEnd, "last committed frame ends at %d, checkpoint commits %d", end, dataEnd)
 	}
-	verify := func(offset int64, payloadLen int, what string) error {
-		frame, err := readAtFull(r, dataEnd, offset, frameOverhead+payloadLen)
-		if err != nil {
-			return err
-		}
-		if got := binary.LittleEndian.Uint32(frame[:4]); int(got) != payloadLen {
-			return corruptf(offset, "%s length prefix %d disagrees with index's %d", what, got, payloadLen)
-		}
-		payload := frame[4 : 4+payloadLen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4+payloadLen:]) {
-			return corruptf(offset, "committed %s checksum mismatch", what)
-		}
-		return nil
-	}
-	if err := verify(last.offset, last.payloadLen, "block"); err != nil {
-		return err
-	}
-	for _, m := range tail {
-		if err := verify(m.offset, m.payloadLen, m.what); err != nil {
+	for _, f := range tail {
+		if _, err := readFrame(r, dataEnd, f, "committed frame"); err != nil {
 			return err
 		}
 	}
@@ -392,6 +370,103 @@ func (w *Writer) restore(fd *footerData) {
 		}
 		w.snapshots += m.points
 	}
+}
+
+// ensureResumed rebuilds, once, the writer state a resumed archive keeps
+// outside the file: the rollup accumulators' unflushed points and the event
+// detectors. It runs at the first append/sync/close, so
+// SetRollupResolutions and SetEventDetection still apply after OpenAppend,
+// and it decodes each committed raw block at most once for both.
+//
+// Rollups replay only the points past each (map, resolution) tier's
+// frontier, the newest point any flushed rollup block of that tier covers.
+// Detectors replay every block, because their hysteresis sets, debounce
+// pendings and upgrade trackers depend on the whole history, and re-pend
+// only the emissions past the map's event frontier, the newest lastPoint
+// of its flushed frames. At every commit the flushed frames cover exactly
+// what lies up to the frontiers, so the rebuilt state equals the crashed
+// writer's and the resumed byte stream matches a writer that never
+// stopped. Nothing is written here: runs retired by a topology change
+// crossed in the replay (a migrated v1 archive) flush at the first flush
+// event.
+//
+// A corrupt raw block switches off (logged) whatever needed it, detection
+// always and rollups when the block lies past their frontier, instead of
+// failing the resume: recovery only guarantees the committed tail, and
+// deeper damage still fails typed when read.
+func (w *Writer) ensureResumed() error {
+	if w.resumed {
+		return nil
+	}
+	w.resumed = true
+	if len(w.index) == 0 || w.f == nil {
+		return nil
+	}
+	rollFront := make(map[wmap.MapID]map[int64]int64)
+	for _, m := range w.rollups {
+		id := wmap.MapID(w.strs[m.mapRef])
+		if rollFront[id] == nil {
+			rollFront[id] = make(map[int64]int64)
+		}
+		if cur, ok := rollFront[id][m.res]; !ok || m.lastPoint > cur {
+			rollFront[id][m.res] = m.lastPoint
+		}
+	}
+	evFront := make(map[wmap.MapID]int64)
+	for _, m := range w.evIndex {
+		id := wmap.MapID(w.strs[m.mapRef])
+		if cur, ok := evFront[id]; !ok || m.lastPoint > cur {
+			evFront[id] = m.lastPoint
+		}
+	}
+	// w.index is in flush order, which is chronological per map.
+	for i := range w.index {
+		bm := &w.index[i]
+		id := wmap.MapID(w.strs[bm.mapRef])
+		var accs []*rollupAcc
+		rollups := false
+		if w.rollupEnabled() {
+			accs = w.rollupAccs(id)
+			for _, acc := range accs {
+				if s, ok := rollFront[id][acc.res]; !ok || bm.lastUnix > s {
+					rollups = true
+				}
+			}
+		}
+		if !rollups && !w.evEnabled {
+			continue
+		}
+		db, err := decodeBlockAt(w.f, w.off, bm, nil)
+		var ce *CorruptError
+		switch {
+		case errors.As(err, &ce):
+			if rollups {
+				log.Printf("tsdb: resume: cannot rebuild rollup state, disabling rollups for this writer: %v", err)
+				w.rollupRes = nil
+				w.accs = make(map[wmap.MapID][]*rollupAcc)
+			}
+			if w.evEnabled {
+				log.Printf("tsdb: resume: cannot rebuild event state, disabling event detection for this writer: %v", err)
+				w.evEnabled = false
+				w.detectors = make(map[wmap.MapID]*events.Detector)
+				w.evPending = make(map[wmap.MapID][]events.Event)
+			}
+			continue
+		case err != nil:
+			return err
+		}
+		if rollups {
+			replayRollups(accs, rollFront[id], bm, db)
+		}
+		if w.evEnabled {
+			fr, ok := evFront[id]
+			if !ok {
+				fr = -1
+			}
+			w.replayEvents(id, fr, bm, db)
+		}
+	}
+	return nil
 }
 
 // SetBlockPoints overrides the per-block snapshot capacity. It only affects
@@ -494,10 +569,7 @@ func (w *Writer) Append(m *wmap.Map) error {
 				m.ID, m.Time.UTC(), i, l.A, l.B)
 		}
 	}
-	if err := w.ensureRollupState(); err != nil {
-		return err
-	}
-	if err := w.ensureEventState(); err != nil {
+	if err := w.ensureResumed(); err != nil {
 		return err
 	}
 	ti, err := w.internTopology(m)
@@ -524,10 +596,7 @@ func (w *Writer) Append(m *wmap.Map) error {
 		}
 	}
 	if rotated || topoChanged {
-		if err := w.flushRollups(m.ID, false); err != nil {
-			return err
-		}
-		if err := w.flushEvents(m.ID); err != nil {
+		if err := w.flushDerived(m.ID); err != nil {
 			return err
 		}
 		// A live archive publishes a durable commit after every block that
@@ -584,14 +653,11 @@ func (w *Writer) ensureHeader() error {
 //	time column: n-1 uvarint deltas (seconds, strictly positive)
 //	2L load columns: uvarint first value, n-1 zigzag varint deltas
 //
-// framed as u32le payloadLen + payload + u32le CRC32(payload).
+// framed by writeFrame.
 func (w *Writer) flushBlock(id wmap.MapID, ob *openBlock) error {
 	n := len(ob.times)
 	if n == 0 {
 		return nil
-	}
-	if err := w.ensureHeader(); err != nil {
-		return err
 	}
 	L := ob.ncols / 2
 	payload := make([]byte, 0, 32+4*ob.ncols+n+n*ob.ncols/4)
@@ -625,28 +691,19 @@ func (w *Writer) flushBlock(id wmap.MapID, ob *openBlock) error {
 	}
 	payload = append(payload, timeCol...)
 	payload = append(payload, colData...)
-	if len(payload) > math.MaxInt32 {
-		return fmt.Errorf("tsdb: block payload of %d bytes exceeds the frame limit", len(payload))
-	}
-
-	meta := blockMeta{
-		mapRef:     w.strIDs[string(id)],
-		offset:     w.off,
-		payloadLen: len(payload),
-		topoIndex:  ob.topoIndex,
-		baseUnix:   ob.times[0],
-		lastUnix:   ob.times[n-1],
-		points:     n,
-		links:      L,
-	}
-	var frame [4]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(len(payload)))
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	if err := w.writeAll(frame[:], payload, sum[:]); err != nil {
+	f, err := w.writeFrame(payload)
+	if err != nil {
 		return err
 	}
-	w.index = append(w.index, meta)
+	w.index = append(w.index, blockMeta{
+		frame:     f,
+		mapRef:    w.strIDs[string(id)],
+		topoIndex: ob.topoIndex,
+		baseUnix:  ob.times[0],
+		lastUnix:  ob.times[n-1],
+		points:    n,
+		links:     L,
+	})
 	return nil
 }
 
@@ -801,10 +858,7 @@ func (w *Writer) Sync() error {
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	if err := w.ensureRollupState(); err != nil {
-		return err
-	}
-	if err := w.ensureEventState(); err != nil {
+	if err := w.ensureResumed(); err != nil {
 		return err
 	}
 	if err := w.flushOpen(); err != nil {
@@ -851,36 +905,48 @@ func (w *Writer) Close() error {
 // flushOpen flushes the open blocks in map-id order so the byte output is
 // a pure function of the append sequence.
 func (w *Writer) flushOpen() error {
-	ids := make([]string, 0, len(w.open))
-	for id := range w.open {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if err := w.flushBlock(wmap.MapID(id), w.open[wmap.MapID(id)]); err != nil {
+	for _, id := range sortedIDs(w.open) {
+		if err := w.flushBlock(id, w.open[id]); err != nil {
 			return err
 		}
-		delete(w.open, wmap.MapID(id))
+		delete(w.open, id)
 		// The same flush event a rotation fires: whether a raw block lands
 		// here or in Append, the rollup flush decision sees the same state.
-		if err := w.flushRollups(wmap.MapID(id), false); err != nil {
-			return err
-		}
-		if err := w.flushEvents(wmap.MapID(id)); err != nil {
+		if err := w.flushDerived(id); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// flushDerived is the per-map flush event that follows every raw-block
+// flush and topology change: the map's rollup frames, then its event frame.
+// Both fire from the append sequence alone, so batch and live writers
+// produce identical bytes, and a commit after it covers exactly the events
+// the committed raw blocks imply.
+func (w *Writer) flushDerived(id wmap.MapID) error {
+	if err := w.flushRollups(id, false); err != nil {
+		return err
+	}
+	return w.flushEvents(id)
+}
+
+// sortedIDs returns m's map ids in order, so every per-map flush loop
+// writes bytes that are a pure function of the append sequence.
+func sortedIDs[V any](m map[wmap.MapID]V) []wmap.MapID {
+	ids := make([]wmap.MapID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 func (w *Writer) finish() error {
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	if err := w.ensureRollupState(); err != nil {
-		return err
-	}
-	if err := w.ensureEventState(); err != nil {
+	if err := w.ensureResumed(); err != nil {
 		return err
 	}
 	if err := w.flushOpen(); err != nil {
@@ -888,14 +954,18 @@ func (w *Writer) finish() error {
 	}
 	// Drain every remaining sealed bucket; partial current buckets are
 	// discarded — their points replay from raw blocks on a future resume.
-	if err := w.flushFinalRollups(); err != nil {
-		return err
+	for _, id := range sortedIDs(w.accs) {
+		if err := w.flushRollups(id, true); err != nil {
+			return err
+		}
 	}
 	// Defensive: flushOpen already drained every map with an open block, and
 	// pending events only exist alongside open-block points, so this writes
 	// nothing in practice — but a frame here beats silently dropped events.
-	if err := w.flushFinalEvents(); err != nil {
-		return err
+	for _, id := range sortedIDs(w.evPending) {
+		if err := w.flushEvents(id); err != nil {
+			return err
+		}
 	}
 	if w.live {
 		if err := w.commit(); err != nil {
