@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"io/fs"
+	"math"
 	"os"
 )
 
@@ -107,7 +109,8 @@ func readCheckpoint(path string) (*checkpoint, error) {
 
 // writeCheckpoint atomically replaces the commit record: the new record is
 // written to a temp file, fsynced, and renamed over the old one. The caller
-// must have already flushed and fsynced the data file up to dataEnd.
+// must have already flushed and fsynced the data file up to dataEnd. The
+// rename itself is durable only once the directory is fsynced (syncDir).
 func writeCheckpoint(path string, dataEnd int64, version uint64, payload []byte) error {
 	buf := make([]byte, 0, ckptHeaderLen+len(payload))
 	buf = append(buf, ckptMagic...)
@@ -134,6 +137,117 @@ func writeCheckpoint(path string, dataEnd int64, version uint64, payload []byte)
 	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("tsdb: checkpoint: %w", err)
+	}
+	return nil
+}
+
+// syncDir fsyncs the directory dir, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("tsdb: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("tsdb: sync dir: %w", err)
+	}
+	return nil
+}
+
+// committed is an archive's durable commit state: the one form in which
+// both the Reader and the resuming Writer load a closed footer or a live
+// checkpoint.
+type committed struct {
+	fd      *footerData
+	payload []byte // the footer or checkpoint payload fd was parsed from
+	dataEnd int64  // end of the data section: every frame lies below it
+	size    int64  // readable byte bound: file size (closed) or dataEnd (live)
+	version uint64 // checkpoint commit version; 0 for a closed footer
+	live    bool   // loaded from a checkpoint (the archive may still grow)
+}
+
+// loadCommitted reads the commit state of the archive file f: the
+// checkpoint at ckptPath when the live-append protocol maintains one, else
+// the footer of the closed archive. The committed data must still be in
+// the file and start with the header magic. An empty file without a
+// checkpoint has committed nothing: loadCommitted returns nil, nil.
+func loadCommitted(f *os.File, ckptPath string) (*committed, error) {
+	ck, err := readCheckpoint(ckptPath)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	// Stat after reading the checkpoint: a live writer grows the file
+	// before it commits, so the size covers any checkpoint read first.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: %w", err)
+	}
+	if ck == nil {
+		if fi.Size() == 0 {
+			return nil, nil
+		}
+		return loadClosed(f, fi.Size())
+	}
+	if fi.Size() < ck.dataEnd {
+		return nil, corruptf(fi.Size(), "archive holds %d bytes but the checkpoint committed %d — committed data lost", fi.Size(), ck.dataEnd)
+	}
+	if err := checkHeader(f, ck.dataEnd); err != nil {
+		return nil, err
+	}
+	fd, err := parseFooterData(ck.payload, 0, ck.dataEnd)
+	if err != nil {
+		return nil, err
+	}
+	return &committed{fd: fd, payload: ck.payload, dataEnd: ck.dataEnd, size: ck.dataEnd, version: ck.version, live: true}, nil
+}
+
+// loadClosed validates a closed archive's framing (header magic, tail
+// magic, footer checksum) and parses its footer.
+func loadClosed(r io.ReaderAt, size int64) (*committed, error) {
+	minSize := int64(len(headerMagic) + tailLen)
+	if size < minSize {
+		return nil, corruptf(0, "archive of %d bytes is shorter than the %d-byte minimum", size, minSize)
+	}
+	if err := checkHeader(r, size); err != nil {
+		return nil, err
+	}
+	tail, err := readAtFull(r, size, size-int64(tailLen), tailLen)
+	if err != nil {
+		return nil, err
+	}
+	if string(tail[12:]) != tailMagic {
+		return nil, corruptf(size-8, "bad tail magic %q (archive not closed?)", tail[12:])
+	}
+	footerLen := binary.LittleEndian.Uint64(tail[4:12])
+	footerStart := size - int64(tailLen) - int64(footerLen)
+	if footerLen > math.MaxInt32 || footerStart < int64(len(headerMagic)) {
+		return nil, corruptf(size-16, "footer length %d exceeds archive", footerLen)
+	}
+	footer, err := readAtFull(r, size, footerStart, int(footerLen))
+	if err != nil {
+		return nil, err
+	}
+	if sum := crc32.ChecksumIEEE(footer); sum != binary.LittleEndian.Uint32(tail[:4]) {
+		return nil, corruptf(footerStart, "footer checksum mismatch")
+	}
+	fd, err := parseFooterData(footer, footerStart, footerStart)
+	if err != nil {
+		return nil, err
+	}
+	return &committed{fd: fd, payload: footer, dataEnd: footerStart, size: size}, nil
+}
+
+// checkHeader verifies the file magic within the first size bytes.
+func checkHeader(r io.ReaderAt, size int64) error {
+	head, err := readAtFull(r, size, 0, len(headerMagic))
+	if err != nil {
+		return err
+	}
+	if string(head) != headerMagic {
+		return corruptf(0, "bad header magic %q", head)
 	}
 	return nil
 }

@@ -193,11 +193,12 @@ func FuzzBlockReader(f *testing.F) {
 
 // FuzzAppendRecovery throws arbitrary crash states — a data file plus an
 // optional checkpoint sidecar — at OpenAppend. Whatever the bytes, recovery
-// must either fail with *CorruptError or accept the state; an accepted
-// state must then Close into a well-formed archive (the footer parses, the
-// writer can resume it) whose reads fail only typed. Panics, untyped
-// errors, and recoveries that produce unopenable archives are the bugs
-// this hunts.
+// must either fail with *CorruptError or accept the state. A non-empty
+// accepted state must also open for reading, with the writer's snapshot,
+// block and topology counts, and must Close into a well-formed archive
+// (the footer parses, the writer can resume it) whose reads fail only
+// typed. Panics, untyped errors, and recoveries that produce unopenable
+// archives are the bugs this hunts.
 func FuzzAppendRecovery(f *testing.F) {
 	// Seed with real crash states from a live writer: two commits, the
 	// second a strict extension of the first.
@@ -289,6 +290,13 @@ func FuzzAppendRecovery(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		// Open the crash state for reading before recovery truncates it:
+		// reader and writer load committed state through one loader, so
+		// whatever OpenAppend accepts, OpenFile accepts too.
+		rd0, rerr := OpenFile(path)
+		if rerr == nil {
+			defer rd0.Close()
+		}
 		w, err := OpenAppend(path)
 		if err != nil {
 			var ce *CorruptError
@@ -296,6 +304,15 @@ func FuzzAppendRecovery(f *testing.F) {
 				t.Fatalf("OpenAppend error %v is not *CorruptError", err)
 			}
 			return
+		}
+		if len(data) > 0 {
+			if rerr != nil {
+				t.Fatalf("OpenAppend accepted a state OpenFile rejects: %v", rerr)
+			}
+			rs, ws := rd0.Stats(), w.Stats()
+			if rs.Snapshots != ws.Snapshots || rs.Blocks != ws.Blocks || rs.Topologies != ws.Topologies {
+				t.Fatalf("reader stats %+v disagree with the resumed writer's %+v", rs, ws)
+			}
 		}
 		// Recovery accepted the state: it must close into an archive the
 		// reader opens, and whose reads only ever fail typed. (Recovery

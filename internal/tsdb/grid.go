@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"ovhweather/internal/ordered"
@@ -73,9 +74,10 @@ type gridLink struct {
 // gridResult is an immutable finished grid scan, shared by singleflighted
 // requests.
 type gridResult struct {
-	id    wmap.MapID
-	links []gridLink
-	rows  int64 // non-empty windows summed over links
+	id      wmap.MapID
+	links   []gridLink
+	planned int64 // links with a rollup plan
+	rows    int64 // non-empty windows summed over links
 
 	// cols[ti][li] is links[li]'s column in topology ti, -1 when absent;
 	// nil until resolve sees ti. Only the scan goroutine resolves, always
@@ -181,6 +183,7 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 			gl.plan = planWithBlocks(st, id, lookup, gl.first, gl.last, fromU, toU, s)
 		}
 		if gl.plan != nil {
+			res.planned++
 			cells += gl.plan.nWins
 		} else {
 			// Raw anchor is the first decoded sample, not yet known; bound
@@ -193,8 +196,9 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		}
 	}
 	if cells > maxGridCells {
-		return nil, &GridTooLargeError{Cells: cells, Max: maxGridCells,
-			Hint: gridStepHint(st, id, cells, s)}
+		// Scale the step up until the cells fit.
+		factor := (cells + maxGridCells - 1) / maxGridCells
+		return nil, &GridTooLargeError{Cells: cells, Max: maxGridCells, Hint: st.tierStep(id, s*factor)}
 	}
 
 	if err := r.gridRollupLeg(ctx, st, res, topoIdx, s); err != nil {
@@ -283,7 +287,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 				break
 			}
 		}
-		pool := ordered.Run(ctx, len(rids), defaultReadAheadWorkers(), func(_, i int) (*decodedRollup, error) {
+		pool := ordered.Run(ctx, len(rids), runtime.GOMAXPROCS(0), func(_, i int) (*decodedRollup, error) {
 			return r.rollup(st, rids[i], res.columnGroup(st.rollups[rids[i]].topoIndex))
 		})
 		err := func() error {
@@ -378,24 +382,10 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 			}
 		}
 	}
-	if len(ids) == 0 {
-		return ctx.Err()
-	}
-
 	group := func(i int) int { return res.columnGroup(st.blocks[ids[i]].topoIndex) }
-	pool := r.startReadAhead(ctx, st, ids, group, defaultReadAheadWorkers())
-	defer pool.Stop()
-	i := 0
-	for pool.Next() {
-		db := pool.Value()
+	return r.scanBlocks(ctx, st, ids, group, fromU, toU, func(i int, db *decodedBlock, lo, hi int) error {
 		meta := &st.blocks[ids[i]]
-		i++
 		col := res.cols[meta.topoIndex]
-		lo := sort.Search(len(db.times), func(k int) bool { return db.times[k] >= fromU })
-		hi := sort.Search(len(db.times), func(k int) bool { return db.times[k] > toU })
-		if lo >= hi {
-			continue
-		}
 		for li := range res.links {
 			ci := int(col[li])
 			if ci < 0 {
@@ -413,8 +403,8 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 			}
 			gl.accumulateRaw(db.times[start:hi], db.cols[2*ci][start:hi], db.cols[2*ci+1][start:hi], s)
 		}
-	}
-	return pool.Err()
+		return nil
+	})
 }
 
 // accumulateRaw folds trimmed raw points into the link's windows. A
@@ -455,24 +445,6 @@ func (gl *gridLink) accumulateRaw(times []int64, abCol, baCol []wmap.Load, s int
 	}
 }
 
-// gridStepHint scales the requested step up until the cell count fits,
-// rounded to a multiple of the coarsest rollup tier when one exists so the
-// suggested query still plans.
-func gridStepHint(st *readerState, id wmap.MapID, cells, s int64) time.Duration {
-	factor := (cells + maxGridCells - 1) / maxGridCells
-	need := s * factor
-	var coarsest int64
-	for _, tier := range st.rollupTiers[id] {
-		if tier.res > coarsest {
-			coarsest = tier.res
-		}
-	}
-	if coarsest > 0 && need%coarsest != 0 {
-		need = (need/coarsest + 1) * coarsest
-	}
-	return time.Duration(need) * time.Second
-}
-
 // GridChunk is one block's worth of the whole-map columnar scan behind
 // Reader.GridColumns: the block topology's links in column order, the
 // trimmed time column, and each link's two directed load columns aligned
@@ -498,29 +470,15 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 	fromU, toU := rangeBounds(from, to)
 	ids := st.blockRange(id, fromU, toU)
 	topoKeys, _ := st.topoKeyIndexes()
-	if len(ids) == 0 {
-		return ctx.Err()
+	if len(ids) != 0 {
+		r.grid.columnScans.Add(1)
 	}
-	r.grid.mu.Lock()
-	r.grid.columnScans++
-	r.grid.mu.Unlock()
-
-	pool := r.startReadAhead(ctx, st, ids, func(int) int { return allColumns }, defaultReadAheadWorkers())
-	defer pool.Stop()
 	var c GridChunk
-	i := 0
-	for pool.Next() {
-		db := pool.Value()
-		meta := &st.blocks[ids[i]]
-		i++
-		lo := sort.Search(len(db.times), func(k int) bool { return db.times[k] >= fromU })
-		hi := sort.Search(len(db.times), func(k int) bool { return db.times[k] > toU })
-		if lo >= hi {
-			continue
-		}
-		L := len(st.topos[meta.topoIndex].links)
-		c.Keys = topoKeys[meta.topoIndex]
-		c.Links = st.topos[meta.topoIndex].links
+	return r.scanBlocks(ctx, st, ids, func(int) int { return allColumns }, fromU, toU, func(i int, db *decodedBlock, lo, hi int) error {
+		ti := st.blocks[ids[i]].topoIndex
+		L := len(st.topos[ti].links)
+		c.Keys = topoKeys[ti]
+		c.Links = st.topos[ti].links
 		c.Times = db.times[lo:hi]
 		c.AB = append(c.AB[:0], make([][]wmap.Load, L)...)
 		c.BA = append(c.BA[:0], make([][]wmap.Load, L)...)
@@ -528,28 +486,20 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 			c.AB[li] = db.cols[2*li][lo:hi]
 			c.BA[li] = db.cols[2*li+1][lo:hi]
 		}
-		if err := fn(&c); err != nil {
-			return err
-		}
-	}
-	return pool.Err()
+		return fn(&c)
+	})
 }
 
-// gridCounters tallies the grid engine's serving behavior.
+// gridCounters tallies the grid engine's serving behavior; the fields
+// mirror GridStats.
 type gridCounters struct {
-	mu           sync.Mutex
-	queries      int64
-	linksPlanned int64
-	linksRaw     int64
-	rows         int64
-	dedups       int64
-	streamed     int64
-	fallbacks    int64
-	columnScans  int64
+	queries, linksPlanned, linksRaw, rows    atomic.Int64
+	dedups, streamed, fallbacks, columnScans atomic.Int64
 }
 
-// GridStats is the /api/v1/stats "grid" group and the tsdb_grid expvar: a
-// point-in-time snapshot of the grid query counters.
+// GridStats is the /api/v1/stats "grid" group and the tsdb_grid expvar: the
+// grid query counters, each read atomically on its own (the group is not
+// one locked snapshot).
 type GridStats struct {
 	// Queries counts /api/v1/grid scans (deduplicated waiters excluded);
 	// per-link stepped queries count in PlannerStats instead.
@@ -569,57 +519,17 @@ type GridStats struct {
 	ColumnScans int64 `json:"column_scans"`
 }
 
-// countGrid records one finished /api/v1/grid scan.
-func (r *Reader) countGrid(res *gridResult) {
-	var planned, raw int64
-	for li := range res.links {
-		if res.links[li].plan != nil {
-			planned++
-		} else {
-			raw++
-		}
-	}
-	r.grid.mu.Lock()
-	r.grid.queries++
-	r.grid.linksPlanned += planned
-	r.grid.linksRaw += raw
-	r.grid.rows += res.rows
-	r.grid.mu.Unlock()
-}
-
-// countGridDedup records a request served by another request's scan.
-func (r *Reader) countGridDedup() {
-	r.grid.mu.Lock()
-	r.grid.dedups++
-	r.grid.mu.Unlock()
-}
-
-// countGridStreamed records a chunk-flushed grid response.
-func (r *Reader) countGridStreamed() {
-	r.grid.mu.Lock()
-	r.grid.streamed++
-	r.grid.mu.Unlock()
-}
-
-// countGridFallback records a corrupt-rollup degradation to raw serving.
-func (r *Reader) countGridFallback() {
-	r.grid.mu.Lock()
-	r.grid.fallbacks++
-	r.grid.mu.Unlock()
-}
-
 // GridStats reads the grid engine counters.
 func (r *Reader) GridStats() GridStats {
-	r.grid.mu.Lock()
-	defer r.grid.mu.Unlock()
+	g := &r.grid
 	return GridStats{
-		Queries:      r.grid.queries,
-		LinksPlanned: r.grid.linksPlanned,
-		LinksRaw:     r.grid.linksRaw,
-		Rows:         r.grid.rows,
-		Dedups:       r.grid.dedups,
-		Streamed:     r.grid.streamed,
-		Fallbacks:    r.grid.fallbacks,
-		ColumnScans:  r.grid.columnScans,
+		Queries:      g.queries.Load(),
+		LinksPlanned: g.linksPlanned.Load(),
+		LinksRaw:     g.linksRaw.Load(),
+		Rows:         g.rows.Load(),
+		Dedups:       g.dedups.Load(),
+		Streamed:     g.streamed.Load(),
+		Fallbacks:    g.fallbacks.Load(),
+		ColumnScans:  g.columnScans.Load(),
 	}
 }

@@ -304,6 +304,8 @@ func TestGridScanErrors(t *testing.T) {
 		}
 	}
 
+	getJSON(t, h, "/api/v1/grid?map=europe&step=500ms", http.StatusBadRequest)
+
 	// A sub-second step is rejected before any work: resampling 50 days
 	// at 1ms would otherwise walk billions of windows without ever
 	// checking the request context.

@@ -188,6 +188,62 @@ func queryTime(w http.ResponseWriter, r *http.Request, name string, fallback tim
 	return t, true, true
 }
 
+// queryRange parses the from/to window of a series query, defaulting to
+// the map's archived bounds; pinned reports that both ends were given.
+func (a *api) queryRange(w http.ResponseWriter, r *http.Request, id wmap.MapID) (from, to time.Time, pinned, ok bool) {
+	bFrom, bTo, _ := a.rd.Bounds(id)
+	from, fromGiven, ok := queryTime(w, r, "from", bFrom)
+	if !ok {
+		return from, to, false, false
+	}
+	to, toGiven, ok := queryTime(w, r, "to", bTo)
+	return from, to, fromGiven && toGiven, ok
+}
+
+// queryStep parses the optional step parameter, zero when absent. Steps
+// are whole seconds: window arithmetic is in seconds, and a sub-second
+// step would ask for billions of windows.
+func queryStep(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
+	s := r.URL.Query().Get("step")
+	if s == "" {
+		return 0, true
+	}
+	step, err := time.ParseDuration(s)
+	if err != nil || step < 0 || step%time.Second != 0 {
+		writeError(w, http.StatusBadRequest, "bad step %q: need a positive whole number of seconds", s)
+		return 0, false
+	}
+	return step, true
+}
+
+// snapshotAt is the point-in-time preamble /topology and /imbalance share:
+// resolve map and at (default: the map's last snapshot), answer a
+// conditional GET, then materialize the snapshot unless the client has
+// already gone. ok is false once the response is written.
+func (a *api) snapshotAt(w http.ResponseWriter, r *http.Request, endpoint string) (m *wmap.Map, ok bool) {
+	id, ok := a.queryMap(w, r)
+	if !ok {
+		return nil, false
+	}
+	_, last, _ := a.rd.Bounds(id)
+	at, atGiven, ok := queryTime(w, r, "at", last)
+	if !ok {
+		return nil, false
+	}
+	if serveCached(w, r, a.etag(endpoint, string(id), at.UTC().Format(time.RFC3339Nano)), atGiven) {
+		return nil, false
+	}
+	err := r.Context().Err()
+	if err == nil {
+		m, err = a.rd.SnapshotAt(id, at)
+	}
+	if err != nil {
+		writeQueryError(w, err)
+		return nil, false
+	}
+	return m, true
+}
+
 type mapInfo struct {
 	Map       wmap.MapID `json:"map"`
 	Title     string     `json:"title"`
@@ -227,27 +283,11 @@ type topoLink struct {
 }
 
 func (a *api) handleTopology(w http.ResponseWriter, r *http.Request) {
-	id, ok := a.queryMap(w, r)
+	m, ok := a.snapshotAt(w, r, "topology")
 	if !ok {
 		return
 	}
-	_, last, _ := a.rd.Bounds(id)
-	at, atGiven, ok := queryTime(w, r, "at", last)
-	if !ok {
-		return
-	}
-	if serveCached(w, r, a.etag("topology", string(id), at.UTC().Format(time.RFC3339Nano)), atGiven) {
-		return
-	}
-	m, err := a.rd.SnapshotAt(id, at)
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, ErrNoSnapshot) || errors.Is(err, ErrUnknownMap) {
-			code = http.StatusNotFound
-		}
-		writeError(w, code, "%v", err)
-		return
-	}
+	id := m.ID
 	nodes := make([]topoNode, 0, len(m.Nodes))
 	for _, n := range m.Nodes {
 		nodes = append(nodes, topoNode{Name: n.Name, Kind: string(n.Kind)})
@@ -273,24 +313,13 @@ func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown link id %q", linkID)
 		return
 	}
-	bFrom, bTo, _ := a.rd.Bounds(id)
-	from, fromGiven, ok := queryTime(w, r, "from", bFrom)
+	from, to, pinned, ok := a.queryRange(w, r, id)
 	if !ok {
 		return
 	}
-	to, toGiven, ok := queryTime(w, r, "to", bTo)
+	step, ok := queryStep(w, r)
 	if !ok {
 		return
-	}
-	var step time.Duration
-	if s := r.URL.Query().Get("step"); s != "" {
-		var err error
-		// Whole seconds only, like /api/v1/grid: window arithmetic is in
-		// seconds, and a sub-second step would ask for billions of windows.
-		if step, err = time.ParseDuration(s); err != nil || step < 0 || step%time.Second != 0 {
-			writeError(w, http.StatusBadRequest, "bad step %q: need a positive whole number of seconds", s)
-			return
-		}
 	}
 	bands := r.URL.Query().Get("bands") == "1"
 	if bands && step <= 0 {
@@ -302,8 +331,7 @@ func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 	if bands {
 		etagParts = append(etagParts, "bands")
 	}
-	etag := a.etag(etagParts...)
-	if serveCached(w, r, etag, fromGiven && toGiven) {
+	if serveCached(w, r, a.etag(etagParts...), pinned) {
 		return
 	}
 	if step <= 0 {
@@ -322,16 +350,16 @@ func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
 	// A one-link grid scan: rollup tiers serve what they provably can, raw
 	// blocks the rest; a window count over maxGridCells is a 400 with a
 	// coarser step.
-	res, err := a.scanDegrading(r.Context(), id, []LinkKey{key}, from, to, step, a.rd.countFallback)
+	res, err := a.scanDegrading(r.Context(), id, []LinkKey{key}, from, to, step, &a.rd.planner.fallbacks)
 	if err != nil {
-		a.writeLoadError(w, err)
+		writeQueryError(w, err)
 		return
 	}
 	gl := &res.links[0]
 	if gl.plan != nil {
-		a.rd.countPlanned(gl.plan.res)
+		a.rd.countTier(gl.plan.res)
 	} else {
-		a.rd.countPlanned(0)
+		a.rd.planner.raw.Add(1)
 	}
 	a.serveWindowLoad(w, r, linkID, id, key, from, to, step, bands, &gl.lw)
 }
@@ -481,7 +509,7 @@ func (a *api) serveRawLoad(w http.ResponseWriter, r *http.Request, linkID string
 		})
 	*bp, *bbp = b, bb
 	if err != nil {
-		a.writeLoadError(w, err)
+		writeQueryError(w, err)
 		return
 	}
 	b = append(b, `],"ba":[`...)
@@ -491,21 +519,20 @@ func (a *api) serveRawLoad(w http.ResponseWriter, r *http.Request, linkID string
 	*bp = b
 }
 
-// writeLoadError maps a series-read failure onto the response: cancelled
-// clients get the nginx-convention 499, unknown ids 404, an over-cap
-// windowed query 400 with its step hint, the rest 500.
-func (a *api) writeLoadError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+// writeQueryError maps a query failure onto the response, the same for
+// every data endpoint: a cancelled client gets the nginx-convention 499
+// and no body, an unknown map, link or snapshot 404, an over-cap grid 400
+// with its step hint, anything else (a corrupt archive) 500.
+func writeQueryError(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	var tooBig *GridTooLargeError
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		w.WriteHeader(statusClientClosedRequest)
 		return
-	}
-	var tooBig *GridTooLargeError
-	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	code := http.StatusInternalServerError
-	if errors.Is(err, ErrUnknownLink) || errors.Is(err, ErrUnknownMap) {
+	case errors.As(err, &tooBig):
+		code = http.StatusBadRequest
+	case errors.Is(err, ErrUnknownMap) || errors.Is(err, ErrUnknownLink) || errors.Is(err, ErrNoSnapshot):
 		code = http.StatusNotFound
 	}
 	writeError(w, code, "%v", err)
@@ -537,29 +564,8 @@ func appendLoadMeta(b []byte, linkID string, id wmap.MapID, key LinkKey, from, t
 }
 
 func (a *api) handleImbalance(w http.ResponseWriter, r *http.Request) {
-	id, ok := a.queryMap(w, r)
+	m, ok := a.snapshotAt(w, r, "imbalance")
 	if !ok {
-		return
-	}
-	_, last, _ := a.rd.Bounds(id)
-	at, atGiven, ok := queryTime(w, r, "at", last)
-	if !ok {
-		return
-	}
-	if serveCached(w, r, a.etag("imbalance", string(id), at.UTC().Format(time.RFC3339Nano)), atGiven) {
-		return
-	}
-	if err := r.Context().Err(); err != nil {
-		w.WriteHeader(statusClientClosedRequest)
-		return
-	}
-	m, err := a.rd.SnapshotAt(id, at)
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, ErrNoSnapshot) || errors.Is(err, ErrUnknownMap) {
-			code = http.StatusNotFound
-		}
-		writeError(w, code, "%v", err)
 		return
 	}
 	imbs := wmap.NewTopology(nil, m.Links).Imbalances(m.Links, wmap.PaperImbalanceOptions())
@@ -567,7 +573,7 @@ func (a *api) handleImbalance(w http.ResponseWriter, r *http.Request) {
 	bp := getEncBuf()
 	b := *bp
 	b = append(b, `{"map":`...)
-	b = appendJSONString(b, string(id))
+	b = appendJSONString(b, string(m.ID))
 	b = append(b, `,"time":`...)
 	b = appendJSONTime(b, m.Time)
 	b = append(b, `,"imbalances":[`...)

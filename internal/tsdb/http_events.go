@@ -1,8 +1,6 @@
 package tsdb
 
 import (
-	"context"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -89,14 +87,7 @@ func (a *api) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	evs, err := a.rd.Events(r.Context(), f)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			w.WriteHeader(statusClientClosedRequest)
-		case errors.Is(err, ErrUnknownMap):
-			writeError(w, http.StatusNotFound, "%v", err)
-		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+		writeQueryError(w, err)
 		return
 	}
 	if len(evs) > a.maxPoints {

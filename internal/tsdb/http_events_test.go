@@ -113,6 +113,21 @@ func TestAPIEventsPointCap(t *testing.T) {
 	getJSON(t, h, "/api/v1/events?type=congestion-clear", http.StatusOK)
 }
 
+// TestAPIEventsCorruptFrame flips a payload byte in every event frame: the
+// footer still opens, and /events answers 500 instead of a partial list.
+func TestAPIEventsCorruptFrame(t *testing.T) {
+	data := buildArchive(t, 0, eventMaps()...)
+	evs := openArchive(t, data).st().events
+	if len(evs) == 0 {
+		t.Fatal("fixture archive has no event frames")
+	}
+	bad := append([]byte(nil), data...)
+	for _, m := range evs {
+		bad[m.offset+4+int64(m.payloadLen)/2] ^= 0xFF
+	}
+	getJSON(t, NewAPIHandler(openArchive(t, bad)), "/api/v1/events", http.StatusInternalServerError)
+}
+
 // TestAPIEventsStatsGroup checks /api/v1/stats reports the event-log
 // footprint and, with a hub attached, the broadcaster counters.
 func TestAPIEventsStatsGroup(t *testing.T) {

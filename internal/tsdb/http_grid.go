@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"ovhweather/internal/wmap"
@@ -41,26 +42,19 @@ func (a *api) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	bFrom, bTo, _ := a.rd.Bounds(id)
-	from, fromGiven, ok := queryTime(w, r, "from", bFrom)
+	from, to, pinned, ok := a.queryRange(w, r, id)
 	if !ok {
 		return
 	}
-	to, toGiven, ok := queryTime(w, r, "to", bTo)
+	step, ok := queryStep(w, r)
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
-	stepStr := q.Get("step")
-	if stepStr == "" {
+	if step == 0 { // absent or "0s"
 		writeError(w, http.StatusBadRequest, "missing step parameter — the grid is always resampled")
 		return
 	}
-	step, err := time.ParseDuration(stepStr)
-	if err != nil || step <= 0 || step%time.Second != 0 {
-		writeError(w, http.StatusBadRequest, "bad step %q: need a positive whole number of seconds", stepStr)
-		return
-	}
+	q := r.URL.Query()
 	bands := q.Get("bands") == "1"
 
 	var keys []LinkKey
@@ -84,33 +78,37 @@ func (a *api) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if bands {
 		etagParts = append(etagParts, "bands")
 	}
-	if serveCached(w, r, a.etag(etagParts...), fromGiven && toGiven) {
+	if serveCached(w, r, a.etag(etagParts...), pinned) {
 		return
 	}
 
 	res, err := a.gridShared(r.Context(), sfKey, func() (*gridResult, error) {
-		res, err := a.scanDegrading(r.Context(), id, keys, from, to, step, a.rd.countGridFallback)
+		res, err := a.scanDegrading(r.Context(), id, keys, from, to, step, &a.rd.grid.fallbacks)
 		if err == nil {
-			a.rd.countGrid(res)
+			g := &a.rd.grid
+			g.queries.Add(1)
+			g.linksPlanned.Add(res.planned)
+			g.linksRaw.Add(int64(len(res.links)) - res.planned)
+			g.rows.Add(res.rows)
 		}
 		return res, err
 	})
 	if err != nil {
-		a.writeLoadError(w, err)
+		writeQueryError(w, err)
 		return
 	}
 	a.writeGrid(w, r, id, from, to, step, bands, res)
 }
 
 // scanDegrading runs the grid scan, degrading to raw-only serving when a
-// rollup block is corrupt — logged and counted through fallback, never a
-// wrong answer.
-func (a *api) scanDegrading(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration, fallback func()) (*gridResult, error) {
+// rollup block is corrupt — logged and counted in fallbacks, never a wrong
+// answer.
+func (a *api) scanDegrading(ctx context.Context, id wmap.MapID, keys []LinkKey, from, to time.Time, step time.Duration, fallbacks *atomic.Int64) (*gridResult, error) {
 	res, err := a.rd.gridScan(ctx, id, keys, from, to, step, false)
 	var ce *CorruptError
 	if err != nil && errors.As(err, &ce) {
 		log.Printf("tsdb: api: grid scan of %s: %v; falling back to raw scan", id, err)
-		fallback()
+		fallbacks.Add(1)
 		res, err = a.rd.gridScan(ctx, id, keys, from, to, step, true)
 	}
 	return res, err
@@ -138,7 +136,7 @@ func (a *api) gridShared(ctx context.Context, key string, run func() (*gridResul
 				continue
 			}
 			if c.err == nil {
-				a.rd.countGridDedup()
+				a.rd.grid.dedups.Add(1)
 			}
 			return c.res, c.err
 		}
@@ -198,7 +196,7 @@ func (a *api) writeGrid(w http.ResponseWriter, r *http.Request, id wmap.MapID, f
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusOK)
 				streamed = true
-				a.rd.countGridStreamed()
+				a.rd.grid.streamed.Add(1)
 			}
 			if _, err := w.Write(b); err != nil {
 				return // client gone mid-stream; stop encoding

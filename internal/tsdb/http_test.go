@@ -384,6 +384,42 @@ func TestAPILinkLoadCancelled(t *testing.T) {
 	}
 }
 
+// TestAPIErrorStatuses reaches the error statuses the endpoint tests above
+// leave alone: min/max bands without a step, a sub-second step, a corrupt
+// raw block (500, never a wrong body), and a client that hung up before
+// /topology began (499, as /imbalance and the load series answer).
+func TestAPIErrorStatuses(t *testing.T) {
+	var maps []*wmap.Map
+	for i := 0; i < 8; i++ {
+		maps = append(maps, testMap(wmap.Europe, at(5*i), 10+i, 20+i, 30+i, 40+i, 50+i, 60+i))
+	}
+	data := buildArchive(t, 3, maps...)
+	clean := openArchive(t, data)
+	h := NewAPIHandler(clean)
+	load := "/api/v1/links/" + LinkKeysOf(maps[0])[0].ID(wmap.Europe) + "/load"
+
+	getJSON(t, h, load+"?bands=1", http.StatusBadRequest)
+	getJSON(t, h, load+"?step=500ms", http.StatusBadRequest)
+
+	// Flip one payload byte in every raw block: the footer still parses,
+	// the per-block CRC fails at decode time.
+	bad := append([]byte(nil), data...)
+	for _, m := range clean.st().blocks {
+		bad[m.offset+4+int64(m.payloadLen)/2] ^= 0xFF
+	}
+	hb := NewAPIHandler(openArchive(t, bad))
+	getJSON(t, hb, "/api/v1/topology?map=europe", http.StatusInternalServerError)
+	getJSON(t, hb, load, http.StatusInternalServerError)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/topology?map=europe", nil).WithContext(ctx))
+	if rec.Code != statusClientClosedRequest {
+		t.Errorf("cancelled topology = %d, want %d", rec.Code, statusClientClosedRequest)
+	}
+}
+
 // TestAPIStats checks the stats endpoint reports archive shape and live
 // cache counters.
 func TestAPIStats(t *testing.T) {

@@ -182,36 +182,11 @@ type timeEncoder struct {
 	valid  bool
 }
 
-func (e *timeEncoder) append(b []byte, t time.Time) []byte {
-	if _, off := t.Zone(); off != 0 || t.Nanosecond() != 0 {
-		b = append(b, '"')
-		b = t.AppendFormat(b, time.RFC3339Nano)
-		return append(b, '"')
-	}
-	sec := t.Unix()
-	if sec < rfc3339FastMin || sec >= rfc3339FastMax {
-		b = append(b, '"')
-		b = t.AppendFormat(b, time.RFC3339Nano)
-		return append(b, '"')
-	}
-	days, rem := splitDays(sec)
-	if !e.valid || days != e.day {
-		p := appendCivilDate(e.prefix[:0], days)
-		e.prefix[len(p)] = 'T'
-		e.day, e.valid = days, true
-	}
-	b = append(b, '"')
-	b = append(b, e.prefix[:]...)
-	b = appendClock(b, rem)
-	return append(b, '"')
-}
-
 // appendUnix renders a whole-second UTC instant given as unix seconds —
-// the form archive time columns store — skipping append's zone and
-// nanosecond probes.
+// the form archive time columns store — exactly as appendJSONTime would.
 func (e *timeEncoder) appendUnix(b []byte, sec int64) []byte {
 	if sec < rfc3339FastMin || sec >= rfc3339FastMax {
-		return e.append(b, time.Unix(sec, 0).UTC())
+		return appendJSONTime(b, time.Unix(sec, 0).UTC())
 	}
 	days, rem := splitDays(sec)
 	if !e.valid || days != e.day {

@@ -43,13 +43,12 @@ func linkSeries(ctx context.Context, r *Reader, id wmap.MapID, key LinkKey, from
 // appendSeries appends a series as [{"t":...,"v":...},...].
 func appendSeries(b []byte, ts *stats.TimeSeries) []byte {
 	b = append(b, '[')
-	var enc timeEncoder
 	for i, p := range ts.Points() {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, `{"t":`...)
-		b = enc.append(b, p.T)
+		b = appendJSONTime(b, p.T)
 		b = append(b, `,"v":`...)
 		b = appendJSONFloat(b, p.V)
 		b = append(b, '}')
@@ -144,13 +143,12 @@ func TestResampleAggMatchesResample(t *testing.T) {
 // appendAggSeries appends one field of an aggregate resample as a series.
 func appendAggSeries(b []byte, aggs []windowAgg, sel func(wa *windowAgg) float64) []byte {
 	b = append(b, '[')
-	var enc timeEncoder
 	for i := range aggs {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, `{"t":`...)
-		b = enc.append(b, aggs[i].T)
+		b = appendJSONTime(b, aggs[i].T)
 		b = append(b, `,"v":`...)
 		b = appendJSONFloat(b, sel(&aggs[i]))
 		b = append(b, '}')

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ovhweather/internal/ordered"
@@ -108,16 +110,16 @@ func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, fir
 	return nil
 }
 
-// plannerCounters tallies which path served each load query.
+// plannerCounters tallies which path served each load query; only the
+// per-tier map needs the mutex.
 type plannerCounters struct {
-	mu        sync.Mutex
-	raw       int64
-	fallbacks int64
-	tiers     map[int64]int64
+	raw, fallbacks atomic.Int64
+	mu             sync.Mutex
+	tiers          map[int64]int64
 }
 
-// PlannerStats is a point-in-time snapshot of the planner counters, exposed
-// on GET /api/v1/stats and through wmserve's expvar.
+// PlannerStats reports the planner counters, exposed on GET /api/v1/stats
+// and through wmserve's expvar.
 type PlannerStats struct {
 	// Raw counts stepped per-link queries served entirely from raw blocks —
 	// no divisible tier or provable anchor, or rollups absent/disabled.
@@ -130,34 +132,23 @@ type PlannerStats struct {
 	Tiers map[string]int64 `json:"tiers"`
 }
 
-// countPlanned records one stepped per-link query served from the tier at
-// res seconds; res 0 records a raw-path serve.
-func (r *Reader) countPlanned(res int64) {
+// countTier records one stepped per-link query served from the tier at res
+// seconds.
+func (r *Reader) countTier(res int64) {
 	r.planner.mu.Lock()
 	defer r.planner.mu.Unlock()
-	if res == 0 {
-		r.planner.raw++
-		return
-	}
 	if r.planner.tiers == nil {
 		r.planner.tiers = make(map[int64]int64)
 	}
 	r.planner.tiers[res]++
 }
 
-// countFallback records one corrupt-rollup degradation to the raw path.
-func (r *Reader) countFallback() {
-	r.planner.mu.Lock()
-	r.planner.fallbacks++
-	r.planner.mu.Unlock()
-}
-
 // PlannerStats reads the per-path serve counters.
 func (r *Reader) PlannerStats() PlannerStats {
+	ps := PlannerStats{Raw: r.planner.raw.Load(), Fallbacks: r.planner.fallbacks.Load()}
 	r.planner.mu.Lock()
 	defer r.planner.mu.Unlock()
-	ps := PlannerStats{Raw: r.planner.raw, Fallbacks: r.planner.fallbacks,
-		Tiers: make(map[string]int64, len(r.planner.tiers))}
+	ps.Tiers = make(map[string]int64, len(r.planner.tiers))
 	for res, n := range r.planner.tiers {
 		ps.Tiers[formatRes(res)] = n
 	}
@@ -226,7 +217,7 @@ func (r *Reader) RollupTotals(ctx context.Context, id wmap.MapID, res time.Durat
 		min, max           uint8
 	}
 	byStart := make(map[int64]*agg)
-	pool := ordered.Run(ctx, len(tier.entries), defaultReadAheadWorkers(), func(_, i int) (*decodedRollup, error) {
+	pool := ordered.Run(ctx, len(tier.entries), runtime.GOMAXPROCS(0), func(_, i int) (*decodedRollup, error) {
 		return r.rollup(st, tier.entries[i], allColumns)
 	})
 	defer pool.Stop()
@@ -292,18 +283,20 @@ func suggestStep(st *readerState, id wmap.MapID, from, to time.Time, rawPoints, 
 	if need < 1 {
 		need = 1
 	}
-	var coarsest int64
 	for _, tier := range st.rollupTiers[id] {
 		if tier.res >= need {
 			return time.Duration(tier.res) * time.Second
 		}
-		if tier.res > coarsest {
-			coarsest = tier.res
-		}
 	}
-	if coarsest > 0 {
-		// Round up to a multiple of the coarsest tier so the planner still
-		// serves the suggestion from rollups.
+	return st.tierStep(id, need)
+}
+
+// tierStep is the step hint for a needed step of need seconds: rounded up
+// to a multiple of the map's coarsest rollup tier when it has one, so the
+// planner still serves the suggestion from rollups.
+func (st *readerState) tierStep(id wmap.MapID, need int64) time.Duration {
+	if tiers := st.rollupTiers[id]; len(tiers) > 0 {
+		coarsest := tiers[len(tiers)-1].res // tiers ascend by resolution
 		need = (need + coarsest - 1) / coarsest * coarsest
 	}
 	return time.Duration(need) * time.Second

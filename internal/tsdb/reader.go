@@ -2,12 +2,9 @@ package tsdb
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"io/fs"
 	"math"
 	"os"
 	"slices"
@@ -149,7 +146,11 @@ func OpenFile(path string) (*Reader, error) {
 //
 //lint:ignore wmlint/deadexport in-memory counterpart of NewWriter, the seam the fuzzers and equivalence tests read through
 func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
-	st, err := parseClosed(r, size)
+	c, err := loadClosed(r, size)
+	if err != nil {
+		return nil, err
+	}
+	st, err := buildState(c)
 	if err != nil {
 		return nil, err
 	}
@@ -158,41 +159,16 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	return rd, nil
 }
 
-// loadFileState reads the current committed state of the file: the
-// checkpoint sidecar when the live-append protocol maintains one, else the
-// footer of the closed archive.
+// loadFileState reads the file's current committed state.
 func (r *Reader) loadFileState() (*readerState, error) {
-	ck, err := readCheckpoint(CheckpointPath(r.path))
-	switch {
-	case err == nil:
-		fi, serr := r.f.Stat()
-		if serr != nil {
-			return nil, fmt.Errorf("tsdb: %w", serr)
-		}
-		if fi.Size() < ck.dataEnd {
-			return nil, corruptf(fi.Size(), "archive holds %d bytes but the checkpoint committed %d — committed data lost", fi.Size(), ck.dataEnd)
-		}
-		head, herr := readAtFull(r.r, ck.dataEnd, 0, len(headerMagic))
-		if herr != nil {
-			return nil, herr
-		}
-		if string(head) != headerMagic {
-			return nil, corruptf(0, "bad header magic %q", head)
-		}
-		fd, perr := parseFooterData(ck.payload, 0, ck.dataEnd)
-		if perr != nil {
-			return nil, perr
-		}
-		return buildState(fd, ck.dataEnd, fingerprintState(ck.dataEnd, ck.payload), ck.version, true)
-	case errors.Is(err, fs.ErrNotExist):
-		fi, serr := r.f.Stat()
-		if serr != nil {
-			return nil, fmt.Errorf("tsdb: %w", serr)
-		}
-		return parseClosed(r.r, fi.Size())
-	default:
+	c, err := loadCommitted(r.f, CheckpointPath(r.path))
+	if c == nil && err == nil {
+		c, err = loadClosed(r.f, 0) // an empty file is no archive: fail it as too short
+	}
+	if err != nil {
 		return nil, err
 	}
+	return buildState(c)
 }
 
 // Refresh re-reads the archive's durable commit state and, when it has
@@ -252,57 +228,6 @@ func readAtFull(r io.ReaderAt, size, off int64, n int) ([]byte, error) {
 		return nil, corruptf(off, "short read: %v", err)
 	}
 	return buf, nil
-}
-
-// readClosedFooter validates a closed archive's framing — header magic,
-// tail magic, footer checksum — and returns the raw footer payload and its
-// file offset (which is also where the data section ends). OpenAppend uses
-// it too, to turn a closed archive's footer back into a live checkpoint.
-func readClosedFooter(r io.ReaderAt, size int64) (footer []byte, footerStart int64, err error) {
-	minSize := int64(len(headerMagic) + tailLen)
-	if size < minSize {
-		return nil, 0, corruptf(0, "archive of %d bytes is shorter than the %d-byte minimum", size, minSize)
-	}
-	head, err := readAtFull(r, size, 0, len(headerMagic))
-	if err != nil {
-		return nil, 0, err
-	}
-	if string(head) != headerMagic {
-		return nil, 0, corruptf(0, "bad header magic %q", head)
-	}
-	tail, err := readAtFull(r, size, size-int64(tailLen), tailLen)
-	if err != nil {
-		return nil, 0, err
-	}
-	if string(tail[12:]) != tailMagic {
-		return nil, 0, corruptf(size-8, "bad tail magic %q (archive not closed?)", tail[12:])
-	}
-	footerLen := binary.LittleEndian.Uint64(tail[4:12])
-	footerStart = size - int64(tailLen) - int64(footerLen)
-	if footerLen > math.MaxInt32 || footerStart < int64(len(headerMagic)) {
-		return nil, 0, corruptf(size-16, "footer length %d exceeds archive", footerLen)
-	}
-	footer, err = readAtFull(r, size, footerStart, int(footerLen))
-	if err != nil {
-		return nil, 0, err
-	}
-	if sum := crc32.ChecksumIEEE(footer); sum != binary.LittleEndian.Uint32(tail[:4]) {
-		return nil, 0, corruptf(footerStart, "footer checksum mismatch")
-	}
-	return footer, footerStart, nil
-}
-
-// parseClosed parses the footer-driven (closed) archive form into a state.
-func parseClosed(r io.ReaderAt, size int64) (*readerState, error) {
-	footer, footerStart, err := readClosedFooter(r, size)
-	if err != nil {
-		return nil, err
-	}
-	fd, err := parseFooterData(footer, footerStart, footerStart)
-	if err != nil {
-		return nil, err
-	}
-	return buildState(fd, size, fingerprintState(size, footer), 0, false)
 }
 
 // footerData is the raw parsed content of a footer or checkpoint payload.
@@ -413,11 +338,12 @@ func parseFooterData(payload []byte, payloadOff, dataEnd int64) (*footerData, er
 	return fd, nil
 }
 
-// buildState derives the query-side lookup structures from parsed footer
-// data and validates the cross-block invariants.
-func buildState(fd *footerData, size int64, fp, version uint64, live bool) (*readerState, error) {
+// buildState derives the query-side lookup structures from a committed
+// state and validates the cross-block invariants.
+func buildState(c *committed) (*readerState, error) {
+	fd := c.fd
 	st := &readerState{
-		size:        size,
+		size:        c.size,
 		strs:        fd.strs,
 		topos:       fd.topos,
 		blocks:      fd.blocks,
@@ -426,9 +352,9 @@ func buildState(fd *footerData, size int64, fp, version uint64, live bool) (*rea
 		perMap:      make(map[wmap.MapID][]int),
 		evPerMap:    make(map[wmap.MapID][]int),
 		rollupTiers: make(map[wmap.MapID][]rollupTier),
-		fp:          fp,
-		version:     version,
-		live:        live,
+		fp:          fingerprintState(c.size, c.payload),
+		version:     c.version,
+		live:        c.live,
 	}
 	for i := range st.blocks {
 		id := wmap.MapID(st.strs[st.blocks[i].mapRef])
@@ -952,24 +878,11 @@ func (r *Reader) LinkColumnsContext(ctx context.Context, id wmap.MapID, key Link
 			groups = append(groups, ci)
 		}
 	}
-	if len(ids) == 0 {
-		return ctx.Err()
-	}
-	pool := r.startReadAhead(ctx, st, ids, func(i int) int { return groups[i] }, defaultReadAheadWorkers())
-	defer pool.Stop()
-	i := 0
-	for pool.Next() {
-		db, ci := pool.Value(), groups[i]
-		i++
-		lo := sort.Search(len(db.times), func(i int) bool { return db.times[i] >= fromU })
-		hi := sort.Search(len(db.times), func(i int) bool { return db.times[i] > toU })
-		if lo < hi {
-			if err := fn(db.times[lo:hi], db.cols[2*ci][lo:hi], db.cols[2*ci+1][lo:hi]); err != nil {
-				return err
-			}
-		}
-	}
-	return pool.Err()
+	group := func(i int) int { return groups[i] }
+	return r.scanBlocks(ctx, st, ids, group, fromU, toU, func(i int, db *decodedBlock, lo, hi int) error {
+		ci := groups[i]
+		return fn(db.times[lo:hi], db.cols[2*ci][lo:hi], db.cols[2*ci+1][lo:hi])
+	})
 }
 
 // rangePointCount is an upper bound on the map's snapshots in [from, to]:

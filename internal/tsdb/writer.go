@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"log"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"time"
@@ -217,76 +218,36 @@ func OpenAppend(path string) (*Writer, error) {
 
 // recover restores the writer's in-memory state (string table, topology
 // dictionary, block index, per-map clocks) from the archive's durable
-// commit state and truncates any uncommitted tail.
+// commit state and truncates whatever lies past the committed data.
 func (w *Writer) recover() error {
-	ck, err := readCheckpoint(w.ckptPath)
-	switch {
-	case err == nil:
-		return w.recoverCheckpoint(ck)
-	case errors.Is(err, fs.ErrNotExist):
-	default:
-		return err
+	c, err := loadCommitted(w.f, w.ckptPath)
+	if c == nil {
+		return err // nil as well for an empty file: a fresh archive
 	}
-	fi, err := w.f.Stat()
-	if err != nil {
+	if c.live {
+		// The committed tail must be intact before the uncommitted rest goes.
+		if err := verifyTailBlock(w.f, c.fd, c.dataEnd); err != nil {
+			return err
+		}
+		w.version = c.version
+	} else {
+		// Turn the closed archive's footer into the first commit, then
+		// truncate the footer and tail off so blocks append where the data
+		// section ended. Commit-before-truncate keeps every crash point
+		// recoverable, once the directory fsync has made the rename durable.
+		w.version = 1
+		if err := writeCheckpoint(w.ckptPath, c.dataEnd, w.version, c.payload); err != nil {
+			return err
+		}
+		if err := syncDir(filepath.Dir(w.ckptPath)); err != nil {
+			return err
+		}
+	}
+	if err := w.f.Truncate(c.dataEnd); err != nil {
 		return fmt.Errorf("tsdb: %w", err)
 	}
-	if fi.Size() == 0 {
-		return nil // fresh archive
-	}
-	// No checkpoint and a non-empty file: only a valid closed archive is
-	// acceptable. Turn its footer into the first commit, then truncate the
-	// footer and tail off so blocks append where the data section ended.
-	// Commit-before-truncate keeps every crash point recoverable.
-	footer, footerStart, err := readClosedFooter(w.f, fi.Size())
-	if err != nil {
-		return err
-	}
-	fd, err := parseFooterData(footer, footerStart, footerStart)
-	if err != nil {
-		return err
-	}
-	w.version = 1
-	if err := writeCheckpoint(w.ckptPath, footerStart, w.version, footer); err != nil {
-		return err
-	}
-	if err := w.f.Truncate(footerStart); err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	w.off, w.committed = footerStart, footerStart
-	w.restore(fd)
-	return nil
-}
-
-// recoverCheckpoint resumes from a live commit record: verify the
-// committed prefix is intact, truncate the uncommitted tail, rebuild state.
-func (w *Writer) recoverCheckpoint(ck *checkpoint) error {
-	fi, err := w.f.Stat()
-	if err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	if fi.Size() < ck.dataEnd {
-		return corruptf(fi.Size(), "archive holds %d bytes but the checkpoint committed %d — committed data lost", fi.Size(), ck.dataEnd)
-	}
-	head, err := readAtFull(w.f, ck.dataEnd, 0, len(headerMagic))
-	if err != nil {
-		return err
-	}
-	if string(head) != headerMagic {
-		return corruptf(0, "bad header magic %q", head)
-	}
-	fd, err := parseFooterData(ck.payload, 0, ck.dataEnd)
-	if err != nil {
-		return err
-	}
-	if err := verifyTailBlock(w.f, fd, ck.dataEnd); err != nil {
-		return err
-	}
-	if err := w.f.Truncate(ck.dataEnd); err != nil {
-		return fmt.Errorf("tsdb: %w", err)
-	}
-	w.off, w.committed, w.version = ck.dataEnd, ck.dataEnd, ck.version
-	w.restore(fd)
+	w.off, w.committed = c.dataEnd, c.dataEnd
+	w.restore(c.fd)
 	return nil
 }
 
