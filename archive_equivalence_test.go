@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ovhweather/internal/analysis"
 	"ovhweather/internal/dataset"
+	"ovhweather/internal/events"
 	"ovhweather/internal/extract"
 	"ovhweather/internal/netsim"
 	"ovhweather/internal/render"
@@ -522,6 +524,139 @@ func TestStudiesOverMapView(t *testing.T) {
 	}
 	if got := renderTopologyStudies(t, stream(true)); got != want {
 		t.Errorf("studies over Cursor.MapView diverge from Cursor.Map:\n--- view ---\n%s\n--- owned ---\n%s", got, want)
+	}
+}
+
+// TestMapViewTopoAndEditedClones runs cursor views across the 2020-10-02
+// decommission, whose topology change starts a new block, in blocks of 8
+// so that blocks also end without one. Every view's Topo has the view's
+// skeleton and changes exactly where the skeleton does, and Clone drops
+// it. Clones whose links are then edited must give CongestionStudy,
+// SiteGrowthStudy and a ChurnTracker what owned copies edited the same
+// way give them: no edit can hide behind a stale Topo.
+func TestMapViewTopoAndEditedClones(t *testing.T) {
+	sim, err := netsim.New(netsim.DefaultScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := tsdb.NewWriter(&buf)
+	w.SetBlockPoints(8)
+	from := time.Date(2020, time.October, 1, 12, 0, 0, 0, time.UTC)
+	for at := from; at.Before(from.Add(48 * time.Hour)); at = at.Add(time.Hour) {
+		m, err := sim.MapAt(wmap.Europe, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := tsdb.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 2)
+	var prev *wmap.Topology
+	views, topos := 0, 0
+	for ; cur.Next(); views++ {
+		v := cur.MapView()
+		c := v.Clone()
+		if c.Topo != nil {
+			t.Fatalf("snapshot %d: Clone kept Topo", views)
+		}
+		if !v.Topo.Matches(c) {
+			t.Fatalf("snapshot %d: the view's Topo does not have its skeleton", views)
+		}
+		if v.Topo != prev {
+			if prev.Matches(c) {
+				t.Fatalf("snapshot %d: Topo changed, the skeleton did not", views)
+			}
+			prev = v.Topo
+			topos++
+		}
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if views != 48 || topos != 3 {
+		t.Fatalf("%d views over %d topologies, want 48 over 3 (the decommission and the monthly peering links)", views, topos)
+	}
+
+	// edit drops every odd snapshot's last link and relabels its first,
+	// so the skeleton alternates, and moves a load.
+	edit := func(k int, m *wmap.Map) {
+		if k%2 == 1 {
+			m.Links = m.Links[:len(m.Links)-1]
+			m.Links[0].LabelA += "x"
+		}
+		m.Links[0].LoadAB = wmap.Load(k)
+	}
+	stream := func(clone bool) analysis.Stream {
+		return func(yield func(*wmap.Map) error) error {
+			cur := rd.CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 2)
+			defer cur.Close()
+			for k := 0; cur.Next(); k++ {
+				v := cur.MapView()
+				m := &wmap.Map{ID: v.ID, Time: v.Time, Nodes: slices.Clone(v.Nodes), Links: slices.Clone(v.Links)}
+				if clone {
+					m = v.Clone()
+				}
+				edit(k, m)
+				if err := yield(m); err != nil {
+					return err
+				}
+			}
+			return cur.Err()
+		}
+	}
+	type churnStep struct {
+		Diff    *wmap.Diff
+		Changed bool
+	}
+	fold := func(src analysis.Stream) (*analysis.CongestionView, *analysis.SiteGrowthView, []churnStep) {
+		cong, err := analysis.CongestionStudy(src, analysis.CongestionOptions{Threshold: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		growth, err := analysis.SiteGrowthStudy(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr events.ChurnTracker
+		var steps []churnStep
+		if err := src(func(m *wmap.Map) error {
+			d, changed := tr.Observe(m)
+			steps = append(steps, churnStep{d, changed})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return cong, growth, steps
+	}
+	wantCong, wantGrowth, wantChurn := fold(stream(false))
+	gotCong, gotGrowth, gotChurn := fold(stream(true))
+	changed := 0
+	for _, s := range wantChurn {
+		if s.Changed {
+			changed++
+		}
+	}
+	if changed != 48 {
+		t.Fatalf("owned copies: %d skeleton changes, want all 48 (the edit alternates the skeleton)", changed)
+	}
+	if !reflect.DeepEqual(gotCong, wantCong) {
+		t.Errorf("CongestionStudy over edited clones diverges from owned copies")
+	}
+	if !reflect.DeepEqual(gotGrowth, wantGrowth) {
+		t.Errorf("SiteGrowthStudy over edited clones diverges from owned copies")
+	}
+	if !reflect.DeepEqual(gotChurn, wantChurn) {
+		t.Errorf("ChurnTracker over edited clones diverges from owned copies")
 	}
 }
 

@@ -109,7 +109,7 @@ func main() {
 			over60:    loads.FracOver60,
 			meanInt:   loads.MeanInternal,
 			meanExt:   loads.MeanExternal,
-			parallels: m.MeanParallelism(),
+			parallels: m.Topology().MeanParallelism(),
 			svgBytes:  buf.Len(),
 		}
 	}

@@ -86,7 +86,7 @@ func main() {
 		log.Fatal(err)
 	}
 	analysis.WriteDegreeCCDF(os.Stdout, deg)
-	fmt.Printf("  mean parallel links per group: %.2f (paper: 6.58)\n", final.MeanParallelism())
+	fmt.Printf("  mean parallel links per group: %.2f (paper: 6.58)\n", final.Topology().MeanParallelism())
 
 	// The Discussion-section augmentation: correlate the router changes
 	// with the provider's published status feed to separate planned works

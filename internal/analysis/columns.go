@@ -67,7 +67,7 @@ func columnsOf(src Stream) ColumnStream {
 func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
 	var internal, external stats.PercentHist
 	var topo *wmap.Topology
-	var indexed, cur wmap.Map // the links topo indexes, and the chunk's
+	var cur wmap.Map // the chunk's links
 	err := src(func(c *LinkColumns) error {
 		if len(c.Times) == 0 {
 			return nil
@@ -76,9 +76,8 @@ func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*Imbalanc
 		for i := range c.Links {
 			cur.Links = append(cur.Links, c.Links[i].Link)
 		}
-		if topo == nil || !wmap.SameSkeleton(&indexed, &cur) {
-			indexed.Links = append(indexed.Links[:0], cur.Links...)
-			topo = wmap.NewTopology(nil, cur.Links)
+		if !topo.Matches(&cur) {
+			topo = cur.Topology()
 		}
 		for k := range c.Times {
 			foldImbalance(topo, c, k, opt, &internal, &external)

@@ -61,16 +61,15 @@ type CongestionView struct {
 func CongestionStudy(src Stream, opt CongestionOptions) (*CongestionView, error) {
 	counts := make(map[wmap.DirKey]*dirAcc)
 	view := &CongestionView{Options: opt}
-	var indexed wmap.Map // the skeleton dirs resolves
-	var dirs []*dirAcc   // link i's AB accumulator at 2i, BA at 2i+1
+	var topo *wmap.Topology // the topology dirs resolves
+	var dirs []*dirAcc      // link i's AB accumulator at 2i, BA at 2i+1
 
 	err := src(func(m *wmap.Map) error {
 		view.Snapshots++
-		if !wmap.SameSkeleton(&indexed, m) {
-			indexed.Nodes = append(indexed.Nodes[:0], m.Nodes...)
-			indexed.Links = append(indexed.Links[:0], m.Links...)
+		if !topo.Matches(m) {
+			topo = m.Topology()
 			dirs = dirs[:0]
-			for _, k := range wmap.NewTopology(nil, m.Links).Keys() {
+			for _, k := range topo.Keys() {
 				a := counts[k]
 				if a == nil {
 					a = &dirAcc{}

@@ -51,18 +51,17 @@ type SiteGrowth struct {
 }
 
 // SiteGrowthStudy consumes a stream and reports per-site growth between its
-// first and last snapshots. It keeps the first snapshot's site stats and a
-// copy of the last skeleton, never a streamed map.
+// first and last snapshots. It keeps the first snapshot's site stats and
+// the last snapshot's topology, never a streamed map.
 func SiteGrowthStudy(src Stream) (*SiteGrowthView, error) {
 	var first map[string]SiteStats
-	var last wmap.Map
+	var last *wmap.Topology
 	err := src(func(m *wmap.Map) error {
 		if first == nil {
 			first = siteStats(m)
 		}
-		if !wmap.SameSkeleton(&last, m) {
-			last.Nodes = append(last.Nodes[:0], m.Nodes...)
-			last.Links = append(last.Links[:0], m.Links...)
+		if !last.Matches(m) {
+			last = m.Topology()
 		}
 		return nil
 	})
@@ -72,7 +71,7 @@ func SiteGrowthStudy(src Stream) (*SiteGrowthView, error) {
 	if first == nil {
 		return nil, fmt.Errorf("analysis: empty stream")
 	}
-	view := &SiteGrowthView{First: first, Last: siteStats(&last)}
+	view := &SiteGrowthView{First: first, Last: siteStats(&wmap.Map{Nodes: last.Nodes(), Links: last.Links()})}
 	names := make(map[string]struct{})
 	for s := range view.First {
 		names[s] = struct{}{}

@@ -38,6 +38,7 @@ const (
 // snapshot resolve to last-writer-wins with no torn files. This invariant is
 // what the parallel processing layer (ProcessMapParallel, WalkMapsParallel)
 // and any external concurrent readers rely on; race_test.go exercises it.
+// It holds across a process crash, not a power loss: see WriteSnapshot.
 type Store struct {
 	root string
 }
@@ -63,7 +64,12 @@ func (s *Store) SnapshotPath(id wmap.MapID, at time.Time, ext string) string {
 // WriteSnapshot stores data atomically: it writes to a temporary file in
 // the destination directory and renames it into place, so a crashed or
 // concurrent writer never leaves a half-written snapshot visible — the
-// failure mode behind some of the paper's unprocessable files.
+// failure mode behind some of the paper's unprocessable files. That holds
+// for a process crash only. Neither the temporary file nor the directory
+// is fsynced, so after a power loss the rename can be durable while the
+// data is not, and a short or empty snapshot can appear. The crash model
+// of ROADMAP.md (item 9) is to decide whether that needs more than this
+// note; the paper's collector already treats a lost snapshot as a gap.
 func (s *Store) WriteSnapshot(id wmap.MapID, at time.Time, ext string, data []byte) error {
 	path := s.SnapshotPath(id, at, ext)
 	dir := filepath.Dir(path)

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -10,14 +11,13 @@ import (
 
 // ChurnTracker diffs consecutive snapshots of one map, for the offline
 // ChurnStudy and PathStabilityStudy folds and the live Detector. It keeps
-// its own copy of the last snapshot, so the caller's map may be a view
-// that the next snapshot overwrites, and runs wmap.Compare only when
-// wmap.SameSkeleton reports a change. The copy keeps the last loads too,
-// so the diff, LoadChanges included, is the one between the two
-// snapshots.
+// the last snapshot's topology and loads, never the caller's map, so that
+// map may be a view the next snapshot overwrites, and runs wmap.Compare
+// only when the topology no longer matches. The loads make the diff,
+// LoadChanges included, the one between the two snapshots.
 type ChurnTracker struct {
-	last    wmap.Map
-	started bool
+	topo  *wmap.Topology
+	loads []wmap.Load // link i's AB load at 2i, BA at 2i+1
 }
 
 // Observe feeds the next snapshot. It returns the topology diff from the
@@ -25,21 +25,23 @@ type ChurnTracker struct {
 // loads changed, and whether the skeleton changed (true for the first
 // snapshot).
 func (c *ChurnTracker) Observe(m *wmap.Map) (diff *wmap.Diff, changed bool) {
-	if c.started && wmap.SameSkeleton(&c.last, m) {
-		for i := range m.Links {
-			c.last.Links[i].LoadAB, c.last.Links[i].LoadBA = m.Links[i].LoadAB, m.Links[i].LoadBA
+	if changed = !c.topo.Matches(m); changed {
+		if c.topo != nil {
+			last := &wmap.Map{Nodes: c.topo.Nodes(), Links: slices.Clone(c.topo.Links())}
+			for i := range last.Links {
+				last.Links[i].LoadAB, last.Links[i].LoadBA = c.loads[2*i], c.loads[2*i+1]
+			}
+			if d := wmap.Compare(last, m); !d.Empty() {
+				diff = d
+			}
 		}
-		return nil, false
+		c.topo = m.Topology()
 	}
-	if c.started {
-		if d := wmap.Compare(&c.last, m); !d.Empty() {
-			diff = d
-		}
+	c.loads = c.loads[:0]
+	for i := range m.Links {
+		c.loads = append(c.loads, m.Links[i].LoadAB, m.Links[i].LoadBA)
 	}
-	c.last.Nodes = append(c.last.Nodes[:0], m.Nodes...)
-	c.last.Links = append(c.last.Links[:0], m.Links...)
-	c.started = true
-	return diff, true
+	return diff, changed
 }
 
 // UpgradeTracker watches the parallel-link count toward one peering and
@@ -135,11 +137,10 @@ type pendingChurn struct {
 // deterministic order. Detector is not safe for concurrent use.
 //
 // Between two topology changes only the loads move, so the detector
-// resolves each topology once into a plan over its wmap.Topology, and its
-// ChurnTracker checks every snapshot against a copy of the last skeleton.
-// A snapshot with an unchanged topology costs one pass over its loads,
-// with no map lookups and no allocations. The detector never retains the
-// caller's map.
+// resolves each topology once into a plan over the wmap.Topology its
+// ChurnTracker matches every snapshot against. A snapshot with an
+// unchanged topology costs one pass over its loads, with no map lookups
+// and no allocations. The detector never retains the caller's map.
 //
 // A Detector must never be copied: its trackers and maps are one
 // causally ordered state machine, and a value copy forks that history
@@ -162,23 +163,21 @@ type Detector struct {
 	egress    []wmap.Load // scratch for UpgradeTracker.Observe
 }
 
-// plan is the detectors' state over one topology's index.
+// plan is the detectors' state over the churn tracker's topology.
 type plan struct {
-	topo *wmap.Topology
-
 	// Congestion: every direction's slot in hot. Directions with equal
 	// keys share a slot, as they share one map entry by key.
 	slot []int32
 	hot  []bool
 
-	// Maintenance: last holds the loads of topo.ParallelSets() at the
+	// Maintenance: last holds the loads of the ParallelSets() at the
 	// previous snapshot, back to back in their order; fresh marks a set
 	// whose previous snapshot had no set of the same key and size, so the
 	// drain signature has nothing to match.
 	last  []wmap.Load
 	fresh []bool
 
-	// Upgrades: the tracker of each of topo.Peerings().
+	// Upgrades: the tracker of each of the Peerings().
 	trackers []*UpgradeTracker
 }
 
@@ -199,10 +198,11 @@ func NewDetector(id wmap.MapID, cfg Config, db *peeringdb.DB) *Detector {
 // The returned slice is freshly allocated and owned by the caller; it is
 // nil when nothing became final.
 func (d *Detector) Observe(m *wmap.Map) []Emitted {
+	old := d.churn.topo
 	diff, changed := d.churn.Observe(m)
 	out := d.observeChurn(nil, m.Time, diff)
 	if changed {
-		d.replan(m)
+		d.replan(old, d.churn.topo)
 	}
 	out = d.observeLoads(out, m)
 	// Render each event's summary exactly once, here, so the string is
@@ -266,32 +266,29 @@ func (d *Detector) observeChurn(out []Emitted, t time.Time, diff *wmap.Diff) []E
 	return out
 }
 
-// replan indexes m's topology and moves the detectors' state over to
-// it. Congestion state moves over by DirKey, through d.congested; a
+// replan moves the detectors' state from topology prev (nil at first) to
+// t. Congestion state moves over by DirKey, through d.congested; a
 // maintenance set keeps the previous snapshot's loads of the set with its
-// key when that set had the same size; upgrade trackers are kept by
-// peering name.
-func (d *Detector) replan(m *wmap.Map) {
+// key when that set had the same size; upgrade trackers by peering name.
+func (d *Detector) replan(prev, t *wmap.Topology) {
 	old := &d.plan
 	oldLast := make(map[[2]string][]wmap.Load)
-	if old.topo != nil {
+	if prev != nil {
 		for di, s := range old.slot {
-			if k := old.topo.Keys()[di]; old.hot[s] {
+			if k := prev.Keys()[di]; old.hot[s] {
 				d.congested[k] = true
 			} else {
 				delete(d.congested, k)
 			}
 		}
 		last := old.last
-		for _, g := range old.topo.ParallelSets() {
+		for _, g := range prev.ParallelSets() {
 			oldLast[[2]string{g.From, g.To}], last = last[:len(g.Dirs)], last[len(g.Dirs):]
 		}
 	}
 
-	t := wmap.NewTopology(m.Nodes, m.Links)
 	sets, peers := t.ParallelSets(), t.Peerings()
 	p := plan{
-		topo:     t,
 		slot:     make([]int32, len(t.Keys())),
 		hot:      make([]bool, 0, len(t.Keys())),
 		last:     make([]wmap.Load, 0, len(t.Keys())),
@@ -332,7 +329,8 @@ func (d *Detector) replan(m *wmap.Map) {
 //
 //wm:hotpath
 func (d *Detector) observeLoads(out []Emitted, m *wmap.Map) []Emitted {
-	p, t, links, keys := &d.plan, m.Time, m.Links, d.plan.topo.Keys()
+	p, t, links, topo := &d.plan, m.Time, m.Links, d.churn.topo
+	keys := topo.Keys()
 
 	for di, s := range p.slot {
 		load, hot := wmap.DirLoad(links, int32(di)), p.hot[s]
@@ -351,7 +349,7 @@ func (d *Detector) observeLoads(out []Emitted, m *wmap.Map) []Emitted {
 	// DrainLow while the siblings' combined load absorbs at least half of
 	// what drained.
 	rest := p.last
-	for gi, g := range p.topo.ParallelSets() {
+	for gi, g := range topo.ParallelSets() {
 		members, last := g.Dirs, rest[:len(g.Dirs)]
 		rest = rest[len(g.Dirs):]
 		if !p.fresh[gi] {
@@ -381,7 +379,7 @@ func (d *Detector) observeLoads(out []Emitted, m *wmap.Map) []Emitted {
 		}
 	}
 
-	for i, pe := range p.topo.Peerings() {
+	for i, pe := range topo.Peerings() {
 		tr := p.trackers[i]
 		loads := d.egress[:0]
 		for _, di := range pe.Dirs {

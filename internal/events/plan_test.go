@@ -290,7 +290,7 @@ func TestDetectorSteadyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := netsimWindow(t, sim, wmap.Europe, time.Date(2020, 11, 4, 3, 0, 0, 0, time.UTC), 2)
-	if !wmap.SameSkeleton(ms[1], ms[0]) {
+	if !ms[0].Topology().Matches(ms[1]) {
 		t.Fatal("window spans a topology change")
 	}
 	d := NewDetector(wmap.Europe, DefaultConfig(), nil)
@@ -320,8 +320,9 @@ func BenchmarkDetectorObserve(b *testing.B) {
 		b.Fatal(err)
 	}
 	window := netsimWindow(b, sim, wmap.Europe, time.Date(2020, 11, 4, 6, 0, 0, 0, time.UTC), 48)
+	topo := window[0].Topology()
 	for _, m := range window[1:] {
-		if !wmap.SameSkeleton(m, window[0]) {
+		if !topo.Matches(m) {
 			b.Fatal("window spans a topology change")
 		}
 	}

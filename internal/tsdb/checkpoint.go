@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 )
 
 // The live-archive commit protocol.
@@ -107,10 +108,11 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	return &checkpoint{dataEnd: int64(dataEnd), version: version, payload: payload}, nil
 }
 
-// writeCheckpoint atomically replaces the commit record: the new record is
-// written to a temp file, fsynced, and renamed over the old one. The caller
-// must have already flushed and fsynced the data file up to dataEnd. The
-// rename itself is durable only once the directory is fsynced (syncDir).
+// writeCheckpoint atomically and durably replaces the commit record: the
+// new record is written to a temp file, fsynced, renamed over the old one,
+// and the directory is fsynced so the rename itself survives a power loss.
+// The caller must have already flushed and fsynced the data file up to
+// dataEnd.
 func writeCheckpoint(path string, dataEnd int64, version uint64, payload []byte) error {
 	buf := make([]byte, 0, ckptHeaderLen+len(payload))
 	buf = append(buf, ckptMagic...)
@@ -138,7 +140,7 @@ func writeCheckpoint(path string, dataEnd int64, version uint64, payload []byte)
 		os.Remove(tmp)
 		return fmt.Errorf("tsdb: checkpoint: %w", err)
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs the directory dir, making a rename inside it durable.

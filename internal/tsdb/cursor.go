@@ -15,15 +15,14 @@ import (
 //	cur := r.CursorParallel(ctx, id, from, to, workers)
 //	defer cur.Close()
 //	for cur.Next() {
-//		m := cur.Map()
+//		m := cur.MapView()
 //		...
 //	}
 //	if err := cur.Err(); err != nil { ... }
 //
 // Zero from/to mean unbounded; both ends are inclusive, matching the
-// dataset walk's from/to filter. Each Map() is freshly materialized and may
-// be retained by the caller; MapView() instead reuses cursor-owned scratch
-// for allocation-free folds.
+// dataset walk's from/to filter. MapView() reuses cursor-owned scratch for
+// allocation-free folds; Clone a view to keep it.
 //
 // Blocks decode on the ordered pool: a bounded worker pool keeps the next
 // few blocks decoding while the consumer folds the current one, and stops
@@ -42,8 +41,8 @@ type Cursor struct {
 	db         *decodedBlock
 	pi         int
 	vdb        *decodedBlock // block and point Next advanced to;
-	vpi        int           // materialized lazily by Map or MapView
-	scratch    *wmap.Map
+	vpi        int           // materialized lazily by MapView
+	view       wmap.Map
 	err        error
 
 	ctx     context.Context
@@ -127,16 +126,16 @@ func (c *Cursor) Close() {
 
 // MapView returns the snapshot Next advanced to, backed by cursor-owned
 // scratch storage: zero steady-state allocations, built for full-corpus
-// folds that read each snapshot and move on. The returned map (and its
-// Nodes/Links slices) is only valid until the next call to Next or
-// MapView and must not be mutated or retained — Clone it for an owned
+// folds that read each snapshot and move on. The view's Topo is the
+// block's interned topology; while it stays the one the view last
+// copied, MapView rewrites only Time and the loads. The returned map
+// (and its Nodes/Links slices) is only valid until the next call to Next
+// or MapView and must not be mutated or retained — Clone it for an owned
 // copy.
 func (c *Cursor) MapView() *wmap.Map {
-	if c.scratch == nil {
-		c.scratch = &wmap.Map{}
-	}
-	materializeInto(c.st, c.vdb, c.vpi, c.scratch)
-	return c.scratch
+	meta := c.vdb.meta
+	viewAt(&c.view, wmap.MapID(c.st.strs[meta.mapRef]), c.st.topos[meta.topoIndex], c.vdb, c.vpi)
+	return &c.view
 }
 
 // Err returns the first error the iteration hit — a decode failure, or the

@@ -83,11 +83,13 @@ func (w *Writer) detector(id wmap.MapID) *events.Detector {
 	return det
 }
 
-// evObserve feeds one appended snapshot to the map's detector and pends
-// whatever became final. The detector copies what it keeps of m, so
-// Append's caller keeps ownership of it.
-func (w *Writer) evObserve(m *wmap.Map) {
-	for _, e := range w.detector(m.ID).Observe(m) {
+// evObserve feeds one appended snapshot to the map's detector, as a
+// shallow view carrying its interned topology topo, and pends whatever
+// became final. Append's caller keeps m, which never carries topo.
+func (w *Writer) evObserve(m *wmap.Map, topo *wmap.Topology) {
+	view := *m
+	view.Topo = topo
+	for _, e := range w.detector(m.ID).Observe(&view) {
 		w.evPending[m.ID] = append(w.evPending[m.ID], e.Event)
 	}
 }
@@ -96,17 +98,12 @@ func (w *Writer) evObserve(m *wmap.Map) {
 // re-pends the emissions past the map's event frontier; see ensureResumed.
 func (w *Writer) replayEvents(id wmap.MapID, frontier int64, bm *blockMeta, db *decodedBlock) {
 	det := w.detector(id)
-	topo := w.topos[bm.topoIndex]
-	// One map per block: the detector keeps no reference to it, so each
+	// One view per block: the detector keeps no reference to it, so each
 	// point only rewrites the time and the loads.
-	m := &wmap.Map{ID: id, Nodes: topo.nodes, Links: append([]wmap.Link(nil), topo.links...)}
-	for pi, t := range db.times {
-		m.Time = time.Unix(t, 0).UTC()
-		for li := range m.Links {
-			m.Links[li].LoadAB = db.cols[2*li][pi]
-			m.Links[li].LoadBA = db.cols[2*li+1][pi]
-		}
-		for _, e := range det.Observe(m) {
+	var m wmap.Map
+	for pi := range db.times {
+		viewAt(&m, id, w.topos[bm.topoIndex], db, pi)
+		for _, e := range det.Observe(&m) {
 			if e.EmitTime.Unix() > frontier {
 				w.evPending[id] = append(w.evPending[id], e.Event)
 			}

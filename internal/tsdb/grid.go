@@ -476,9 +476,9 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 	var c GridChunk
 	return r.scanBlocks(ctx, st, ids, func(int) int { return allColumns }, fromU, toU, func(i int, db *decodedBlock, lo, hi int) error {
 		ti := st.blocks[ids[i]].topoIndex
-		L := len(st.topos[ti].links)
 		c.Keys = topoKeys[ti]
-		c.Links = st.topos[ti].links
+		c.Links = st.topos[ti].Links()
+		L := len(c.Links)
 		c.Times = db.times[lo:hi]
 		c.AB = append(c.AB[:0], make([][]wmap.Load, L)...)
 		c.BA = append(c.BA[:0], make([][]wmap.Load, L)...)

@@ -67,9 +67,9 @@ func (k LinkKey) matches(l wmap.Link) bool {
 // linkIndex is the original column lookup: the column-group index of the
 // key's link in the topology, found by walking its links, or -1 when
 // absent.
-func (t *topology) linkIndex(k LinkKey) int {
+func linkIndex(t *wmap.Topology, k LinkKey) int {
 	seen := 0
-	for i, l := range t.links {
+	for i, l := range t.Links() {
 		if k.matches(l) {
 			if seen == k.Ordinal {
 				return i
@@ -90,7 +90,7 @@ func mapHasLinkReference(st *readerState, id wmap.MapID, key LinkKey) bool {
 			continue
 		}
 		seen[ti] = true
-		if st.topos[ti].linkIndex(key) >= 0 {
+		if linkIndex(st.topos[ti], key) >= 0 {
 			return true
 		}
 	}

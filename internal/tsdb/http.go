@@ -218,30 +218,31 @@ func queryStep(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 
 // snapshotAt is the point-in-time preamble /topology and /imbalance share:
 // resolve map and at (default: the map's last snapshot), answer a
-// conditional GET, then materialize the snapshot unless the client has
-// already gone. ok is false once the response is written.
-func (a *api) snapshotAt(w http.ResponseWriter, r *http.Request, endpoint string) (m *wmap.Map, ok bool) {
+// conditional GET, then materialize the snapshot, and look up its interned
+// topology, unless the client has already gone. ok is false once the
+// response is written.
+func (a *api) snapshotAt(w http.ResponseWriter, r *http.Request, endpoint string) (m *wmap.Map, topo *wmap.Topology, ok bool) {
 	id, ok := a.queryMap(w, r)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	_, last, _ := a.rd.Bounds(id)
 	at, atGiven, ok := queryTime(w, r, "at", last)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	if serveCached(w, r, a.etag(endpoint, string(id), at.UTC().Format(time.RFC3339Nano)), atGiven) {
-		return nil, false
+		return nil, nil, false
 	}
 	err := r.Context().Err()
 	if err == nil {
-		m, err = a.rd.SnapshotAt(id, at)
+		m, topo, err = a.rd.snapshotTopoAt(id, at)
 	}
 	if err != nil {
 		writeQueryError(w, err)
-		return nil, false
+		return nil, nil, false
 	}
-	return m, true
+	return m, topo, true
 }
 
 type mapInfo struct {
@@ -283,7 +284,7 @@ type topoLink struct {
 }
 
 func (a *api) handleTopology(w http.ResponseWriter, r *http.Request) {
-	m, ok := a.snapshotAt(w, r, "topology")
+	m, _, ok := a.snapshotAt(w, r, "topology")
 	if !ok {
 		return
 	}
@@ -564,11 +565,11 @@ func appendLoadMeta(b []byte, linkID string, id wmap.MapID, key LinkKey, from, t
 }
 
 func (a *api) handleImbalance(w http.ResponseWriter, r *http.Request) {
-	m, ok := a.snapshotAt(w, r, "imbalance")
+	m, topo, ok := a.snapshotAt(w, r, "imbalance")
 	if !ok {
 		return
 	}
-	imbs := wmap.NewTopology(nil, m.Links).Imbalances(m.Links, wmap.PaperImbalanceOptions())
+	imbs := topo.Imbalances(m.Links, wmap.PaperImbalanceOptions())
 
 	bp := getEncBuf()
 	b := *bp

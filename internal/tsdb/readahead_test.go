@@ -169,7 +169,8 @@ func TestCursorParallelPropagatesCorruption(t *testing.T) {
 // indistinguishable from an owned materialized snapshot at every step —
 // with one and with several decoders, with and without a cache — that
 // both match the sequential reference, and that the scratch reuse never
-// leaks one snapshot's loads into the next.
+// leaks one snapshot's loads into the next. The view alone carries Topo,
+// which must have the owned snapshot's skeleton.
 func TestCursorMapViewMatchesMap(t *testing.T) {
 	var maps []*wmap.Map
 	for i := 0; i < 10; i++ {
@@ -190,7 +191,7 @@ func TestCursorMapViewMatchesMap(t *testing.T) {
 			i := 0
 			for cur.Next() {
 				view, owned := cur.MapView(), materialize(cur.st, cur.vdb, cur.vpi)
-				if !reflect.DeepEqual(view, owned) || i >= len(ref) || !reflect.DeepEqual(owned, ref[i]) {
+				if !reflect.DeepEqual(view.Clone(), owned) || !view.Topo.Matches(owned) || i >= len(ref) || !reflect.DeepEqual(owned, ref[i]) {
 					t.Fatalf("cache=%v parallel=%v snapshot %d: MapView diverges from Map", withCache, parallel, i)
 				}
 				if !reflect.DeepEqual(owned.Links, maps[i].Links) {
@@ -202,6 +203,35 @@ func TestCursorMapViewMatchesMap(t *testing.T) {
 				t.Fatalf("cache=%v parallel=%v: %d snapshots, err %v", withCache, parallel, i, err)
 			}
 		}
+	}
+}
+
+// TestMapViewSteadyAllocs pins MapView's zero steady-state allocations:
+// inside one block, once the view holds the block's topology, Next and
+// MapView rewrite the time and the loads and allocate nothing.
+func TestMapViewSteadyAllocs(t *testing.T) {
+	var maps []*wmap.Map
+	for i := 0; i < 64; i++ {
+		maps = append(maps, testMap(wmap.Europe, at(5*i), i, 10+i%50, 20, 30+i%20, 40, 50))
+	}
+	cur := openArchive(t, buildArchive(t, 64, maps...)).CursorParallel(context.Background(), wmap.Europe, time.Time{}, time.Time{}, 1)
+	defer cur.Close()
+	if !cur.Next() {
+		t.Fatalf("empty cursor: %v", cur.Err())
+	}
+	cur.MapView()
+	i := 1
+	allocs := testing.AllocsPerRun(50, func() {
+		if !cur.Next() {
+			t.Fatalf("block ended at snapshot %d: %v", i, cur.Err())
+		}
+		if m := cur.MapView(); m.Links[0].LoadAB != maps[i].Links[0].LoadAB {
+			t.Fatalf("snapshot %d: view load %d, want %d", i, m.Links[0].LoadAB, maps[i].Links[0].LoadAB)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Next+MapView inside a block: %v allocs per snapshot, want 0", allocs)
 	}
 }
 

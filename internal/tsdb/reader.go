@@ -71,7 +71,7 @@ type Reader struct {
 type readerState struct {
 	size    int64 // readable byte bound: file size (closed) or dataEnd (live)
 	strs    []string
-	topos   []*topology
+	topos   []*wmap.Topology
 	blocks  []blockMeta
 	rollups []rollupMeta
 	events  []eventMeta
@@ -233,7 +233,7 @@ func readAtFull(r io.ReaderAt, size, off int64, n int) ([]byte, error) {
 // footerData is the raw parsed content of a footer or checkpoint payload.
 type footerData struct {
 	strs    []string
-	topos   []*topology
+	topos   []*wmap.Topology
 	blocks  []blockMeta
 	rollups []rollupMeta
 	events  []eventMeta
@@ -270,8 +270,8 @@ func parseFooterData(payload []byte, payloadOff, dataEnd int64) (*footerData, er
 	if err != nil {
 		return nil, err
 	}
-	var prev *topology
-	fd.topos = make([]*topology, 0, ntopo)
+	prev := noTopology
+	fd.topos = make([]*wmap.Topology, 0, ntopo)
 	for i := 0; i < ntopo; i++ {
 		t, err := fd.parseTopology(d, prev)
 		if err != nil {
@@ -417,26 +417,19 @@ func buildState(c *committed) (*readerState, error) {
 
 // parseTopology decodes one prefix-delta dictionary entry: the leading
 // nodes and links shared with the previous entry, then the new rows.
-func (fd *footerData) parseTopology(d *dec, prev *topology) (*topology, error) {
+func (fd *footerData) parseTopology(d *dec, prev *wmap.Topology) (*wmap.Topology, error) {
 	np, err := d.uvarint("node prefix")
 	if err != nil {
 		return nil, err
 	}
-	prevNodes, prevLinks := 0, 0
-	if prev != nil {
-		prevNodes, prevLinks = len(prev.nodes), len(prev.links)
-	}
-	if np > uint64(prevNodes) {
-		return nil, corruptf(d.abs(), "node prefix %d exceeds previous topology's %d nodes", np, prevNodes)
+	if np > uint64(len(prev.Nodes())) {
+		return nil, corruptf(d.abs(), "node prefix %d exceeds previous topology's %d nodes", np, len(prev.Nodes()))
 	}
 	nn, err := d.count("topology nodes")
 	if err != nil {
 		return nil, err
 	}
-	t := &topology{nodes: make([]wmap.Node, 0, int(np)+nn)}
-	if prev != nil {
-		t.nodes = append(t.nodes, prev.nodes[:np]...)
-	}
+	nodes := append(make([]wmap.Node, 0, int(np)+nn), prev.Nodes()[:np]...)
 	for i := 0; i < nn; i++ {
 		ref, err := d.uvarint("node name ref")
 		if err != nil {
@@ -457,24 +450,21 @@ func (fd *footerData) parseTopology(d *dec, prev *topology) (*topology, error) {
 		default:
 			return nil, corruptf(d.abs(), "unknown node kind byte %d", kb)
 		}
-		t.nodes = append(t.nodes, wmap.Node{Name: fd.strs[ref], Kind: kind})
+		nodes = append(nodes, wmap.Node{Name: fd.strs[ref], Kind: kind})
 	}
 
 	lp, err := d.uvarint("link prefix")
 	if err != nil {
 		return nil, err
 	}
-	if lp > uint64(prevLinks) {
-		return nil, corruptf(d.abs(), "link prefix %d exceeds previous topology's %d links", lp, prevLinks)
+	if lp > uint64(len(prev.Links())) {
+		return nil, corruptf(d.abs(), "link prefix %d exceeds previous topology's %d links", lp, len(prev.Links()))
 	}
 	nl, err := d.count("topology links")
 	if err != nil {
 		return nil, err
 	}
-	t.links = make([]wmap.Link, 0, int(lp)+nl)
-	if prev != nil {
-		t.links = append(t.links, prev.links[:lp]...)
-	}
+	links := append(make([]wmap.Link, 0, int(lp)+nl), prev.Links()[:lp]...)
 	for i := 0; i < nl; i++ {
 		var refs [4]uint64
 		for j := range refs {
@@ -487,12 +477,12 @@ func (fd *footerData) parseTopology(d *dec, prev *topology) (*topology, error) {
 			}
 			refs[j] = ref
 		}
-		t.links = append(t.links, wmap.Link{
+		links = append(links, wmap.Link{
 			A: fd.strs[refs[0]], B: fd.strs[refs[1]],
 			LabelA: fd.strs[refs[2]], LabelB: fd.strs[refs[3]],
 		})
 	}
-	return t, nil
+	return wmap.NewTopology(nodes, links), nil
 }
 
 func (fd *footerData) parseBlockMeta(d *dec, dataEnd int64) (blockMeta, error) {
@@ -524,7 +514,7 @@ func (fd *footerData) topoRow(d *dec, what string, ti, links uint64) error {
 	if ti >= uint64(len(fd.topos)) {
 		return corruptf(d.abs(), "%s topology index %d outside table of %d", what, ti, len(fd.topos))
 	}
-	if n := len(fd.topos[ti].links); links != uint64(n) {
+	if n := len(fd.topos[ti].Links()); links != uint64(n) {
 		return corruptf(d.abs(), "%s link count %d disagrees with topology's %d", what, links, n)
 	}
 	return nil
@@ -762,28 +752,31 @@ func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, want func(ci int)
 	return db, nil
 }
 
-// materialize rebuilds the full snapshot at point pi of a decoded block.
-// The returned map shares no mutable state with the reader.
-func materialize(st *readerState, db *decodedBlock, pi int) *wmap.Map {
-	m := &wmap.Map{}
-	materializeInto(st, db, pi, m)
-	return m
-}
-
-// materializeInto rebuilds the snapshot at point pi of a decoded block
-// into m, reusing m's slice capacity — the zero-allocation steady state
-// behind Cursor.MapView. The result shares no mutable state with the
-// reader or the (possibly cached, shared) decoded block.
-func materializeInto(st *readerState, db *decodedBlock, pi int, m *wmap.Map) {
-	topo := st.topos[db.meta.topoIndex]
-	m.ID = wmap.MapID(st.strs[db.meta.mapRef])
+// viewAt sets m to the snapshot at point pi of a decoded block of map id
+// whose interned topology is topo. While m.Topo is topo already, only Time
+// and the loads are rewritten; otherwise the skeleton is copied into m's
+// own slices, so m never shares mutable state with the reader.
+func viewAt(m *wmap.Map, id wmap.MapID, topo *wmap.Topology, db *decodedBlock, pi int) {
+	if m.Topo != topo {
+		m.ID = id
+		m.Nodes = append(m.Nodes[:0], topo.Nodes()...)
+		m.Links = append(m.Links[:0], topo.Links()...)
+		m.Topo = topo
+	}
 	m.Time = time.Unix(db.times[pi], 0).UTC()
-	m.Nodes = append(m.Nodes[:0], topo.nodes...)
-	m.Links = append(m.Links[:0], topo.links...)
 	for i := range m.Links {
 		m.Links[i].LoadAB = db.cols[2*i][pi]
 		m.Links[i].LoadBA = db.cols[2*i+1][pi]
 	}
+}
+
+// materialize rebuilds the snapshot at point pi of a decoded block as an
+// owned map, without Topo.
+func materialize(st *readerState, db *decodedBlock, pi int) *wmap.Map {
+	m := &wmap.Map{}
+	viewAt(m, wmap.MapID(st.strs[db.meta.mapRef]), st.topos[db.meta.topoIndex], db, pi)
+	m.Topo = nil
+	return m
 }
 
 // blockRange binary-searches the map's chronological block list for the
@@ -816,22 +809,29 @@ func rangeBounds(from, to time.Time) (int64, int64) {
 // SnapshotAt materializes the latest snapshot of the map at or before at,
 // like TimeSeries.At. It fails with ErrUnknownMap or ErrNoSnapshot.
 func (r *Reader) SnapshotAt(id wmap.MapID, at time.Time) (*wmap.Map, error) {
+	m, _, err := r.snapshotTopoAt(id, at)
+	return m, err
+}
+
+// snapshotTopoAt is SnapshotAt that also returns the snapshot's interned
+// topology.
+func (r *Reader) snapshotTopoAt(id wmap.MapID, at time.Time) (*wmap.Map, *wmap.Topology, error) {
 	st := r.st()
 	bl := st.perMap[id]
 	if len(bl) == 0 {
-		return nil, fmt.Errorf("tsdb: map %q: %w", id, ErrUnknownMap)
+		return nil, nil, fmt.Errorf("tsdb: map %q: %w", id, ErrUnknownMap)
 	}
 	atU := at.Unix()
 	i := sort.Search(len(bl), func(k int) bool { return st.blocks[bl[k]].baseUnix > atU }) - 1
 	if i < 0 {
-		return nil, fmt.Errorf("tsdb: %s at %s: %w", id, at.UTC(), ErrNoSnapshot)
+		return nil, nil, fmt.Errorf("tsdb: %s at %s: %w", id, at.UTC(), ErrNoSnapshot)
 	}
 	db, err := r.block(st, bl[i], allColumns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pi := sort.Search(len(db.times), func(k int) bool { return db.times[k] > atU }) - 1
-	return materialize(st, db, pi), nil
+	return materialize(st, db, pi), st.topos[db.meta.topoIndex], nil
 }
 
 // mapHasLink reports whether any topology used by the map's blocks
@@ -907,7 +907,7 @@ func (st *readerState) topoKeyIndexes() (keys [][]LinkKey, idx []map[LinkKey]int
 		st.topoKeys = make([][]LinkKey, len(st.topos))
 		st.topoKeyIdx = make([]map[LinkKey]int, len(st.topos))
 		for ti, t := range st.topos {
-			ks := linkKeys(t.links)
+			ks := linkKeys(t.Links())
 			m := make(map[LinkKey]int, len(ks))
 			for ci, k := range ks {
 				m[k] = ci
@@ -941,7 +941,7 @@ func (st *readerState) linkDirectory() map[string]linkAddr {
 					continue
 				}
 				seen[ti] = true
-				for _, key := range linkKeys(st.topos[ti].links) {
+				for _, key := range linkKeys(st.topos[ti].Links()) {
 					st.linkDir[key.ID(id)] = linkAddr{mapID: id, key: key}
 				}
 			}

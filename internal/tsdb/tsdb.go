@@ -63,53 +63,21 @@ func corruptf(off int64, format string, args ...any) error {
 	return &CorruptError{Offset: off, Reason: fmt.Sprintf(format, args...)}
 }
 
-// topology is one interned dictionary entry: the nodes and links of a map
-// with the per-direction loads zeroed. Blocks reference topologies by table
-// index; equal topologies share one entry.
-type topology struct {
-	nodes []wmap.Node
-	links []wmap.Link // loads zeroed; order is the column order of blocks
-}
-
-// newTopology copies a snapshot's skeleton, rejecting node kinds the
-// archive's one-byte encoding cannot represent.
-func newTopology(m *wmap.Map) (*topology, error) {
+// newTopology interns a snapshot's skeleton as a dictionary entry,
+// rejecting node kinds the archive's one-byte encoding cannot represent.
+// Blocks reference topologies by table index; equal topologies share one
+// entry, and its link order is the column order of its blocks.
+func newTopology(m *wmap.Map) (*wmap.Topology, error) {
 	for _, n := range m.Nodes {
 		if n.Kind != wmap.Router && n.Kind != wmap.Peering {
 			return nil, fmt.Errorf("tsdb: node %q has unsupported kind %q", n.Name, n.Kind)
 		}
 	}
-	t := &topology{
-		nodes: append([]wmap.Node(nil), m.Nodes...),
-		links: make([]wmap.Link, len(m.Links)),
-	}
-	for i, l := range m.Links {
-		l.LoadAB, l.LoadBA = 0, 0
-		t.links[i] = l
-	}
-	return t, nil
+	return m.Topology(), nil
 }
 
-// fingerprintTopology hashes a snapshot's skeleton for dictionary lookup;
-// loads never contribute.
-func fingerprintTopology(nodes []wmap.Node, links []wmap.Link) uint64 {
-	h := fnv.New64a()
-	sep := []byte{0}
-	for _, n := range nodes {
-		h.Write([]byte(n.Name))
-		h.Write(sep)
-		h.Write([]byte(n.Kind))
-		h.Write(sep)
-	}
-	h.Write([]byte{1})
-	for _, l := range links {
-		for _, s := range [4]string{l.A, l.B, l.LabelA, l.LabelB} {
-			h.Write([]byte(s))
-			h.Write(sep)
-		}
-	}
-	return h.Sum64()
-}
+// noTopology is the empty predecessor of an archive's first topology.
+var noTopology = wmap.NewTopology(nil, nil)
 
 // LinkKey identifies one link within a map across snapshots: the endpoint
 // pair, the per-direction labels, and — because parallel links may repeat

@@ -111,8 +111,7 @@ type Writer struct {
 	strIDs map[string]uint64
 	strs   []string
 
-	topos    []*topology
-	topoByFP map[uint64][]int
+	topos []*wmap.Topology
 
 	open  map[wmap.MapID]*openBlock
 	last  map[wmap.MapID]int64
@@ -149,7 +148,6 @@ func NewWriter(w io.Writer) *Writer {
 		w:           w,
 		blockPoints: DefaultBlockPoints,
 		strIDs:      make(map[string]uint64),
-		topoByFP:    make(map[uint64][]int),
 		open:        make(map[wmap.MapID]*openBlock),
 		last:        make(map[wmap.MapID]int64),
 		rollupRes:   res,
@@ -165,6 +163,11 @@ func Create(path string) (*Writer, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: %w", err)
+	}
+	// The data file's own directory entry must survive a power loss too.
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, err
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
 	w := NewWriter(bw)
@@ -234,12 +237,9 @@ func (w *Writer) recover() error {
 		// Turn the closed archive's footer into the first commit, then
 		// truncate the footer and tail off so blocks append where the data
 		// section ended. Commit-before-truncate keeps every crash point
-		// recoverable, once the directory fsync has made the rename durable.
+		// recoverable: writeCheckpoint returns once the rename is durable.
 		w.version = 1
 		if err := writeCheckpoint(w.ckptPath, c.dataEnd, w.version, c.payload); err != nil {
-			return err
-		}
-		if err := syncDir(filepath.Dir(w.ckptPath)); err != nil {
 			return err
 		}
 	}
@@ -316,10 +316,6 @@ func (w *Writer) restore(fd *footerData) {
 		w.strIDs[s] = uint64(i)
 	}
 	w.topos = fd.topos
-	for i, t := range fd.topos {
-		fp := fingerprintTopology(t.nodes, t.links)
-		w.topoByFP[fp] = append(w.topoByFP[fp], i)
-	}
 	w.index = fd.blocks
 	w.rollups = fd.rollups
 	w.evIndex = fd.events
@@ -465,8 +461,8 @@ func (w *Writer) intern(s string) uint64 {
 // internTopology returns the dictionary index of the snapshot's topology,
 // adding a new entry (and interning its strings) when unseen. The map's
 // current topology, that of its open block or else of its rollup run, is
-// tried first: between topology changes it matches, and the skeleton is
-// never hashed.
+// tried first: between topology changes it matches. A change searches the
+// table newest first, where a skeleton that flaps back sits.
 func (w *Writer) internTopology(m *wmap.Map) (int, error) {
 	cur := -1
 	if ob := w.open[m.ID]; ob != nil {
@@ -474,15 +470,11 @@ func (w *Writer) internTopology(m *wmap.Map) (int, error) {
 	} else if accs := w.accs[m.ID]; len(accs) > 0 && accs[0].run != nil {
 		cur = accs[0].run.topoIndex
 	}
-	same := func(i int) bool {
-		return wmap.SameSkeleton(&wmap.Map{Nodes: w.topos[i].nodes, Links: w.topos[i].links}, m)
-	}
-	if cur >= 0 && same(cur) {
+	if cur >= 0 && w.topos[cur].Matches(m) {
 		return cur, nil
 	}
-	fp := fingerprintTopology(m.Nodes, m.Links)
-	for _, i := range w.topoByFP[fp] {
-		if same(i) {
+	for i := len(w.topos) - 1; i >= 0; i-- {
+		if w.topos[i].Matches(m) {
 			return i, nil
 		}
 	}
@@ -490,19 +482,17 @@ func (w *Writer) internTopology(m *wmap.Map) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, n := range t.nodes {
+	for _, n := range t.Nodes() {
 		w.intern(n.Name)
 	}
-	for _, l := range t.links {
+	for _, l := range t.Links() {
 		w.intern(l.A)
 		w.intern(l.B)
 		w.intern(l.LabelA)
 		w.intern(l.LabelB)
 	}
-	idx := len(w.topos)
 	w.topos = append(w.topos, t)
-	w.topoByFP[fp] = append(w.topoByFP[fp], idx)
-	return idx, nil
+	return len(w.topos) - 1, nil
 }
 
 // Append records one snapshot. The snapshot must be later than the map's
@@ -578,7 +568,7 @@ func (w *Writer) Append(m *wmap.Map) error {
 		w.rollupAdd(m.ID, ti, t, m.Links)
 	}
 	if w.evEnabled {
-		w.evObserve(m)
+		w.evObserve(m, w.topos[ti])
 	}
 	w.last[m.ID] = t
 	w.snapshots++
@@ -678,20 +668,20 @@ func (w *Writer) encodeFooter() []byte {
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(w.topos)))
-	var prev *topology
+	var prevNodes []wmap.Node
+	var prevLinks []wmap.Link
 	for _, t := range w.topos {
+		nodes, links := t.Nodes(), t.Links()
 		np, lp := 0, 0
-		if prev != nil {
-			for np < len(prev.nodes) && np < len(t.nodes) && prev.nodes[np] == t.nodes[np] {
-				np++
-			}
-			for lp < len(prev.links) && lp < len(t.links) && prev.links[lp] == t.links[lp] {
-				lp++
-			}
+		for np < len(prevNodes) && np < len(nodes) && prevNodes[np] == nodes[np] {
+			np++
+		}
+		for lp < len(prevLinks) && lp < len(links) && prevLinks[lp] == links[lp] {
+			lp++
 		}
 		buf = binary.AppendUvarint(buf, uint64(np))
-		buf = binary.AppendUvarint(buf, uint64(len(t.nodes)-np))
-		for _, n := range t.nodes[np:] {
+		buf = binary.AppendUvarint(buf, uint64(len(nodes)-np))
+		for _, n := range nodes[np:] {
 			buf = binary.AppendUvarint(buf, w.strIDs[n.Name])
 			kind := byte(0)
 			if n.Kind == wmap.Peering {
@@ -700,14 +690,14 @@ func (w *Writer) encodeFooter() []byte {
 			buf = append(buf, kind)
 		}
 		buf = binary.AppendUvarint(buf, uint64(lp))
-		buf = binary.AppendUvarint(buf, uint64(len(t.links)-lp))
-		for _, l := range t.links[lp:] {
+		buf = binary.AppendUvarint(buf, uint64(len(links)-lp))
+		for _, l := range links[lp:] {
 			buf = binary.AppendUvarint(buf, w.strIDs[l.A])
 			buf = binary.AppendUvarint(buf, w.strIDs[l.B])
 			buf = binary.AppendUvarint(buf, w.strIDs[l.LabelA])
 			buf = binary.AppendUvarint(buf, w.strIDs[l.LabelB])
 		}
-		prev = t
+		prevNodes, prevLinks = nodes, links
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(w.index)))

@@ -259,3 +259,24 @@ func referenceKeys(m *Map) []DirKey {
 	}
 	return out
 }
+
+// SameSkeleton is the skeleton compare Topology.Matches replaced: the
+// same nodes, by value, and the same links by (A, B, LabelA, LabelB), in
+// the same order. Loads never count.
+func SameSkeleton(a, b *Map) bool {
+	if len(a.Nodes) != len(b.Nodes) || len(a.Links) != len(b.Links) {
+		return false
+	}
+	for i := range a.Nodes {
+		if a.Nodes[i] != b.Nodes[i] {
+			return false
+		}
+	}
+	for i := range a.Links {
+		x, y := &a.Links[i], &b.Links[i]
+		if x.A != y.A || x.B != y.B || x.LabelA != y.LabelA || x.LabelB != y.LabelB {
+			return false
+		}
+	}
+	return true
+}

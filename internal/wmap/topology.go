@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // DirKey identifies one direction of one physical link across snapshots:
@@ -32,17 +33,23 @@ type PeerEgress struct {
 	Dirs []int32
 }
 
-// Topology is one snapshot topology resolved once for everything that
-// reads its shape: the congestion fold and detector address directions by
-// DirKey, the Figure 5c fold and the imbalance endpoint walk the directed
-// parallel sets, the maintenance detector compares the sets with
-// parallels, and the upgrade detector reads each peering's egress.
+// Topology is one snapshot skeleton, the value that stands for it across
+// every consumer: it owns its nodes and its links, loads zeroed, and
+// resolves once, on first use, the index everything that reads its shape
+// needs. The congestion fold and detector address directions by DirKey,
+// the Figure 5c fold and the imbalance endpoint walk the directed parallel
+// sets, the maintenance detector compares the sets with parallels, and
+// the upgrade detector reads each peering's egress.
 //
 // Directions are numbered by link: direction 2i is link i's AB direction
-// and 2i+1 its BA direction. A Topology is immutable once built, and the
-// slices its methods return must not be modified. Whether a snapshot still
-// has the topology an index was built from is SameSkeleton's question.
+// and 2i+1 its BA direction. A Topology is immutable, safe for concurrent
+// use, and the slices its methods return must not be modified. Whether a
+// snapshot has this skeleton is Matches's question.
 type Topology struct {
+	nodes []Node
+	links []Link // loads zeroed
+
+	once        sync.Once // guards the index below
 	keys        []DirKey
 	sets        []DirSet // Imbalances order
 	parallel    []DirSet // the sets of two or more directions, in (From, To) order
@@ -50,10 +57,62 @@ type Topology struct {
 	parallelism float64
 }
 
-// NewTopology indexes a link list, and the peerings among nodes (which
-// may be nil when only the links matter).
+// NewTopology returns the topology of the skeleton made of nodes (nil
+// when only the links matter) and links, and keeps both: the caller hands
+// them over and must not modify them. Loads count for nothing here;
+// Map.Topology copies a map's skeleton with its loads zeroed. The index
+// is built on first use, so storing and matching cost nothing more.
 func NewTopology(nodes []Node, links []Link) *Topology {
-	t := &Topology{keys: make([]DirKey, 2*len(links))}
+	return &Topology{nodes: nodes, links: links}
+}
+
+// Nodes returns the skeleton's nodes.
+func (t *Topology) Nodes() []Node { return t.nodes }
+
+// Links returns the skeleton's links, loads zeroed.
+func (t *Topology) Links() []Link { return t.links }
+
+// Matches reports whether m has this skeleton: the same nodes, by value,
+// and the same links by (A, B, LabelA, LabelB), in the same order. Loads
+// never count. A map whose producer set its Topo to t matches at once;
+// any other map is compared row by row. A nil Topology matches nothing.
+//
+//wm:hotpath
+func (t *Topology) Matches(m *Map) bool {
+	if t == nil {
+		return false
+	}
+	if m.Topo == t {
+		return true
+	}
+	if len(t.nodes) != len(m.Nodes) || len(t.links) != len(m.Links) {
+		return false
+	}
+	for i := range t.nodes {
+		if t.nodes[i] != m.Nodes[i] {
+			return false
+		}
+	}
+	for i := range t.links {
+		x, y := &t.links[i], &m.Links[i]
+		if x.A != y.A || x.B != y.B || x.LabelA != y.LabelA || x.LabelB != y.LabelB {
+			return false
+		}
+	}
+	return true
+}
+
+// index builds the direction index on first use and returns t.
+func (t *Topology) index() *Topology {
+	t.once.Do(t.build)
+	return t
+}
+
+// build resolves the direction index of t's links and the egress of the
+// peerings among its nodes.
+func (t *Topology) build() {
+	nodes, links := t.nodes, t.links
+	t.keys = make([]DirKey, 2*len(links))
 
 	// One pass groups the links by node pair. A direction's ordinal is the
 	// number of links of its pair before its own, so it advances once per
@@ -151,7 +210,7 @@ func NewTopology(nodes []Node, links []Link) *Topology {
 		}
 	}
 	if len(names) == 0 {
-		return t
+		return
 	}
 	sort.Strings(names)
 	peerOf := make(map[string]int32, len(names))
@@ -191,40 +250,40 @@ func NewTopology(nodes []Node, links []Link) *Topology {
 			t.peers = append(t.peers, PeerEgress{Name: name, Dirs: egress[at[p]:at[p+1]:at[p+1]]})
 		}
 	}
-	return t
 }
 
 // Keys returns every direction's DirKey, by direction index.
-func (t *Topology) Keys() []DirKey { return t.keys }
+func (t *Topology) Keys() []DirKey { return t.index().keys }
 
 // Sets returns the directed parallel sets in the order of the paper's
 // imbalance walk: node pairs ordered by their lesser name, then their
 // greater, and each pair's set from the lesser name before the one from
 // the greater. A link from a node to itself, which Validate rejects,
 // gives one set holding both its directions.
-func (t *Topology) Sets() []DirSet { return t.sets }
+func (t *Topology) Sets() []DirSet { return t.index().sets }
 
 // ParallelSets returns the directed sets of two or more directions, the
 // ones a drain can move load within, in (From, To) order.
-func (t *Topology) ParallelSets() []DirSet { return t.parallel }
+func (t *Topology) ParallelSets() []DirSet { return t.index().parallel }
 
 // Peerings returns the egress of every peering among the nodes that has
 // links, in name order.
-func (t *Topology) Peerings() []PeerEgress { return t.peers }
+func (t *Topology) Peerings() []PeerEgress { return t.index().peers }
 
 // MeanParallelism returns the average number of parallel links between
 // two nodes, over the node pairs that involve at least one OVH router:
 // the "OVH routers had in average 6.58 parallel links" statistic of the
 // paper.
-func (t *Topology) MeanParallelism() float64 { return t.parallelism }
+func (t *Topology) MeanParallelism() float64 { return t.index().parallelism }
 
 // Imbalances computes the load imbalance of every directed set, in Sets
 // order, from the loads of links (a snapshot with this topology),
 // applying the given filters.
 func (t *Topology) Imbalances(links []Link, opt ImbalanceOptions) []Imbalance {
 	var out []Imbalance
-	for i := range t.sets {
-		s := &t.sets[i]
+	sets := t.Sets()
+	for i := range sets {
+		s := &sets[i]
 		var n int
 		var mn, mx Load
 		for _, di := range s.Dirs {
@@ -255,30 +314,4 @@ func DirLoad(links []Link, di int32) Load {
 		return l.LoadAB
 	}
 	return l.LoadBA
-}
-
-// SameSkeleton reports whether two snapshots have the same skeleton: the
-// same nodes, by value, and the same links by (A, B, LabelA, LabelB), in
-// the same order. Loads never count: a Topology, and any Compare diff
-// that is not Empty, depend on nothing else. Snapshots decoded from one
-// stored topology share its strings, so an unchanged skeleton compares
-// at pointer speed.
-//
-//wm:hotpath
-func SameSkeleton(a, b *Map) bool {
-	if len(a.Nodes) != len(b.Nodes) || len(a.Links) != len(b.Links) {
-		return false
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return false
-		}
-	}
-	for i := range a.Links {
-		x, y := &a.Links[i], &b.Links[i]
-		if x.A != y.A || x.B != y.B || x.LabelA != y.LabelA || x.LabelB != y.LabelB {
-			return false
-		}
-	}
-	return true
 }

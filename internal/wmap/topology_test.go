@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -190,6 +191,92 @@ func FuzzTopologyIndex(f *testing.F) {
 			t.Fatal("SameSkeleton: a changed node is the same skeleton")
 		}
 	})
+}
+
+// FuzzTopologyMatches holds Topology.Matches to SameSkeleton, the compare
+// it replaced, on pairs of random maps: a map that carries the topology
+// itself, maps without a Topo, a map whose Topo is another topology of its
+// own skeleton, and copies with reordered links, a relabelled link, a
+// flipped node kind or another node list. A nil Topology matches nothing.
+func FuzzTopologyMatches(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(12), uint8(3), uint8(1))
+	f.Add(int64(3), uint16(300), uint8(9), uint8(7))
+	f.Add(int64(4), uint16(40), uint8(1), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, links uint16, nodes uint8, pick uint8) {
+		m := randomTopology(seed, links, nodes, pick&1 == 0)
+		topo := NewTopology(m.Nodes, m.Links)
+		if (*Topology)(nil).Matches(m) {
+			t.Fatal("a nil Topology matched")
+		}
+
+		view := m.Clone()
+		for i := range view.Links {
+			view.Links[i].LoadAB = Load(int(pick) % 101)
+		}
+		view.Topo = topo
+		own := m.Clone()
+		own.Topo = NewTopology(own.Nodes, own.Links)
+		cands := []*Map{m, view, own, randomTopology(seed+1, links, nodes, pick&1 == 0)}
+		if n := len(m.Links); n > 1 {
+			i, j := int(pick)%n, (int(pick)/2+1)%n
+			swapped := m.Clone()
+			swapped.Links[i], swapped.Links[j] = swapped.Links[j], swapped.Links[i]
+			relabel := m.Clone()
+			relabel.Links[i].LabelA += "x"
+			cands = append(cands, swapped, relabel)
+		}
+		kind := m.Clone()
+		k := int(pick) % len(kind.Nodes)
+		kind.Nodes[k].Kind = map[NodeKind]NodeKind{Router: Peering, Peering: Router}[kind.Nodes[k].Kind]
+		cands = append(cands, kind, &Map{Nodes: m.Nodes[1:], Links: m.Links})
+
+		for ci, c := range cands {
+			if got, want := topo.Matches(c), SameSkeleton(m, c); got != want {
+				t.Fatalf("candidate %d: Matches %v, SameSkeleton %v", ci, got, want)
+			}
+			if c.Topo != nil && !c.Topo.Matches(c) {
+				t.Fatalf("candidate %d: its own Topo does not match it", ci)
+			}
+		}
+	})
+}
+
+// TestTopologyIndexConcurrentFirstUse has eight goroutines race to the
+// first use of one topology's lazy index, as API and grid goroutines do on
+// an interned archive topology; each must read what a serially built twin
+// holds. Run under -race it proves the index build is published safely.
+func TestTopologyIndexConcurrentFirstUse(t *testing.T) {
+	type index struct {
+		Keys        []DirKey
+		Sets        []DirSet
+		Parallel    []DirSet
+		Peers       []PeerEgress
+		Parallelism float64
+	}
+	read := func(ix *Topology) index {
+		return index{ix.Keys(), ix.Sets(), ix.ParallelSets(), ix.Peerings(), ix.MeanParallelism()}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		m := randomTopology(seed, uint16(50+10*seed), uint8(seed), false)
+		want := read(NewTopology(m.Nodes, m.Links))
+		shared := NewTopology(m.Nodes, m.Links)
+		var wg sync.WaitGroup
+		got := make([]index, 8)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = read(shared)
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			if !reflect.DeepEqual(got[g], want) {
+				t.Fatalf("seed %d goroutine %d: index differs from a serial build", seed, g)
+			}
+		}
+	}
 }
 
 // TestTopologyIndexMatchesReference runs checkTopology over a thousand

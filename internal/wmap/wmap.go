@@ -134,6 +134,24 @@ type Map struct {
 	Time  time.Time
 	Nodes []Node
 	Links []Link
+	// Topo, when set, is the topology of exactly these Nodes and Links.
+	// Only read-only views set it (tsdb's Cursor.MapView); Clone drops it,
+	// so no map that may be edited carries one.
+	Topo *Topology
+}
+
+// Topology returns the map's topology: Topo when set, else a new one over
+// a copy of its skeleton, loads zeroed.
+func (m *Map) Topology() *Topology {
+	if m.Topo != nil {
+		return m.Topo
+	}
+	links := make([]Link, len(m.Links))
+	for i, l := range m.Links {
+		l.LoadAB, l.LoadBA = 0, 0
+		links[i] = l
+	}
+	return NewTopology(append([]Node(nil), m.Nodes...), links)
 }
 
 // Routers returns the OVH routers on the map.
@@ -196,11 +214,6 @@ func (m *Map) RouterDegrees() []int {
 	return out
 }
 
-// MeanParallelism returns the average number of parallel links per node
-// pair, over the pairs that involve at least one OVH router: the "OVH
-// routers had in average 6.58 parallel links" statistic of the paper.
-func (m *Map) MeanParallelism() float64 { return NewTopology(nil, m.Links).MeanParallelism() }
-
 // Stats summarizes a map the way Table 1 does.
 type Stats struct {
 	MapID    MapID
@@ -236,7 +249,7 @@ func SummarizeAll(maps []*Map) (rows []Stats, total Stats) {
 	return rows, total
 }
 
-// Clone returns a deep copy of the map.
+// Clone returns a deep copy of the map, without Topo.
 func (m *Map) Clone() *Map {
 	out := &Map{ID: m.ID, Time: m.Time}
 	out.Nodes = append([]Node(nil), m.Nodes...)

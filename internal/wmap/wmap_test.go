@@ -157,12 +157,12 @@ func TestDirectedLoads(t *testing.T) {
 
 func TestMeanParallelism(t *testing.T) {
 	m := testMap()
-	got := m.MeanParallelism()
+	got := m.Topology().MeanParallelism()
 	want := (1 + 2 + 2) / 3.0
 	if got != want {
 		t.Errorf("MeanParallelism = %v, want %v", got, want)
 	}
-	if (&Map{}).MeanParallelism() != 0 {
+	if (&Map{}).Topology().MeanParallelism() != 0 {
 		t.Error("empty map parallelism should be 0")
 	}
 }
