@@ -31,7 +31,7 @@
 // catch-up pass the dataset directory is re-scanned every -poll interval
 // for snapshots newer than each map's archived tail. Each cycle ends with
 // Writer.Sync, so a concurrent `wmserve -archive -live` adopts the new
-// blocks within its refresh interval. Ctrl-C closes the archive cleanly
+// snapshots within its refresh interval. Ctrl-C closes the archive cleanly
 // into the normal footered form.
 //
 // Usage:

@@ -219,8 +219,8 @@ func publishStats(name string, get func() any) {
 	published.get[name] = get
 }
 
-// runRefresher polls the live archive for new committed blocks until ctx
-// is cancelled. Refresh errors are logged and retried — a partially
+// runRefresher polls the live archive for new commits and head frames
+// until ctx is cancelled. Refresh errors are logged and retried — a partially
 // written checkpoint replacement can make a single poll fail benignly —
 // except ErrArchiveReplaced, which is permanent: the file under the reader
 // is no longer the archive it opened, so the refresher stops and the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,6 +64,25 @@ func restoreFiles(t *testing.T, dir, name string, st fileState) string {
 	return path
 }
 
+// copyHead copies the head sidecar of the archive at from, when it has
+// one, next to the archive at to — the part of a crash state captureFiles
+// leaves out, so a matrix over data and checkpoint alone still sees the
+// commits it perturbs.
+func copyHead(t *testing.T, from, to string) {
+	t.Helper()
+	os.Remove(headPath(to))
+	data, err := os.ReadFile(headPath(from))
+	if os.IsNotExist(err) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(headPath(to), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // closeOut runs OpenAppend on the state, closes immediately, and returns
 // the resulting closed-archive bytes — the canonical form of whatever the
 // recovery decided the committed prefix was.
@@ -93,7 +114,11 @@ func seqMap(id wmap.MapID, i int) *wmap.Map {
 
 // TestOpenAppendMatchesBatch: a live archive built append-by-append and
 // closed is byte-for-byte the archive the batch writer would have built
-// from the same sequence — follow mode costs nothing in output fidelity.
+// from the same sequence — follow mode costs nothing in output fidelity,
+// whatever the Sync cadence. Each schedule Syncs at random points of a
+// stream with three interleaved maps, topology changes, rollups and event
+// detection on, and some crash there: the writer is abandoned and a new
+// one resumes from the data file, checkpoint and head it left.
 func TestOpenAppendMatchesBatch(t *testing.T) {
 	var maps []*wmap.Map
 	for i := 0; i < 10; i++ {
@@ -129,6 +154,95 @@ func TestOpenAppendMatchesBatch(t *testing.T) {
 	if _, err := os.Stat(CheckpointPath(path)); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint survived Close (stat err %v)", err)
 	}
+
+	stream := syncStream()
+	want = buildArchive(t, 16, stream...)
+	dir := t.TempDir()
+	for seed := uint64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x5eed))
+		syncP, crashP := []float64{1, 0.5, 0.1}[seed%3], 0.0
+		switch {
+		case seed == 0:
+			syncP = 0
+		case seed >= 4:
+			crashP = 0.05
+		}
+		path := filepath.Join(dir, fmt.Sprintf("sched%d.tsdb", seed))
+		start := func(p string) *Writer {
+			w, err := OpenAppend(p)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			w.SetBlockPoints(16)
+			return w
+		}
+		w, syncs, crashes := start(path), 0, 0
+		for i, m := range stream {
+			if err := w.Append(m); err != nil {
+				t.Fatalf("seed %d: append %d: %v", seed, i, err)
+			}
+			if rng.Float64() >= syncP {
+				continue
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatalf("seed %d: sync at %d: %v", seed, i, err)
+			}
+			syncs++
+			if rng.Float64() < crashP {
+				// The writer dies right after its Sync returned: everything
+				// appended so far is durable, and a new writer picks up.
+				crashes++
+				next := filepath.Join(dir, fmt.Sprintf("sched%d-%d.tsdb", seed, crashes))
+				restoreFiles(t, dir, filepath.Base(next), captureFiles(t, path))
+				copyHead(t, path, next)
+				path, w = next, start(next)
+				if n := w.Stats().Snapshots; n != i+1 {
+					t.Fatalf("seed %d: resumed writer holds %d snapshots, want %d", seed, n, i+1)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("seed %d: close: %v", seed, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d (%d syncs, %d crashes): live archive differs from batch: %d vs %d bytes", seed, syncs, crashes, len(got), len(want))
+		}
+		if _, err := os.Stat(headPath(path)); !os.IsNotExist(err) {
+			t.Fatalf("seed %d: head survived Close (stat err %v)", seed, err)
+		}
+		t.Logf("seed %d: %d syncs, %d crashes", seed, syncs, crashes)
+	}
+	rd := openArchive(t, want)
+	if s := rd.Stats(); s.Blocks < 8 || s.RollupBlocks == 0 || s.EventBlocks == 0 {
+		t.Fatalf("stream exercises too little: %+v", s)
+	}
+}
+
+// syncStream is a day of snapshots of three interleaved maps: Europe every
+// tick with two topology changes and back, World every third tick, North
+// America every seventh. Loads swing through the congestion thresholds, so
+// the event log and the rollup tiers both get frames.
+func syncStream() []*wmap.Map {
+	var maps []*wmap.Map
+	for i := 0; i < 300; i++ {
+		m := seqMap(wmap.Europe, i)
+		if (i >= 100 && i < 150) || (i >= 220 && i < 240) {
+			m = grownMap(wmap.Europe, at(5*i))
+			m.Links[0].LoadAB = wmap.Load(i % 101)
+		}
+		maps = append(maps, m)
+		if i%3 == 0 {
+			maps = append(maps, seqMap(wmap.World, i))
+		}
+		if i%7 == 0 {
+			maps = append(maps, seqMap(wmap.NorthAmerica, i))
+		}
+	}
+	return maps
 }
 
 // TestOpenAppendResumesClosedArchive: reopening a closed archive for
@@ -358,7 +472,9 @@ func TestTornTailMatrix(t *testing.T) {
 // the damaged block lies past that frontier. Either way the writer closes
 // into an archive a reader opens.
 func TestResumeOverCorruptCommittedBlock(t *testing.T) {
-	const committed, total = 200, 300
+	// committed ends one block past a seal, so two sealed blocks lie past
+	// the rollup frontier: the tail and one before it.
+	const committed, total = 204, 300
 	dir := t.TempDir()
 	start := func(path string) *Writer {
 		t.Helper()

@@ -16,27 +16,43 @@ import (
 // The live-archive commit protocol.
 //
 // A batch archive becomes readable only at Close, when the footer and tail
-// land. A live archive (Writer opened with OpenAppend) instead publishes a
-// durable commit record after every flushed block: a sidecar checkpoint
-// file next to the archive holding the committed data length ("everything
-// before this offset is valid, everything after is an uncommitted tail"),
-// a monotonic commit version, and a full footer payload — the same string
-// table / topology dictionary / block index bytes Close would write — so
-// both a recovering writer and a tailing reader reconstruct the committed
-// state without scanning the data file.
+// land. A live archive (Writer opened with OpenAppend) publishes two kinds
+// of durable record instead, both sidecars next to the archive:
 //
-// Ordering makes the protocol crash-safe: block bytes are flushed and
-// fsynced to the data file BEFORE the checkpoint is replaced (write-ahead),
-// and the checkpoint itself is replaced atomically (temp file + rename).
-// A crash therefore leaves either the old checkpoint (the new tail is
-// simply not committed yet and is truncated on recovery) or the new one
-// (the tail is fully durable). The data file's committed prefix is never
-// rewritten, which is also what gives concurrent readers snapshot
+//   - The checkpoint (<archive>.ckpt), rewritten whenever a block seals
+//     and whenever the dictionary grows: the committed data length
+//     ("everything before this offset is valid, everything after is an
+//     uncommitted tail"), a monotonic commit version, and a full footer
+//     payload — the same string table / topology dictionary / block index
+//     bytes Close would write — so a recovering writer and a tailing reader
+//     reconstruct the sealed state without scanning the data file.
+//   - The head (<archive>.head, see head.go), appended by every Sync: the
+//     points and events not sealed yet, one CRC-framed frame per Sync.
+//
+// Ordering makes the protocol crash-safe. Sealed block bytes are flushed
+// and fsynced to the data file BEFORE the checkpoint is replaced
+// (write-ahead), and the checkpoint itself is replaced atomically (temp
+// file, fsync, rename, directory fsync). A crash therefore leaves either
+// the old checkpoint (the new tail is simply not committed yet and is
+// truncated on recovery) or the new one (the tail is fully durable). A head
+// frame only references dictionary entries a checkpoint already committed,
+// so Sync commits one first when a map or topology is new; Sync returns
+// once its frame is fsynced. A sealed block leaves the points it covers in
+// the head, where replay skips them as dead: the head never has to shrink
+// before the checkpoint that seals its points is durable, and a crash
+// between the two replays them from the head. Creating or compacting the
+// head (temp file, fsync, rename, directory fsync) happens only after the
+// commit covering whatever it drops. The data file's committed prefix is
+// never rewritten, which is also what gives concurrent readers snapshot
 // isolation: every offset a published checkpoint covers holds immutable
-// bytes forever.
+// bytes forever. A reader reads the head before the checkpoint, so every
+// live point is in the head bytes it read or sealed in the commit it read
+// after them.
 //
-// Close still writes the standard footer and deletes the checkpoint, so a
-// cleanly closed live archive is byte-for-byte a normal batch archive.
+// Close seals every open block, commits, writes the standard footer, then
+// deletes the checkpoint and, last, the head, so a cleanly closed live
+// archive is byte-for-byte a normal batch archive, and a head left beside
+// a closed archive adds nothing.
 
 // ckptMagic heads a checkpoint sidecar file.
 const ckptMagic = "wmtsckp\n"
@@ -54,12 +70,15 @@ type checkpoint struct {
 	dataEnd int64  // committed length of the archive data file
 	version uint64 // monotonic commit counter, starts at 1
 	payload []byte // footer payload: strings, topologies, block index
+	hdr     [ckptHeaderLen]byte
 }
 
 // fingerprintState derives the archive fingerprint of a committed state:
-// FNV-1a over the data length and the footer payload — the same formula for
-// a closed footer and a live checkpoint, so the fingerprint (and with it
-// every ETag) rolls forward exactly when committed content changes.
+// FNV-1a over the data length and the footer payload of a closed archive,
+// or over the data length and the fixed header of a live checkpoint, whose
+// CRC32 covers its payload — so the fingerprint (and with it every ETag)
+// rolls forward exactly when committed content changes, and a refresh
+// fingerprints a new checkpoint without a pass over its payload.
 func fingerprintState(dataEnd int64, payload []byte) uint64 {
 	h := fnv.New64a()
 	var szb [8]byte
@@ -73,17 +92,30 @@ func fingerprintState(dataEnd int64, payload []byte) uint64 {
 // returns an error wrapping fs.ErrNotExist; anything structurally invalid
 // is a *CorruptError — a checkpoint is replaced atomically, so a damaged
 // one is real corruption, not a torn write to ignore.
-func readCheckpoint(path string) (*checkpoint, error) {
-	data, err := os.ReadFile(path)
+func readCheckpoint(path string) (*checkpoint, error) { return readCheckpointIfChanged(path, nil) }
+
+// readCheckpointIfChanged is readCheckpoint through one descriptor that
+// reads the fixed header first and the payload only when the header
+// differs from same: an equal header still describes the file, and the
+// result is (nil, nil).
+func readCheckpointIfChanged(path string, same *[ckptHeaderLen]byte) (*checkpoint, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("tsdb: %w", err)
 		}
 		return nil, fmt.Errorf("tsdb: checkpoint: %w", err)
 	}
-	if len(data) < ckptHeaderLen {
-		return nil, corruptf(0, "checkpoint of %d bytes is shorter than the %d-byte header", len(data), ckptHeaderLen)
+	defer f.Close()
+	ck := &checkpoint{}
+	n, err := f.ReadAt(ck.hdr[:], 0)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("tsdb: checkpoint: %w", err)
 	}
+	if n < ckptHeaderLen {
+		return nil, corruptf(0, "checkpoint of %d bytes is shorter than the %d-byte header", n, ckptHeaderLen)
+	}
+	data := ck.hdr[:]
 	if string(data[:len(ckptMagic)]) != ckptMagic {
 		return nil, corruptf(0, "bad checkpoint magic %q", data[:len(ckptMagic)])
 	}
@@ -92,9 +124,19 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	version := binary.LittleEndian.Uint64(data[p+8:])
 	sum := binary.LittleEndian.Uint32(data[p+16:])
 	plen := binary.LittleEndian.Uint64(data[p+20:])
-	payload := data[ckptHeaderLen:]
-	if plen != uint64(len(payload)) {
-		return nil, corruptf(int64(p+20), "checkpoint payload length %d disagrees with the %d bytes present", plen, len(payload))
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("tsdb: checkpoint: %w", err)
+	}
+	if have := fi.Size() - int64(ckptHeaderLen); plen != uint64(have) {
+		return nil, corruptf(int64(p+20), "checkpoint payload length %d disagrees with the %d bytes present", plen, have)
+	}
+	if same != nil && *same == ck.hdr {
+		return nil, nil
+	}
+	payload := make([]byte, plen)
+	if _, err := f.ReadAt(payload, int64(ckptHeaderLen)); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("tsdb: checkpoint: %w", err)
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, corruptf(int64(ckptHeaderLen), "checkpoint payload checksum mismatch")
@@ -105,7 +147,8 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	if version == 0 {
 		return nil, corruptf(int64(p+8), "checkpoint version 0")
 	}
-	return &checkpoint{dataEnd: int64(dataEnd), version: version, payload: payload}, nil
+	ck.dataEnd, ck.version, ck.payload = int64(dataEnd), version, payload
+	return ck, nil
 }
 
 // writeCheckpoint atomically and durably replaces the commit record: the
@@ -164,22 +207,37 @@ func syncDir(dir string) error {
 // checkpoint.
 type committed struct {
 	fd      *footerData
-	payload []byte // the footer or checkpoint payload fd was parsed from
-	dataEnd int64  // end of the data section: every frame lies below it
-	size    int64  // readable byte bound: file size (closed) or dataEnd (live)
-	version uint64 // checkpoint commit version; 0 for a closed footer
-	live    bool   // loaded from a checkpoint (the archive may still grow)
+	payload []byte              // the footer or checkpoint payload fd was parsed from
+	dataEnd int64               // end of the data section: every frame lies below it
+	size    int64               // readable byte bound: file size (closed) or dataEnd (live)
+	version uint64              // checkpoint commit version; 0 for a closed footer
+	live    bool                // loaded from a checkpoint (the archive may still grow)
+	hdr     [ckptHeaderLen]byte // live: the checkpoint header read
 }
 
 // loadCommitted reads the commit state of the archive file f: the
 // checkpoint at ckptPath when the live-append protocol maintains one, else
 // the footer of the closed archive. The committed data must still be in
 // the file and start with the header magic. An empty file without a
-// checkpoint has committed nothing: loadCommitted returns nil, nil.
-func loadCommitted(f *os.File, ckptPath string) (*committed, error) {
-	ck, err := readCheckpoint(ckptPath)
+// checkpoint has committed nothing: loadCommitted returns nil, nil. prev,
+// when not nil, is the state a reader holds: a checkpoint whose header is
+// unchanged returns prev itself, and a new one reuses prev's strings and
+// topologies where the new tables extend them.
+func loadCommitted(f *os.File, ckptPath string, prev *committed) (*committed, error) {
+	var same *[ckptHeaderLen]byte
+	var prevFD *footerData
+	if prev != nil {
+		prevFD = prev.fd
+		if prev.live {
+			same = &prev.hdr
+		}
+	}
+	ck, err := readCheckpointIfChanged(ckptPath, same)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
+	}
+	if ck == nil && err == nil {
+		return prev, nil
 	}
 	// Stat after reading the checkpoint: a live writer grows the file
 	// before it commits, so the size covers any checkpoint read first.
@@ -199,11 +257,11 @@ func loadCommitted(f *os.File, ckptPath string) (*committed, error) {
 	if err := checkHeader(f, ck.dataEnd); err != nil {
 		return nil, err
 	}
-	fd, err := parseFooterData(ck.payload, 0, ck.dataEnd)
+	fd, err := parseFooterReusing(ck.payload, 0, ck.dataEnd, prevFD)
 	if err != nil {
 		return nil, err
 	}
-	return &committed{fd: fd, payload: ck.payload, dataEnd: ck.dataEnd, size: ck.dataEnd, version: ck.version, live: true}, nil
+	return &committed{fd: fd, payload: ck.payload, dataEnd: ck.dataEnd, size: ck.dataEnd, version: ck.version, live: true, hdr: ck.hdr}, nil
 }
 
 // loadClosed validates a closed archive's framing (header magic, tail

@@ -103,6 +103,20 @@ type frame struct {
 // end is the file offset just past the frame's checksum.
 func (f frame) end() int64 { return f.offset + frameOverhead + int64(f.payloadLen) }
 
+// frameEnds returns the length prefix and checksum suffix that frame
+// payload.
+func frameEnds(payload []byte) (pre, sum [4]byte) {
+	binary.LittleEndian.PutUint32(pre[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	return pre, sum
+}
+
+// appendFrame appends payload framed to buf.
+func appendFrame(buf, payload []byte) []byte {
+	pre, sum := frameEnds(payload)
+	return append(append(append(buf, pre[:]...), payload...), sum[:]...)
+}
+
 // writeFrame frames payload at the current offset and returns where it
 // landed; the caller indexes it.
 func (w *Writer) writeFrame(payload []byte) (frame, error) {
@@ -113,9 +127,7 @@ func (w *Writer) writeFrame(payload []byte) (frame, error) {
 		return frame{}, err
 	}
 	f := frame{offset: w.off, payloadLen: len(payload)}
-	var pre, sum [4]byte
-	binary.LittleEndian.PutUint32(pre[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	pre, sum := frameEnds(payload)
 	return f, w.writeAll(pre[:], payload, sum[:])
 }
 
@@ -135,6 +147,26 @@ func readFrame(r io.ReaderAt, size int64, f frame, what string) (dec, error) {
 		return dec{}, corruptf(f.offset, "%s checksum mismatch", what)
 	}
 	return dec{b: payload, off: f.offset + 4}, nil
+}
+
+// nextFrame decodes the frame at the start of buf, whose first byte sits at
+// file offset off, when no index knows its length: it returns a decoder
+// over the payload and the framed length, or ok false when buf holds no
+// whole frame with a matching checksum there.
+func nextFrame(buf []byte, off int64) (d dec, n int, ok bool) {
+	if len(buf) < frameOverhead {
+		return dec{}, 0, false
+	}
+	plen := binary.LittleEndian.Uint32(buf)
+	if uint64(plen) > uint64(len(buf)-frameOverhead) {
+		return dec{}, 0, false
+	}
+	n = frameOverhead + int(plen)
+	payload := buf[4 : 4+plen]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4+plen:]) {
+		return dec{}, 0, false
+	}
+	return dec{b: payload, off: off + 4}, n, true
 }
 
 // header reads a payload's leading uvarints and checks them against want,

@@ -22,7 +22,7 @@ import (
 // A Writer runs one events.Detector per map over the append stream. Events
 // pend in memory and flush as one CRC-framed event block per map at the
 // same deterministic flush points rollups use (block rotation, topology
-// change, Sync, Close), always after the rollup frames of the same flush
+// change, Close), always after the rollup frames of the same flush
 // event — so a live archive's committed prefix always covers exactly the
 // events the committed raw blocks imply. Frame payload, varints unless
 // stated:
@@ -124,19 +124,41 @@ func (w *Writer) flushEvents(id wmap.MapID) error {
 		return err
 	}
 	w.evPending[id] = pend[:0]
+	// The frame's lastPoint reaches every head event entry of the map.
+	w.evSynced[id] = 0
+	delete(w.headLive, id)
 	return nil
 }
 
 // writeEventFrame encodes and writes one event frame and indexes it.
 func (w *Writer) writeEventFrame(id wmap.MapID, evs []events.Event) error {
 	lastPoint := w.last[id]
+	payload, first, last := w.appendEventPayload(make([]byte, 0, 16+24*len(evs)), id, lastPoint, evs)
+	f, err := w.writeFrame(payload)
+	if err != nil {
+		return err
+	}
+	w.evIndex = append(w.evIndex, eventMeta{
+		frame:     f,
+		mapRef:    w.strIDs[string(id)],
+		firstUnix: first,
+		lastUnix:  last,
+		lastPoint: lastPoint,
+		count:     len(evs),
+	})
+	return nil
+}
+
+// appendEventPayload encodes the map's events with its frontier lastPoint —
+// an event frame's payload and a head event entry alike — and returns the
+// events' change-time bounds.
+func (w *Writer) appendEventPayload(payload []byte, id wmap.MapID, lastPoint int64, evs []events.Event) ([]byte, int64, int64) {
 	ref := func(s string) uint64 {
 		if s == "" {
 			return 0
 		}
 		return w.intern(s) + 1
 	}
-	payload := make([]byte, 0, 16+24*len(evs))
 	payload = binary.AppendUvarint(payload, w.intern(string(id)))
 	payload = binary.AppendUvarint(payload, uint64(lastPoint))
 	payload = binary.AppendUvarint(payload, uint64(len(evs)))
@@ -167,19 +189,7 @@ func (w *Writer) writeEventFrame(id wmap.MapID, evs []events.Event) error {
 		payload = binary.AppendUvarint(payload, uint64(ev.Load))
 		payload = binary.AppendUvarint(payload, uint64(ev.Gbps))
 	}
-	f, err := w.writeFrame(payload)
-	if err != nil {
-		return err
-	}
-	w.evIndex = append(w.evIndex, eventMeta{
-		frame:     f,
-		mapRef:    w.strIDs[string(id)],
-		firstUnix: first,
-		lastUnix:  last,
-		lastPoint: lastPoint,
-		count:     len(evs),
-	})
-	return nil
+	return payload, first, last
 }
 
 // parseEventMeta decodes and validates one event-index row; every field is
@@ -237,6 +247,26 @@ func decodeEventsAt(r io.ReaderAt, size int64, meta *eventMeta, strs []string) (
 	if err := d.header("event frame", meta.mapRef, uint64(meta.lastPoint), uint64(meta.count)); err != nil {
 		return nil, err
 	}
+	id := wmap.MapID(strs[meta.mapRef])
+	evs, first, last, err := decodeEventRows(&d, id, meta.count, meta.firstUnix, meta.lastUnix, strs)
+	if err != nil {
+		return nil, err
+	}
+	if d.remaining() != 0 {
+		return nil, corruptf(d.abs(), "%d trailing bytes in event frame", d.remaining())
+	}
+	if first != meta.firstUnix || last != meta.lastUnix {
+		return nil, corruptf(meta.offset+4, "event frame time bounds [%d, %d] disagree with index's [%d, %d]",
+			first, last, meta.firstUnix, meta.lastUnix)
+	}
+	return &decodedEvents{meta: meta, evs: evs}, nil
+}
+
+// decodeEventRows decodes count events of map id from d, each with its
+// change time inside [lo, hi], and returns them with their time bounds.
+// Every field is validated, so a flipped byte that survives a CRC cannot
+// surface as a silently different event.
+func decodeEventRows(d *dec, id wmap.MapID, count int, lo, hi int64, strs []string) ([]events.Event, int64, int64, error) {
 	str := func(ref uint64) (string, error) {
 		if ref == 0 {
 			return "", nil
@@ -246,24 +276,23 @@ func decodeEventsAt(r io.ReaderAt, size int64, meta *eventMeta, strs []string) (
 		}
 		return strs[ref-1], nil
 	}
-	id := wmap.MapID(strs[meta.mapRef])
-	de := &decodedEvents{meta: meta, evs: make([]events.Event, 0, meta.count)}
+	evs := make([]events.Event, 0, count)
 	first, last := int64(math.MaxInt64), int64(math.MinInt64)
-	for i := 0; i < meta.count; i++ {
+	for i := 0; i < count; i++ {
 		tb, err := d.byte("event type")
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		ty := events.Type(tb)
 		if !ty.Valid() {
-			return nil, corruptf(d.abs(), "unknown event type %d", tb)
+			return nil, 0, 0, corruptf(d.abs(), "unknown event type %d", tb)
 		}
 		u, err := d.uvarint("event time")
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
-		if u > maxUnixSeconds || int64(u) < meta.firstUnix || int64(u) > meta.lastUnix {
-			return nil, corruptf(d.abs(), "event time %d outside frame bounds [%d, %d]", u, meta.firstUnix, meta.lastUnix)
+		if u > maxUnixSeconds || int64(u) < lo || int64(u) > hi {
+			return nil, 0, 0, corruptf(d.abs(), "event time %d outside frame bounds [%d, %d]", u, lo, hi)
 		}
 		if int64(u) < first {
 			first = int64(u)
@@ -276,46 +305,46 @@ func decodeEventsAt(r io.ReaderAt, size int64, meta *eventMeta, strs []string) (
 		for j := range fields {
 			ref, err := d.uvarint(fieldNames[j])
 			if err != nil {
-				return nil, err
+				return nil, 0, 0, err
 			}
 			if fields[j], err = str(ref); err != nil {
-				return nil, err
+				return nil, 0, 0, err
 			}
 		}
 		ord, err := d.uvarint("event ordinal")
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if ord > math.MaxInt32 {
-			return nil, corruptf(d.abs(), "event ordinal %d absurd", ord)
+			return nil, 0, 0, corruptf(d.abs(), "event ordinal %d absurd", ord)
 		}
 		flags, err := d.byte("event flags")
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if flags&^1 != 0 {
-			return nil, corruptf(d.abs(), "unknown event flag bits %#x", flags)
+			return nil, 0, 0, corruptf(d.abs(), "unknown event flag bits %#x", flags)
 		}
 		delta, err := d.varint("event delta")
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if delta > math.MaxInt32 || delta < math.MinInt32 {
-			return nil, corruptf(d.abs(), "event delta %d absurd", delta)
+			return nil, 0, 0, corruptf(d.abs(), "event delta %d absurd", delta)
 		}
 		load, err := d.uvarint("event load")
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if !wmap.Load(load).Valid() {
-			return nil, corruptf(d.abs(), "event load %d out of [0, 100]", load)
+			return nil, 0, 0, corruptf(d.abs(), "event load %d out of [0, 100]", load)
 		}
 		gbps, err := d.uvarint("event gbps")
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if gbps > math.MaxInt32 {
-			return nil, corruptf(d.abs(), "event gbps %d absurd", gbps)
+			return nil, 0, 0, corruptf(d.abs(), "event gbps %d absurd", gbps)
 		}
 		ev := events.Event{
 			Map: id, Type: ty, Time: time.Unix(int64(u), 0).UTC(),
@@ -327,16 +356,9 @@ func decodeEventsAt(r io.ReaderAt, size int64, meta *eventMeta, strs []string) (
 		// The summary is not persisted (it is derivable); render it once at
 		// decode so every request serving this cached frame reuses it.
 		ev.Summary = ev.Summarize()
-		de.evs = append(de.evs, ev)
+		evs = append(evs, ev)
 	}
-	if d.remaining() != 0 {
-		return nil, corruptf(d.abs(), "%d trailing bytes in event frame", d.remaining())
-	}
-	if first != meta.firstUnix || last != meta.lastUnix {
-		return nil, corruptf(meta.offset+4, "event frame time bounds [%d, %d] disagree with index's [%d, %d]",
-			first, last, meta.firstUnix, meta.lastUnix)
-	}
-	return de, nil
+	return evs, first, last, nil
 }
 
 // eventFrame returns event frame ei of st, through the cache when one is
@@ -378,7 +400,7 @@ func (r *Reader) Events(ctx context.Context, f EventFilter) ([]events.Event, err
 	st := r.st()
 	ids := st.mapIDs
 	if f.Map != "" {
-		if len(st.perMap[f.Map]) == 0 && len(st.evPerMap[f.Map]) == 0 {
+		if !st.hasMap(f.Map) && len(st.evPerMap[f.Map]) == 0 {
 			return nil, fmt.Errorf("tsdb: map %q: %w", f.Map, ErrUnknownMap)
 		}
 		ids = []wmap.MapID{f.Map}
@@ -398,46 +420,64 @@ func (r *Reader) Events(ctx context.Context, f EventFilter) ([]events.Event, err
 			if err != nil {
 				return nil, err
 			}
-			for i := range de.evs {
-				ev := &de.evs[i]
-				u := ev.Time.Unix()
-				if u < fromU || u > toU || !f.wantType(ev.Type) {
-					continue
-				}
-				out = append(out, *ev)
-			}
+			out = f.appendMatching(out, de.evs, fromU, toU)
+		}
+		// Live head events follow the map's event frames: they are newer.
+		for _, e := range st.headEvs[id] {
+			out = f.appendMatching(out, e.evs, fromU, toU)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	return out, nil
 }
 
-// EventFrames returns the number of event frames in the current committed
-// state — the cursor EventsSince resumes from.
-func (r *Reader) EventFrames() int { return len(r.st().events) }
+// appendMatching appends the events of evs the filter selects.
+func (f *EventFilter) appendMatching(out, evs []events.Event, fromU, toU int64) []events.Event {
+	for i := range evs {
+		ev := &evs[i]
+		if u := ev.Time.Unix(); u < fromU || u > toU || !f.wantType(ev.Type) {
+			continue
+		}
+		out = append(out, *ev)
+	}
+	return out
+}
 
-// EventsSince decodes the event frames appended after the first n (in
-// commit order, all maps interleaved) and returns them plus the new frame
-// count. The live-tail publisher calls it after every Refresh that adopted
-// data and pushes the result to SSE subscribers.
+// EventFrames returns the number of event frames in the reader's event
+// sequence — the cursor EventsSince resumes from. The sequence lists, in
+// the order this reader adopted them, the archive's event frames and the
+// live head's event entries (each counts as a frame); a frame that seals
+// events the head already surfaced brings only the rest, and one that
+// brings nothing new is left out. On a closed archive it is the number of
+// event frames; it is 0 exactly when the archive holds no event yet.
+func (r *Reader) EventFrames() int { return len(r.st().evLog) }
+
+// EventsSince returns the events of the frames past the first n of the
+// reader's event sequence (see EventFrames) plus the sequence's new
+// length: each event surfaces exactly once. The live-tail publisher calls
+// it after every Refresh that adopted data and pushes the result to SSE
+// subscribers.
 func (r *Reader) EventsSince(ctx context.Context, n int) ([]events.Event, int, error) {
 	st := r.st()
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(st.events) {
-		return nil, len(st.events), nil
+	n = max(n, 0)
+	if n >= len(st.evLog) {
+		return nil, len(st.evLog), nil
 	}
 	var out []events.Event
-	for ei := n; ei < len(st.events); ei++ {
+	for i := n; i < len(st.evLog); i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, n, err
 		}
-		de, err := r.eventFrame(st, ei)
-		if err != nil {
-			return nil, n, err
+		seg := &st.evLog[i]
+		evs := seg.head
+		if seg.ei >= 0 {
+			de, err := r.eventFrame(st, seg.ei)
+			if err != nil {
+				return nil, n, err
+			}
+			evs = de.evs
 		}
-		out = append(out, de.evs...)
+		out = append(out, evs[seg.skip:seg.skip+seg.n]...)
 	}
-	return out, len(st.events), nil
+	return out, len(st.evLog), nil
 }

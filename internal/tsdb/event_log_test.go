@@ -200,9 +200,11 @@ func TestEventLogResumeByteIdentity(t *testing.T) {
 		}
 		if crash {
 			// Simulated kill: abandon the writer, restore the on-disk state
-			// at a fresh path, and resume from the checkpoint.
+			// at a fresh path, and resume from the checkpoint and the head.
 			st := captureFiles(t, path)
-			path = restoreFiles(t, dir, "resumed-"+name, st)
+			resumed := restoreFiles(t, dir, "resumed-"+name, st)
+			copyHead(t, path, resumed)
+			path = resumed
 			if w, err = OpenAppend(path); err != nil {
 				t.Fatal(err)
 			}

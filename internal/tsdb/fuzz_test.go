@@ -192,7 +192,7 @@ func FuzzBlockReader(f *testing.F) {
 }
 
 // FuzzAppendRecovery throws arbitrary crash states — a data file plus an
-// optional checkpoint sidecar — at OpenAppend. Whatever the bytes, recovery
+// optional checkpoint sidecar and an optional head sidecar — at OpenAppend. Whatever the bytes, recovery
 // must either fail with *CorruptError or accept the state. A non-empty
 // accepted state must also open for reading, with the writer's snapshot,
 // block and topology counts, and must Close into a well-formed archive
@@ -222,7 +222,7 @@ func FuzzAppendRecovery(f *testing.F) {
 		f.Fatal(err)
 	}
 	w.SetBlockPoints(2)
-	snap := func() (data, ckpt []byte) {
+	snap := func() (data, ckpt, head []byte) {
 		if err := w.Sync(); err != nil {
 			f.Fatal(err)
 		}
@@ -234,20 +234,24 @@ func FuzzAppendRecovery(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		return data, ckpt
+		head, err = os.ReadFile(headPath(seedPath))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data, ckpt, head
 	}
 	for i := 0; i < 3; i++ {
 		if err := w.Append(mk(5*i, 10*i)); err != nil {
 			f.Fatal(err)
 		}
 	}
-	data1, ckpt1 := snap()
+	data1, ckpt1, head1 := snap()
 	for i := 3; i < 6; i++ {
 		if err := w.Append(mk(5*i, 10*i)); err != nil {
 			f.Fatal(err)
 		}
 	}
-	data2, ckpt2 := snap()
+	data2, ckpt2, head2 := snap()
 	// A topology change retires the rollup run and flushes a fragment frame
 	// with its commit: this state's tail holds rollup frames — and, with the
 	// load crossing the congestion threshold, an event frame — exercising the
@@ -259,7 +263,7 @@ func FuzzAppendRecovery(f *testing.F) {
 	if err := w.Append(grown); err != nil {
 		f.Fatal(err)
 	}
-	data3, ckpt3 := snap()
+	data3, ckpt3, head3 := snap()
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -268,18 +272,23 @@ func FuzzAppendRecovery(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(data1, ckpt1, true)
-	f.Add(data2, ckpt2, true)
-	f.Add(data2, ckpt1, true)      // torn tail: old commit, newer uncommitted bytes
-	f.Add(data1, ckpt2, true)      // committed data lost
-	f.Add(data3, ckpt3, true)      // commit whose tail carries rollup fragment frames
-	f.Add(data3, ckpt2, true)      // torn tail including uncommitted rollup frames
-	f.Add(closed, []byte{}, false) // clean closed archive, no sidecar
-	f.Add(closed, ckpt2, true)     // stale sidecar next to a closed archive
-	f.Add([]byte(headerMagic), ckpt1, true)
-	f.Add([]byte{}, []byte{}, false)
+	f.Add(data1, ckpt1, head1, true)
+	f.Add(data2, ckpt2, head2, true)
+	f.Add(data2, ckpt1, head1, true)         // torn tail: old commit, newer uncommitted bytes
+	f.Add(data1, ckpt2, head2, true)         // committed data lost
+	f.Add(data3, ckpt3, head3, true)         // commit whose tail carries rollup fragment frames
+	f.Add(data3, ckpt2, head2, true)         // torn tail including uncommitted rollup frames
+	f.Add(closed, []byte{}, []byte{}, false) // clean closed archive, no sidecar
+	f.Add(closed, ckpt2, []byte{}, true)     // stale sidecar next to a closed archive
+	f.Add([]byte(headerMagic), ckpt1, []byte{}, true)
+	f.Add([]byte{}, []byte{}, []byte{}, false)
+	f.Add(data2, ckpt2, head2[:len(head2)-3], true) // torn head frame
+	f.Add(data2, ckpt2, head1, true)                // head of an earlier commit
+	f.Add(data3, ckpt3, head2, true)                // head whose points a later seal covers
+	f.Add(data1, ckpt1, head3, true)                // head referencing entries the commit lacks
+	f.Add(closed, []byte{}, head3, false)           // stale head next to a closed archive
 
-	f.Fuzz(func(t *testing.T, data, ckpt []byte, hasCkpt bool) {
+	f.Fuzz(func(t *testing.T, data, ckpt, head []byte, hasCkpt bool) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "a.tsdb")
 		if err := os.WriteFile(path, data, 0o666); err != nil {
@@ -287,6 +296,11 @@ func FuzzAppendRecovery(f *testing.F) {
 		}
 		if hasCkpt {
 			if err := os.WriteFile(CheckpointPath(path), ckpt, 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(head) > 0 {
+			if err := os.WriteFile(headPath(path), head, 0o666); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -353,6 +367,108 @@ func FuzzAppendRecovery(f *testing.F) {
 		}
 		if err := w2.Close(); err != nil {
 			t.Fatalf("resumed archive does not close: %v", err)
+		}
+	})
+}
+
+// FuzzHeadRecovery holds a live archive's data file and checkpoint fixed
+// and throws arbitrary head sidecars at it. OpenFile and OpenAppend must
+// agree: both refuse the head with a *CorruptError, or both accept it with
+// the same snapshot count — the committed ones plus whatever whole frames
+// replay. An accepted state closes into an archive that opens and reads
+// back exactly the snapshots the writer reported.
+func FuzzHeadRecovery(f *testing.F) {
+	seedPath := filepath.Join(f.TempDir(), "seed.tsdb")
+	w, err := OpenAppend(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.SetBlockPoints(4)
+	for i := 0; i < 11; i++ {
+		if err := w.Append(evSeqMap(wmap.Europe, i)); err != nil {
+			f.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := w.Append(seqMap(wmap.World, i)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(CheckpointPath(seedPath))
+	if err != nil {
+		f.Fatal(err)
+	}
+	head, err := os.ReadFile(headPath(seedPath))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(head)
+	f.Add(head[:len(head)-5])
+	f.Add(head[:headHeaderLen])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, head []byte) {
+		path := filepath.Join(t.TempDir(), "a.tsdb")
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(CheckpointPath(path), ckpt, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(headPath(path), head, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		var ce *CorruptError
+		rd0, rerr := OpenFile(path)
+		if rerr == nil {
+			defer rd0.Close()
+		} else if !errors.As(rerr, &ce) {
+			t.Fatalf("OpenFile error %v is not *CorruptError", rerr)
+		}
+		w, err := OpenAppend(path)
+		if err != nil {
+			if !errors.As(err, &ce) {
+				t.Fatalf("OpenAppend error %v is not *CorruptError", err)
+			}
+			if rerr == nil {
+				t.Fatalf("OpenAppend refused a head OpenFile accepts: %v", err)
+			}
+			return
+		}
+		if rerr != nil {
+			t.Fatalf("OpenAppend accepted a head OpenFile refuses: %v", rerr)
+		}
+		want := w.Stats().Snapshots
+		if got := rd0.Stats().Snapshots; got != want {
+			t.Fatalf("reader shows %d snapshots, the resumed writer %d", got, want)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("Close after accepted recovery: %v", err)
+		}
+		rd, err := OpenFile(path)
+		if err != nil {
+			t.Fatalf("recovered archive does not open: %v", err)
+		}
+		defer rd.Close()
+		n := 0
+		for _, id := range rd.Maps() {
+			cur := rd.CursorParallel(context.Background(), id, time.Time{}, time.Time{}, 1)
+			for cur.Next() {
+				n++
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatalf("cursor over the closed archive: %v", err)
+			}
+		}
+		if n != want {
+			t.Fatalf("closed archive yields %d snapshots, the writer held %d", n, want)
 		}
 	})
 }

@@ -113,7 +113,7 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		return nil, fmt.Errorf("tsdb: grid step %s must be a positive whole number of seconds", step)
 	}
 	st := r.st()
-	if len(st.perMap[id]) == 0 {
+	if !st.hasMap(id) {
 		return nil, fmt.Errorf("tsdb: map %q: %w", id, ErrUnknownMap)
 	}
 	fromU, toU := rangeBounds(from, to)
@@ -127,7 +127,7 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		seenTopo := make(map[int]bool)
 		have := make(map[LinkKey]bool)
 		for _, bi := range blocks {
-			ti := st.blocks[bi].topoIndex
+			ti := st.meta(bi).topoIndex
 			if seenTopo[ti] {
 				continue
 			}
@@ -154,7 +154,7 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		res.links[li].first, res.links[li].last = -1, -1
 	}
 	for _, bi := range blocks {
-		for li, ci := range res.resolve(topoIdx, st.blocks[bi].topoIndex) {
+		for li, ci := range res.resolve(topoIdx, st.meta(bi).topoIndex) {
 			if ci < 0 {
 				continue
 			}
@@ -174,7 +174,7 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		if gl.first < 0 {
 			continue // no data in range: encodes as empty series
 		}
-		gl.end = st.blocks[gl.last].lastUnix
+		gl.end = st.meta(gl.last).lastUnix
 		if gl.end > toU {
 			gl.end = toU
 		}
@@ -188,7 +188,7 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		} else {
 			// Raw anchor is the first decoded sample, not yet known; bound
 			// the window count from the first block's base time.
-			t0 := st.blocks[gl.first].baseUnix
+			t0 := st.meta(gl.first).baseUnix
 			if t0 < fromU {
 				t0 = fromU
 			}
@@ -371,7 +371,7 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 	// and has its tail past cut there.
 	var ids []int
 	for _, bi := range blocks {
-		meta := &st.blocks[bi]
+		meta := st.meta(bi)
 		for li, ci := range res.cols[meta.topoIndex] {
 			if ci < 0 {
 				continue
@@ -382,9 +382,9 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 			}
 		}
 	}
-	group := func(i int) int { return res.columnGroup(st.blocks[ids[i]].topoIndex) }
+	group := func(i int) int { return res.columnGroup(st.meta(ids[i]).topoIndex) }
 	return r.scanBlocks(ctx, st, ids, group, fromU, toU, func(i int, db *decodedBlock, lo, hi int) error {
-		meta := &st.blocks[ids[i]]
+		meta := st.meta(ids[i])
 		col := res.cols[meta.topoIndex]
 		for li := range res.links {
 			ci := int(col[li])
@@ -464,7 +464,7 @@ type GridChunk struct {
 // consume instead of materializing a *wmap.Map per snapshot.
 func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.Time, fn func(c *GridChunk) error) error {
 	st := r.st()
-	if len(st.perMap[id]) == 0 {
+	if !st.hasMap(id) {
 		return fmt.Errorf("tsdb: map %q: %w", id, ErrUnknownMap)
 	}
 	fromU, toU := rangeBounds(from, to)
@@ -475,7 +475,7 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 	}
 	var c GridChunk
 	return r.scanBlocks(ctx, st, ids, func(int) int { return allColumns }, fromU, toU, func(i int, db *decodedBlock, lo, hi int) error {
-		ti := st.blocks[ids[i]].topoIndex
+		ti := st.meta(ids[i]).topoIndex
 		c.Keys = topoKeys[ti]
 		c.Links = st.topos[ti].Links()
 		L := len(c.Links)

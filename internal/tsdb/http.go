@@ -268,43 +268,16 @@ func (a *api) handleMaps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"maps": out})
 }
 
-type topoNode struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-}
-
-type topoLink struct {
-	ID     string `json:"id"`
-	A      string `json:"a"`
-	B      string `json:"b"`
-	LabelA string `json:"label_a"`
-	LabelB string `json:"label_b"`
-	LoadAB int    `json:"load_ab"`
-	LoadBA int    `json:"load_ba"`
-}
-
 func (a *api) handleTopology(w http.ResponseWriter, r *http.Request) {
 	m, _, ok := a.snapshotAt(w, r, "topology")
 	if !ok {
 		return
 	}
-	id := m.ID
-	nodes := make([]topoNode, 0, len(m.Nodes))
-	for _, n := range m.Nodes {
-		nodes = append(nodes, topoNode{Name: n.Name, Kind: string(n.Kind)})
-	}
-	keys := LinkKeysOf(m)
-	links := make([]topoLink, 0, len(m.Links))
-	for i, l := range m.Links {
-		links = append(links, topoLink{
-			ID: keys[i].ID(id), A: l.A, B: l.B,
-			LabelA: l.LabelA, LabelB: l.LabelB,
-			LoadAB: int(l.LoadAB), LoadBA: int(l.LoadBA),
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"map": id, "time": m.Time, "nodes": nodes, "links": links,
-	})
+	bp := getEncBuf()
+	b := appendTopologyJSON((*bp)[:0], m, LinkKeysOf(m))
+	writeBody(w, http.StatusOK, b)
+	*bp = b
+	putEncBuf(bp)
 }
 
 func (a *api) handleLinkLoad(w http.ResponseWriter, r *http.Request) {
@@ -615,16 +588,11 @@ func (a *api) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Refresh lands mid-request.
 	st := a.rd.st()
 	snapshots := 0
-	for i := range st.blocks {
-		snapshots += st.blocks[i].points
-	}
 	covered := make([]coveredRange, 0, len(st.mapIDs))
 	for _, id := range st.mapIDs {
 		from, to, _ := st.bounds(id)
-		n := 0
-		for _, bi := range st.perMap[id] {
-			n += st.blocks[bi].points
-		}
+		n := st.snapshots(id)
+		snapshots += n
 		covered = append(covered, coveredRange{Map: id, From: from, To: to, Snapshots: n})
 	}
 	cs := a.rd.BlockCache().Stats()
@@ -639,7 +607,7 @@ func (a *api) handleStats(w http.ResponseWriter, r *http.Request) {
 			"snapshots":     snapshots,
 			"topologies":    len(st.topos),
 			"strings":       len(st.strs),
-			"bytes":         st.size,
+			"bytes":         st.bytes,
 			"covered":       covered,
 		},
 		"block_cache": map[string]any{

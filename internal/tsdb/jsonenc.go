@@ -10,6 +10,9 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
+
+	"ovhweather/internal/wmap"
 )
 
 // Append-style JSON encoding for the hot API endpoints. The per-request
@@ -75,6 +78,113 @@ func appendJSONString(b []byte, s string) []byte {
 		start = i + 1
 	}
 	return append(append(b, s[start:]...), '"')
+}
+
+// appendJSONStringHTML appends s quoted exactly as encoding/json's Marshal
+// renders a string: appendJSONString's escapes, \b and \f by name, the
+// HTML-significant <, > and & as \u003c, \u003e and \u0026, U+2028 and
+// U+2029 escaped, and each byte of invalid UTF-8 replaced by \ufffd. The
+// fast path still copies runs of plain bytes in one append.
+func appendJSONStringHTML(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexEsc[c>>4], hexEsc[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexEsc[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
+}
+
+// appendTopologyJSON appends the /api/v1/topology body for snapshot m,
+// whose link keys are keys: byte for byte what encoding/json's
+// MarshalIndent(v, "", "  ") renders for v = {"map", "time", "nodes":
+// [{"name", "kind"}], "links": [{"id", "a", "b", "label_a", "label_b",
+// "load_ab", "load_ba"}]} with the top-level keys sorted, then a newline.
+func appendTopologyJSON(b []byte, m *wmap.Map, keys []LinkKey) []byte {
+	b = append(b, "{\n  \"links\": ["...)
+	for i := range m.Links {
+		l := &m.Links[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"id\": \""...)
+		b = keys[i].appendID(b, m.ID)
+		b = append(b, "\",\n      \"a\": "...)
+		b = appendJSONStringHTML(b, l.A)
+		b = append(b, ",\n      \"b\": "...)
+		b = appendJSONStringHTML(b, l.B)
+		b = append(b, ",\n      \"label_a\": "...)
+		b = appendJSONStringHTML(b, l.LabelA)
+		b = append(b, ",\n      \"label_b\": "...)
+		b = appendJSONStringHTML(b, l.LabelB)
+		b = append(b, ",\n      \"load_ab\": "...)
+		b = strconv.AppendInt(b, int64(l.LoadAB), 10)
+		b = append(b, ",\n      \"load_ba\": "...)
+		b = strconv.AppendInt(b, int64(l.LoadBA), 10)
+		b = append(b, "\n    }"...)
+	}
+	if len(m.Links) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "],\n  \"map\": "...)
+	b = appendJSONStringHTML(b, string(m.ID))
+	b = append(b, ",\n  \"nodes\": ["...)
+	for i := range m.Nodes {
+		n := &m.Nodes[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"name\": "...)
+		b = appendJSONStringHTML(b, n.Name)
+		b = append(b, ",\n      \"kind\": "...)
+		b = appendJSONStringHTML(b, string(n.Kind))
+		b = append(b, "\n    }"...)
+	}
+	if len(m.Nodes) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "],\n  \"time\": "...)
+	b = appendJSONTime(b, m.Time)
+	return append(b, "\n}\n"...)
 }
 
 // appendJSONTime appends t exactly as encoding/json renders a time.Time: a

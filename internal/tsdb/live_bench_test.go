@@ -9,10 +9,11 @@ import (
 )
 
 // Benchmarks for the live-append path: appender throughput at the two
-// commit cadences the tools use (wmparse -follow commits per poll cycle,
-// i.e. roughly per block; wmcollect can commit per snapshot), and the
-// tailing reader's Refresh cost both when nothing changed (every idle poll)
-// and when a commit is adopted. Run with:
+// Sync cadences the tools use (wmparse -follow Syncs per poll cycle, here
+// every 64 snapshots; wmcollect per snapshot — a head frame each, blocks
+// sealing at 64 points either way), and the tailing reader's Refresh cost
+// when nothing changed (every idle poll), when it adopts a head frame, and
+// when it adopts a sealed block. Run with:
 //
 //	go test -run xxx -bench BenchmarkLiveAppend -benchmem ./internal/tsdb/
 //	go test -run xxx -bench BenchmarkRefresh -benchtime 500x -benchmem ./internal/tsdb/
@@ -66,7 +67,7 @@ func seqMapB(id wmap.MapID, i int) *wmap.Map {
 
 func BenchmarkRefresh(b *testing.B) {
 	// noop: the steady-state cost of a poll that finds no new commit —
-	// one checkpoint read plus a fingerprint compare.
+	// the head's header and the checkpoint's, plus a fingerprint compare.
 	b.Run("noop", func(b *testing.B) {
 		path := filepath.Join(b.TempDir(), "bench.tsdb")
 		w, err := OpenAppend(path)
@@ -101,16 +102,60 @@ func BenchmarkRefresh(b *testing.B) {
 		}
 	})
 
-	// adopt: the cost of adopting a freshly committed snapshot — reread
-	// the checkpoint, reparse the footer, validate the extension, publish
-	// the new state. The append+Sync feeding each iteration is untimed.
+	// adopt-head: the cost of adopting one Sync's head frame — the steady
+	// poll of a live archive: read the frame past the last offset, compare
+	// the checkpoint header, publish the new state. The append+Sync
+	// feeding each iteration is untimed.
+	b.Run("adopt-head", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "bench.tsdb")
+		w, err := OpenAppend(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.SetBlockPoints(1 << 20) // nothing seals: every Sync is a head frame
+		if err := w.Append(seqMapB(wmap.Europe, 0)); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+		rd, err := OpenFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rd.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := w.Append(seqMapB(wmap.Europe, i+1)); err != nil {
+				b.Fatal(err)
+			}
+			if err := w.Sync(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			changed, err := rd.Refresh()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !changed {
+				b.Fatal("refresh missed a head frame")
+			}
+		}
+	})
+
+	// adopt: the cost of adopting a freshly sealed block — reread the
+	// checkpoint, reparse the footer, validate the extension, publish the
+	// new state. The append+Sync feeding each iteration is untimed.
 	b.Run("adopt", func(b *testing.B) {
 		path := filepath.Join(b.TempDir(), "bench.tsdb")
 		w, err := OpenAppend(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		w.SetBlockPoints(1) // every snapshot is a full block: every Sync commits
+		w.SetBlockPoints(1) // every snapshot is a full block: every Append seals and commits
 		if err := w.Append(seqMapB(wmap.Europe, 0)); err != nil {
 			b.Fatal(err)
 		}

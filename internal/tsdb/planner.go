@@ -71,11 +71,11 @@ func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, fir
 	// The raw path's Resample anchors windows at the first point in range.
 	// That anchor is knowable without decoding only when the first block
 	// starts inside the range — then it is exactly the block's base time.
-	t0 := st.blocks[first].baseUnix
+	t0 := st.meta(first).baseUnix
 	if t0 < fromU {
 		return nil
 	}
-	end := st.blocks[last].lastUnix
+	end := st.meta(last).lastUnix
 	if end > toU {
 		end = toU
 	}
@@ -191,7 +191,7 @@ type RollupBucket struct {
 // ErrUnknownMap for an unarchived map.
 func (r *Reader) RollupTotals(ctx context.Context, id wmap.MapID, res time.Duration, from, to time.Time) ([]RollupBucket, error) {
 	st := r.st()
-	if len(st.perMap[id]) == 0 {
+	if !st.hasMap(id) {
 		return nil, fmt.Errorf("tsdb: map %q: %w", id, ErrUnknownMap)
 	}
 	if res <= 0 || res%time.Second != 0 {

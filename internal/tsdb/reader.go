@@ -1,10 +1,14 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"slices"
@@ -13,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ovhweather/internal/events"
 	"ovhweather/internal/wmap"
 )
 
@@ -64,41 +69,105 @@ type Reader struct {
 	grid gridCounters
 }
 
-// readerState is one committed view of the archive: everything parsed from
-// a footer or checkpoint plus the derived lookup structures. Instances are
-// immutable after buildState (the lazily built link directory is guarded by
-// its own sync.Once) and shared freely between goroutines.
+// readerState is one committed view of the archive: a commitView — what a
+// footer or checkpoint holds — plus the live head points and events read
+// past it. Instances are immutable once published (the lazily built link
+// directory is guarded by its own sync.Once) and shared freely between
+// goroutines. Head blocks follow the sealed blocks in block-index order:
+// block bi < len(blocks) is sealed, block len(blocks)+k is heads[k], so
+// cursor, planner and grid serve both through one code path.
 type readerState struct {
-	size    int64 // readable byte bound: file size (closed) or dataEnd (live)
+	*commitView
+	bytes  int64        // data file plus head: what the archive occupies
+	mapIDs []wmap.MapID // maps with sealed or head points, sorted
+
+	heads   []*headBlock                // one per map with live head points, by map id
+	headOf  map[wmap.MapID]int          // index into heads
+	headEvs map[wmap.MapID][]headEvents // live head event entries, head order
+	hgen    uint64                      // head generation read; 0: no head
+	hoff    int64                       // head bytes consumed: every whole frame read
+	hver    uint64                      // newest head frame version read
+
+	fp      uint64 // fingerprint: the commit's, rolled with the head read
+	version uint64 // newest of the checkpoint's and the head frames' versions
+
+	// evLog is the reader's event sequence in adoption order (see
+	// adoptEvents, EventFrames); evAdopted counts each map's events in it.
+	evLog     []evSeg
+	evAdopted map[wmap.MapID]int
+
+	linkDirOnce sync.Once
+	linkDir     map[string]linkAddr
+}
+
+// commitView is what one footer or checkpoint holds, with the lookup
+// structures derived from it. States whose refresh found the checkpoint
+// unchanged share it.
+type commitView struct {
+	c       *committed // the commit state it was parsed from
+	size    int64      // readable byte bound: file size (closed) or dataEnd (live)
 	strs    []string
 	topos   []*wmap.Topology
 	blocks  []blockMeta
 	rollups []rollupMeta
 	events  []eventMeta
-	perMap  map[wmap.MapID][]int // block indexes, chronological
+	perMap  map[wmap.MapID][]int // sealed block indexes, chronological
+	snaps   map[wmap.MapID]int   // sealed snapshots per map
+	evCount map[wmap.MapID]int   // events per map in event frames
+	lives   headLives            // which head entries the commit leaves live
+	sealed  []wmap.MapID         // maps with sealed blocks, sorted
 	// evPerMap lists each map's event-frame indexes in commit (offset) order.
 	evPerMap map[wmap.MapID][]int
 	// rollupTiers groups each map's rollup blocks by resolution, ascending;
 	// within a tier entries are chronological by first bucket. The planner
 	// walks tiers coarsest-first.
 	rollupTiers map[wmap.MapID][]rollupTier
-	mapIDs      []wmap.MapID
-	fp          uint64 // fingerprint: FNV-1a over size and footer/checkpoint payload
-	version     uint64 // checkpoint commit version; 0 when parsed from a footer
+	cfp         uint64 // FNV-1a over size and footer/checkpoint payload
+	cversion    uint64 // checkpoint commit version; 0 when parsed from a footer
 	live        bool   // state came from a checkpoint (archive may still grow)
 
-	linkDirOnce sync.Once
-	linkDir     map[string]linkAddr
+	keyDir *topoKeyDir // shared by views over the same topology table
+}
 
-	// topoKeys/topoKeyIdx are the per-topology link-key directory the grid
-	// engine plans with: keys in column order and the inverse map, built
-	// once per state on first grid query (the same lazy discipline as
-	// linkDir). A scan resolves each link's column once per topology in
-	// range, so planning L links costs O(L·T) map probes for T topologies
-	// instead of O(L·B·links) string comparisons over B blocks.
-	topoKeyOnce sync.Once
-	topoKeys    [][]LinkKey
-	topoKeyIdx  []map[LinkKey]int
+// topoKeyDir is the per-topology link-key directory the grid engine plans
+// with: keys in column order and the inverse map, built once per topology
+// table on first grid query (the same lazy discipline as linkDir). A scan
+// resolves each link's column once per topology in range, so planning L
+// links costs O(L·T) map probes for T topologies instead of O(L·B·links)
+// string comparisons over B blocks.
+type topoKeyDir struct {
+	once sync.Once
+	keys [][]LinkKey
+	idx  []map[LinkKey]int
+}
+
+// headBlock is one map's live head points as an in-memory block: a prefix
+// view of the map's append-only head slab, one byte per load, decoded to a
+// decodedBlock only when a query asks.
+type headBlock struct {
+	meta blockMeta
+	ob   openBlock
+	once sync.Once
+	db   *decodedBlock
+}
+
+// decoded returns the head block's points as a decodedBlock, decoding them
+// on first use.
+func (hb *headBlock) decoded() *decodedBlock {
+	hb.once.Do(func() {
+		_, hb.db = hb.ob.decoded(hb.meta.mapRef)
+		hb.db.meta = &hb.meta
+	})
+	return hb.db
+}
+
+// evSeg is one frame of a reader's event sequence: events [skip, skip+n)
+// of sealed event frame ei, or, when ei < 0, of a head event entry's evs.
+type evSeg struct {
+	ei   int
+	head []events.Event
+	skip int
+	n    int
 }
 
 // rollupTier is one map's rollup blocks at one resolution.
@@ -128,7 +197,7 @@ func OpenFile(path string) (*Reader, error) {
 		return nil, fmt.Errorf("tsdb: %w", err)
 	}
 	rd := &Reader{r: f, f: f, path: path, closer: f}
-	st, err := rd.loadFileState()
+	st, err := rd.loadFileState(nil)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -150,7 +219,11 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := buildState(c)
+	cv, err := buildCommitView(c, nil)
+	if err != nil {
+		return nil, err
+	}
+	st, err := newState(cv, nil, 0, nil, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -159,49 +232,91 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 	return rd, nil
 }
 
-// loadFileState reads the file's current committed state.
-func (r *Reader) loadFileState() (*readerState, error) {
-	c, err := loadCommitted(r.f, CheckpointPath(r.path))
+// loadFileState reads the file's current committed state: the head
+// first, then the commit, so every live head point is in the head bytes
+// read or sealed in the commit read after them. Given the state a Refresh
+// starts from, it reads only the head frames past prev's offset and parses
+// the checkpoint payload only when its header changed.
+func (r *Reader) loadFileState(prev *readerState) (*readerState, error) {
+	var hgen uint64
+	var hoff int64
+	var prevC *committed
+	if prev != nil {
+		hgen, hoff, prevC = prev.hgen, prev.hoff, prev.c
+	}
+	gen, buf, start, hsize, err := readHeadFile(headPath(r.path), hgen, hoff)
+	if err != nil {
+		return nil, err
+	}
+	c, err := loadCommitted(r.f, CheckpointPath(r.path), prevC)
 	if c == nil && err == nil {
 		c, err = loadClosed(r.f, 0) // an empty file is no archive: fail it as too short
 	}
 	if err != nil {
 		return nil, err
 	}
-	return buildState(c)
+	var cv, prevCV *commitView
+	if prev != nil {
+		prevCV = prev.commitView
+	}
+	if prev != nil && c == prev.c {
+		cv = prevCV
+	} else if cv, err = buildCommitView(c, prevCV); err != nil {
+		return nil, err
+	} else if prev != nil && !c.fd.extended && !cv.extends(prevCV) {
+		return nil, ErrArchiveReplaced
+	}
+	if !cv.live {
+		gen, buf, hsize = 0, nil, 0 // a head beside a closed archive adds nothing
+	}
+	return newState(cv, prev, gen, buf, start, hsize)
 }
 
 // Refresh re-reads the archive's durable commit state and, when it has
-// advanced, atomically adopts the new committed prefix: subsequent queries
-// see the added blocks, the fingerprint (and every ETag derived from it)
-// rolls forward, and cursors or scans already running keep their opened
-// snapshot untouched. It reports whether anything changed.
+// advanced, atomically adopts it: subsequent queries see the added blocks
+// and head points, the fingerprint (and every ETag derived from it) rolls
+// forward, and cursors or scans already running keep their opened snapshot
+// untouched. It reports whether anything changed. A Refresh reads only the
+// head frames past the previous one and the checkpoint's fixed header. A
+// changed checkpoint is read whole, but only the table rows past the
+// current state's are parsed: strings, topologies (with the direction
+// indexes built on them) and index rows carry over, and the per-map
+// lookups are extended rather than rebuilt.
 //
 // Refresh verifies the new state is a strict extension of the current one
-// — same blocks, same offsets, only appended entries — and refuses with
-// ErrArchiveReplaced otherwise, because a rewritten file would silently
-// invalidate decoded-block cache entries and pinned cursors. Replacing an
-// archive wholesale requires a fresh Reader.
+// — same blocks, same offsets, only appended entries, no map's newest
+// point moving back — and refuses with ErrArchiveReplaced otherwise,
+// because a rewritten file would silently invalidate decoded-block cache
+// entries and pinned cursors. Replacing an archive wholesale requires a
+// fresh Reader.
 func (r *Reader) Refresh() (changed bool, err error) {
 	if r.f == nil {
 		return false, errors.New("tsdb: reader was not opened from a file; Refresh unavailable")
 	}
 	r.refreshMu.Lock()
 	defer r.refreshMu.Unlock()
-	ns, err := r.loadFileState()
+	cur := r.st()
+	ns, err := r.loadFileState(cur)
 	if err != nil {
 		return false, err
 	}
-	cur := r.st()
 	if ns.fp == cur.fp {
 		return false, nil
 	}
-	if len(ns.strs) < len(cur.strs) || len(ns.topos) < len(cur.topos) ||
-		!extends(ns.blocks, cur.blocks) || !extends(ns.rollups, cur.rollups) || !extends(ns.events, cur.events) {
-		return false, ErrArchiveReplaced
+	for _, id := range cur.mapIDs {
+		_, was, _ := cur.bounds(id)
+		if _, now, ok := ns.bounds(id); !ok || now.Before(was) {
+			return false, ErrArchiveReplaced
+		}
 	}
 	r.state.Store(ns)
 	return true, nil
+}
+
+// extends reports whether cv is cur grown by appends only.
+func (cv *commitView) extends(cur *commitView) bool {
+	return len(cv.strs) >= len(cur.strs) && len(cv.topos) >= len(cur.topos) &&
+		extends(cv.blocks, cur.blocks) && extends(cv.rollups, cur.rollups) && extends(cv.events, cur.events)
 }
 
 // extends reports whether next begins with every row of cur.
@@ -237,6 +352,40 @@ type footerData struct {
 	blocks  []blockMeta
 	rollups []rollupMeta
 	events  []eventMeta
+
+	// rows holds each table's encoded rows — strings, topologies, blocks,
+	// rollups, events — as the payload bytes they were parsed from, and
+	// dataEnd the bound the frames were checked against. A parse given
+	// the previous footerData skips every table whose rows begin with the
+	// previous rows, byte for byte; extended reports that all five did.
+	rows     [5][]byte
+	dataEnd  int64
+	extended bool
+}
+
+// reuseRows parses a table of n rows at d, reusing prev's values when the
+// table's bytes begin with prev's rows (prevRows): those are skipped, and
+// parse, given the values so far, decodes only the rows past them. The
+// returned values extend prev's slice in place when it has room — a
+// reader's states derive one from the next, and each sees only its own
+// length — and rows are the table's bytes.
+func reuseRows[T any](d *dec, n int, prevRows []byte, prev []T, parse func(vals []T) (T, error)) (vals []T, rows []byte, reused bool, err error) {
+	start := d.pos
+	if len(prev) <= n && len(prevRows) <= d.remaining() && bytes.Equal(d.b[d.pos:d.pos+len(prevRows)], prevRows) {
+		d.pos += len(prevRows)
+		vals, reused = prev, true
+	}
+	if vals == nil {
+		vals = make([]T, 0, n)
+	}
+	for len(vals) < n {
+		v, err := parse(vals)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		vals = append(vals, v)
+	}
+	return vals, d.b[start:d.pos], reused, nil
 }
 
 // parseFooterData decodes a footer payload: the string table, the
@@ -244,59 +393,72 @@ type footerData struct {
 // file offset of the payload's first byte (for error positions); dataEnd
 // bounds every block frame.
 func parseFooterData(payload []byte, payloadOff, dataEnd int64) (*footerData, error) {
+	return parseFooterReusing(payload, payloadOff, dataEnd, nil)
+}
+
+// parseFooterReusing is parseFooterData that skips the rows a refreshing
+// reader parsed last time (prev nil: none): every table of a growing
+// archive's checkpoint begins with the previous checkpoint's rows, so only
+// the appended rows are decoded, and prev's string values and
+// *wmap.Topology entries — with the direction indexes built on them —
+// carry over.
+func parseFooterReusing(payload []byte, payloadOff, dataEnd int64, prev *footerData) (*footerData, error) {
+	extending := prev != nil && dataEnd >= prev.dataEnd
+	if !extending {
+		prev = &footerData{}
+	}
 	d := &dec{b: payload, off: payloadOff}
-	fd := &footerData{}
+	fd := &footerData{dataEnd: dataEnd}
+	var same [5]bool
 	nstr, err := d.count("string table")
 	if err != nil {
 		return nil, err
 	}
-	fd.strs = make([]string, 0, nstr)
-	for i := 0; i < nstr; i++ {
+	fd.strs, fd.rows[0], same[0], err = reuseRows(d, nstr, prev.rows[0], prev.strs, func([]string) (string, error) {
 		slen, err := d.uvarint("string length")
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		if slen > uint64(d.remaining()) {
-			return nil, corruptf(d.abs(), "string of %d bytes exceeds %d remaining", slen, d.remaining())
+			return "", corruptf(d.abs(), "string of %d bytes exceeds %d remaining", slen, d.remaining())
 		}
 		b, err := d.bytes(int(slen), "string")
-		if err != nil {
-			return nil, err
-		}
-		fd.strs = append(fd.strs, string(b))
+		return string(b), err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	ntopo, err := d.count("topology table")
 	if err != nil {
 		return nil, err
 	}
-	prev := noTopology
-	fd.topos = make([]*wmap.Topology, 0, ntopo)
-	for i := 0; i < ntopo; i++ {
-		t, err := fd.parseTopology(d, prev)
-		if err != nil {
-			return nil, err
+	fd.topos, fd.rows[1], same[1], err = reuseRows(d, ntopo, prev.rows[1], prev.topos, func(topos []*wmap.Topology) (*wmap.Topology, error) {
+		base := noTopology // each entry is a delta against the one before
+		if len(topos) > 0 {
+			base = topos[len(topos)-1]
 		}
-		fd.topos = append(fd.topos, t)
-		prev = t
+		return fd.parseTopology(d, base)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	nblk, err := d.count("block index")
 	if err != nil {
 		return nil, err
 	}
-	fd.blocks = make([]blockMeta, 0, nblk)
-	for i := 0; i < nblk; i++ {
-		m, err := fd.parseBlockMeta(d, dataEnd)
-		if err != nil {
-			return nil, err
-		}
-		fd.blocks = append(fd.blocks, m)
+	fd.blocks, fd.rows[2], same[2], err = reuseRows(d, nblk, prev.rows[2], prev.blocks, func([]blockMeta) (blockMeta, error) {
+		return fd.parseBlockMeta(d, dataEnd)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// A payload that ends here is the v1 (PR 3–6) format: no rollup index,
 	// queries plan against raw blocks only. Otherwise a versioned suffix
 	// carries the rollup index (v2) and, since v3, the event-frame index.
+	same[3], same[4] = prev.rows[3] == nil, prev.rows[4] == nil
 	if d.remaining() != 0 {
 		ver, err := d.uvarint("footer version")
 		if err != nil {
@@ -309,40 +471,45 @@ func parseFooterData(payload []byte, payloadOff, dataEnd int64) (*footerData, er
 		if err != nil {
 			return nil, err
 		}
-		fd.rollups = make([]rollupMeta, 0, nroll)
-		for i := 0; i < nroll; i++ {
-			m, err := fd.parseRollupMeta(d, dataEnd)
-			if err != nil {
-				return nil, err
-			}
-			fd.rollups = append(fd.rollups, m)
+		fd.rollups, fd.rows[3], same[3], err = reuseRows(d, nroll, prev.rows[3], prev.rollups, func([]rollupMeta) (rollupMeta, error) {
+			return fd.parseRollupMeta(d, dataEnd)
+		})
+		if err != nil {
+			return nil, err
 		}
 		if ver >= footerVersionEvents {
 			nev, err := d.count("event index")
 			if err != nil {
 				return nil, err
 			}
-			fd.events = make([]eventMeta, 0, nev)
-			for i := 0; i < nev; i++ {
-				m, err := fd.parseEventMeta(d, dataEnd)
-				if err != nil {
-					return nil, err
-				}
-				fd.events = append(fd.events, m)
+			fd.events, fd.rows[4], same[4], err = reuseRows(d, nev, prev.rows[4], prev.events, func([]eventMeta) (eventMeta, error) {
+				return fd.parseEventMeta(d, dataEnd)
+			})
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
 	if d.remaining() != 0 {
 		return nil, corruptf(d.abs(), "%d trailing bytes after footer", d.remaining())
 	}
+	fd.extended = extending && same == [5]bool{true, true, true, true, true}
 	return fd, nil
 }
 
-// buildState derives the query-side lookup structures from a committed
-// state and validates the cross-block invariants.
-func buildState(c *committed) (*readerState, error) {
+// buildCommitView derives the query-side lookup structures from a
+// committed state and validates the cross-block invariants. Given the
+// view a refresh starts from, and a commit whose tables extend it row for
+// row, it derives the new view from prev and the appended rows alone.
+func buildCommitView(c *committed, prev *commitView) (*commitView, error) {
+	if prev != nil && c.fd.extended {
+		if cv := prev.extendedBy(c); cv != nil {
+			return cv, nil
+		}
+	}
 	fd := c.fd
-	st := &readerState{
+	cv := &commitView{
+		c:           c,
 		size:        c.size,
 		strs:        fd.strs,
 		topos:       fd.topos,
@@ -350,27 +517,33 @@ func buildState(c *committed) (*readerState, error) {
 		rollups:     fd.rollups,
 		events:      fd.events,
 		perMap:      make(map[wmap.MapID][]int),
+		snaps:       make(map[wmap.MapID]int),
+		evCount:     make(map[wmap.MapID]int),
+		lives:       headLivesOf(fd.strs, fd.blocks, fd.events),
 		evPerMap:    make(map[wmap.MapID][]int),
 		rollupTiers: make(map[wmap.MapID][]rollupTier),
-		fp:          fingerprintState(c.size, c.payload),
-		version:     c.version,
+		cfp:         c.fingerprint(),
+		cversion:    c.version,
 		live:        c.live,
+		keyDir:      &topoKeyDir{},
 	}
-	for i := range st.blocks {
-		id := wmap.MapID(st.strs[st.blocks[i].mapRef])
-		st.perMap[id] = append(st.perMap[id], i)
+	for i := range cv.blocks {
+		id := wmap.MapID(cv.strs[cv.blocks[i].mapRef])
+		cv.perMap[id] = append(cv.perMap[id], i)
+		cv.snaps[id] += cv.blocks[i].points
 	}
-	for i := range st.events {
-		id := wmap.MapID(st.strs[st.events[i].mapRef])
-		st.evPerMap[id] = append(st.evPerMap[id], i)
+	for i := range cv.events {
+		id := wmap.MapID(cv.strs[cv.events[i].mapRef])
+		cv.evPerMap[id] = append(cv.evPerMap[id], i)
+		cv.evCount[id] += cv.events[i].count
 	}
-	for _, ei := range st.evPerMap {
-		sort.Slice(ei, func(a, b int) bool { return st.events[ei[a]].offset < st.events[ei[b]].offset })
+	for _, ei := range cv.evPerMap {
+		sort.Slice(ei, func(a, b int) bool { return cv.events[ei[a]].offset < cv.events[ei[b]].offset })
 	}
-	for i := range st.rollups {
-		m := &st.rollups[i]
-		id := wmap.MapID(st.strs[m.mapRef])
-		tiers := st.rollupTiers[id]
+	for i := range cv.rollups {
+		m := &cv.rollups[i]
+		id := wmap.MapID(cv.strs[m.mapRef])
+		tiers := cv.rollupTiers[id]
 		ti := -1
 		for k := range tiers {
 			if tiers[k].res == m.res {
@@ -386,14 +559,14 @@ func buildState(c *committed) (*readerState, error) {
 		if m.lastPoint > tiers[ti].maxLast {
 			tiers[ti].maxLast = m.lastPoint
 		}
-		st.rollupTiers[id] = tiers
+		cv.rollupTiers[id] = tiers
 	}
-	for _, tiers := range st.rollupTiers {
+	for _, tiers := range cv.rollupTiers {
 		sort.Slice(tiers, func(a, b int) bool { return tiers[a].res < tiers[b].res })
 		for k := range tiers {
 			es := tiers[k].entries
 			sort.Slice(es, func(a, b int) bool {
-				ra, rb := &st.rollups[es[a]], &st.rollups[es[b]]
+				ra, rb := &cv.rollups[es[a]], &cv.rollups[es[b]]
 				if ra.firstBucket != rb.firstBucket {
 					return ra.firstBucket < rb.firstBucket
 				}
@@ -401,18 +574,298 @@ func buildState(c *committed) (*readerState, error) {
 			})
 		}
 	}
-	for id, bl := range st.perMap {
-		sort.Slice(bl, func(a, b int) bool { return st.blocks[bl[a]].baseUnix < st.blocks[bl[b]].baseUnix })
+	for id, bl := range cv.perMap {
+		sort.Slice(bl, func(a, b int) bool { return cv.blocks[bl[a]].baseUnix < cv.blocks[bl[b]].baseUnix })
 		for k := 1; k < len(bl); k++ {
-			prev, cur := &st.blocks[bl[k-1]], &st.blocks[bl[k]]
+			prev, cur := &cv.blocks[bl[k-1]], &cv.blocks[bl[k]]
 			if cur.baseUnix <= prev.lastUnix {
 				return nil, corruptf(cur.offset, "map %s blocks overlap in time", id)
 			}
 		}
-		st.mapIDs = append(st.mapIDs, id)
+		cv.sealed = append(cv.sealed, id)
 	}
-	sort.Slice(st.mapIDs, func(a, b int) bool { return st.mapIDs[a] < st.mapIDs[b] })
+	slices.Sort(cv.sealed)
+	return cv, nil
+}
+
+// fingerprint is the commit's fingerprintState.
+func (c *committed) fingerprint() uint64 {
+	if c.live {
+		return fingerprintState(c.size, c.hdr[:])
+	}
+	return fingerprintState(c.size, c.payload)
+}
+
+// extendedBy derives the view of commit c, whose tables extend cv's row
+// for row, from cv and the appended rows. Every appended row lands at the
+// end of its per-map list; it returns nil when one would not (a block not
+// after its map's last, an event frame before its map's last, a rollup
+// block sorting before its tier's last), leaving the full build to sort
+// and validate.
+func (cv *commitView) extendedBy(c *committed) *commitView {
+	fd := c.fd
+	nv := &commitView{
+		c:           c,
+		size:        c.size,
+		strs:        fd.strs,
+		topos:       fd.topos,
+		blocks:      fd.blocks,
+		rollups:     fd.rollups,
+		events:      fd.events,
+		perMap:      maps.Clone(cv.perMap),
+		snaps:       maps.Clone(cv.snaps),
+		evCount:     maps.Clone(cv.evCount),
+		lives:       maps.Clone(cv.lives),
+		sealed:      cv.sealed,
+		evPerMap:    maps.Clone(cv.evPerMap),
+		rollupTiers: maps.Clone(cv.rollupTiers),
+		cfp:         c.fingerprint(),
+		cversion:    c.version,
+		live:        c.live,
+		keyDir:      &topoKeyDir{},
+	}
+	if len(nv.topos) == len(cv.topos) {
+		nv.keyDir = cv.keyDir // the same table: built or not, the directory carries over
+	}
+	newMap := false
+	for i := len(cv.blocks); i < len(nv.blocks); i++ {
+		m := &nv.blocks[i]
+		id := wmap.MapID(nv.strs[m.mapRef])
+		bl := nv.perMap[id]
+		if len(bl) > 0 && m.baseUnix <= nv.blocks[bl[len(bl)-1]].lastUnix {
+			return nil
+		}
+		newMap = newMap || len(bl) == 0
+		nv.perMap[id] = append(bl, i)
+		nv.snaps[id] += m.points
+		l := nv.lives.get(id)
+		l.sealedLast = max(l.sealedLast, m.lastUnix)
+		nv.lives[id] = l
+	}
+	if newMap {
+		nv.sealed = make([]wmap.MapID, 0, len(nv.perMap))
+		for id := range nv.perMap {
+			nv.sealed = append(nv.sealed, id)
+		}
+		slices.Sort(nv.sealed)
+	}
+	for i := len(cv.events); i < len(nv.events); i++ {
+		m := &nv.events[i]
+		id := wmap.MapID(nv.strs[m.mapRef])
+		ei := nv.evPerMap[id]
+		if len(ei) > 0 && m.offset < nv.events[ei[len(ei)-1]].offset {
+			return nil
+		}
+		nv.evPerMap[id] = append(ei, i)
+		nv.evCount[id] += m.count
+		l := nv.lives.get(id)
+		l.evFront = max(l.evFront, m.lastPoint)
+		nv.lives[id] = l
+	}
+	cloned := make(map[wmap.MapID]bool)
+	for i := len(cv.rollups); i < len(nv.rollups); i++ {
+		m := &nv.rollups[i]
+		id := wmap.MapID(nv.strs[m.mapRef])
+		tiers := nv.rollupTiers[id]
+		if !cloned[id] {
+			tiers, cloned[id] = slices.Clone(tiers), true
+		}
+		k := slices.IndexFunc(tiers, func(t rollupTier) bool { return t.res == m.res })
+		if k < 0 {
+			k = len(tiers)
+			tiers = append(tiers, rollupTier{res: m.res})
+			if k > 0 && tiers[k-1].res > m.res {
+				return nil
+			}
+		}
+		if es := tiers[k].entries; len(es) > 0 {
+			last := &nv.rollups[es[len(es)-1]]
+			if m.firstBucket < last.firstBucket || (m.firstBucket == last.firstBucket && m.offset < last.offset) {
+				return nil
+			}
+		}
+		tiers[k].entries = append(tiers[k].entries, i)
+		tiers[k].maxLast = max(tiers[k].maxLast, m.lastPoint)
+		nv.rollupTiers[id] = tiers
+	}
+	return nv
+}
+
+// newState combines a commit view with the head bytes buf, read from file
+// offset start of head generation gen (0: no head) whose file is hsize
+// bytes long. When prev is the state a Refresh starts from and buf
+// continues prev's head read, prev's live head points and events carry
+// over and only the frames in buf are decoded; otherwise buf holds the
+// whole head. Head points and events the commit now covers are dropped.
+func newState(cv *commitView, prev *readerState, gen uint64, buf []byte, start, hsize int64) (*readerState, error) {
+	st := &readerState{commitView: cv, bytes: cv.size + hsize, hgen: gen}
+	obs := make(map[wmap.MapID]*openBlock)
+	refs := make(map[wmap.MapID]uint64)
+	evs := make(map[wmap.MapID][]headEvents)
+	kept := make(map[wmap.MapID]*headBlock) // carried over untouched
+	if prev != nil && gen != 0 && gen == prev.hgen && start == prev.hoff {
+		st.hver = prev.hver
+		for _, hb := range prev.heads {
+			id := wmap.MapID(prev.strs[hb.meta.mapRef])
+			k, err := cv.lives.get(id).liveFrom(&headRaw{times: hb.ob.times}, nil, id)
+			switch {
+			case err != nil:
+				return nil, err
+			case k == 0:
+				kept[id] = hb
+			case k < len(hb.ob.times):
+				ob := &openBlock{topoIndex: hb.ob.topoIndex, ncols: hb.ob.ncols}
+				ob.addColumns(hb.ob.times[k:], hb.ob.loads[k:], hb.ob.stride)
+				obs[id], refs[id] = ob, hb.meta.mapRef
+			}
+		}
+		for id, es := range prev.headEvs {
+			front := cv.lives.get(id).evFront
+			for _, e := range es {
+				if e.lastPoint > front {
+					evs[id] = append(evs[id], e)
+				}
+			}
+		}
+	}
+	n, err := scanHead(buf, start, cv.strs, cv.topos, func(hf *headFrame) error {
+		st.hver = max(st.hver, hf.version)
+		for i := range hf.raw {
+			e := &hf.raw[i]
+			id := wmap.MapID(cv.strs[e.mapRef])
+			ob := obs[id]
+			hb := kept[id]
+			if ob == nil && hb != nil {
+				ob = &hb.ob
+			}
+			k, err := cv.lives.get(id).liveFrom(e, ob, id)
+			if err != nil {
+				return err
+			}
+			if k == len(e.times) {
+				continue
+			}
+			if hb != nil {
+				// Append past the kept view's prefix, in a copy of the
+				// view: states holding it never look there.
+				cp := hb.ob
+				ob = &cp
+				delete(kept, id)
+			}
+			if ob == nil {
+				ob = &openBlock{topoIndex: e.topoIndex, ncols: 2 * len(cv.topos[e.topoIndex].Links())}
+			}
+			ob.addColumns(e.times[k:], e.loads[k:], len(e.times))
+			obs[id], refs[id] = ob, e.mapRef
+		}
+		for _, e := range hf.evs {
+			id := wmap.MapID(cv.strs[e.mapRef])
+			if e.lastPoint > cv.lives.get(id).evFront {
+				evs[id] = append(evs[id], e)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if gen != 0 {
+		st.hoff = start + int64(n)
+	}
+	for _, hb := range kept {
+		st.heads = append(st.heads, hb)
+	}
+	for id, ob := range obs {
+		n := len(ob.times)
+		st.heads = append(st.heads, &headBlock{
+			meta: blockMeta{mapRef: refs[id], topoIndex: ob.topoIndex,
+				baseUnix: ob.times[0], lastUnix: ob.times[n-1], points: n, links: ob.ncols / 2},
+			ob: *ob,
+		})
+	}
+	sort.Slice(st.heads, func(a, b int) bool {
+		return cv.strs[st.heads[a].meta.mapRef] < cv.strs[st.heads[b].meta.mapRef]
+	})
+	st.mapIDs = cv.sealed
+	if len(st.heads) > 0 {
+		st.headOf = make(map[wmap.MapID]int, len(st.heads))
+		extra := false
+		for k, hb := range st.heads {
+			id := wmap.MapID(cv.strs[hb.meta.mapRef])
+			st.headOf[id] = k
+			extra = extra || len(cv.perMap[id]) == 0
+		}
+		if extra {
+			st.mapIDs = slices.Clone(cv.sealed)
+			for id := range st.headOf {
+				if len(cv.perMap[id]) == 0 {
+					st.mapIDs = append(st.mapIDs, id)
+				}
+			}
+			slices.Sort(st.mapIDs)
+		}
+	}
+	if len(evs) > 0 {
+		st.headEvs = evs
+	}
+	st.fp, st.version = cv.cfp, max(cv.cversion, st.hver)
+	if gen != 0 {
+		h := fnv.New64a()
+		var b [24]byte
+		binary.LittleEndian.PutUint64(b[:], cv.cfp)
+		binary.LittleEndian.PutUint64(b[8:], gen)
+		binary.LittleEndian.PutUint64(b[16:], uint64(st.hoff))
+		h.Write(b[:])
+		st.fp = h.Sum64()
+	}
+	st.adoptEvents(prev)
 	return st, nil
+}
+
+// adoptEvents extends prev's event sequence (a fresh one when prev is nil)
+// with the events this state adds, each exactly once. A map's events carry
+// ordinals in emission order: its event frames hold ordinals [0, evCount)
+// in commit order, and its live head entries the ones after. Head entries
+// surface their events at the first refresh that reads them; the event
+// frame that later seals them only adds what the head never held.
+func (st *readerState) adoptEvents(prev *readerState) {
+	adopted := make(map[wmap.MapID]int)
+	first := 0
+	if prev != nil && len(prev.events) <= len(st.events) {
+		st.evLog = prev.evLog
+		for id, n := range prev.evAdopted {
+			adopted[id] = n
+		}
+		first = len(prev.events)
+	}
+	adopt := func(ei int, head []events.Event, id wmap.MapID, ord, n int) {
+		skip := max(adopted[id]-ord, 0)
+		if skip >= n {
+			return
+		}
+		st.evLog = append(st.evLog, evSeg{ei: ei, head: head, skip: skip, n: n - skip})
+		adopted[id] = ord + n
+	}
+	ords := make(map[wmap.MapID]int)
+	if first > 0 {
+		for id, n := range prev.evCount {
+			ords[id] = n
+		}
+	}
+	for ei := first; ei < len(st.events); ei++ {
+		m := &st.events[ei]
+		id := wmap.MapID(st.strs[m.mapRef])
+		adopt(ei, nil, id, ords[id], m.count)
+		ords[id] += m.count
+	}
+	for _, id := range sortedIDs(st.headEvs) {
+		ord := st.evCount[id]
+		for _, e := range st.headEvs[id] {
+			adopt(-1, e.evs, id, ord, len(e.evs))
+			ord += len(e.evs)
+		}
+	}
+	st.evAdopted = adopted
 }
 
 // parseTopology decodes one prefix-delta dictionary entry: the leading
@@ -532,25 +985,59 @@ func (r *Reader) Bounds(id wmap.MapID) (from, to time.Time, ok bool) {
 }
 
 func (st *readerState) bounds(id wmap.MapID) (from, to time.Time, ok bool) {
-	bl := st.perMap[id]
-	if len(bl) == 0 {
+	var first, last *blockMeta
+	if bl := st.perMap[id]; len(bl) > 0 {
+		first, last = &st.blocks[bl[0]], &st.blocks[bl[len(bl)-1]]
+	}
+	if hb := st.head(id); hb != nil {
+		last = &hb.meta
+		if first == nil {
+			first = last
+		}
+	}
+	if first == nil {
 		return time.Time{}, time.Time{}, false
 	}
-	return time.Unix(st.blocks[bl[0]].baseUnix, 0).UTC(),
-		time.Unix(st.blocks[bl[len(bl)-1]].lastUnix, 0).UTC(), true
+	return time.Unix(first.baseUnix, 0).UTC(), time.Unix(last.lastUnix, 0).UTC(), true
 }
 
-// Snapshots returns a map's archived snapshot count.
-func (r *Reader) Snapshots(id wmap.MapID) int {
-	st := r.st()
-	n := 0
-	for _, bi := range st.perMap[id] {
-		n += st.blocks[bi].points
+// head returns the map's live head block, nil when it has none.
+func (st *readerState) head(id wmap.MapID) *headBlock {
+	if k, ok := st.headOf[id]; ok {
+		return st.heads[k]
+	}
+	return nil
+}
+
+// hasMap reports whether the state holds any snapshot of the map.
+func (st *readerState) hasMap(id wmap.MapID) bool {
+	return len(st.perMap[id]) > 0 || st.head(id) != nil
+}
+
+// meta returns block bi's index row: a sealed block's, or past them a head
+// block's.
+func (st *readerState) meta(bi int) *blockMeta {
+	if bi < len(st.blocks) {
+		return &st.blocks[bi]
+	}
+	return &st.heads[bi-len(st.blocks)].meta
+}
+
+// snapshots returns the map's snapshot count, sealed and head.
+func (st *readerState) snapshots(id wmap.MapID) int {
+	n := st.snaps[id]
+	if hb := st.head(id); hb != nil {
+		n += hb.meta.points
 	}
 	return n
 }
 
-// Stats summarizes the archive's current committed state.
+// Snapshots returns a map's archived snapshot count.
+func (r *Reader) Snapshots(id wmap.MapID) int { return r.st().snapshots(id) }
+
+// Stats summarizes the archive's current committed state. Blocks counts
+// sealed raw blocks; Snapshots counts head points too, and Bytes is the
+// data file plus the head sidecar.
 func (r *Reader) Stats() ArchiveStats {
 	st := r.st()
 	s := ArchiveStats{
@@ -559,22 +1046,24 @@ func (r *Reader) Stats() ArchiveStats {
 		EventBlocks:  len(st.events),
 		Topologies:   len(st.topos),
 		Strings:      len(st.strs),
-		Bytes:        st.size,
+		Bytes:        st.bytes,
 	}
-	for i := range st.blocks {
-		s.Snapshots += st.blocks[i].points
+	for _, id := range st.mapIDs {
+		s.Snapshots += st.snapshots(id)
 	}
 	return s
 }
 
 // Fingerprint identifies the archive's exact committed contents: an FNV-1a
 // hash of the committed size and footer/checkpoint payload (which in turn
-// checksum every block). It keys the API's ETags and rolls forward on
-// every Refresh that adopts new data.
+// checksum every block), rolled with the head generation and length read
+// on a live archive. It keys the API's ETags and rolls forward on every
+// Refresh that adopts new data.
 func (r *Reader) Fingerprint() uint64 { return r.st().fp }
 
 // Version is the commit version of the state being served: the live
-// checkpoint's monotonic counter, or 0 for a closed archive's footer.
+// writer's monotonic counter as of its newest checkpoint or head frame, or
+// 0 for a closed archive's footer.
 func (r *Reader) Version() uint64 { return r.st().version }
 
 // Live reports whether the reader is serving a live checkpoint — an
@@ -636,8 +1125,13 @@ func cached[T cacheValue](r *Reader, kind uint8, i, group int, decode func() (T,
 	return v.(T), nil
 }
 
-// block returns raw block bi of st with the given column group decoded.
+// block returns raw block bi of st with the given column group decoded. A
+// head block decodes in full, once per state, and never enters the cache:
+// its index names a sealed block in later states.
 func (r *Reader) block(st *readerState, bi, group int) (*decodedBlock, error) {
+	if bi >= len(st.blocks) {
+		return st.heads[bi-len(st.blocks)].decoded(), nil
+	}
 	return cached(r, kindRaw, bi, group, func() (*decodedBlock, error) {
 		return decodeBlockAt(r.r, st.size, &st.blocks[bi], groupWant(group))
 	})
@@ -781,16 +1275,23 @@ func materialize(st *readerState, db *decodedBlock, pi int) *wmap.Map {
 
 // blockRange binary-searches the map's chronological block list for the
 // blocks overlapping [fromU, toU] — the O(log n) seek the footer index
-// exists for.
+// exists for — and adds the map's head block, the newest, when it
+// overlaps too.
 func (st *readerState) blockRange(id wmap.MapID, fromU, toU int64) []int {
 	bl := st.perMap[id]
 	// Blocks are sorted and non-overlapping, so lastUnix is sorted too.
 	lo := sort.Search(len(bl), func(i int) bool { return st.blocks[bl[i]].lastUnix >= fromU })
 	hi := sort.Search(len(bl), func(i int) bool { return st.blocks[bl[i]].baseUnix > toU })
-	if lo >= hi {
-		return nil
+	var ids []int
+	if lo < hi {
+		ids = bl[lo:hi:hi]
 	}
-	return bl[lo:hi]
+	if k, ok := st.headOf[id]; ok {
+		if m := &st.heads[k].meta; m.lastUnix >= fromU && m.baseUnix <= toU {
+			ids = append(ids, len(st.blocks)+k)
+		}
+	}
+	return ids
 }
 
 // rangeBounds resolves the optional query window: zero times mean
@@ -817,16 +1318,15 @@ func (r *Reader) SnapshotAt(id wmap.MapID, at time.Time) (*wmap.Map, error) {
 // topology.
 func (r *Reader) snapshotTopoAt(id wmap.MapID, at time.Time) (*wmap.Map, *wmap.Topology, error) {
 	st := r.st()
-	bl := st.perMap[id]
-	if len(bl) == 0 {
+	if !st.hasMap(id) {
 		return nil, nil, fmt.Errorf("tsdb: map %q: %w", id, ErrUnknownMap)
 	}
 	atU := at.Unix()
-	i := sort.Search(len(bl), func(k int) bool { return st.blocks[bl[k]].baseUnix > atU }) - 1
-	if i < 0 {
+	bl := st.blockRange(id, math.MinInt64, atU)
+	if len(bl) == 0 {
 		return nil, nil, fmt.Errorf("tsdb: %s at %s: %w", id, at.UTC(), ErrNoSnapshot)
 	}
-	db, err := r.block(st, bl[i], allColumns)
+	db, err := r.block(st, bl[len(bl)-1], allColumns)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -851,7 +1351,7 @@ func (st *readerState) mapHasLink(id wmap.MapID, key LinkKey) bool {
 // views mid-series.
 func (r *Reader) LinkColumnsContext(ctx context.Context, id wmap.MapID, key LinkKey, from, to time.Time, fn func(times []int64, ab, ba []wmap.Load) error) error {
 	st := r.st()
-	if len(st.perMap[id]) == 0 {
+	if !st.hasMap(id) {
 		return fmt.Errorf("tsdb: map %q: %w", id, ErrUnknownMap)
 	}
 	if !st.mapHasLink(id, key) {
@@ -866,7 +1366,7 @@ func (r *Reader) LinkColumnsContext(ctx context.Context, id wmap.MapID, key Link
 	var ids, groups []int
 	prevTi, ci := -1, -1
 	for _, bi := range st.blockRange(id, fromU, toU) {
-		if ti := st.blocks[bi].topoIndex; ti != prevTi {
+		if ti := st.meta(bi).topoIndex; ti != prevTi {
 			var ok bool
 			if ci, ok = topoIdx[ti][key]; !ok {
 				ci = -1
@@ -895,28 +1395,29 @@ func (r *Reader) rangePointCount(id wmap.MapID, from, to time.Time) int {
 	fromU, toU := rangeBounds(from, to)
 	n := 0
 	for _, bi := range st.blockRange(id, fromU, toU) {
-		n += st.blocks[bi].points
+		n += st.meta(bi).points
 	}
 	return n
 }
 
 // topoKeyIndexes returns the per-topology link-key directory, building it
 // on first use. The returned slices are immutable shared state.
-func (st *readerState) topoKeyIndexes() (keys [][]LinkKey, idx []map[LinkKey]int) {
-	st.topoKeyOnce.Do(func() {
-		st.topoKeys = make([][]LinkKey, len(st.topos))
-		st.topoKeyIdx = make([]map[LinkKey]int, len(st.topos))
-		for ti, t := range st.topos {
+func (cv *commitView) topoKeyIndexes() (keys [][]LinkKey, idx []map[LinkKey]int) {
+	kd := cv.keyDir
+	kd.once.Do(func() {
+		kd.keys = make([][]LinkKey, len(cv.topos))
+		kd.idx = make([]map[LinkKey]int, len(cv.topos))
+		for ti, t := range cv.topos {
 			ks := linkKeys(t.Links())
 			m := make(map[LinkKey]int, len(ks))
 			for ci, k := range ks {
 				m[k] = ci
 			}
-			st.topoKeys[ti] = ks
-			st.topoKeyIdx[ti] = m
+			kd.keys[ti] = ks
+			kd.idx[ti] = m
 		}
 	})
-	return st.topoKeys, st.topoKeyIdx
+	return kd.keys, kd.idx
 }
 
 // ResolveLinkID maps a query-API link id back to its map and key, scanning
@@ -935,8 +1436,8 @@ func (st *readerState) linkDirectory() map[string]linkAddr {
 		st.linkDir = make(map[string]linkAddr)
 		for _, id := range st.mapIDs {
 			seen := make(map[int]bool)
-			for _, bi := range st.perMap[id] {
-				ti := st.blocks[bi].topoIndex
+			for _, bi := range st.blockRange(id, math.MinInt64, math.MaxInt64) {
+				ti := st.meta(bi).topoIndex
 				if seen[ti] {
 					continue
 				}

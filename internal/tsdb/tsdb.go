@@ -21,7 +21,6 @@ package tsdb
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 
 	"ovhweather/internal/wmap"
@@ -97,18 +96,29 @@ func (k LinkKey) String() string {
 // the given map: a 64-bit FNV-1a over the map id, the key strings, and the
 // ordinal, rendered as hex.
 func (k LinkKey) ID(id wmap.MapID) string {
-	h := fnv.New64a()
-	sep := []byte{0}
+	return strconv.FormatUint(k.hash(id), 16)
+}
+
+// appendID appends the link's ID to b without allocating.
+func (k LinkKey) appendID(b []byte, id wmap.MapID) []byte {
+	return strconv.AppendUint(b, k.hash(id), 16)
+}
+
+// hash is the FNV-1a 64 the link ID renders: each string followed by a
+// zero byte, then the ordinal's eight little-endian bytes.
+func (k LinkKey) hash(id wmap.MapID) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for _, s := range [5]string{string(id), k.A, k.B, k.LabelA, k.LabelB} {
-		h.Write([]byte(s))
-		h.Write(sep)
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime64
+		}
+		h *= prime64 // the separator: h ^ 0 == h
 	}
-	var ord [8]byte
 	for i := 0; i < 8; i++ {
-		ord[i] = byte(k.Ordinal >> (8 * i))
+		h = (h ^ uint64(byte(k.Ordinal>>(8*i)))) * prime64
 	}
-	h.Write(ord[:])
-	return strconv.FormatUint(h.Sum64(), 16)
+	return h
 }
 
 // LinkKeysOf returns the key of every link of the snapshot, in link order,

@@ -46,6 +46,7 @@ type openBlock struct {
 	ncols     int
 	stride    int     // points each column has room for
 	loads     []uint8 // column c holds its points at loads[c*stride:]
+	synced    int     // leading points a head frame already holds (live writers)
 }
 
 // col returns column c's points.
@@ -59,12 +60,7 @@ func (ob *openBlock) col(c int) []uint8 {
 func (ob *openBlock) add(t int64, links []wmap.Link) {
 	n := len(ob.times)
 	if n == ob.stride {
-		stride := max(2*ob.stride, 1)
-		loads := make([]uint8, ob.ncols*stride)
-		for c := 0; c < ob.ncols; c++ {
-			copy(loads[c*stride:], ob.col(c))
-		}
-		ob.loads, ob.stride = loads, stride
+		ob.grow(1)
 	}
 	for i := range links {
 		ob.loads[2*i*ob.stride+n] = uint8(links[i].LoadAB)
@@ -103,8 +99,23 @@ type Writer struct {
 	f         *os.File
 	live      bool
 	ckptPath  string
-	version   uint64 // last published commit version
+	version   uint64 // last published commit version, checkpoint or head frame
 	committed int64  // data length the last checkpoint covered
+	// committedStrs and committedTopos are the dictionary sizes the last
+	// checkpoint covered: head frames reference only those entries.
+	committedStrs, committedTopos int
+
+	// Head sidecar state (live writers); see head.go.
+	headPath string
+	head     *os.File // nil until a Sync first has points to write
+	headSize int64    // head file length
+	// headLive is each map's live head bytes: entries its next seal turns
+	// dead. Everything else in the head is dead.
+	headLive map[wmap.MapID]int64
+	// evSynced counts each map's pending events a head frame already holds.
+	evSynced map[wmap.MapID]int
+	// Scratch buffers a Sync encodes its head frame in.
+	headRaw, headEvs, headBuf, frameBuf []byte
 
 	blockPoints int
 
@@ -155,6 +166,8 @@ func NewWriter(w io.Writer) *Writer {
 		evEnabled:   true,
 		detectors:   make(map[wmap.MapID]*events.Detector),
 		evPending:   make(map[wmap.MapID][]events.Event),
+		headLive:    make(map[wmap.MapID]int64),
+		evSynced:    make(map[wmap.MapID]int),
 	}
 }
 
@@ -177,9 +190,10 @@ func Create(path string) (*Writer, error) {
 
 // OpenAppend opens path as a live archive for appending, creating it when
 // absent. It is the single-writer end of the live-append protocol: every
-// flushed block is followed by a durable checkpoint commit, concurrent
-// Readers tail the growing archive via Refresh, and Close turns the result
-// into a byte-for-byte normal closed archive.
+// sealed block is followed by a durable checkpoint commit, every Sync by a
+// durable head frame, concurrent Readers tail the growing archive via
+// Refresh, and Close turns the result into a byte-for-byte normal closed
+// archive.
 //
 // OpenAppend recovers whatever state a previous writer left behind:
 //
@@ -189,15 +203,20 @@ func Create(path string) (*Writer, error) {
 //     crash mid-append — is truncated away. The last committed block's
 //     checksum is re-verified so damage inside the committed prefix
 //     surfaces here as a *CorruptError rather than as a wrong read later.
+//     The head sidecar's live points become the open blocks again, so
+//     every snapshot of a Sync that returned is back (LastTime counts
+//     them); a torn head frame is truncated at the last whole frame.
 //   - A closed archive is reopened: its footer becomes the first
 //     checkpoint, then the footer and tail are truncated off and blocks
 //     append where the data section ended. (The checkpoint is committed
-//     before the truncate, so a crash between the two still recovers.)
+//     before the truncate, so a crash between the two still recovers.) A
+//     head left beside it by an interrupted Close adds nothing and goes.
 //
 // Anything else — a file that is neither empty, nor checkpointed, nor a
-// valid closed archive — fails with a typed *CorruptError. Recovery never
-// silently drops committed data: it restores exactly the committed prefix
-// or refuses.
+// valid closed archive, or a head frame whose checksum holds over content
+// the commit cannot explain — fails with a typed *CorruptError. Recovery
+// never silently drops committed data: it restores exactly the committed
+// prefix and the synced head or refuses.
 func OpenAppend(path string) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o666)
 	if err != nil {
@@ -205,9 +224,12 @@ func OpenAppend(path string) (*Writer, error) {
 	}
 	w := NewWriter(nil)
 	w.f, w.closer, w.live = f, f, true
-	w.ckptPath = CheckpointPath(path)
+	w.ckptPath, w.headPath = CheckpointPath(path), headPath(path)
 	if err := w.recover(); err != nil {
 		f.Close()
+		if w.head != nil {
+			w.head.Close()
+		}
 		return nil, err
 	}
 	if _, err := f.Seek(w.off, io.SeekStart); err != nil {
@@ -223,9 +245,14 @@ func OpenAppend(path string) (*Writer, error) {
 // dictionary, block index, per-map clocks) from the archive's durable
 // commit state and truncates whatever lies past the committed data.
 func (w *Writer) recover() error {
-	c, err := loadCommitted(w.f, w.ckptPath)
+	c, err := loadCommitted(w.f, w.ckptPath, nil)
 	if c == nil {
-		return err // nil as well for an empty file: a fresh archive
+		if err != nil {
+			return err
+		}
+		// A fresh archive: a head needs a commit before it, so any head
+		// here is stale.
+		return removeStale(w.headPath)
 	}
 	if c.live {
 		// The committed tail must be intact before the uncommitted rest goes.
@@ -238,6 +265,12 @@ func (w *Writer) recover() error {
 		// truncate the footer and tail off so blocks append where the data
 		// section ended. Commit-before-truncate keeps every crash point
 		// recoverable: writeCheckpoint returns once the rename is durable.
+		// A head left by a Close interrupted after its checkpoint went is
+		// covered by the footer; it must go before a checkpoint would make
+		// it live again.
+		if err := removeStale(w.headPath); err != nil {
+			return err
+		}
 		w.version = 1
 		if err := writeCheckpoint(w.ckptPath, c.dataEnd, w.version, c.payload); err != nil {
 			return err
@@ -248,6 +281,108 @@ func (w *Writer) recover() error {
 	}
 	w.off, w.committed = c.dataEnd, c.dataEnd
 	w.restore(c.fd)
+	w.committedStrs, w.committedTopos = len(w.strs), len(w.topos)
+	if !c.live {
+		return nil
+	}
+	return w.recoverHead()
+}
+
+// recoverHead replays the head sidecar over the restored commit: its live
+// points become the maps' open blocks (already synced), its live bytes are
+// tallied, and a torn tail past the last whole frame is truncated away.
+func (w *Writer) recoverHead() error {
+	gen, buf, start, size, err := readHeadFile(w.headPath, 0, 0)
+	if err != nil {
+		return err
+	}
+	if gen == 0 {
+		return removeStale(w.headPath) // no head, or one too short to hold a frame
+	}
+	hl := headLivesOf(w.strs, w.index, w.evIndex)
+	n, err := scanHead(buf, start, w.strs, w.topos, func(hf *headFrame) error {
+		w.version = max(w.version, hf.version)
+		return w.replayHead(hf, hl)
+	})
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(w.headPath, os.O_RDWR, 0)
+	if err != nil {
+		return fmt.Errorf("tsdb: head: %w", err)
+	}
+	w.head, w.headSize = f, start+int64(n)
+	if w.headSize < size {
+		if err := f.Truncate(w.headSize); err != nil {
+			return fmt.Errorf("tsdb: head: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			return fmt.Errorf("tsdb: head: %w", err)
+		}
+	}
+	if _, err := f.Seek(w.headSize, io.SeekStart); err != nil {
+		return fmt.Errorf("tsdb: head: %w", err)
+	}
+	for id, ob := range w.open {
+		ob.synced = len(ob.times)
+		w.last[id] = ob.times[len(ob.times)-1]
+		w.snapshots += len(ob.times)
+	}
+	return nil
+}
+
+// replayHead adds a head frame's live points to the open blocks and its
+// live entries to the writer's live-byte tally. The frame's framing is
+// charged to its first live entry's map, as headFrame charges it.
+func (w *Writer) replayHead(hf *headFrame, hl headLives) error {
+	overhead := int64(hf.size)
+	var first wmap.MapID
+	charge := func(id wmap.MapID, n int) {
+		if first == "" {
+			first = id
+		}
+		w.headLive[id] += int64(n)
+		overhead -= int64(n)
+	}
+	for i := range hf.raw {
+		e := &hf.raw[i]
+		id := wmap.MapID(w.strs[e.mapRef])
+		ob := w.open[id]
+		k, err := hl.get(id).liveFrom(e, ob, id)
+		if err != nil {
+			return err
+		}
+		if k == len(e.times) {
+			overhead -= int64(e.size)
+			continue
+		}
+		if ob == nil {
+			ob = &openBlock{topoIndex: e.topoIndex, ncols: 2 * len(w.topos[e.topoIndex].Links())}
+			w.open[id] = ob
+		}
+		ob.addColumns(e.times[k:], e.loads[k:], len(e.times))
+		charge(id, e.size)
+	}
+	for i := range hf.evs {
+		e := &hf.evs[i]
+		id := wmap.MapID(w.strs[e.mapRef])
+		if e.lastPoint <= hl.get(id).evFront {
+			overhead -= int64(e.size)
+			continue
+		}
+		charge(id, e.size)
+	}
+	if first != "" {
+		w.headLive[first] += overhead
+	}
+	return nil
+}
+
+// removeStale deletes a head sidecar that holds nothing live.
+func removeStale(path string) error {
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("tsdb: head: %w", err)
+	}
 	return nil
 }
 
@@ -333,7 +468,9 @@ func (w *Writer) restore(fd *footerData) {
 // outside the file: the rollup accumulators' unflushed points and the event
 // detectors. It runs at the first append/sync/close, so
 // SetRollupResolutions and SetEventDetection still apply after OpenAppend,
-// and it decodes each committed raw block at most once for both.
+// and it decodes each committed raw block at most once for both. The open
+// blocks recovered from the head replay last, as the newest points; the
+// events they re-pend are the ones the head already holds.
 //
 // Rollups replay only the points past each (map, resolution) tier's
 // frontier, the newest point any flushed rollup block of that tier covers.
@@ -356,7 +493,7 @@ func (w *Writer) ensureResumed() error {
 		return nil
 	}
 	w.resumed = true
-	if len(w.index) == 0 || w.f == nil {
+	if (len(w.index) == 0 && len(w.open) == 0) || w.f == nil {
 		return nil
 	}
 	rollFront := make(map[wmap.MapID]map[int64]int64)
@@ -416,14 +553,47 @@ func (w *Writer) ensureResumed() error {
 			replayRollups(accs, rollFront[id], bm, db)
 		}
 		if w.evEnabled {
-			fr, ok := evFront[id]
-			if !ok {
-				fr = -1
-			}
-			w.replayEvents(id, fr, bm, db)
+			w.replayEvents(id, frontierOr(evFront, id), bm, db)
 		}
 	}
+	for _, id := range sortedIDs(w.open) {
+		ob := w.open[id]
+		bm, db := ob.decoded(w.strIDs[string(id)])
+		if w.rollupEnabled() {
+			replayRollups(w.rollupAccs(id), rollFront[id], bm, db)
+		}
+		if w.evEnabled {
+			w.replayEvents(id, frontierOr(evFront, id), bm, db)
+		}
+		w.evSynced[id] = len(w.evPending[id])
+	}
 	return nil
+}
+
+// frontierOr returns the map's frontier, -1 when it has none.
+func frontierOr(front map[wmap.MapID]int64, id wmap.MapID) int64 {
+	if fr, ok := front[id]; ok {
+		return fr
+	}
+	return -1
+}
+
+// decoded returns the open block's points as an index row and a decoded
+// block, the form the resume replay and the reader's head queries take.
+func (ob *openBlock) decoded(mapRef uint64) (*blockMeta, *decodedBlock) {
+	n := len(ob.times)
+	bm := &blockMeta{mapRef: mapRef, topoIndex: ob.topoIndex, baseUnix: ob.times[0],
+		lastUnix: ob.times[n-1], points: n, links: ob.ncols / 2}
+	db := &decodedBlock{meta: bm, times: ob.times[:n:n], cols: make([][]wmap.Load, ob.ncols)}
+	slab := make([]wmap.Load, ob.ncols*n)
+	for c := range db.cols {
+		col := slab[c*n : (c+1)*n : (c+1)*n]
+		for i, v := range ob.col(c) {
+			col[i] = wmap.Load(v)
+		}
+		db.cols[c] = col
+	}
+	return bm, db
 }
 
 // SetBlockPoints overrides the per-block snapshot capacity. It only affects
@@ -434,7 +604,10 @@ func (w *Writer) SetBlockPoints(n int) {
 	}
 }
 
-// Stats returns the running totals; Bytes is final only after Close.
+// Stats returns the running totals. Blocks counts sealed raw blocks;
+// Snapshots counts every appended snapshot, sealed or not. Bytes is what
+// the archive occupies: the data written so far plus, on a live writer,
+// the head sidecar's length; it is final only after Close.
 func (w *Writer) Stats() ArchiveStats {
 	return ArchiveStats{
 		Blocks:       len(w.index),
@@ -443,7 +616,7 @@ func (w *Writer) Stats() ArchiveStats {
 		Snapshots:    w.snapshots,
 		Topologies:   len(w.topos),
 		Strings:      len(w.strs),
-		Bytes:        w.off,
+		Bytes:        w.off + w.headSize,
 	}
 }
 
@@ -523,13 +696,19 @@ func (w *Writer) Append(m *wmap.Map) error {
 	if err := w.ensureResumed(); err != nil {
 		return err
 	}
+	if _, ok := w.last[m.ID]; !ok {
+		// Interned before its first point, so a head frame can name the
+		// map by a committed string id; batch and live writers intern
+		// alike and their string tables stay byte-identical.
+		w.intern(string(m.ID))
+	}
 	ti, err := w.internTopology(m)
 	if err != nil {
 		return err
 	}
 	// Flush events happen before the new point is accumulated anywhere, so
-	// the rollup state observed at a raw-block flush is identical whether
-	// the flush was triggered by rotation here or by an earlier Sync — the
+	// the rollup state observed at a raw-block flush is the same in a
+	// batch writer, a live one, and one resumed from its head — the
 	// invariant behind live-vs-batch byte identity.
 	topoChanged := w.rollupEnabled() && w.rollupTopoChanged(m.ID, ti)
 	ob := w.open[m.ID]
@@ -551,8 +730,8 @@ func (w *Writer) Append(m *wmap.Map) error {
 			return err
 		}
 		// A live archive publishes a durable commit after every block that
-		// rotates out (and after topology-change fragments), so tailing
-		// readers lag by at most one open block.
+		// seals (and after topology-change fragments): the sealed points
+		// leave the head, whose entries for them are dead from here on.
 		if w.live {
 			if err := w.commit(); err != nil {
 				return err
@@ -655,6 +834,7 @@ func (w *Writer) flushBlock(id wmap.MapID, ob *openBlock) error {
 		points:    n,
 		links:     L,
 	})
+	delete(w.headLive, id) // the sealed block covers every head point of the map
 	return nil
 }
 
@@ -762,9 +942,10 @@ func (w *Writer) Version() uint64 { return w.version }
 // commit publishes the current flushed state as the archive's durable
 // committed prefix: flush buffered block bytes, fsync the data file, then
 // atomically replace the checkpoint — the write-ahead ordering the crash
-// recovery relies on. No-op when nothing was flushed since the last commit.
+// recovery relies on. No-op when neither data nor the dictionary grew
+// since the last commit.
 func (w *Writer) commit() error {
-	if w.off == w.committed {
+	if w.off == w.committed && len(w.strs) == w.committedStrs && len(w.topos) == w.committedTopos {
 		return nil
 	}
 	if w.bw != nil {
@@ -785,14 +966,18 @@ func (w *Writer) commit() error {
 		return err
 	}
 	w.committed = w.off
+	w.committedStrs, w.committedTopos = len(w.strs), len(w.topos)
 	return nil
 }
 
-// Sync flushes every open block and publishes a durable commit, making all
-// appended snapshots visible to tailing readers (Reader.Refresh) and
-// recoverable after a crash. A follow-mode ingester calls it once per poll
-// cycle; blocks it rotates out early are smaller than DefaultBlockPoints,
-// which costs some index density but keeps readers at most one poll behind.
+// Sync makes every appended snapshot durable and visible to tailing
+// readers (Reader.Refresh). It seals nothing: the points appended since the
+// previous Sync, and the events detected on them, go to the head sidecar as
+// one frame, and Sync returns once that frame is fsynced. A new map or
+// topology commits a checkpoint first, since head frames only reference
+// committed dictionary entries. Blocks seal where the batch writer seals
+// them, so the cadence of Sync never shows in the data file. A follow-mode
+// ingester calls it once per poll cycle.
 func (w *Writer) Sync() error {
 	if w.err != nil {
 		return w.err
@@ -812,17 +997,150 @@ func (w *Writer) Sync() error {
 	if err := w.ensureResumed(); err != nil {
 		return err
 	}
-	if err := w.flushOpen(); err != nil {
+	hb := w.headEntries(false)
+	if err := w.commit(); err != nil {
 		return err
 	}
-	return w.commit()
+	if hb.nraw+hb.nev == 0 {
+		return nil
+	}
+	w.version++
+	if err := w.appendHead(w.headFrame(&hb)); err != nil {
+		w.err = err
+		return err
+	}
+	for id, ob := range w.open {
+		ob.synced = len(ob.times)
+		w.evSynced[id] = len(w.evPending[id])
+	}
+	var live int64
+	for _, n := range w.headLive {
+		live += n
+	}
+	if dead := w.headSize - int64(headHeaderLen) - live; dead > live {
+		if err := w.compactHead(); err != nil {
+			w.err = err
+			return err
+		}
+	}
+	return nil
 }
 
-// Close flushes every open block, writes the footer, and closes the
+// headBatch is the content of one head frame: its raw and event entries,
+// encoded, and the map its framing is charged to.
+type headBatch struct {
+	raw, evs  []byte
+	nraw, nev int
+	first     wmap.MapID
+}
+
+// headEntries encodes, per map in id order, the open block's points and the
+// pending events a head frame does not hold yet (all of them when all is
+// set, for a compaction), and charges each entry to its map's live bytes.
+// The encodings reuse the writer's scratch buffers.
+func (w *Writer) headEntries(all bool) headBatch {
+	hb := headBatch{raw: w.headRaw[:0], evs: w.headEvs[:0]}
+	charge := func(id wmap.MapID, n int) {
+		if hb.nraw+hb.nev == 0 {
+			hb.first = id
+		}
+		w.headLive[id] += int64(n)
+	}
+	for _, id := range sortedIDs(w.open) {
+		ob := w.open[id]
+		lo := ob.synced
+		if all {
+			lo = 0
+		}
+		if lo == len(ob.times) {
+			continue
+		}
+		n := len(hb.raw)
+		hb.raw = appendHeadRaw(hb.raw, w.strIDs[string(id)], ob, lo, len(ob.times))
+		charge(id, len(hb.raw)-n)
+		hb.nraw++
+	}
+	for _, id := range sortedIDs(w.evPending) {
+		pend := w.evPending[id]
+		lo := w.evSynced[id]
+		if all {
+			lo = 0
+		}
+		if lo == len(pend) {
+			continue
+		}
+		n := len(hb.evs)
+		hb.evs, _, _ = w.appendEventPayload(hb.evs, id, w.last[id], pend[lo:])
+		charge(id, len(hb.evs)-n)
+		hb.nev++
+	}
+	w.headRaw, w.headEvs = hb.raw, hb.evs
+	return hb
+}
+
+// headFrame frames a head batch at the current version and charges the
+// framing to the batch's first map, as replayHead does.
+func (w *Writer) headFrame(hb *headBatch) []byte {
+	payload := w.headBuf[:0]
+	payload = binary.AppendUvarint(payload, w.version)
+	payload = binary.AppendUvarint(payload, uint64(hb.nraw))
+	payload = append(payload, hb.raw...)
+	payload = binary.AppendUvarint(payload, uint64(hb.nev))
+	payload = append(payload, hb.evs...)
+	w.headBuf = payload
+	frame := appendFrame(w.frameBuf[:0], payload)
+	w.frameBuf = frame
+	w.headLive[hb.first] += int64(len(frame) - len(hb.raw) - len(hb.evs))
+	return frame
+}
+
+// appendHead appends one framed head frame and fsyncs it, creating the
+// head on the first call.
+func (w *Writer) appendHead(frame []byte) error {
+	if w.head == nil {
+		f, _, err := createHead(w.headPath, frame)
+		if err != nil {
+			return err
+		}
+		w.head, w.headSize = f, int64(headHeaderLen+len(frame))
+		return nil
+	}
+	n, err := w.head.Write(frame)
+	w.headSize += int64(n)
+	if err == nil {
+		err = w.head.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("tsdb: head: %w", err)
+	}
+	return nil
+}
+
+// compactHead replaces the head with a new generation holding one frame of
+// every live point and synced event, once dead bytes outweigh live ones.
+// Each compaction rewrites fewer bytes than went dead since the previous
+// one, so the rewrite cost is amortized O(1) per point.
+func (w *Writer) compactHead() error {
+	clear(w.headLive)
+	var frame []byte
+	if hb := w.headEntries(true); hb.nraw+hb.nev > 0 {
+		frame = w.headFrame(&hb)
+	}
+	f, _, err := createHead(w.headPath, frame)
+	if err != nil {
+		return err
+	}
+	w.head.Close()
+	w.head, w.headSize = f, int64(headHeaderLen+len(frame))
+	return nil
+}
+
+// Close seals every open block, writes the footer, and closes the
 // underlying file when the writer owns one. The writer is unusable after.
-// A live writer commits a final checkpoint before the footer lands and
-// deletes the checkpoint after — every crash point during Close leaves
-// either a recoverable live archive or a complete closed one.
+// A live writer commits a final checkpoint before the footer lands, then
+// deletes the checkpoint and, last, the head, whose every point the final
+// commit covers — every crash point during Close leaves either a
+// recoverable live archive or a complete closed one.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
@@ -843,7 +1161,14 @@ func (w *Writer) Close() error {
 			w.err = fmt.Errorf("tsdb: sync: %w", serr)
 		} else if rerr := os.Remove(w.ckptPath); rerr != nil && !errors.Is(rerr, fs.ErrNotExist) {
 			w.err = fmt.Errorf("tsdb: %w", rerr)
+		} else if rerr := removeStale(w.headPath); rerr != nil {
+			w.err = rerr
+		} else {
+			w.headSize = 0
 		}
+	}
+	if w.head != nil {
+		w.head.Close()
 	}
 	if w.closer != nil {
 		if cerr := w.closer.Close(); cerr != nil && w.err == nil {
@@ -853,16 +1178,15 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// flushOpen flushes the open blocks in map-id order so the byte output is
-// a pure function of the append sequence.
+// flushOpen seals the open blocks at Close in map-id order, so the byte
+// output is a pure function of the append sequence.
 func (w *Writer) flushOpen() error {
 	for _, id := range sortedIDs(w.open) {
 		if err := w.flushBlock(id, w.open[id]); err != nil {
 			return err
 		}
 		delete(w.open, id)
-		// The same flush event a rotation fires: whether a raw block lands
-		// here or in Append, the rollup flush decision sees the same state.
+		// The same flush event a rotation fires.
 		if err := w.flushDerived(id); err != nil {
 			return err
 		}
