@@ -438,11 +438,11 @@ func TestTornTailMatrix(t *testing.T) {
 	// Every single-byte corruption of the last committed block (it ends
 	// exactly at S2's commit offset): recovery re-verifies it and must
 	// refuse. Earlier blocks are covered by read-time CRCs instead.
-	ck2, err := readCheckpoint(CheckpointPath(restoreFiles(t, dir, "meta.tsdb", s2)))
+	ck2, err := readCheckpoint(CheckpointPath(restoreFiles(t, dir, "meta.tsdb", s2)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := parseFooterData(ck2.payload, 0, ck2.dataEnd)
+	fd, err := parseFooter(ck2.payload, 0, ck2.dataEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,11 +502,11 @@ func TestResumeOverCorruptCommittedBlock(t *testing.T) {
 	}
 	at0 := w.Stats()
 	st := captureFiles(t, path)
-	ck, err := readCheckpoint(CheckpointPath(path))
+	ck, err := readCheckpoint(CheckpointPath(path), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := parseFooterData(ck.payload, 0, ck.dataEnd)
+	fd, err := parseFooter(ck.payload, 0, ck.dataEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,6 +771,74 @@ func TestRefreshRejectsReplacedArchive(t *testing.T) {
 
 	if _, err := rd.Refresh(); !errors.Is(err, ErrArchiveReplaced) {
 		t.Fatalf("Refresh over replaced archive: err = %v, want ErrArchiveReplaced", err)
+	}
+	if n := rd.Snapshots(wmap.Europe); n != 4 {
+		t.Errorf("reader state disturbed by rejected refresh: %d snapshots", n)
+	}
+}
+
+// TestClosedRefreshFlat: an idle Refresh of a closed archive compares the
+// file's size and tail with the ones it opened and stops there, allocating
+// the same over 16 blocks as over 1,024; a closed archive overwritten by a
+// different closed archive of the same size is still refused.
+func TestClosedRefreshFlat(t *testing.T) {
+	dir := t.TempDir()
+	build := func(name string, first, blocks int) string {
+		path := filepath.Join(dir, name)
+		w, err := Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetBlockPoints(1)
+		for i := first; i < first+blocks; i++ {
+			if err := w.Append(testMap(wmap.Europe, at(5*i), 10, 20, 30, 40, 50, 20)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	allocs := func(blocks int) float64 {
+		rd, err := OpenFile(build(fmt.Sprintf("idle%d.tsdb", blocks), 0, blocks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		if n := rd.Stats().Blocks; n != blocks {
+			t.Fatalf("fixture has %d blocks, want %d", n, blocks)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if changed, err := rd.Refresh(); err != nil || changed {
+				t.Fatalf("idle refresh: changed=%v err=%v", changed, err)
+			}
+		})
+	}
+	few, many := allocs(16), allocs(1024)
+	t.Logf("allocations per idle refresh: %.0f at 16 blocks, %.0f at 1,024", few, many)
+	if few != many {
+		t.Fatalf("an idle refresh allocates %.0f times at 16 blocks and %.0f at 1,024", few, many)
+	}
+
+	path := build("served.tsdb", 0, 4)
+	rd, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	other, err := os.ReadFile(build("other.tsdb", 1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(other)) {
+		t.Fatalf("replacement of %d bytes for an archive of %v (%v): want the same size", len(other), fi.Size(), err)
+	}
+	if err := os.WriteFile(path, other, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Refresh(); !errors.Is(err, ErrArchiveReplaced) {
+		t.Fatalf("Refresh over a replaced closed archive: err = %v, want ErrArchiveReplaced", err)
 	}
 	if n := rd.Snapshots(wmap.Europe); n != 4 {
 		t.Errorf("reader state disturbed by rejected refresh: %d snapshots", n)

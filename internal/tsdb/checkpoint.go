@@ -91,19 +91,16 @@ func fingerprintState(dataEnd int64, payload []byte) uint64 {
 // readCheckpoint loads and validates a commit record. A missing file
 // returns an error wrapping fs.ErrNotExist; anything structurally invalid
 // is a *CorruptError — a checkpoint is replaced atomically, so a damaged
-// one is real corruption, not a torn write to ignore.
-func readCheckpoint(path string) (*checkpoint, error) { return readCheckpointIfChanged(path, nil) }
-
-// readCheckpointIfChanged is readCheckpoint through one descriptor that
-// reads the fixed header first and the payload only when the header
-// differs from same: an equal header still describes the file, and the
-// result is (nil, nil).
-func readCheckpointIfChanged(path string, same *[ckptHeaderLen]byte) (*checkpoint, error) {
+// one is real corruption, not a torn write to ignore. It reads the fixed
+// header first and the payload only when the header differs from same
+// (nil: always): an equal header still describes the file, and the result
+// is (nil, nil).
+func readCheckpoint(path string, same *[ckptHeaderLen]byte) (*checkpoint, error) {
 	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, err // no checkpoint: an idle closed-archive poll formats nothing
+	}
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("tsdb: %w", err)
-		}
 		return nil, fmt.Errorf("tsdb: checkpoint: %w", err)
 	}
 	defer f.Close()
@@ -212,7 +209,7 @@ type committed struct {
 	size    int64               // readable byte bound: file size (closed) or dataEnd (live)
 	version uint64              // checkpoint commit version; 0 for a closed footer
 	live    bool                // loaded from a checkpoint (the archive may still grow)
-	hdr     [ckptHeaderLen]byte // live: the checkpoint header read
+	hdr     [ckptHeaderLen]byte // live: the checkpoint header read; closed: the tail, in hdr[:tailLen]
 }
 
 // loadCommitted reads the commit state of the archive file f: the
@@ -221,7 +218,8 @@ type committed struct {
 // the file and start with the header magic. An empty file without a
 // checkpoint has committed nothing: loadCommitted returns nil, nil. prev,
 // when not nil, is the state a reader holds: a checkpoint whose header is
-// unchanged returns prev itself, and a new one reuses prev's strings and
+// unchanged returns prev itself, and so does a closed archive whose size
+// and tail are prev's; a new checkpoint reuses prev's strings and
 // topologies where the new tables extend them.
 func loadCommitted(f *os.File, ckptPath string, prev *committed) (*committed, error) {
 	var same *[ckptHeaderLen]byte
@@ -232,7 +230,7 @@ func loadCommitted(f *os.File, ckptPath string, prev *committed) (*committed, er
 			same = &prev.hdr
 		}
 	}
-	ck, err := readCheckpointIfChanged(ckptPath, same)
+	ck, err := readCheckpoint(ckptPath, same)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
@@ -249,6 +247,12 @@ func loadCommitted(f *os.File, ckptPath string, prev *committed) (*committed, er
 		if fi.Size() == 0 {
 			return nil, nil
 		}
+		if prev != nil && !prev.live && fi.Size() == prev.size {
+			var tail [tailLen]byte
+			if _, err := f.ReadAt(tail[:], fi.Size()-tailLen); err == nil && [tailLen]byte(prev.hdr[:tailLen]) == tail {
+				return prev, nil
+			}
+		}
 		return loadClosed(f, fi.Size())
 	}
 	if fi.Size() < ck.dataEnd {
@@ -257,7 +261,7 @@ func loadCommitted(f *os.File, ckptPath string, prev *committed) (*committed, er
 	if err := checkHeader(f, ck.dataEnd); err != nil {
 		return nil, err
 	}
-	fd, err := parseFooterReusing(ck.payload, 0, ck.dataEnd, prevFD)
+	fd, err := parseFooter(ck.payload, 0, ck.dataEnd, prevFD)
 	if err != nil {
 		return nil, err
 	}
@@ -293,11 +297,13 @@ func loadClosed(r io.ReaderAt, size int64) (*committed, error) {
 	if sum := crc32.ChecksumIEEE(footer); sum != binary.LittleEndian.Uint32(tail[:4]) {
 		return nil, corruptf(footerStart, "footer checksum mismatch")
 	}
-	fd, err := parseFooterData(footer, footerStart, footerStart)
+	fd, err := parseFooter(footer, footerStart, footerStart, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &committed{fd: fd, payload: footer, dataEnd: footerStart, size: size}, nil
+	c := &committed{fd: fd, payload: footer, dataEnd: footerStart, size: size}
+	copy(c.hdr[:], tail)
+	return c, nil
 }
 
 // checkHeader verifies the file magic within the first size bytes.

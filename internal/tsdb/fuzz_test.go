@@ -163,7 +163,7 @@ func FuzzBlockReader(f *testing.F) {
 		}
 		// Every rollup frame the footer indexes must decode or fail typed —
 		// a flipped byte anywhere in a frame or its index entry is either
-		// caught here or already rejected by parseFooterData above.
+		// caught here or already rejected by parseFooter above.
 		st := rd.st()
 		for ri := range st.rollups {
 			if _, err := decodeRollupAt(rd.r, st.size, &st.rollups[ri], nil); err != nil {

@@ -262,13 +262,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 
 	for _, tierRes := range resolutions {
 		links := byRes[tierRes]
-		var tier *rollupTier
-		for k := range st.rollupTiers[res.id] {
-			if st.rollupTiers[res.id][k].res == tierRes {
-				tier = &st.rollupTiers[res.id][k]
-				break
-			}
-		}
+		tier := tierOf(st.rollupTiers[res.id], tierRes)
 		if tier == nil { // unreachable: the plan chose the tier from this list
 			return corruptf(0, "planned tier %ds vanished from map %s", tierRes, res.id)
 		}

@@ -360,22 +360,3 @@ func (hl headLives) get(id wmap.MapID) headLive {
 	}
 	return headLive{sealedLast: -1, evFront: -1}
 }
-
-// headLivesOf derives the head liveness bounds of a committed state from
-// its block and event indexes.
-func headLivesOf(strs []string, blocks []blockMeta, evs []eventMeta) headLives {
-	hl := make(headLives)
-	for i := range blocks {
-		id := wmap.MapID(strs[blocks[i].mapRef])
-		l := hl.get(id)
-		l.sealedLast = max(l.sealedLast, blocks[i].lastUnix)
-		hl[id] = l
-	}
-	for i := range evs {
-		id := wmap.MapID(strs[evs[i].mapRef])
-		l := hl.get(id)
-		l.evFront = max(l.evFront, evs[i].lastPoint)
-		hl[id] = l
-	}
-	return hl
-}

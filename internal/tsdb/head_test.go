@@ -231,11 +231,11 @@ func TestTornHeadMatrix(t *testing.T) {
 // size of the last frame.
 func headAccount(t *testing.T, path string) (size, live, lastFrame int64, gen uint64) {
 	t.Helper()
-	ck, err := readCheckpoint(CheckpointPath(path))
+	ck, err := readCheckpoint(CheckpointPath(path), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := parseFooterData(ck.payload, 0, ck.dataEnd)
+	fd, err := parseFooter(ck.payload, 0, ck.dataEnd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,11 @@ func headAccount(t *testing.T, path string) (size, live, lastFrame int64, gen ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	hl := headLivesOf(fd.strs, fd.blocks, fd.events)
+	var ix commitIndex
+	if err := ix.extend(fd); err != nil {
+		t.Fatal(err)
+	}
+	hl := ix.lives
 	_, err = scanHead(buf, start, fd.strs, fd.topos, func(hf *headFrame) error {
 		framing, entries := int64(hf.size), int64(0)
 		for i := range hf.raw {

@@ -198,13 +198,7 @@ func (r *Reader) RollupTotals(ctx context.Context, id wmap.MapID, res time.Durat
 		return nil, fmt.Errorf("tsdb: resolution %s: %w", res, ErrNoRollup)
 	}
 	sec := int64(res / time.Second)
-	var tier *rollupTier
-	for k := range st.rollupTiers[id] {
-		if st.rollupTiers[id][k].res == sec {
-			tier = &st.rollupTiers[id][k]
-			break
-		}
-	}
+	tier := tierOf(st.rollupTiers[id], sec)
 	if tier == nil {
 		return nil, fmt.Errorf("tsdb: map %s at %s: %w", id, res, ErrNoRollup)
 	}

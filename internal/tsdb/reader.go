@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"maps"
 	"math"
 	"os"
 	"slices"
@@ -100,31 +99,17 @@ type readerState struct {
 	linkDir     map[string]linkAddr
 }
 
-// commitView is what one footer or checkpoint holds, with the lookup
-// structures derived from it. States whose refresh found the checkpoint
-// unchanged share it.
+// commitView is what one footer or checkpoint holds: its rows and their
+// per-map index, with the lookup structures derived from them. States whose
+// refresh found the checkpoint unchanged share it.
 type commitView struct {
-	c       *committed // the commit state it was parsed from
-	size    int64      // readable byte bound: file size (closed) or dataEnd (live)
-	strs    []string
-	topos   []*wmap.Topology
-	blocks  []blockMeta
-	rollups []rollupMeta
-	events  []eventMeta
-	perMap  map[wmap.MapID][]int // sealed block indexes, chronological
-	snaps   map[wmap.MapID]int   // sealed snapshots per map
-	evCount map[wmap.MapID]int   // events per map in event frames
-	lives   headLives            // which head entries the commit leaves live
-	sealed  []wmap.MapID         // maps with sealed blocks, sorted
-	// evPerMap lists each map's event-frame indexes in commit (offset) order.
-	evPerMap map[wmap.MapID][]int
-	// rollupTiers groups each map's rollup blocks by resolution, ascending;
-	// within a tier entries are chronological by first bucket. The planner
-	// walks tiers coarsest-first.
-	rollupTiers map[wmap.MapID][]rollupTier
-	cfp         uint64 // FNV-1a over size and footer/checkpoint payload
-	cversion    uint64 // checkpoint commit version; 0 when parsed from a footer
-	live        bool   // state came from a checkpoint (archive may still grow)
+	commitIndex
+	c        *committed // the commit state it was parsed from
+	size     int64      // readable byte bound: file size (closed) or dataEnd (live)
+	topos    []*wmap.Topology
+	cfp      uint64 // FNV-1a over size and footer/checkpoint payload
+	cversion uint64 // checkpoint commit version; 0 when parsed from a footer
+	live     bool   // state came from a checkpoint (archive may still grow)
 
 	keyDir *topoKeyDir // shared by views over the same topology table
 }
@@ -168,13 +153,6 @@ type evSeg struct {
 	head []events.Event
 	skip int
 	n    int
-}
-
-// rollupTier is one map's rollup blocks at one resolution.
-type rollupTier struct {
-	res     int64
-	entries []int // rollup indexes, sorted by (firstBucket, offset)
-	maxLast int64 // newest raw point any entry of the tier aggregates
 }
 
 // linkAddr locates a query-API link id: the map and the in-map key.
@@ -260,6 +238,9 @@ func (r *Reader) loadFileState(prev *readerState) (*readerState, error) {
 		prevCV = prev.commitView
 	}
 	if prev != nil && c == prev.c {
+		if !c.live {
+			return prev, nil // a closed archive only changes by being replaced
+		}
 		cv = prevCV
 	} else if cv, err = buildCommitView(c, prevCV); err != nil {
 		return nil, err
@@ -281,7 +262,8 @@ func (r *Reader) loadFileState(prev *readerState) (*readerState, error) {
 // changed checkpoint is read whole, but only the table rows past the
 // current state's are parsed: strings, topologies (with the direction
 // indexes built on them) and index rows carry over, and the per-map
-// lookups are extended rather than rebuilt.
+// index is extended rather than rebuilt. A closed archive whose size and
+// 20-byte tail are unchanged keeps the current state without a footer read.
 //
 // Refresh verifies the new state is a strict extension of the current one
 // — same blocks, same offsets, only appended entries, no map's newest
@@ -388,21 +370,16 @@ func reuseRows[T any](d *dec, n int, prevRows []byte, prev []T, parse func(vals 
 	return vals, d.b[start:d.pos], reused, nil
 }
 
-// parseFooterData decodes a footer payload: the string table, the
-// prefix-delta topology dictionary, and the block index. payloadOff is the
-// file offset of the payload's first byte (for error positions); dataEnd
-// bounds every block frame.
-func parseFooterData(payload []byte, payloadOff, dataEnd int64) (*footerData, error) {
-	return parseFooterReusing(payload, payloadOff, dataEnd, nil)
-}
-
-// parseFooterReusing is parseFooterData that skips the rows a refreshing
-// reader parsed last time (prev nil: none): every table of a growing
-// archive's checkpoint begins with the previous checkpoint's rows, so only
-// the appended rows are decoded, and prev's string values and
-// *wmap.Topology entries — with the direction indexes built on them —
-// carry over.
-func parseFooterReusing(payload []byte, payloadOff, dataEnd int64, prev *footerData) (*footerData, error) {
+// parseFooter decodes a footer payload: the string table, the
+// prefix-delta topology dictionary, the block index and the versioned
+// rollup and event indexes. payloadOff is the file offset of the payload's
+// first byte (for error positions); dataEnd bounds every frame. Given the
+// rows a refreshing reader parsed last time (prev nil: none), it skips
+// them: every table of a growing archive's checkpoint begins with the
+// previous checkpoint's rows, so only the appended rows are decoded, and
+// prev's string values and *wmap.Topology entries — with the direction
+// indexes built on them — carry over.
+func parseFooter(payload []byte, payloadOff, dataEnd int64, prev *footerData) (*footerData, error) {
 	extending := prev != nil && dataEnd >= prev.dataEnd
 	if !extending {
 		prev = &footerData{}
@@ -497,94 +474,22 @@ func parseFooterReusing(payload []byte, payloadOff, dataEnd int64, prev *footerD
 	return fd, nil
 }
 
-// buildCommitView derives the query-side lookup structures from a
-// committed state and validates the cross-block invariants. Given the
-// view a refresh starts from, and a commit whose tables extend it row for
-// row, it derives the new view from prev and the appended rows alone.
+// buildCommitView derives the view of commit c. Given the view a refresh
+// starts from, and a commit whose tables extend it row for row, it extends
+// a clone of prev's index by the appended rows alone; otherwise it extends
+// an empty index by every row.
 func buildCommitView(c *committed, prev *commitView) (*commitView, error) {
+	cv := &commitView{c: c, size: c.size, topos: c.fd.topos, cfp: c.fingerprint(),
+		cversion: c.version, live: c.live, keyDir: &topoKeyDir{}}
 	if prev != nil && c.fd.extended {
-		if cv := prev.extendedBy(c); cv != nil {
-			return cv, nil
+		cv.commitIndex = prev.clone()
+		if len(cv.topos) == len(prev.topos) {
+			cv.keyDir = prev.keyDir // the same table: built or not, the directory carries over
 		}
 	}
-	fd := c.fd
-	cv := &commitView{
-		c:           c,
-		size:        c.size,
-		strs:        fd.strs,
-		topos:       fd.topos,
-		blocks:      fd.blocks,
-		rollups:     fd.rollups,
-		events:      fd.events,
-		perMap:      make(map[wmap.MapID][]int),
-		snaps:       make(map[wmap.MapID]int),
-		evCount:     make(map[wmap.MapID]int),
-		lives:       headLivesOf(fd.strs, fd.blocks, fd.events),
-		evPerMap:    make(map[wmap.MapID][]int),
-		rollupTiers: make(map[wmap.MapID][]rollupTier),
-		cfp:         c.fingerprint(),
-		cversion:    c.version,
-		live:        c.live,
-		keyDir:      &topoKeyDir{},
+	if err := cv.extend(c.fd); err != nil {
+		return nil, err
 	}
-	for i := range cv.blocks {
-		id := wmap.MapID(cv.strs[cv.blocks[i].mapRef])
-		cv.perMap[id] = append(cv.perMap[id], i)
-		cv.snaps[id] += cv.blocks[i].points
-	}
-	for i := range cv.events {
-		id := wmap.MapID(cv.strs[cv.events[i].mapRef])
-		cv.evPerMap[id] = append(cv.evPerMap[id], i)
-		cv.evCount[id] += cv.events[i].count
-	}
-	for _, ei := range cv.evPerMap {
-		sort.Slice(ei, func(a, b int) bool { return cv.events[ei[a]].offset < cv.events[ei[b]].offset })
-	}
-	for i := range cv.rollups {
-		m := &cv.rollups[i]
-		id := wmap.MapID(cv.strs[m.mapRef])
-		tiers := cv.rollupTiers[id]
-		ti := -1
-		for k := range tiers {
-			if tiers[k].res == m.res {
-				ti = k
-				break
-			}
-		}
-		if ti < 0 {
-			tiers = append(tiers, rollupTier{res: m.res})
-			ti = len(tiers) - 1
-		}
-		tiers[ti].entries = append(tiers[ti].entries, i)
-		if m.lastPoint > tiers[ti].maxLast {
-			tiers[ti].maxLast = m.lastPoint
-		}
-		cv.rollupTiers[id] = tiers
-	}
-	for _, tiers := range cv.rollupTiers {
-		sort.Slice(tiers, func(a, b int) bool { return tiers[a].res < tiers[b].res })
-		for k := range tiers {
-			es := tiers[k].entries
-			sort.Slice(es, func(a, b int) bool {
-				ra, rb := &cv.rollups[es[a]], &cv.rollups[es[b]]
-				if ra.firstBucket != rb.firstBucket {
-					return ra.firstBucket < rb.firstBucket
-				}
-				return ra.offset < rb.offset
-			})
-		}
-	}
-	for id, bl := range cv.perMap {
-		sort.Slice(bl, func(a, b int) bool { return cv.blocks[bl[a]].baseUnix < cv.blocks[bl[b]].baseUnix })
-		for k := 1; k < len(bl); k++ {
-			prev, cur := &cv.blocks[bl[k-1]], &cv.blocks[bl[k]]
-			if cur.baseUnix <= prev.lastUnix {
-				return nil, corruptf(cur.offset, "map %s blocks overlap in time", id)
-			}
-		}
-		cv.sealed = append(cv.sealed, id)
-	}
-	slices.Sort(cv.sealed)
 	return cv, nil
 }
 
@@ -594,101 +499,6 @@ func (c *committed) fingerprint() uint64 {
 		return fingerprintState(c.size, c.hdr[:])
 	}
 	return fingerprintState(c.size, c.payload)
-}
-
-// extendedBy derives the view of commit c, whose tables extend cv's row
-// for row, from cv and the appended rows. Every appended row lands at the
-// end of its per-map list; it returns nil when one would not (a block not
-// after its map's last, an event frame before its map's last, a rollup
-// block sorting before its tier's last), leaving the full build to sort
-// and validate.
-func (cv *commitView) extendedBy(c *committed) *commitView {
-	fd := c.fd
-	nv := &commitView{
-		c:           c,
-		size:        c.size,
-		strs:        fd.strs,
-		topos:       fd.topos,
-		blocks:      fd.blocks,
-		rollups:     fd.rollups,
-		events:      fd.events,
-		perMap:      maps.Clone(cv.perMap),
-		snaps:       maps.Clone(cv.snaps),
-		evCount:     maps.Clone(cv.evCount),
-		lives:       maps.Clone(cv.lives),
-		sealed:      cv.sealed,
-		evPerMap:    maps.Clone(cv.evPerMap),
-		rollupTiers: maps.Clone(cv.rollupTiers),
-		cfp:         c.fingerprint(),
-		cversion:    c.version,
-		live:        c.live,
-		keyDir:      &topoKeyDir{},
-	}
-	if len(nv.topos) == len(cv.topos) {
-		nv.keyDir = cv.keyDir // the same table: built or not, the directory carries over
-	}
-	newMap := false
-	for i := len(cv.blocks); i < len(nv.blocks); i++ {
-		m := &nv.blocks[i]
-		id := wmap.MapID(nv.strs[m.mapRef])
-		bl := nv.perMap[id]
-		if len(bl) > 0 && m.baseUnix <= nv.blocks[bl[len(bl)-1]].lastUnix {
-			return nil
-		}
-		newMap = newMap || len(bl) == 0
-		nv.perMap[id] = append(bl, i)
-		nv.snaps[id] += m.points
-		l := nv.lives.get(id)
-		l.sealedLast = max(l.sealedLast, m.lastUnix)
-		nv.lives[id] = l
-	}
-	if newMap {
-		nv.sealed = make([]wmap.MapID, 0, len(nv.perMap))
-		for id := range nv.perMap {
-			nv.sealed = append(nv.sealed, id)
-		}
-		slices.Sort(nv.sealed)
-	}
-	for i := len(cv.events); i < len(nv.events); i++ {
-		m := &nv.events[i]
-		id := wmap.MapID(nv.strs[m.mapRef])
-		ei := nv.evPerMap[id]
-		if len(ei) > 0 && m.offset < nv.events[ei[len(ei)-1]].offset {
-			return nil
-		}
-		nv.evPerMap[id] = append(ei, i)
-		nv.evCount[id] += m.count
-		l := nv.lives.get(id)
-		l.evFront = max(l.evFront, m.lastPoint)
-		nv.lives[id] = l
-	}
-	cloned := make(map[wmap.MapID]bool)
-	for i := len(cv.rollups); i < len(nv.rollups); i++ {
-		m := &nv.rollups[i]
-		id := wmap.MapID(nv.strs[m.mapRef])
-		tiers := nv.rollupTiers[id]
-		if !cloned[id] {
-			tiers, cloned[id] = slices.Clone(tiers), true
-		}
-		k := slices.IndexFunc(tiers, func(t rollupTier) bool { return t.res == m.res })
-		if k < 0 {
-			k = len(tiers)
-			tiers = append(tiers, rollupTier{res: m.res})
-			if k > 0 && tiers[k-1].res > m.res {
-				return nil
-			}
-		}
-		if es := tiers[k].entries; len(es) > 0 {
-			last := &nv.rollups[es[len(es)-1]]
-			if m.firstBucket < last.firstBucket || (m.firstBucket == last.firstBucket && m.offset < last.offset) {
-				return nil
-			}
-		}
-		tiers[k].entries = append(tiers[k].entries, i)
-		tiers[k].maxLast = max(tiers[k].maxLast, m.lastPoint)
-		nv.rollupTiers[id] = tiers
-	}
-	return nv
 }
 
 // newState combines a commit view with the head bytes buf, read from file

@@ -1,0 +1,203 @@
+package tsdb
+
+import (
+	"errors"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"ovhweather/internal/wmap"
+)
+
+// referenceCommitView is the full derivation of a commit's view that
+// commitIndex.extend replaced: every row indexed in one pass, then every
+// per-map list sorted and each map's blocks checked for overlap in time.
+// FuzzCommitIndex and TestCommitIndexMatchesReference hold extend to it.
+func referenceCommitView(c *committed) (*commitView, error) {
+	fd := c.fd
+	cv := &commitView{
+		commitIndex: commitIndex{
+			strs:        fd.strs,
+			blocks:      fd.blocks,
+			rollups:     fd.rollups,
+			events:      fd.events,
+			perMap:      make(map[wmap.MapID][]int),
+			snaps:       make(map[wmap.MapID]int),
+			evCount:     make(map[wmap.MapID]int),
+			lives:       make(headLives),
+			evPerMap:    make(map[wmap.MapID][]int),
+			rollupTiers: make(map[wmap.MapID][]rollupTier),
+		},
+		c:        c,
+		size:     c.size,
+		topos:    fd.topos,
+		cfp:      c.fingerprint(),
+		cversion: c.version,
+		live:     c.live,
+		keyDir:   &topoKeyDir{},
+	}
+	for i := range cv.blocks {
+		id := wmap.MapID(cv.strs[cv.blocks[i].mapRef])
+		cv.perMap[id] = append(cv.perMap[id], i)
+		cv.snaps[id] += cv.blocks[i].points
+		l := cv.lives.get(id)
+		l.sealedLast = max(l.sealedLast, cv.blocks[i].lastUnix)
+		cv.lives[id] = l
+	}
+	for i := range cv.events {
+		id := wmap.MapID(cv.strs[cv.events[i].mapRef])
+		cv.evPerMap[id] = append(cv.evPerMap[id], i)
+		cv.evCount[id] += cv.events[i].count
+		l := cv.lives.get(id)
+		l.evFront = max(l.evFront, cv.events[i].lastPoint)
+		cv.lives[id] = l
+	}
+	for _, ei := range cv.evPerMap {
+		sort.Slice(ei, func(a, b int) bool { return cv.events[ei[a]].offset < cv.events[ei[b]].offset })
+	}
+	for i := range cv.rollups {
+		m := &cv.rollups[i]
+		id := wmap.MapID(cv.strs[m.mapRef])
+		tiers := cv.rollupTiers[id]
+		ti := -1
+		for k := range tiers {
+			if tiers[k].res == m.res {
+				ti = k
+				break
+			}
+		}
+		if ti < 0 {
+			tiers = append(tiers, rollupTier{res: m.res})
+			ti = len(tiers) - 1
+		}
+		tiers[ti].entries = append(tiers[ti].entries, i)
+		if m.lastPoint > tiers[ti].maxLast {
+			tiers[ti].maxLast = m.lastPoint
+		}
+		cv.rollupTiers[id] = tiers
+	}
+	for _, tiers := range cv.rollupTiers {
+		sort.Slice(tiers, func(a, b int) bool { return tiers[a].res < tiers[b].res })
+		for k := range tiers {
+			es := tiers[k].entries
+			sort.Slice(es, func(a, b int) bool {
+				ra, rb := &cv.rollups[es[a]], &cv.rollups[es[b]]
+				if ra.firstBucket != rb.firstBucket {
+					return ra.firstBucket < rb.firstBucket
+				}
+				return ra.offset < rb.offset
+			})
+		}
+	}
+	for id, bl := range cv.perMap {
+		sort.Slice(bl, func(a, b int) bool { return cv.blocks[bl[a]].baseUnix < cv.blocks[bl[b]].baseUnix })
+		for k := 1; k < len(bl); k++ {
+			prev, cur := &cv.blocks[bl[k-1]], &cv.blocks[bl[k]]
+			if cur.baseUnix <= prev.lastUnix {
+				return nil, corruptf(cur.offset, "map %s blocks overlap in time", id)
+			}
+		}
+		cv.sealed = append(cv.sealed, id)
+	}
+	slices.Sort(cv.sealed)
+	return cv, nil
+}
+
+// TestCommitIndexMatchesReference: the index an open derives from a real
+// archive — three maps, topology changes, two rollup tiers, event frames —
+// is the reference derivation's, field for field.
+func TestCommitIndexMatchesReference(t *testing.T) {
+	st := openArchive(t, buildArchive(t, 16, syncStream()...)).st()
+	if len(st.rollups) == 0 || len(st.events) == 0 {
+		t.Fatalf("fixture has %d rollup blocks and %d event frames; want both", len(st.rollups), len(st.events))
+	}
+	want, err := referenceCommitView(st.c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.commitIndex, want.commitIndex) {
+		t.Fatalf("index differs from the reference:\n got %+v\nwant %+v", st.commitIndex, want.commitIndex)
+	}
+}
+
+// indexRows decodes a fuzz program into index rows over three maps, four
+// bytes a row: the kind and map, then three parameters. Offsets are
+// distinct, so every order the index sorts by is total, and follow the
+// first parameter, so rows arrive in any offset order.
+func indexRows(prog []byte) *footerData {
+	fd := &footerData{strs: []string{"europe", "world", "asia-pacific"}}
+	for i := 0; i+4 <= len(prog) && i < 4<<10; i += 4 {
+		op, a, b, c := prog[i], int64(prog[i+1]), int64(prog[i+2]), int64(prog[i+3])
+		f := frame{offset: 8 + a<<12 + int64(i/4)}
+		ref := uint64(op/3) % 3
+		switch op % 3 {
+		case 0: // blocks at 10b lasting c%16 s: equal or adjacent b may overlap
+			fd.blocks = append(fd.blocks, blockMeta{frame: f, mapRef: ref,
+				baseUnix: 10 * b, lastUnix: 10*b + c%16, points: 1 + int(c%16)})
+		case 1: // tiers in any resolution order
+			res := []int64{300, 3600, 86400}[c%3]
+			fd.rollups = append(fd.rollups, rollupMeta{frame: f, mapRef: ref, res: res,
+				firstBucket: b * res, lastBucket: (b + c/3) * res, lastPoint: (b+c/3)*res + c%7, buckets: 1 + int(c/3)})
+		default:
+			fd.events = append(fd.events, eventMeta{frame: f, mapRef: ref, lastPoint: 10 * b, count: 1 + int(c%8)})
+		}
+	}
+	return fd
+}
+
+// FuzzCommitIndex: an index extended by a prefix of each table's rows,
+// then a clone of it extended by every row, equals the reference
+// derivation over every row, and the prefix index still equals the
+// reference over the prefix (a Refresh never disturbs the state it starts
+// from). Rows with overlapping blocks fail with *CorruptError in both.
+func FuzzCommitIndex(f *testing.F) {
+	row := func(op, a, b, c byte) []byte { return []byte{op, a, b, c} }
+	cat := func(rows ...[]byte) []byte { return slices.Concat(rows...) }
+	// Blocks of one map out of time order, not overlapping.
+	f.Add(cat(row(0, 1, 20, 3), row(0, 2, 5, 3), row(0, 3, 30, 3)), uint8(1), uint8(0), uint8(0))
+	// A coarse rollup tier before a fine one, and a tier entry out of order.
+	f.Add(cat(row(1, 1, 10, 2), row(1, 2, 10, 0), row(1, 3, 4, 0), row(4, 4, 1, 1)), uint8(0), uint8(1), uint8(0))
+	// Event frames out of offset order.
+	f.Add(cat(row(2, 9, 5, 0), row(2, 3, 6, 0), row(5, 1, 7, 1), row(2, 5, 8, 2)), uint8(0), uint8(0), uint8(2))
+	// Overlapping blocks, split between prefix and rest.
+	f.Add(cat(row(0, 1, 20, 15), row(3, 2, 20, 4), row(0, 2, 21, 3)), uint8(1), uint8(0), uint8(0))
+	// Prefix lists with room to grow in place, then a row of each kind
+	// that lands before their last: sorting must not reorder the prefix.
+	f.Add(cat(row(0, 1, 20, 3), row(0, 2, 30, 3), row(0, 3, 40, 3), row(0, 4, 5, 3),
+		row(1, 1, 10, 0), row(1, 2, 11, 0), row(1, 3, 12, 0), row(1, 4, 4, 0),
+		row(2, 3, 5, 0), row(2, 4, 6, 0), row(2, 9, 7, 0), row(2, 5, 8, 2)), uint8(3), uint8(3), uint8(3))
+	// Every kind at once, in order and out of it.
+	f.Add(cat(row(0, 1, 1, 9), row(3, 1, 1, 9), row(1, 2, 1, 0), row(2, 3, 1, 1), row(0, 4, 3, 9),
+		row(1, 5, 0, 2), row(2, 0, 0, 1), row(6, 6, 9, 3), row(0, 7, 2, 5), row(7, 8, 2, 1)), uint8(2), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, prog []byte, kb, kr, ke uint8) {
+		fd := indexRows(prog)
+		pre := &footerData{strs: fd.strs, blocks: fd.blocks[:int(kb)%(len(fd.blocks)+1)],
+			rollups: fd.rollups[:int(kr)%(len(fd.rollups)+1)], events: fd.events[:int(ke)%(len(fd.events)+1)]}
+		// same reports whether ix and err are what the reference derives
+		// from fd, failing the test when they are not.
+		same := func(what string, ix *commitIndex, err error, fd *footerData) bool {
+			t.Helper()
+			want, wantErr := referenceCommitView(&committed{fd: fd})
+			var ce *CorruptError
+			switch {
+			case wantErr != nil && !errors.As(wantErr, &ce):
+				t.Fatalf("reference over %s: %v is not a *CorruptError", what, wantErr)
+			case wantErr != nil && !errors.As(err, &ce):
+				t.Fatalf("%s: err = %v, the reference fails with %v", what, err, wantErr)
+			case wantErr == nil && err != nil:
+				t.Fatalf("%s: %v; the reference accepts the rows", what, err)
+			case wantErr == nil && !reflect.DeepEqual(*ix, want.commitIndex):
+				t.Fatalf("%s differs from the reference:\n got %+v\nwant %+v", what, *ix, want.commitIndex)
+			}
+			return wantErr == nil
+		}
+		var ix commitIndex
+		if !same("the prefix", &ix, ix.extend(pre), pre) {
+			return
+		}
+		next := ix.clone()
+		same("the prefix's clone extended by the rest", &next, next.extend(fd), fd)
+		same("the prefix after its clone was extended", &ix, nil, pre)
+	})
+}

@@ -179,14 +179,14 @@ func (w *Writer) SetRollupResolutions(res ...time.Duration) error {
 
 func (w *Writer) rollupEnabled() bool { return len(w.rollupRes) > 0 }
 
-// replayRollups folds a committed raw block's points past the tier
-// frontiers (resolution → newest flushed point) into the map's
-// accumulators; see ensureResumed.
-func replayRollups(accs []*rollupAcc, front map[int64]int64, bm *blockMeta, db *decodedBlock) {
+// replayRollups folds a committed raw block's points past the frontiers of
+// the map's committed rollup tiers (each tier's newest flushed point) into
+// the map's accumulators; see ensureResumed.
+func replayRollups(accs []*rollupAcc, tiers []rollupTier, bm *blockMeta, db *decodedBlock) {
 	cols := 2 * bm.links
 	for pi, t := range db.times {
 		for _, acc := range accs {
-			if s, ok := front[acc.res]; ok && t <= s {
+			if tier := tierOf(tiers, acc.res); tier != nil && t <= tier.maxLast {
 				continue
 			}
 			acc.retire(bm.topoIndex)

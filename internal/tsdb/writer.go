@@ -133,6 +133,9 @@ type Writer struct {
 	// frozen and, on a resumed archive, the accumulators and detectors
 	// have been rebuilt from the committed raw blocks.
 	resumed bool
+	// ix is the index of the commit OpenAppend resumed from, kept until
+	// ensureResumed has read the rollup and event frontiers from it.
+	ix *commitIndex
 
 	// Rollup tier state; see rollup.go.
 	rollupRes []int64 // tier resolutions in seconds, ascending
@@ -254,6 +257,10 @@ func (w *Writer) recover() error {
 		// here is stale.
 		return removeStale(w.headPath)
 	}
+	w.ix = &commitIndex{}
+	if err := w.ix.extend(c.fd); err != nil {
+		return err
+	}
 	if c.live {
 		// The committed tail must be intact before the uncommitted rest goes.
 		if err := verifyTailBlock(w.f, c.fd, c.dataEnd); err != nil {
@@ -299,10 +306,9 @@ func (w *Writer) recoverHead() error {
 	if gen == 0 {
 		return removeStale(w.headPath) // no head, or one too short to hold a frame
 	}
-	hl := headLivesOf(w.strs, w.index, w.evIndex)
 	n, err := scanHead(buf, start, w.strs, w.topos, func(hf *headFrame) error {
 		w.version = max(w.version, hf.version)
-		return w.replayHead(hf, hl)
+		return w.replayHead(hf, w.ix.lives)
 	})
 	if err != nil {
 		return err
@@ -444,7 +450,8 @@ func verifyTailBlock(r io.ReaderAt, fd *footerData, dataEnd int64) error {
 }
 
 // restore rebuilds the writer's interning tables and clocks from parsed
-// footer data, as if every indexed block had just been flushed.
+// footer data and its index, as if every indexed block had just been
+// flushed.
 func (w *Writer) restore(fd *footerData) {
 	w.strs = fd.strs
 	for i, s := range fd.strs {
@@ -454,13 +461,9 @@ func (w *Writer) restore(fd *footerData) {
 	w.index = fd.blocks
 	w.rollups = fd.rollups
 	w.evIndex = fd.events
-	for i := range fd.blocks {
-		m := &fd.blocks[i]
-		id := wmap.MapID(fd.strs[m.mapRef])
-		if lt, ok := w.last[id]; !ok || m.lastUnix > lt {
-			w.last[id] = m.lastUnix
-		}
-		w.snapshots += m.points
+	for _, id := range w.ix.sealed {
+		w.last[id] = w.ix.lives[id].sealedLast
+		w.snapshots += w.ix.snaps[id]
 	}
 }
 
@@ -473,16 +476,17 @@ func (w *Writer) restore(fd *footerData) {
 // events they re-pend are the ones the head already holds.
 //
 // Rollups replay only the points past each (map, resolution) tier's
-// frontier, the newest point any flushed rollup block of that tier covers.
-// Detectors replay every block, because their hysteresis sets, debounce
-// pendings and upgrade trackers depend on the whole history, and re-pend
-// only the emissions past the map's event frontier, the newest lastPoint
-// of its flushed frames. At every commit the flushed frames cover exactly
-// what lies up to the frontiers, so the rebuilt state equals the crashed
-// writer's and the resumed byte stream matches a writer that never
-// stopped. Nothing is written here: runs retired by a topology change
-// crossed in the replay (a migrated v1 archive) flush at the first flush
-// event.
+// frontier, the newest point any flushed rollup block of that tier covers
+// (the tier's maxLast in the commit index). Detectors replay every block,
+// because their hysteresis sets, debounce pendings and upgrade trackers
+// depend on the whole history, and re-pend only the emissions past the
+// map's event frontier, the newest lastPoint of its flushed frames (its
+// evFront in the index), which is dropped after the replay. At every
+// commit the flushed frames cover exactly what lies up to the frontiers,
+// so the rebuilt state equals the crashed writer's and the resumed byte
+// stream matches a writer that never stopped. Nothing is written here:
+// runs retired by a topology change crossed in the replay (a migrated v1
+// archive) flush at the first flush event.
 //
 // A corrupt raw block switches off (logged) whatever needed it, detection
 // always and rollups when the block lies past their frontier, instead of
@@ -492,26 +496,10 @@ func (w *Writer) ensureResumed() error {
 	if w.resumed {
 		return nil
 	}
-	w.resumed = true
-	if (len(w.index) == 0 && len(w.open) == 0) || w.f == nil {
+	ix := w.ix
+	w.resumed, w.ix = true, nil
+	if ix == nil || (len(w.index) == 0 && len(w.open) == 0) {
 		return nil
-	}
-	rollFront := make(map[wmap.MapID]map[int64]int64)
-	for _, m := range w.rollups {
-		id := wmap.MapID(w.strs[m.mapRef])
-		if rollFront[id] == nil {
-			rollFront[id] = make(map[int64]int64)
-		}
-		if cur, ok := rollFront[id][m.res]; !ok || m.lastPoint > cur {
-			rollFront[id][m.res] = m.lastPoint
-		}
-	}
-	evFront := make(map[wmap.MapID]int64)
-	for _, m := range w.evIndex {
-		id := wmap.MapID(w.strs[m.mapRef])
-		if cur, ok := evFront[id]; !ok || m.lastPoint > cur {
-			evFront[id] = m.lastPoint
-		}
 	}
 	// w.index is in flush order, which is chronological per map.
 	for i := range w.index {
@@ -522,7 +510,7 @@ func (w *Writer) ensureResumed() error {
 		if w.rollupEnabled() {
 			accs = w.rollupAccs(id)
 			for _, acc := range accs {
-				if s, ok := rollFront[id][acc.res]; !ok || bm.lastUnix > s {
+				if tier := tierOf(ix.rollupTiers[id], acc.res); tier == nil || bm.lastUnix > tier.maxLast {
 					rollups = true
 				}
 			}
@@ -550,32 +538,24 @@ func (w *Writer) ensureResumed() error {
 			return err
 		}
 		if rollups {
-			replayRollups(accs, rollFront[id], bm, db)
+			replayRollups(accs, ix.rollupTiers[id], bm, db)
 		}
 		if w.evEnabled {
-			w.replayEvents(id, frontierOr(evFront, id), bm, db)
+			w.replayEvents(id, ix.lives.get(id).evFront, bm, db)
 		}
 	}
 	for _, id := range sortedIDs(w.open) {
 		ob := w.open[id]
 		bm, db := ob.decoded(w.strIDs[string(id)])
 		if w.rollupEnabled() {
-			replayRollups(w.rollupAccs(id), rollFront[id], bm, db)
+			replayRollups(w.rollupAccs(id), ix.rollupTiers[id], bm, db)
 		}
 		if w.evEnabled {
-			w.replayEvents(id, frontierOr(evFront, id), bm, db)
+			w.replayEvents(id, ix.lives.get(id).evFront, bm, db)
 		}
 		w.evSynced[id] = len(w.evPending[id])
 	}
 	return nil
-}
-
-// frontierOr returns the map's frontier, -1 when it has none.
-func frontierOr(front map[wmap.MapID]int64, id wmap.MapID) int64 {
-	if fr, ok := front[id]; ok {
-		return fr
-	}
-	return -1
 }
 
 // decoded returns the open block's points as an index row and a decoded
