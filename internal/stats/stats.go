@@ -46,7 +46,9 @@ func (s *Sample) ensureSorted() {
 // PercentHist.Percentile, the same estimator as numpy's default and the
 // one used for the paper's whisker plots: the p-th percentile (p in
 // [0, 100]) of n ordered observations, where at(k) is the k-th smallest,
-// counting from 0.
+// counting from 0. The interpolated value is clamped to the two order
+// statistics it lies between: between equal ones, rounding in the blend
+// could otherwise land just outside them, below the sample's minimum.
 func percentile(n int, p float64, at func(k int) float64) (float64, error) {
 	if n == 0 {
 		return 0, ErrEmpty
@@ -64,7 +66,8 @@ func percentile(n int, p float64, at func(k int) float64) (float64, error) {
 		return at(lo), nil
 	}
 	frac := rank - float64(lo)
-	return at(lo)*(1-frac) + at(hi)*frac, nil
+	a, b := at(lo), at(hi)
+	return min(max(a*(1-frac)+b*frac, a), b), nil
 }
 
 // Quartiles bundles the five-number-plus-whiskers summary used by the

@@ -110,6 +110,25 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
+// TestPercentileWithinBracket: a percentile between two equal order
+// statistics is that value, not a rounding of the blend below it. On this
+// sample, whose two smallest values are 7, the unclamped interpolation
+// read 6.999999999999999.
+func TestPercentileWithinBracket(t *testing.T) {
+	s := NewSample()
+	for _, v := range []uint8{0x9a, 0xd7, 0x58, 0x89, 0x7c, 0x07, 0xb9, 0x9e, 0x41, 0xd5, 0x19,
+		0xf2, 0xad, 0x45, 0x97, 0x8c, 0x08, 0x5d, 0x4c, 0x07, 0x9b, 0xb8} {
+		s.Add(float64(v))
+	}
+	got, err := s.Percentile(float64(1) / 255 * 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 7 {
+		t.Errorf("Percentile(1/255·100) = %v, want 7, the two smallest values", got)
+	}
+}
+
 func TestQuartiles(t *testing.T) {
 	s := NewSample()
 	for i := 0; i <= 100; i++ {

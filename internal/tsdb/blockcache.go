@@ -251,8 +251,9 @@ func (c *BlockCache) Stats() CacheStats {
 }
 
 // cost approximates the heap bytes a decoded block pins: the time column,
-// every decoded load column, and a fixed overhead for the struct and
-// slice headers. wmap.Load is a machine int.
+// the load slab its decoded columns are carved from (their lengths sum to
+// the slab's), and a fixed overhead for the struct and slice headers.
+// wmap.Load is a machine int.
 func (db *decodedBlock) cost() int64 {
 	c := int64(len(db.times)) * 8
 	for _, col := range db.cols {

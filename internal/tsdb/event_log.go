@@ -336,7 +336,7 @@ func decodeEventRows(d *dec, id wmap.MapID, count int, lo, hi int64, strs []stri
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		if !wmap.Load(load).Valid() {
+		if load > 100 {
 			return nil, 0, 0, corruptf(d.abs(), "event load %d out of [0, 100]", load)
 		}
 		gbps, err := d.uvarint("event gbps")

@@ -900,9 +900,9 @@ type decodedBlock struct {
 	cols  [][]wmap.Load
 }
 
-// groupWant converts a cache column group to a decoder's column filter:
-// allColumns decodes everything, otherwise only the link's two directed
-// columns.
+// groupWant converts a cache column group to the rollup decoder's column
+// filter: allColumns decodes everything, otherwise only the link's two
+// directed columns.
 func groupWant(group int) func(ci int) bool {
 	if group == allColumns {
 		return nil
@@ -943,7 +943,7 @@ func (r *Reader) block(st *readerState, bi, group int) (*decodedBlock, error) {
 		return st.heads[bi-len(st.blocks)].decoded(), nil
 	}
 	return cached(r, kindRaw, bi, group, func() (*decodedBlock, error) {
-		return decodeBlockAt(r.r, st.size, &st.blocks[bi], groupWant(group))
+		return decodeBlockAt(r.r, st.size, &st.blocks[bi], group)
 	})
 }
 
@@ -954,10 +954,14 @@ func (r *Reader) rollup(st *readerState, ri, group int) (*decodedRollup, error) 
 	})
 }
 
-// decodeBlockAt reads and decodes one raw block. want selects load columns
-// by column index (nil means all); unselected columns are skipped without
-// decoding — the columnar payoff for single-link queries.
-func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, want func(ci int) bool) (*decodedBlock, error) {
+// decodeBlockAt reads and decodes one raw block with the given cache
+// column group: allColumns decodes every load column, a link index only
+// that link's two. Other columns are skipped without decoding — the
+// columnar payoff for single-link queries. Every wanted column is carved
+// from one slab, so a block costs the same few allocations whatever its
+// link count, and a column whose bytes are as many as its points takes
+// decodeOneByteLoads' fast path.
+func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, group int) (*decodedBlock, error) {
 	d, err := readFrame(r, size, meta.frame, "block")
 	if err != nil {
 		return nil, err
@@ -1015,45 +1019,93 @@ func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, want func(ci int)
 		return nil, corruptf(td.abs(), "block last time %d disagrees with index's %d", t, meta.lastUnix)
 	}
 
+	// A column is carved only after its n-point length check passes, so
+	// the columns carved never outgrow the bytes left: bounding the slab
+	// by them keeps a corrupt directory from sizing a huge allocation
+	// while a valid block gets exactly wanted×n loads.
+	wanted := 2 * L
+	if group != allColumns {
+		wanted = 2
+	}
+	slab := make([]wmap.Load, min(wanted*n, d.remaining()))
 	for ci := 0; ci < 2*L; ci++ {
 		cb, err := d.bytes(int(colLens[ci]), "load column")
 		if err != nil {
 			return nil, err
 		}
-		if want != nil && !want(ci) {
+		if group != allColumns && ci>>1 != group {
 			continue
 		}
 		if uint64(n) > colLens[ci] {
 			return nil, corruptf(d.abs(), "%d points cannot fit a %d-byte load column", n, colLens[ci])
 		}
-		cd := &dec{b: cb, off: d.abs() - int64(len(cb))}
-		col := make([]wmap.Load, 0, n)
-		v, err := cd.uvarint("load value")
-		if err != nil {
-			return nil, err
-		}
-		load := int64(v)
-		if !wmap.Load(load).Valid() {
-			return nil, corruptf(cd.abs(), "load %d out of [0, 100]", load)
-		}
-		col = append(col, wmap.Load(load))
-		for i := 1; i < n; i++ {
-			delta, err := cd.varint("load delta")
-			if err != nil {
+		col := slab[:n:n]
+		slab = slab[n:]
+		if len(cb) != n || !decodeOneByteLoads(col, cb) {
+			if err := decodeLoads(col, &dec{b: cb, off: d.abs() - int64(len(cb))}); err != nil {
 				return nil, err
 			}
-			load += delta
-			if !wmap.Load(load).Valid() {
-				return nil, corruptf(cd.abs(), "load %d out of [0, 100]", load)
-			}
-			col = append(col, wmap.Load(load))
-		}
-		if cd.remaining() != 0 {
-			return nil, corruptf(cd.abs(), "%d trailing bytes in load column", cd.remaining())
 		}
 		db.cols[ci] = col
 	}
 	return db, nil
+}
+
+// decodeOneByteLoads fills col from a load column of len(col) bytes, so one
+// byte per value: the first load, then zigzag deltas. It reports false at
+// the first byte that is not a whole varint or that steps outside
+// [0, 100], with col partly written; decodeLoads then decodes the column
+// again and reports that byte's error.
+//
+//wm:hotpath
+func decodeOneByteLoads(col []wmap.Load, b []byte) bool {
+	if len(b) == 0 || len(b) != len(col) || b[0] > 100 {
+		return false
+	}
+	load := int64(b[0])
+	col[0] = wmap.Load(load)
+	for i := 1; i < len(b); i++ {
+		c := b[i]
+		if c >= 0x80 {
+			return false
+		}
+		load += int64(c>>1) ^ -int64(c&1)
+		if load < 0 || load > 100 {
+			return false
+		}
+		col[i] = wmap.Load(load)
+	}
+	return true
+}
+
+// decodeLoads fills col from the load column in cd: a uvarint first load,
+// then zigzag varint deltas, with no byte left over. Each load is
+// range-checked as an integer before it becomes a wmap.Load.
+func decodeLoads(col []wmap.Load, cd *dec) error {
+	v, err := cd.uvarint("load value")
+	if err != nil {
+		return err
+	}
+	load := int64(v)
+	if load < 0 || load > 100 {
+		return corruptf(cd.abs(), "load %d out of [0, 100]", load)
+	}
+	col[0] = wmap.Load(load)
+	for i := 1; i < len(col); i++ {
+		delta, err := cd.varint("load delta")
+		if err != nil {
+			return err
+		}
+		load += delta
+		if load < 0 || load > 100 {
+			return corruptf(cd.abs(), "load %d out of [0, 100]", load)
+		}
+		col[i] = wmap.Load(load)
+	}
+	if cd.remaining() != 0 {
+		return corruptf(cd.abs(), "%d trailing bytes in load column", cd.remaining())
+	}
+	return nil
 }
 
 // viewAt sets m to the snapshot at point pi of a decoded block of map id

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"errors"
+	"io"
 	"reflect"
 	"slices"
 	"sort"
@@ -102,6 +103,111 @@ func referenceCommitView(c *committed) (*commitView, error) {
 	}
 	slices.Sort(cv.sealed)
 	return cv, nil
+}
+
+// referenceDecodeBlock is the raw-block decode that decodeBlockAt's slab
+// and one-byte fast path replaced: one allocation per wanted column and
+// one binary.Varint call per load. The only edit is that each load is
+// range-checked as an integer before it becomes a wmap.Load, so the
+// reference stays right if that type narrows. FuzzDecodeBlock holds
+// decodeBlockAt to it.
+func referenceDecodeBlock(r io.ReaderAt, size int64, meta *blockMeta, want func(ci int) bool) (*decodedBlock, error) {
+	d, err := readFrame(r, size, meta.frame, "block")
+	if err != nil {
+		return nil, err
+	}
+	if err := d.header("block", meta.mapRef, uint64(meta.topoIndex), uint64(meta.baseUnix),
+		uint64(meta.points), uint64(meta.links)); err != nil {
+		return nil, err
+	}
+	n, L := meta.points, meta.links
+
+	timeLen, err := d.uvarint("time column length")
+	if err != nil {
+		return nil, err
+	}
+	colLens := make([]uint64, 2*L)
+	var colSum uint64
+	for i := range colLens {
+		v, err := d.uvarint("column length")
+		if err != nil {
+			return nil, err
+		}
+		colLens[i] = v
+		colSum += v
+	}
+	if timeLen+colSum != uint64(d.remaining()) {
+		return nil, corruptf(d.abs(), "column directory claims %d bytes, %d remain", timeLen+colSum, d.remaining())
+	}
+	if uint64(n-1) > timeLen {
+		return nil, corruptf(d.abs(), "%d points cannot fit a %d-byte time column", n, timeLen)
+	}
+
+	db := &decodedBlock{meta: meta, times: make([]int64, 0, n), cols: make([][]wmap.Load, 2*L)}
+	tb, err := d.bytes(int(timeLen), "time column")
+	if err != nil {
+		return nil, err
+	}
+	td := &dec{b: tb, off: d.abs() - int64(len(tb))}
+	t := meta.baseUnix
+	db.times = append(db.times, t)
+	for i := 1; i < n; i++ {
+		delta, err := td.uvarint("time delta")
+		if err != nil {
+			return nil, err
+		}
+		if delta == 0 || t+int64(delta) > maxUnixSeconds {
+			return nil, corruptf(td.abs(), "non-increasing or absurd time delta %d", delta)
+		}
+		t += int64(delta)
+		db.times = append(db.times, t)
+	}
+	if td.remaining() != 0 {
+		return nil, corruptf(td.abs(), "%d trailing bytes in time column", td.remaining())
+	}
+	if t != meta.lastUnix {
+		return nil, corruptf(td.abs(), "block last time %d disagrees with index's %d", t, meta.lastUnix)
+	}
+
+	for ci := 0; ci < 2*L; ci++ {
+		cb, err := d.bytes(int(colLens[ci]), "load column")
+		if err != nil {
+			return nil, err
+		}
+		if want != nil && !want(ci) {
+			continue
+		}
+		if uint64(n) > colLens[ci] {
+			return nil, corruptf(d.abs(), "%d points cannot fit a %d-byte load column", n, colLens[ci])
+		}
+		cd := &dec{b: cb, off: d.abs() - int64(len(cb))}
+		col := make([]wmap.Load, 0, n)
+		v, err := cd.uvarint("load value")
+		if err != nil {
+			return nil, err
+		}
+		load := int64(v)
+		if load < 0 || load > 100 {
+			return nil, corruptf(cd.abs(), "load %d out of [0, 100]", load)
+		}
+		col = append(col, wmap.Load(load))
+		for i := 1; i < n; i++ {
+			delta, err := cd.varint("load delta")
+			if err != nil {
+				return nil, err
+			}
+			load += delta
+			if load < 0 || load > 100 {
+				return nil, corruptf(cd.abs(), "load %d out of [0, 100]", load)
+			}
+			col = append(col, wmap.Load(load))
+		}
+		if cd.remaining() != 0 {
+			return nil, corruptf(cd.abs(), "%d trailing bytes in load column", cd.remaining())
+		}
+		db.cols[ci] = col
+	}
+	return db, nil
 }
 
 // TestCommitIndexMatchesReference: the index an open derives from a real

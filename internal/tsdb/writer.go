@@ -518,7 +518,7 @@ func (w *Writer) ensureResumed() error {
 		if !rollups && !w.evEnabled {
 			continue
 		}
-		db, err := decodeBlockAt(w.f, w.off, bm, nil)
+		db, err := decodeBlockAt(w.f, w.off, bm, allColumns)
 		var ce *CorruptError
 		switch {
 		case errors.As(err, &ce):
