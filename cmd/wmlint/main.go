@@ -1,8 +1,9 @@
 // Command wmlint runs the repo's custom analyzer suite (internal/lint):
 // machine-enforced hot-path and correctness invariants — pooled buffers
-// are returned, //wm:hotpath functions stay allocation-clean, tsdb
-// corruption is typed, request paths honor their context, and shard
-// state stays behind its lock. See DESIGN.md §15.
+// are returned, //wm:hotpath functions stay allocation-clean, one-byte
+// loads are widened before arithmetic, tsdb corruption is typed, request
+// paths honor their context, and shard state stays behind its lock. See
+// DESIGN.md §15.
 //
 // Two modes, one binary:
 //

@@ -141,7 +141,7 @@ func foldImbalance(t *wmap.Topology, c *LinkColumns, k int, opt wmap.ImbalanceOp
 		if n == 0 || n < opt.MinLinks {
 			continue
 		}
-		v := int(mx - mn)
+		v := int(mx) - int(mn)
 		if !mn.Valid() || !mx.Valid() {
 			v = -1
 		}

@@ -390,10 +390,10 @@ func TestFoldsMatchReference(t *testing.T) {
 func TestFoldsRejectOutOfRangeLoads(t *testing.T) {
 	bad := map[string]func(maps []*wmap.Map){
 		"101": func(maps []*wmap.Map) { maps[5].Links[0].LoadAB = 101 },
-		"-1":  func(maps []*wmap.Map) { maps[20].Links[3].LoadBA = -1 },
+		"255": func(maps []*wmap.Map) { maps[20].Links[3].LoadBA = 255 },
 		"both": func(maps []*wmap.Map) {
 			maps[5].Links[0].LoadAB = 101
-			maps[20].Links[3].LoadBA = -1
+			maps[20].Links[3].LoadBA = 255
 		},
 	}
 	opt := wmap.PaperImbalanceOptions()

@@ -107,9 +107,7 @@ func TestDetectorMatchesReference(t *testing.T) {
 	x, y := parallelPair(t, stream[0])
 	for i, m := range stream {
 		if i >= 10 && i < 15 {
-			if m.Links[y].LoadAB += m.Links[x].LoadAB; m.Links[y].LoadAB > 100 {
-				m.Links[y].LoadAB = 100
-			}
+			m.Links[y].LoadAB = wmap.Load(min(int(m.Links[y].LoadAB)+int(m.Links[x].LoadAB), 100))
 			m.Links[x].LoadAB = 0
 		}
 		if i%3 == 2 {

@@ -132,8 +132,8 @@ func TestAttributionCacheGeometrySensitivity(t *testing.T) {
 	}{
 		{"loads only", func(r *extract.ScanResult) {
 			for i := range r.Links {
-				r.Links[i].Loads[0] = (r.Links[i].Loads[0] + 13) % 101
-				r.Links[i].Loads[1] = (r.Links[i].Loads[1] + 29) % 101
+				r.Links[i].Loads[0] = wmap.Load((int(r.Links[i].Loads[0]) + 13) % 101)
+				r.Links[i].Loads[1] = wmap.Load((int(r.Links[i].Loads[1]) + 29) % 101)
 			}
 		}, true},
 		{"fills only", func(r *extract.ScanResult) {

@@ -118,10 +118,12 @@ func UnmarshalYAML(data []byte) (*wmap.Map, error) {
 		if err != nil {
 			return nil, fmt.Errorf("extract: link %d: %w", i, err)
 		}
-		l.LoadAB, l.LoadBA = wmap.Load(ab), wmap.Load(ba)
-		if !l.LoadAB.Valid() || !l.LoadBA.Valid() {
+		// Range-check as integers: a wmap.Load is one byte, so 256 would
+		// convert to a valid 0.
+		if ab < 0 || ab > 100 || ba < 0 || ba > 100 {
 			return nil, fmt.Errorf("extract: link %d: load out of range", i)
 		}
+		l.LoadAB, l.LoadBA = wmap.Load(ab), wmap.Load(ba)
 		m.Links = append(m.Links, l)
 	}
 	return m, nil

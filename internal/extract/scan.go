@@ -275,11 +275,12 @@ func ParseLoad(s string) (wmap.Load, error) {
 	if err != nil {
 		return 0, scanErrorf("unparsable load %q", s)
 	}
-	l := wmap.Load(n)
-	if !l.Valid() {
+	// Range-check as an integer: a wmap.Load is one byte, so 300 would
+	// convert to a valid 44.
+	if n < 0 || n > 100 {
 		return 0, scanErrorf("load %d outside [0, 100]", n)
 	}
-	return l, nil
+	return wmap.Load(n), nil
 }
 
 // ErrNotWeathermap is the failure of a document that is valid SVG but

@@ -182,7 +182,8 @@ func TestScanVerifyColors(t *testing.T) {
 func TestRenderedDocumentsPassColorCheck(t *testing.T) {
 	// Covered end-to-end in the render round-trip tests; here assert the
 	// invariant directly at the wmap level for every displayable load.
-	for l := wmap.Load(0); l <= 100; l++ {
+	for i := 0; i <= 100; i++ {
+		l := wmap.Load(i)
 		if !wmap.ColorMatchesLoad(wmap.LoadColor(l), l) {
 			t.Fatalf("palette inconsistent at %d", l)
 		}

@@ -6,6 +6,7 @@ func All() []*Analyzer {
 		CtxFlow,
 		DeadExport,
 		HotPathAlloc,
+		LoadArith,
 		PoolPair,
 		Sharded,
 		TypedErr,

@@ -76,3 +76,7 @@ func TestByName(t *testing.T) {
 func TestDeadExport(t *testing.T) {
 	linttest.RunModule(t, fixture("deadexport"), lint.DeadExport)
 }
+
+func TestLoadArith(t *testing.T) {
+	linttest.Run(t, fixture("loadarith"), lint.LoadArith)
+}

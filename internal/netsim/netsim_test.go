@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -631,6 +632,25 @@ func TestBackwardJumpKeepsBorrowedRouters(t *testing.T) {
 	for i := range back.Links {
 		if back.Links[i] != fresh.Links[i] {
 			t.Fatalf("link %d differs after backward jump: %+v vs %+v", i, back.Links[i], fresh.Links[i])
+		}
+	}
+}
+
+// TestLoadEntryPointsRejectOutOfRange: clampLoad clamps in float64 before a
+// value becomes a one-byte wmap.Load, so every input maps to what the
+// clamp of a machine-int load gave: below zero and NaN to 0, above 100 to
+// 100, however far out.
+func TestLoadEntryPointsRejectOutOfRange(t *testing.T) {
+	cases := []struct {
+		v    float64
+		want wmap.Load
+	}{
+		{-0.6, 0}, {-0.4, 0}, {-1e12, 0}, {0, 0}, {0.5, 1}, {42.49, 42}, {99.5, 100},
+		{100.4, 100}, {255.6, 100}, {256, 100}, {300, 100}, {1e12, 100}, {math.NaN(), 0},
+	}
+	for _, c := range cases {
+		if got := clampLoad(c.v); got != c.want {
+			t.Errorf("clampLoad(%v) = %d, want %d", c.v, got, c.want)
 		}
 	}
 }

@@ -214,14 +214,15 @@ func (st *mapState) render(t time.Time, p TrafficParams, start time.Time) *wmap.
 }
 
 // clampLoad rounds to the displayed integer percentage and clips to the
-// weather map's [0, 100] range.
+// weather map's [0, 100] range. It clamps in float64, NaN to 0: converting
+// a float outside a byte's range to a wmap.Load is implementation-defined.
 func clampLoad(v float64) wmap.Load {
-	l := wmap.Load(math.Round(v))
-	if l < 0 {
+	r := math.Round(v)
+	switch {
+	case !(r > 0): // NaN too
 		return 0
-	}
-	if l > 100 {
+	case r > 100:
 		return 100
 	}
-	return l
+	return wmap.Load(r)
 }

@@ -4,6 +4,9 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"ovhweather/internal/wmap"
 )
 
 // DefaultBlockCacheBytes is the byte budget wmserve and wmanalyze give a
@@ -253,11 +256,10 @@ func (c *BlockCache) Stats() CacheStats {
 // cost approximates the heap bytes a decoded block pins: the time column,
 // the load slab its decoded columns are carved from (their lengths sum to
 // the slab's), and a fixed overhead for the struct and slice headers.
-// wmap.Load is a machine int.
 func (db *decodedBlock) cost() int64 {
 	c := int64(len(db.times)) * 8
 	for _, col := range db.cols {
-		c += int64(len(col)) * 8
+		c += int64(len(col)) * int64(unsafe.Sizeof(wmap.Load(0)))
 	}
 	return c + int64(len(db.cols))*24 + 128
 }

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ovhweather/internal/wmap"
 )
@@ -234,5 +236,33 @@ func TestMaterializeClones(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m2.Links, maps[0].Links) || !reflect.DeepEqual(m2.Nodes, maps[0].Nodes) {
 		t.Errorf("mutation of a materialized snapshot leaked into the cache:\ngot  %+v\nwant %+v", m2.Links, maps[0].Links)
+	}
+}
+
+// TestDecodedBlockCost pins what the cache charges for a decoded block:
+// eight bytes per time, one per load (a wmap.Load is a byte), a 24-byte
+// slice header per column and 128 bytes of fixed overhead. A 16-point
+// Europe block of 897 links still costs more than the 20,428-byte budget
+// wmbench's figures workload gives its cache, so every fold there keeps
+// decoding the blocks it reads.
+func TestDecodedBlockCost(t *testing.T) {
+	if size := unsafe.Sizeof(wmap.Load(0)); size != 1 {
+		t.Fatalf("wmap.Load is %d bytes, want 1", size)
+	}
+	data, meta := europeBlock(t)
+	db, err := decodeBlockAt(bytes.NewReader(data), int64(len(data)), &meta, allColumns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.links != 897 {
+		t.Fatalf("fixture block has %d links, want 897", meta.links)
+	}
+	const want = 16*8 + 2*897*16*1 + 2*897*24 + 128
+	if got := db.cost(); got != want {
+		t.Errorf("cost = %d, want %d", got, want)
+	}
+	const figuresBudget = 20428
+	if db.cost() <= figuresBudget {
+		t.Errorf("a 16-point Europe block costs %d B, within the figures workload's %d B cache budget", db.cost(), figuresBudget)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -205,17 +207,14 @@ func TestDecodeRejectsWrappingLoads(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeBlock decodes one 16-snapshot block of the simulated
-// Europe map (about 900 links), whole and for one link's two columns —
-// what a cursor fold and a one-link query ask of a cache miss. Both are
-// checked against the reference decode before timing; allocs/op is a
-// fixed handful per block, whatever the link count. Run with:
-//
-//	go test -run xxx -bench BenchmarkDecodeBlock -benchmem ./internal/tsdb/
-func BenchmarkDecodeBlock(b *testing.B) {
+// europeBlock returns an archive holding one 16-snapshot block of the
+// simulated Europe map at 2020-11-02 10:00 (897 links) and that block's
+// index row.
+func europeBlock(tb testing.TB) ([]byte, blockMeta) {
+	tb.Helper()
 	sim, err := netsim.New(netsim.DefaultScenario())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -224,24 +223,36 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		m, err := sim.MapAt(wmap.Europe, start.Add(time.Duration(i)*5*time.Minute))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := w.Append(m); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	data := buf.Bytes()
 	rd, err := NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	meta := rd.st().blocks[0]
 	if meta.points != 16 || meta.links < 800 {
-		b.Fatalf("fixture block has %d points of %d links, want 16 of a Europe-sized map", meta.points, meta.links)
+		tb.Fatalf("fixture block has %d points of %d links, want 16 of a Europe-sized map", meta.points, meta.links)
 	}
+	return data, meta
+}
+
+// BenchmarkDecodeBlock decodes one 16-snapshot block of the simulated
+// Europe map (about 900 links), whole and for one link's two columns —
+// what a cursor fold and a one-link query ask of a cache miss. Both are
+// checked against the reference decode before timing; allocs/op is a
+// fixed handful per block, whatever the link count. Run with:
+//
+//	go test -run xxx -bench BenchmarkDecodeBlock -benchmem ./internal/tsdb/
+func BenchmarkDecodeBlock(b *testing.B) {
+	data, meta := europeBlock(b)
 	for _, c := range []struct {
 		name  string
 		group int
@@ -267,3 +278,89 @@ func BenchmarkDecodeBlock(b *testing.B) {
 
 // benchDecoded keeps BenchmarkDecodeBlock's result alive.
 var benchDecoded *decodedBlock
+
+// capturingReader records every buffer a decoder asks it to fill.
+type capturingReader struct {
+	r    io.ReaderAt
+	bufs [][]byte
+}
+
+func (c *capturingReader) ReadAt(p []byte, off int64) (int, error) {
+	c.bufs = append(c.bufs, p)
+	return c.r.ReadAt(p, off)
+}
+
+// scribble overwrites every buffer c handed out.
+func (c *capturingReader) scribble() {
+	for _, b := range c.bufs {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	c.bufs = nil
+}
+
+// TestDecodedFramesOwnTheirBytes: the raw block, rollup and event frame
+// decoders read into buffers readFrame recycles, so nothing they return
+// may alias one. Each kind is decoded, the buffers it read into are
+// overwritten, and the values must read as they did before and equal a
+// fresh decode's. The before-and-after comparison is the one a pooled
+// buffer cannot hide: a fresh decode may reuse that buffer and restore
+// its bytes.
+func TestDecodedFramesOwnTheirBytes(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.SetBlockPoints(4)
+	for i := 0; i < 16; i++ {
+		if err := w.Append(evSeqMap(wmap.Europe, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	size := int64(len(data))
+	st := openArchive(t, data).st()
+	if len(st.blocks) == 0 || len(st.rollups) == 0 || len(st.events) == 0 {
+		t.Fatalf("fixture has %d blocks, %d rollups, %d event frames; want some of each",
+			len(st.blocks), len(st.rollups), len(st.events))
+	}
+	cr := &capturingReader{r: bytes.NewReader(data)}
+	fresh := bytes.NewReader(data)
+	// check scribbles over the buffers got was decoded from, then compares
+	// got with its own rendering from before and with want, a fresh decode.
+	check := func(what string, i int, got any, err error, decode func(io.ReaderAt) (any, error)) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %d: %v", what, i, err)
+		}
+		before := fmt.Sprintf("%+v", got)
+		cr.scribble()
+		if after := fmt.Sprintf("%+v", got); after != before {
+			t.Errorf("%s %d changed when its frame buffer was overwritten:\n now %s\nwas %s", what, i, after, before)
+		}
+		want, err := decode(fresh)
+		if err != nil {
+			t.Fatalf("%s %d: fresh decode: %v", what, i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %d differs from a fresh decode:\n got %+v\nwant %+v", what, i, got, want)
+		}
+	}
+	for i := range st.blocks {
+		decode := func(r io.ReaderAt) (any, error) { return decodeBlockAt(r, size, &st.blocks[i], allColumns) }
+		got, err := decode(cr)
+		check("block", i, got, err, decode)
+	}
+	for i := range st.rollups {
+		decode := func(r io.ReaderAt) (any, error) { return decodeRollupAt(r, size, &st.rollups[i], nil) }
+		got, err := decode(cr)
+		check("rollup", i, got, err, decode)
+	}
+	for i := range st.events {
+		decode := func(r io.ReaderAt) (any, error) { return decodeEventsAt(r, size, &st.events[i], st.strs) }
+		got, err := decode(cr)
+		check("event frame", i, got, err, decode)
+	}
+}

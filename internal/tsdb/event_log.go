@@ -240,7 +240,8 @@ func (de *decodedEvents) cost() int64 {
 // the frame's claimed time bounds. A flipped byte that survives the CRC
 // cannot surface as a silently different event.
 func decodeEventsAt(r io.ReaderAt, size int64, meta *eventMeta, strs []string) (*decodedEvents, error) {
-	d, err := readFrame(r, size, meta.frame, "event frame")
+	d, buf, err := readFrame(r, size, meta.frame, "event frame")
+	defer putFrame(buf)
 	if err != nil {
 		return nil, err
 	}

@@ -403,7 +403,9 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 
 // accumulateRaw folds trimmed raw points into the link's windows. A
 // planner-declined link allocates its windows on the first sample,
-// anchoring t0 there — exactly Resample's anchor.
+// anchoring t0 there — exactly Resample's anchor. Times ascend, so the
+// window index is divided out only when a point reaches next, the second
+// the following window starts.
 //
 //wm:hotpath
 func (gl *gridLink) accumulateRaw(times []int64, abCol, baCol []wmap.Load, s int64) {
@@ -418,8 +420,13 @@ func (gl *gridLink) accumulateRaw(times []int64, abCol, baCol []wmap.Load, s int
 			gl.lw.wins[k].abMin, gl.lw.wins[k].baMin = math.MaxUint8, math.MaxUint8
 		}
 	}
+	i := (times[0] - gl.lw.t0) / s
+	w, next := &gl.lw.wins[i], gl.lw.t0+(i+1)*s
 	for k, sec := range times {
-		w := &gl.lw.wins[(sec-gl.lw.t0)/s]
+		if sec >= next {
+			i = (sec - gl.lw.t0) / s
+			w, next = &gl.lw.wins[i], gl.lw.t0+(i+1)*s
+		}
 		w.n++
 		ab, ba := uint8(abCol[k]), uint8(baCol[k])
 		w.ab += int64(ab)

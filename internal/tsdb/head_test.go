@@ -3,6 +3,7 @@ package tsdb
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -644,5 +646,30 @@ func TestHeadFrameNoLargerThanBlock(t *testing.T) {
 			t.Fatalf("%d maps: head frame of %d bytes, one-snapshot blocks of %d", len(ids), head, blocks)
 		}
 		t.Logf("%d maps: head frame %d bytes, one-snapshot blocks %d bytes", len(ids), head, blocks)
+	}
+}
+
+// TestLoadEntryPointsRejectOutOfRange: a head entry's load bytes are
+// range-checked before they become wmap.Loads, so a byte of 101 fails the
+// frame with a *CorruptError at that byte; 100 passes.
+func TestLoadEntryPointsRejectOutOfRange(t *testing.T) {
+	topo := wmap.NewTopology([]wmap.Node{{Name: "par-g1", Kind: wmap.Router}, {Name: "fra-g1", Kind: wmap.Router}},
+		[]wmap.Link{{A: "par-g1", B: "fra-g1", LabelA: "#1", LabelB: "#1"}})
+	frame := func(ba wmap.Load) []byte {
+		ob := &openBlock{ncols: 2}
+		ob.add(decodeBase, []wmap.Link{{LoadAB: 7, LoadBA: ba}})
+		p := binary.AppendUvarint(nil, 1) // version
+		p = binary.AppendUvarint(p, 1)    // raw entries
+		p = appendHeadRaw(p, 0, ob, 0, 1)
+		return binary.AppendUvarint(p, 0) // event entries
+	}
+	if _, err := parseHeadFrame(&dec{b: frame(100)}, []string{"europe"}, []*wmap.Topology{topo}); err != nil {
+		t.Fatalf("in-range head frame: %v", err)
+	}
+	p := frame(101)
+	_, err := parseHeadFrame(&dec{b: p}, []string{"europe"}, []*wmap.Topology{topo})
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Offset != int64(len(p)-2) || !strings.Contains(ce.Reason, "head load 101") {
+		t.Fatalf("head load byte 101: err %v, want a *CorruptError at offset %d naming it", err, len(p)-2)
 	}
 }

@@ -208,7 +208,7 @@ func referenceImbalanceRows(m *wmap.Map) []imbalanceRow {
 				continue
 			}
 			mn, mx := slices.Min(kept), slices.Max(kept)
-			rows = append(rows, imbalanceRow{From: dir[0], To: dir[1], Internal: internal, Spread: int(mx - mn), Links: len(kept)})
+			rows = append(rows, imbalanceRow{From: dir[0], To: dir[1], Internal: internal, Spread: int(mx) - int(mn), Links: len(kept)})
 		}
 	}
 	return rows
@@ -244,7 +244,7 @@ func TestAPIImbalanceRows(t *testing.T) {
 		m := &wmap.Map{ID: wmap.Europe, Time: at(5 * i), Nodes: nodes, Links: slices.Clone(links)}
 		for j := range m.Links {
 			if l := &m.Links[j]; l.LoadAB > 1 { // loads move, the filtered ones stay filtered
-				l.LoadAB += wmap.Load(3 * i * (j % 3))
+				l.LoadAB = wmap.Load(int(l.LoadAB) + 3*i*(j%3))
 			}
 		}
 		maps = append(maps, m)

@@ -125,7 +125,7 @@ func FuzzTopologyJSON(f *testing.F) {
 			Nodes: []wmap.Node{{Name: node, Kind: wmap.NodeKind(kind)}, {Name: a, Kind: wmap.Router}}}
 		for i := 0; i < int(n%5); i++ {
 			m.Links = append(m.Links, wmap.Link{A: a, B: b, LabelA: la, LabelB: lb,
-				LoadAB: wmap.Load(ab) + wmap.Load(i), LoadBA: wmap.Load(ba)})
+				LoadAB: wmap.Load(int(ab) + i), LoadBA: wmap.Load(ba)})
 		}
 		if n%7 == 0 {
 			m.Nodes = nil

@@ -112,7 +112,8 @@ func referenceCommitView(c *committed) (*commitView, error) {
 // reference stays right if that type narrows. FuzzDecodeBlock holds
 // decodeBlockAt to it.
 func referenceDecodeBlock(r io.ReaderAt, size int64, meta *blockMeta, want func(ci int) bool) (*decodedBlock, error) {
-	d, err := readFrame(r, size, meta.frame, "block")
+	d, buf, err := readFrame(r, size, meta.frame, "block")
+	defer putFrame(buf)
 	if err != nil {
 		return nil, err
 	}

@@ -418,7 +418,8 @@ const maxRollupCount = int64(1) << 48
 //
 //wm:hotpath
 func decodeRollupAt(r io.ReaderAt, size int64, meta *rollupMeta, want func(ci int) bool) (*decodedRollup, error) {
-	d, err := readFrame(r, size, meta.frame, "rollup block")
+	d, buf, err := readFrame(r, size, meta.frame, "rollup block")
+	defer putFrame(buf)
 	if err != nil {
 		return nil, err
 	}

@@ -235,7 +235,7 @@ func referenceImbalances(m *Map, opt ImbalanceOptions) []Imbalance {
 				From:     dir[0],
 				To:       dir[1],
 				Internal: internal,
-				Spread:   int(mx - mn),
+				Spread:   int(mx) - int(mn),
 				Links:    len(kept),
 			})
 		}

@@ -302,7 +302,7 @@ func (t *Topology) Imbalances(links []Link, opt ImbalanceOptions) []Imbalance {
 		if n == 0 || n < opt.MinLinks {
 			continue
 		}
-		out = append(out, Imbalance{From: s.From, To: s.To, Internal: s.Internal, Spread: int(mx - mn), Links: n})
+		out = append(out, Imbalance{From: s.From, To: s.To, Internal: s.Internal, Spread: int(mx) - int(mn), Links: n})
 	}
 	return out
 }

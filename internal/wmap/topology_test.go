@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -130,19 +131,25 @@ func checkTopology(t *testing.T, m *Map) {
 			return
 		}
 	}
-	// DirectedLoads over links whose loads are their direction indices
-	// lists each directed set's directions.
+	// DirectedLoads over links tagged with their index (LabelA) and with
+	// loads 0 (AB) and 1 (BA) lists each directed set's directions: with
+	// no self-loops it returns one load per link of the group, in order.
+	// A one-byte load is too narrow to carry the direction index itself.
 	tagged := &Map{Links: make([]Link, len(m.Links))}
 	for i, l := range m.Links {
-		l.LoadAB, l.LoadBA = Load(2*i), Load(2*i+1)
+		l.LabelA, l.LoadAB, l.LoadBA = strconv.Itoa(i), 0, 1
 		tagged.Links[i] = l
 	}
 	var wantSets []set
 	for _, g := range tagged.ParallelGroups() {
 		for _, dir := range [2][2]string{{g.A, g.B}, {g.B, g.A}} {
 			s := set{From: dir[0], To: dir[1], Internal: KindOfName(g.A) == Router && KindOfName(g.B) == Router}
-			for _, di := range g.DirectedLoads(dir[0]) {
-				s.Dirs = append(s.Dirs, int32(di))
+			for k, ba := range g.DirectedLoads(dir[0]) {
+				i, err := strconv.Atoi(g.Links[k].LabelA)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Dirs = append(s.Dirs, int32(2*i+int(ba)))
 			}
 			wantSets = append(wantSets, s)
 		}
@@ -173,7 +180,7 @@ func FuzzTopologyIndex(f *testing.F) {
 
 		loads := m.Clone()
 		for i := range loads.Links {
-			loads.Links[i].LoadAB, loads.Links[i].LoadBA = loads.Links[i].LoadBA+1, 0
+			loads.Links[i].LoadAB, loads.Links[i].LoadBA = Load(int(loads.Links[i].LoadBA)+1), 0
 		}
 		if !SameSkeleton(m, loads) {
 			t.Fatal("SameSkeleton: a load change is a skeleton change")

@@ -95,11 +95,14 @@ type Node struct {
 }
 
 // Load is a link load percentage in [0, 100] as displayed on the map. A
-// disabled link is shown with load 0.
-type Load int
+// disabled link is shown with load 0. It is one byte, so a wider value is
+// range-checked before it converts to a Load, and arithmetic widens each
+// operand first (int(a) - int(b)); wmlint's loadarith pass enforces the
+// latter.
+type Load uint8
 
 // Valid reports whether the load lies in the displayable range.
-func (l Load) Valid() bool { return l >= 0 && l <= 100 }
+func (l Load) Valid() bool { return l <= 100 }
 
 // String renders the load the way the weather map labels arrows ("42 %").
 func (l Load) String() string { return fmt.Sprintf("%d %%", int(l)) }

@@ -67,8 +67,10 @@ func TestLoad(t *testing.T) {
 	if !Load(0).Valid() || !Load(100).Valid() {
 		t.Error("bounds should be valid")
 	}
-	if Load(-1).Valid() || Load(101).Valid() {
-		t.Error("out of range should be invalid")
+	for l := 101; l <= 255; l++ {
+		if Load(l).Valid() {
+			t.Errorf("Load(%d) should be invalid", l)
+		}
 	}
 	if Load(42).String() != "42 %" {
 		t.Errorf("String = %q", Load(42).String())
@@ -225,7 +227,7 @@ func TestValidateErrors(t *testing.T) {
 		frag string
 	}{
 		{"load too high", mk(func(m *Map) { m.Links[0].LoadAB = 101 }), "load out of"},
-		{"load negative", mk(func(m *Map) { m.Links[0].LoadBA = -1 }), "load out of"},
+		{"load at the byte's top", mk(func(m *Map) { m.Links[0].LoadBA = 255 }), "load out of"},
 		{"self link", mk(func(m *Map) { m.Links[0].B = m.Links[0].A }), "itself"},
 		{"unknown node", mk(func(m *Map) { m.Links[0].B = "GHOST" }), "unknown node"},
 		{"isolated node", mk(func(m *Map) { m.Nodes = append(m.Nodes, Node{Name: "lonely-r1", Kind: Router}) }), "no link"},
@@ -395,7 +397,8 @@ func TestCompareDeltaOrder(t *testing.T) {
 }
 
 func TestLoadColorBands(t *testing.T) {
-	for l := Load(0); l <= 100; l++ {
+	for i := 0; i <= 100; i++ {
+		l := Load(i)
 		c := LoadColor(l)
 		b, ok := BandOfColor(c)
 		if !ok {
