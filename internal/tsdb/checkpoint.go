@@ -278,7 +278,7 @@ func loadClosed(r io.ReaderAt, size int64) (*committed, error) {
 	if err := checkHeader(r, size); err != nil {
 		return nil, err
 	}
-	tail, err := readAtFull(r, size, size-int64(tailLen), tailLen)
+	tail, err := readAtFull(r, size, size-int64(tailLen), tailLen, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +290,7 @@ func loadClosed(r io.ReaderAt, size int64) (*committed, error) {
 	if footerLen > math.MaxInt32 || footerStart < int64(len(headerMagic)) {
 		return nil, corruptf(size-16, "footer length %d exceeds archive", footerLen)
 	}
-	footer, err := readAtFull(r, size, footerStart, int(footerLen))
+	footer, err := readAtFull(r, size, footerStart, int(footerLen), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +308,7 @@ func loadClosed(r io.ReaderAt, size int64) (*committed, error) {
 
 // checkHeader verifies the file magic within the first size bytes.
 func checkHeader(r io.ReaderAt, size int64) error {
-	head, err := readAtFull(r, size, 0, len(headerMagic))
+	head, err := readAtFull(r, size, 0, len(headerMagic), nil)
 	if err != nil {
 		return err
 	}
