@@ -100,8 +100,13 @@ func main() {
 	code := 0
 poll:
 	for i := 0; *count == 0 || i < *count; i++ {
-		at := time.Now().UTC().Truncate(time.Minute)
-		st, err := col.CollectAt(at)
+		// A fetch may run until the next poll is due, and no longer: a
+		// stalled upstream costs one cycle's maps, not the crawl.
+		start := time.Now()
+		at := start.UTC().Truncate(time.Minute)
+		pollCtx, cancel := context.WithDeadline(ctx, start.Add(*interval))
+		st, err := col.CollectAt(pollCtx, at)
+		cancel()
 		if err != nil {
 			log.Print(err)
 			code = 1

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http"
@@ -69,7 +70,7 @@ func main() {
 	}
 	fmt.Printf("collecting %s .. %s every 5 virtual minutes...\n",
 		from.Format("2006-01-02"), to.Format("2006-01-02"))
-	stats, err := col.Run(from, to, 5*time.Minute, site.SetTime)
+	stats, err := col.Run(context.Background(), from, to, 5*time.Minute, site.SetTime)
 	if err != nil {
 		log.Fatal(err)
 	}

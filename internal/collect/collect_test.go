@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -169,7 +170,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 		Retries: 1,
 	}
 	end := sc.Start.Add(30 * time.Minute)
-	stats, err := col.Run(sc.Start, end, 5*time.Minute, srv.SetTime)
+	stats, err := col.Run(context.Background(), sc.Start, end, 5*time.Minute, srv.SetTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestCollectorRespectsOutage(t *testing.T) {
 		}}},
 		Maps: wmap.AllMaps(),
 	}
-	stats, err := col.Run(sc.Start, sc.Start.Add(10*time.Minute), 5*time.Minute, srv.SetTime)
+	stats, err := col.Run(context.Background(), sc.Start, sc.Start.Add(10*time.Minute), 5*time.Minute, srv.SetTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,6 +221,48 @@ func TestCollectorRespectsOutage(t *testing.T) {
 	worldTimes, _ := store.Times(wmap.World, dataset.ExtSVG)
 	if len(worldTimes) != 0 {
 		t.Errorf("world snapshots = %d, want 0", len(worldTimes))
+	}
+}
+
+// TestCollectAtStalledUpstream proves a deadline bounds a fetch from an
+// upstream that accepts the connection and never answers: CollectAt
+// returns soon after the deadline, the map counts as failed, and nothing
+// is stored.
+func TestCollectAtStalledUpstream(t *testing.T) {
+	release := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hs.Close()
+	defer close(release)
+	store, err := dataset.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := &Collector{BaseURL: hs.URL, Store: store, Maps: []wmap.MapID{wmap.Europe}, Retries: 2}
+	const deadline, slack = 200 * time.Millisecond, 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	stats, err := col.CollectAt(ctx, time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC))
+	if took := time.Since(start); took > deadline+slack {
+		t.Errorf("CollectAt took %s against a stalled upstream, want <= %s", took, deadline+slack)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Failed != 1 || stats.Fetched != 0 || stats.NotModified != 0 {
+		t.Errorf("stats = %+v, want exactly one failure", stats)
+	}
+	times, err := store.Times(wmap.Europe, dataset.ExtSVG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(times) != 0 {
+		t.Errorf("stored %d snapshots from a stalled upstream", len(times))
 	}
 }
 
@@ -234,7 +277,7 @@ func TestCollectorRetriesAndFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := &Collector{BaseURL: hs.URL, Store: store, Maps: []wmap.MapID{wmap.Europe}, Retries: 2}
-	stats, err := col.CollectAt(time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC))
+	stats, err := col.CollectAt(context.Background(), time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +337,11 @@ func TestConditionalGet(t *testing.T) {
 
 	// Two polls without a server refresh in between: the second must come
 	// back 304 and still archive a (cached) snapshot.
-	st1, err := col.CollectAt(sc.Start)
+	st1, err := col.CollectAt(context.Background(), sc.Start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := col.CollectAt(sc.Start.Add(5 * time.Minute))
+	st2, err := col.CollectAt(context.Background(), sc.Start.Add(5*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +365,7 @@ func TestConditionalGet(t *testing.T) {
 	if err := srv.SetTime(sc.Start.Add(10 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	st3, err := col.CollectAt(sc.Start.Add(10 * time.Minute))
+	st3, err := col.CollectAt(context.Background(), sc.Start.Add(10*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}

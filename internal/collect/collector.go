@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -123,8 +124,10 @@ type Stats struct {
 
 // CollectAt performs the fetch cycle scheduled at virtual time t: for every
 // map not suppressed by the plan, download the current SVG and store it
-// under t.
-func (c *Collector) CollectAt(t time.Time) (Stats, error) {
+// under t. Every request carries ctx, so a deadline bounds a stalled
+// upstream: a fetch cut off by ctx counts as failed and stores nothing,
+// and once ctx is done the remaining maps fail without being requested.
+func (c *Collector) CollectAt(ctx context.Context, t time.Time) (Stats, error) {
 	var st Stats
 	client := c.Client
 	if client == nil {
@@ -135,7 +138,7 @@ func (c *Collector) CollectAt(t time.Time) (Stats, error) {
 			st.Skipped++
 			continue
 		}
-		data, notModified, err := c.fetch(client, id)
+		data, notModified, err := c.fetch(ctx, client, id)
 		if err != nil {
 			st.Failed++
 			continue
@@ -157,10 +160,12 @@ func (c *Collector) CollectAt(t time.Time) (Stats, error) {
 	return st, nil
 }
 
-func (c *Collector) fetch(client *http.Client, id wmap.MapID) (data []byte, notModified bool, err error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/map/%s.svg", c.BaseURL, id), nil)
+// fetch downloads one map, retrying immediately on failure until the
+// retries run out or ctx is done.
+func (c *Collector) fetch(ctx context.Context, client *http.Client, id wmap.MapID) (data []byte, notModified bool, err error) {
+	lastErr := ctx.Err()
+	for attempt := 0; attempt <= c.Retries && ctx.Err() == nil; attempt++ {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/map/%s.svg", c.BaseURL, id), nil)
 		if err != nil {
 			return nil, false, err
 		}
@@ -200,8 +205,8 @@ func (c *Collector) fetch(client *http.Client, id wmap.MapID) (data []byte, notM
 // [from, to], advance the server and collect. The server is advanced
 // through the supplied tick function so the caller controls the coupling
 // (in production the site updates itself and the collector's cron fires
-// independently).
-func (c *Collector) Run(from, to time.Time, step time.Duration, tick func(time.Time) error) (Stats, error) {
+// independently). ctx bounds every fetch of the campaign.
+func (c *Collector) Run(ctx context.Context, from, to time.Time, step time.Duration, tick func(time.Time) error) (Stats, error) {
 	var total Stats
 	for t := from; !t.After(to); t = t.Add(step) {
 		if tick != nil {
@@ -209,7 +214,7 @@ func (c *Collector) Run(from, to time.Time, step time.Duration, tick func(time.T
 				return total, err
 			}
 		}
-		st, err := c.CollectAt(t)
+		st, err := c.CollectAt(ctx, t)
 		if err != nil {
 			return total, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -63,7 +64,11 @@ func (e *GridTooLargeError) Error() string {
 type gridLink struct {
 	key  LinkKey
 	plan *rollupPlan // nil: the planner declined, the raw leg serves it all
-	lw   loadWindows // lw.wins nil when the link has no point in range
+	// lw.wins is carved from the scan's window slab. A planned link's
+	// windows are all there from the start; a raw link's slice has length
+	// 0 and capacity its bound until its first sample anchors it, so an
+	// empty series encodes as no windows.
+	lw loadWindows
 
 	// first and last are the link's first and last link-bearing raw
 	// blocks over the range (-1 when it has none).
@@ -123,15 +128,27 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 
 	if keys == nil {
 		// The universe: every link any in-range topology carries, ordered by
-		// first appearance — the column order a dashboard renders in.
+		// first appearance — the column order a dashboard renders in. The
+		// first topology's keys are shared as they are; a second topology
+		// copies them into a set before adding its own.
 		seenTopo := make(map[int]bool)
-		have := make(map[LinkKey]bool)
+		var have map[LinkKey]bool
 		for _, bi := range blocks {
 			ti := st.meta(bi).topoIndex
 			if seenTopo[ti] {
 				continue
 			}
 			seenTopo[ti] = true
+			if len(seenTopo) == 1 {
+				keys = slices.Clip(topoKeys[ti])
+				continue
+			}
+			if have == nil {
+				have = make(map[LinkKey]bool, len(keys))
+				for _, k := range keys {
+					have[k] = true
+				}
+			}
 			for _, k := range topoKeys[ti] {
 				if !have[k] {
 					have[k] = true
@@ -167,8 +184,12 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 	}
 
 	// Plan every link, then bound the total accumulator size before
-	// allocating anything.
+	// allocating anything. The plans share one array.
 	var cells int64
+	var plans []rollupPlan
+	if usePlans {
+		plans = make([]rollupPlan, len(res.links))
+	}
 	for li := range res.links {
 		gl := &res.links[li]
 		if gl.first < 0 {
@@ -180,25 +201,39 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		}
 		if usePlans {
 			lookup := func(ti int) int { return int(res.resolve(topoIdx, ti)[li]) }
-			gl.plan = planWithBlocks(st, id, lookup, gl.first, gl.last, fromU, toU, s)
+			var ok bool
+			if plans[li], ok = planWithBlocks(st, id, lookup, gl.first, gl.last, fromU, toU, s); ok {
+				gl.plan = &plans[li]
+			}
 		}
 		if gl.plan != nil {
 			res.planned++
-			cells += gl.plan.nWins
-		} else {
-			// Raw anchor is the first decoded sample, not yet known; bound
-			// the window count from the first block's base time.
-			t0 := st.meta(gl.first).baseUnix
-			if t0 < fromU {
-				t0 = fromU
-			}
-			cells += (gl.end-t0)/s + 1
 		}
+		cells += gl.bound(st, fromU, s)
 	}
 	if cells > maxGridCells {
 		// Scale the step up until the cells fit.
 		factor := (cells + maxGridCells - 1) / maxGridCells
 		return nil, &GridTooLargeError{Cells: cells, Max: maxGridCells, Hint: st.tierStep(id, s*factor)}
+	}
+
+	// One window slab for the whole scan, carved per link: a planned
+	// link's windows in full, a raw link's as an empty slice with its
+	// bound as capacity, grown in place by its first sample.
+	slab := make([]loadWindow, cells)
+	for k := range slab {
+		slab[k].abMin, slab[k].baMin = math.MaxUint8, math.MaxUint8
+	}
+	for li := range res.links {
+		gl := &res.links[li]
+		n := gl.bound(st, fromU, s)
+		switch {
+		case gl.plan != nil:
+			gl.lw = loadWindows{t0: gl.plan.t0, step: s, wins: slab[:n:n]}
+		case n > 0:
+			gl.lw.wins = slab[:0:n]
+		}
+		slab = slab[n:]
 	}
 
 	if err := r.gridRollupLeg(ctx, st, res, topoIdx, s); err != nil {
@@ -215,6 +250,22 @@ func (r *Reader) gridScan(ctx context.Context, id wmap.MapID, keys []LinkKey, fr
 		}
 	}
 	return res, nil
+}
+
+// bound is the number of windows the link's accumulator needs: 0 with no
+// data in range, the plan's count for a planned link, and for a raw link a
+// bound from the first block's base time. A raw link anchors at its first
+// decoded sample, which is never earlier, so its real count never exceeds
+// the bound.
+func (gl *gridLink) bound(st *readerState, fromU, s int64) int64 {
+	switch {
+	case gl.first < 0:
+		return 0
+	case gl.plan != nil:
+		return gl.plan.nWins
+	}
+	t0 := max(st.meta(gl.first).baseUnix, fromU)
+	return (gl.end-t0)/s + 1
 }
 
 // columnGroup is the cache column group the scan decodes topology ti's
@@ -244,11 +295,6 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 		if gl.plan == nil {
 			continue
 		}
-		gl.lw = loadWindows{t0: gl.plan.t0, step: s}
-		gl.lw.wins = make([]loadWindow, gl.plan.nWins)
-		for k := range gl.lw.wins {
-			gl.lw.wins[k].abMin, gl.lw.wins[k].baMin = math.MaxUint8, math.MaxUint8
-		}
 		byRes[gl.plan.res] = append(byRes[gl.plan.res], li)
 	}
 	if len(byRes) == 0 {
@@ -258,7 +304,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 	for tierRes := range byRes {
 		resolutions = append(resolutions, tierRes)
 	}
-	sort.Slice(resolutions, func(a, b int) bool { return resolutions[a] < resolutions[b] })
+	slices.Sort(resolutions)
 
 	for _, tierRes := range resolutions {
 		links := byRes[tierRes]
@@ -269,7 +315,7 @@ func (r *Reader) gridRollupLeg(ctx context.Context, st *readerState, res *gridRe
 		// The union of every link's rids, in the tier's chronological order.
 		// The span test comes first, so only entries some link folds get
 		// their topology resolved.
-		var rids []int
+		rids := make([]int, 0, len(tier.entries))
 		for _, ri := range tier.entries {
 			m := &st.rollups[ri]
 			for _, li := range links {
@@ -402,48 +448,66 @@ func (r *Reader) gridRawLeg(ctx context.Context, st *readerState, res *gridResul
 }
 
 // accumulateRaw folds trimmed raw points into the link's windows. A
-// planner-declined link allocates its windows on the first sample,
-// anchoring t0 there — exactly Resample's anchor. Times ascend, so the
-// window index is divided out only when a point reaches next, the second
-// the following window starts.
+// planner-declined link takes its windows from its slab reservation on the
+// first sample, anchoring t0 there — exactly Resample's anchor. Times
+// ascend, so the window index is divided out only when a point reaches
+// next, the second the following window starts. The current window lives
+// in locals and is written back only when a point leaves it and once at
+// the end; the extremes are ints, because the compiler turns an int
+// min/max into a conditional move where a byte-wide one stays a branch
+// that mispredicts on noisy loads.
 //
 //wm:hotpath
 func (gl *gridLink) accumulateRaw(times []int64, abCol, baCol []wmap.Load, s int64) {
 	if len(times) == 0 {
 		return
 	}
-	if gl.lw.wins == nil {
+	if len(gl.lw.wins) == 0 {
 		t0 := times[0]
-		gl.lw = loadWindows{t0: t0, step: s}
-		gl.lw.wins = make([]loadWindow, (gl.end-t0)/s+1)
-		for k := range gl.lw.wins {
-			gl.lw.wins[k].abMin, gl.lw.wins[k].baMin = math.MaxUint8, math.MaxUint8
-		}
+		gl.lw.t0, gl.lw.step = t0, s
+		gl.lw.wins = gl.lw.wins[:(gl.end-t0)/s+1]
 	}
-	i := (times[0] - gl.lw.t0) / s
-	w, next := &gl.lw.wins[i], gl.lw.t0+(i+1)*s
+	if len(times) == 1 {
+		// A one-snapshot block: fold the point in place, without the
+		// locals' load and write-back.
+		gl.lw.wins[(times[0]-gl.lw.t0)/s].add(abCol[0], baCol[0])
+		return
+	}
+	abCol, baCol = abCol[:len(times)], baCol[:len(times)]
+	wins, t0 := gl.lw.wins, gl.lw.t0
+	i := (times[0] - t0) / s
+	w, next := &wins[i], t0+(i+1)*s
+	n, abSum, baSum := w.n, w.ab, w.ba
+	abMin, abMax, baMin, baMax := int(w.abMin), int(w.abMax), int(w.baMin), int(w.baMax)
 	for k, sec := range times {
 		if sec >= next {
-			i = (sec - gl.lw.t0) / s
-			w, next = &gl.lw.wins[i], gl.lw.t0+(i+1)*s
+			w.n, w.ab, w.ba = n, abSum, baSum
+			w.abMin, w.abMax, w.baMin, w.baMax = uint8(abMin), uint8(abMax), uint8(baMin), uint8(baMax)
+			i = (sec - t0) / s
+			w, next = &wins[i], t0+(i+1)*s
+			n, abSum, baSum = w.n, w.ab, w.ba
+			abMin, abMax, baMin, baMax = int(w.abMin), int(w.abMax), int(w.baMin), int(w.baMax)
 		}
-		w.n++
-		ab, ba := uint8(abCol[k]), uint8(baCol[k])
-		w.ab += int64(ab)
-		w.ba += int64(ba)
-		if ab < w.abMin {
-			w.abMin = ab
-		}
-		if ab > w.abMax {
-			w.abMax = ab
-		}
-		if ba < w.baMin {
-			w.baMin = ba
-		}
-		if ba > w.baMax {
-			w.baMax = ba
-		}
+		ab, ba := int(abCol[k]), int(baCol[k])
+		n++
+		abSum += int64(ab)
+		baSum += int64(ba)
+		abMin = min(abMin, ab)
+		abMax = max(abMax, ab)
+		baMin = min(baMin, ba)
+		baMax = max(baMax, ba)
 	}
+	w.n, w.ab, w.ba = n, abSum, baSum
+	w.abMin, w.abMax, w.baMin, w.baMax = uint8(abMin), uint8(abMax), uint8(baMin), uint8(baMax)
+}
+
+// add folds one point into the window.
+func (w *loadWindow) add(ab, ba wmap.Load) {
+	w.n++
+	w.ab += int64(ab)
+	w.ba += int64(ba)
+	w.abMin, w.abMax = min(w.abMin, uint8(ab)), max(w.abMax, uint8(ab))
+	w.baMin, w.baMax = min(w.baMin, uint8(ba)), max(w.baMax, uint8(ba))
 }
 
 // GridChunk is one block's worth of the whole-map columnar scan behind

@@ -684,3 +684,135 @@ func TestGridConcurrentConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ringMap is a snapshot of a ring backbone with n links: routers
+// r000, r001, ... each joined to the next by up to four parallels.
+func ringMap(n int, tm time.Time, i int) *wmap.Map {
+	routers := (n + 3) / 4
+	m := &wmap.Map{ID: wmap.Europe, Time: tm}
+	for r := 0; r < routers; r++ {
+		m.Nodes = append(m.Nodes, wmap.Node{Name: fmt.Sprintf("r%03d-g1", r), Kind: wmap.Router})
+	}
+	for li := 0; li < n; li++ {
+		r := li / 4
+		m.Links = append(m.Links, wmap.Link{
+			A: m.Nodes[r].Name, B: m.Nodes[(r+1)%routers].Name,
+			LabelA: fmt.Sprintf("#%d", li%4+1), LabelB: fmt.Sprintf("#%d", li%4+1),
+			LoadAB: wmap.Load((i*7 + li*13) % 101), LoadBA: wmap.Load((i*11 + li*17) % 101),
+		})
+	}
+	return m
+}
+
+// TestGridScanAllocsFlat: a whole-map grid costs the same allocations per
+// response whatever the map's link count — the windows of every link come
+// from one slab and row IDs and window times are appended, not built as
+// strings. An 8-link and an 897-link map are queried on the hour (the
+// rollup tier serves the bulk, raw blocks the tail) and off it (every link
+// raw), with the decoded blocks cached.
+func TestGridScanAllocsFlat(t *testing.T) {
+	// The mean memo's arena grows by doubling with the distinct means a
+	// response renders, which a larger map has more of.
+	const slack = 16
+	allocs := func(links int, query string) float64 {
+		var maps []*wmap.Map
+		for i := 0; i < 40; i++ {
+			maps = append(maps, ringMap(links, at(5*i), i))
+		}
+		rd := openArchive(t, buildArchive(t, 12, maps...))
+		rd.SetBlockCache(NewBlockCache(64 << 20))
+		h := NewAPIHandler(rd)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/grid?map=europe&"+query, nil)
+		w := &discardResponseWriter{h: make(http.Header)}
+		return testing.AllocsPerRun(20, func() {
+			h.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("%d links, %s: status %d", links, query, w.code)
+			}
+		})
+	}
+	for _, query := range []string{"step=1h", "step=30m&from=" + at(7).Format(time.RFC3339)} {
+		small, large := allocs(8, query), allocs(897, query)
+		t.Logf("%s: 8 links %.0f allocs, 897 links %.0f allocs", query, small, large)
+		if large-small > slack {
+			t.Errorf("%s: the 897-link grid allocates %.0f more than the 8-link one, want at most %d",
+				query, large-small, slack)
+		}
+	}
+}
+
+// TestGridMixedAnchors serves one grid whose rows are anchored three
+// ways: links present from the first snapshot are planned on the hour,
+// while a link that appears at 23:25 and another at 00:40 are served raw,
+// anchored at their first samples. The windows cross midnight. Every row,
+// in the whole-map order and in a links= order that switches anchor on
+// every row, must equal its /links/{id}/load body.
+func TestGridMixedAnchors(t *testing.T) {
+	var maps []*wmap.Map
+	for minute := -120; minute <= 180; minute += 5 {
+		i := minute/5 + 24
+		var m *wmap.Map
+		if minute < -35 {
+			m = testMap(wmap.Europe, at(minute), 0, 0, 0, 0, 0, 0)
+		} else {
+			m = grownMap(wmap.Europe, at(minute))
+		}
+		if minute >= 40 {
+			m.Links = append(m.Links, wmap.Link{A: "waw-g1", B: "par-g1", LabelA: "#2", LabelB: "#2"})
+		}
+		for li := range m.Links {
+			m.Links[li].LoadAB = wmap.Load((i*7 + li*29) % 101)
+			m.Links[li].LoadBA = wmap.Load((i*13 + li*31) % 101)
+		}
+		maps = append(maps, m)
+	}
+	rd := openArchive(t, buildArchive(t, 6, maps...))
+	h := NewAPIHandler(rd)
+
+	_, all := gridBody(t, h, "/api/v1/grid?map=europe&step=1h", http.StatusOK)
+	if s := rd.GridStats(); s.LinksPlanned != 3 || s.LinksRaw != 2 {
+		t.Fatalf("grid stats %+v, want 3 planned links and 2 raw", s)
+	}
+	ids := make([]string, len(all))
+	for i, row := range all {
+		if err := json.Unmarshal(row["id"], &ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Planned, raw, planned, raw, planned: the time memo resets on every row.
+	mixed := strings.Join([]string{ids[0], ids[3], ids[1], ids[4], ids[2]}, ",")
+
+	for _, q := range []string{
+		"?map=europe&step=1h",
+		"?map=europe&step=1h&bands=1",
+		"?map=europe&step=2h&from=" + at(-120).Format(time.RFC3339) + "&to=" + at(170).Format(time.RFC3339),
+		"?map=europe&step=30m&bands=1",
+	} {
+		for _, links := range []string{"", "&links=" + mixed} {
+			_, rows := gridBody(t, h, "/api/v1/grid"+q+links, http.StatusOK)
+			if len(rows) != len(ids) {
+				t.Fatalf("grid%s%s: %d rows, want %d", q, links, len(rows), len(ids))
+			}
+			for _, row := range rows {
+				var linkID string
+				if err := json.Unmarshal(row["id"], &linkID); err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/links/"+linkID+"/load"+q, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET /links/%s/load%s = %d (%s)", linkID, q, rec.Code, rec.Body)
+				}
+				var per map[string]json.RawMessage
+				if err := json.Unmarshal(rec.Body.Bytes(), &per); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range []string{"ab", "ba", "ab_min", "ab_max", "ba_min", "ba_max"} {
+					if string(row[s]) != string(per[s]) {
+						t.Fatalf("grid%s%s link %s series %q diverges:\n grid %s\n link %s", q, links, linkID, s, row[s], per[s])
+					}
+				}
+			}
+		}
+	}
+}

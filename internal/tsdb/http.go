@@ -346,21 +346,24 @@ func (a *api) serveWindowLoad(w http.ResponseWriter, r *http.Request, linkID str
 		w.WriteHeader(statusClientClosedRequest)
 		return
 	}
-	bp := getEncBuf()
-	var memo meanMemo
+	bp, tp := getEncBuf(), getEncBuf()
+	memo := seriesMemo{times: windowTimes{buf: *tp}}
 	b := appendLoadMeta(*bp, linkID, id, key, from, to, step)
 	b = appendLoadSeries(b, lw, bands, &memo)
 	b = append(b, '}', '\n')
 	writeBody(w, http.StatusOK, b)
-	*bp = b
+	*bp, *tp = b, memo.times.buf
 	putEncBuf(bp)
+	putEncBuf(tp)
 }
 
 // appendLoadSeries appends the resampled series fields of a per-link body
 // and of a grid row alike: the ab and ba means, then with bands the
-// per-direction min/max series. The memo carries rendered means across
-// series — and, for a grid, across every link in the response.
-func appendLoadSeries(b []byte, lw *loadWindows, bands bool, memo *meanMemo) []byte {
+// per-direction min/max series. The memo carries rendered means and
+// window times across series — and, for a grid, across every link in the
+// response.
+func appendLoadSeries(b []byte, lw *loadWindows, bands bool, memo *seriesMemo) []byte {
+	memo.times.use(lw)
 	b = append(b, `,"ab":`...)
 	b = appendWindowMeans(b, lw, false, memo)
 	b = append(b, `,"ba":`...)
@@ -369,20 +372,19 @@ func appendLoadSeries(b []byte, lw *loadWindows, bands bool, memo *meanMemo) []b
 		return b
 	}
 	b = append(b, `,"ab_min":`...)
-	b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.abMin })
+	b = appendWindowExtremes(b, lw, &memo.times, func(w *loadWindow) uint8 { return w.abMin })
 	b = append(b, `,"ab_max":`...)
-	b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.abMax })
+	b = appendWindowExtremes(b, lw, &memo.times, func(w *loadWindow) uint8 { return w.abMax })
 	b = append(b, `,"ba_min":`...)
-	b = appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.baMin })
+	b = appendWindowExtremes(b, lw, &memo.times, func(w *loadWindow) uint8 { return w.baMin })
 	b = append(b, `,"ba_max":`...)
-	return appendWindowExtremes(b, lw, func(w *loadWindow) uint8 { return w.baMax })
+	return appendWindowExtremes(b, lw, &memo.times, func(w *loadWindow) uint8 { return w.baMax })
 }
 
 // appendWindowMeans appends one direction's mean series, skipping empty
 // windows exactly as Resample does.
-func appendWindowMeans(b []byte, lw *loadWindows, ba bool, memo *meanMemo) []byte {
+func appendWindowMeans(b []byte, lw *loadWindows, ba bool, memo *seriesMemo) []byte {
 	b = append(b, '[')
-	var enc timeEncoder
 	first := true
 	for k := range lw.wins {
 		win := &lw.wins[k]
@@ -398,18 +400,17 @@ func appendWindowMeans(b []byte, lw *loadWindows, ba bool, memo *meanMemo) []byt
 			sum = win.ba
 		}
 		b = append(b, `{"t":`...)
-		b = enc.appendUnix(b, lw.t0+int64(k)*lw.step)
+		b = memo.times.appendTime(b, k)
 		b = append(b, `,"v":`...)
-		b = memo.appendMean(b, sum, win.n)
+		b = memo.means.appendMean(b, sum, win.n)
 		b = append(b, '}')
 	}
 	return append(b, ']')
 }
 
 // appendWindowExtremes appends one per-window extreme series (integers).
-func appendWindowExtremes(b []byte, lw *loadWindows, sel func(w *loadWindow) uint8) []byte {
+func appendWindowExtremes(b []byte, lw *loadWindows, times *windowTimes, sel func(w *loadWindow) uint8) []byte {
 	b = append(b, '[')
-	var enc timeEncoder
 	first := true
 	for k := range lw.wins {
 		win := &lw.wins[k]
@@ -421,7 +422,7 @@ func appendWindowExtremes(b []byte, lw *loadWindows, sel func(w *loadWindow) uin
 		}
 		first = false
 		b = append(b, `{"t":`...)
-		b = enc.appendUnix(b, lw.t0+int64(k)*lw.step)
+		b = times.appendTime(b, k)
 		b = append(b, `,"v":`...)
 		b = strconv.AppendInt(b, int64(sel(win)), 10)
 		b = append(b, '}')

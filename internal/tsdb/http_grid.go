@@ -158,11 +158,15 @@ func (a *api) gridShared(ctx context.Context, key string, run func() (*gridResul
 // at every link boundary: cancellation before the first byte answers 499,
 // mid-stream it stops encoding work for a client that is gone.
 func (a *api) writeGrid(w http.ResponseWriter, r *http.Request, id wmap.MapID, from, to time.Time, step time.Duration, bands bool, res *gridResult) {
-	bp := getEncBuf()
+	// The memo is shared across every link: one render per distinct mean
+	// and window time. The second buffer backs its time table.
+	bp, tp := getEncBuf(), getEncBuf()
 	b := *bp
+	memo := seriesMemo{times: windowTimes{buf: *tp}}
 	defer func() {
-		*bp = b
+		*bp, *tp = b, memo.times.buf
 		putEncBuf(bp)
+		putEncBuf(tp)
 	}()
 
 	b = append(b, `{"map":`...)
@@ -179,7 +183,6 @@ func (a *api) writeGrid(w http.ResponseWriter, r *http.Request, id wmap.MapID, f
 
 	streamed := false
 	ctx := r.Context()
-	var memo meanMemo // shared across every link: one render per distinct mean
 	for li := range res.links {
 		if ctx.Err() != nil {
 			if !streamed {
@@ -215,11 +218,12 @@ func (a *api) writeGrid(w http.ResponseWriter, r *http.Request, id wmap.MapID, f
 // appendGridLink encodes one link row: the same identity fields as the
 // per-link endpoint's meta, then appendLoadSeries — the encoder the
 // per-link body uses, so the bytes per series match /links/{id}/load.
-func appendGridLink(b []byte, id wmap.MapID, gl *gridLink, bands bool, memo *meanMemo) []byte {
+func appendGridLink(b []byte, id wmap.MapID, gl *gridLink, bands bool, memo *seriesMemo) []byte {
 	k := gl.key
-	b = append(b, `{"id":`...)
-	b = appendJSONString(b, k.ID(id))
-	b = append(b, `,"a":`...)
+	// The ID is hex digits, which JSON never escapes.
+	b = append(b, `{"id":"`...)
+	b = k.appendID(b, id)
+	b = append(b, `","a":`...)
 	b = appendJSONString(b, k.A)
 	b = append(b, `,"b":`...)
 	b = appendJSONString(b, k.B)

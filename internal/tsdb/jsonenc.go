@@ -310,6 +310,63 @@ func (e *timeEncoder) appendUnix(b []byte, sec int64) []byte {
 	return append(b, '"')
 }
 
+// quotedTimeLen is the length of a quoted fast-range RFC 3339 UTC instant,
+// `"2006-01-02T15:04:05Z"`: every window start the memo holds is this wide.
+const quotedTimeLen = 22
+
+// maxWindowTimes caps the windows one windowTimes table holds (about
+// 1.4 MB of rendered times); windows past it render directly.
+const maxWindowTimes = 1 << 16
+
+// windowTimes caches the quoted start times of one window grid within a
+// response. Every series anchored at the same (t0, step) starts its k-th
+// window at the same second, so a grid whose links share an anchor renders
+// each time once instead of twice per link. Entry k sits at
+// buf[quotedTimeLen*k:] and is rendered on first use; an unrendered entry
+// is zero bytes. A series with another anchor resets the table. Entries
+// come from timeEncoder.appendUnix, so the bytes are the unmemoized ones.
+type windowTimes struct {
+	t0, step int64
+	buf      []byte
+	enc      timeEncoder
+}
+
+// use points the table at lw's window grid, clearing it when the anchor
+// or step differs from the one it holds. An empty series renders no time
+// and leaves the table as it is.
+func (m *windowTimes) use(lw *loadWindows) {
+	if len(lw.wins) == 0 || lw.t0 == m.t0 && lw.step == m.step {
+		return
+	}
+	m.t0, m.step, m.buf = lw.t0, lw.step, m.buf[:0]
+	if need := quotedTimeLen * min(len(lw.wins), maxWindowTimes); cap(m.buf) < need {
+		m.buf = make([]byte, 0, need)
+	}
+}
+
+// appendTime appends the quoted start of window k of the grid set by use.
+func (m *windowTimes) appendTime(b []byte, k int) []byte {
+	sec := m.t0 + int64(k)*m.step
+	if k >= maxWindowTimes || sec < rfc3339FastMin || sec >= rfc3339FastMax {
+		return m.enc.appendUnix(b, sec)
+	}
+	at := quotedTimeLen * k
+	if end := at + quotedTimeLen; end > len(m.buf) {
+		m.buf = append(m.buf, make([]byte, end-len(m.buf))...)
+	}
+	if m.buf[at] == 0 {
+		m.enc.appendUnix(m.buf[at:at], sec)
+	}
+	return append(b, m.buf[at:at+quotedTimeLen]...)
+}
+
+// seriesMemo is the per-response render cache every series of one body
+// shares: window means and window start times.
+type seriesMemo struct {
+	means meanMemo
+	times windowTimes
+}
+
 // appendJSONFloat appends v exactly as encoding/json renders a float64:
 // shortest round-trippable decimal, fixed-point inside [1e-6, 1e21),
 // exponent form (with the leading zero of small exponents trimmed)

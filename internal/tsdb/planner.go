@@ -57,23 +57,23 @@ type rollupPlan struct {
 }
 
 // planWithBlocks decides whether [fromU, toU] resampled at s seconds can be
-// served from a rollup tier, returning nil to decline. Tiers are tried
+// served from a rollup tier, returning false to decline. Tiers are tried
 // coarsest first; a tier is eligible when its resolution divides the step
 // AND the anchor, so every bucket nests inside exactly one window. lookup
 // resolves the link's column in a topology (-1 when the topology lacks
 // it); first and last are the first and last link-bearing raw blocks of
 // the range (first < 0 when there are none). The grid engine plans every
 // link it scans through here.
-func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, first, last int, fromU, toU, s int64) *rollupPlan {
+func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, first, last int, fromU, toU, s int64) (rollupPlan, bool) {
 	if first < 0 {
-		return nil
+		return rollupPlan{}, false
 	}
 	// The raw path's Resample anchors windows at the first point in range.
 	// That anchor is knowable without decoding only when the first block
 	// starts inside the range — then it is exactly the block's base time.
 	t0 := st.meta(first).baseUnix
 	if t0 < fromU {
-		return nil
+		return rollupPlan{}, false
 	}
 	end := st.meta(last).lastUnix
 	if end > toU {
@@ -103,11 +103,11 @@ func planWithBlocks(st *readerState, id wmap.MapID, lookup func(ti int) int, fir
 		for _, ri := range tier.entries {
 			m := &st.rollups[ri]
 			if m.lastBucket >= t0 && m.firstBucket < cut && lookup(m.topoIndex) >= 0 {
-				return &rollupPlan{t0: t0, res: res, cut: cut, nWins: nWins}
+				return rollupPlan{t0: t0, res: res, cut: cut, nWins: nWins}, true
 			}
 		}
 	}
-	return nil
+	return rollupPlan{}, false
 }
 
 // plannerCounters tallies which path served each load query; only the

@@ -981,14 +981,16 @@ func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, group int) (*deco
 	if err != nil {
 		return nil, err
 	}
-	colLens := make([]uint64, 2*L)
+	// The column directory is read twice: here to check its lengths sum
+	// to the bytes left, then again from dir by the carve loop, so no
+	// per-column length array is allocated.
+	dir := d
 	var colSum uint64
-	for i := range colLens {
+	for i := 0; i < 2*L; i++ {
 		v, err := d.uvarint("column length")
 		if err != nil {
 			return nil, err
 		}
-		colLens[i] = v
 		colSum += v
 	}
 	if timeLen+colSum != uint64(d.remaining()) {
@@ -1034,15 +1036,23 @@ func decodeBlockAt(r io.ReaderAt, size int64, meta *blockMeta, group int) (*deco
 	}
 	slab := make([]wmap.Load, min(wanted*n, d.remaining()))
 	for ci := 0; ci < 2*L; ci++ {
-		cb, err := d.bytes(int(colLens[ci]), "load column")
+		// dir's lengths were all read without error above; most fit one
+		// byte, which skips the varint loop.
+		colLen := uint64(dir.b[dir.pos])
+		if colLen < 0x80 {
+			dir.pos++
+		} else {
+			colLen, _ = dir.uvarint("column length")
+		}
+		cb, err := d.bytes(int(colLen), "load column")
 		if err != nil {
 			return nil, err
 		}
 		if group != allColumns && ci>>1 != group {
 			continue
 		}
-		if uint64(n) > colLens[ci] {
-			return nil, corruptf(d.abs(), "%d points cannot fit a %d-byte load column", n, colLens[ci])
+		if uint64(n) > colLen {
+			return nil, corruptf(d.abs(), "%d points cannot fit a %d-byte load column", n, colLen)
 		}
 		col := slab[:n:n]
 		slab = slab[n:]

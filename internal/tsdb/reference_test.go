@@ -3,6 +3,7 @@ package tsdb
 import (
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -306,5 +307,140 @@ func FuzzCommitIndex(f *testing.F) {
 		next := ix.clone()
 		same("the prefix's clone extended by the rest", &next, next.extend(fd), fd)
 		same("the prefix after its clone was extended", &ix, nil, pre)
+	})
+}
+
+// referenceAccumulateRaw is the per-point fold gridLink.accumulateRaw
+// replaced: every point updates its window in memory, the extremes
+// compared as bytes, and a planner-declined link allocates its windows on
+// its first sample. FuzzAccumulateRaw holds accumulateRaw to it.
+func referenceAccumulateRaw(gl *gridLink, times []int64, abCol, baCol []wmap.Load, s int64) {
+	if len(times) == 0 {
+		return
+	}
+	if gl.lw.wins == nil {
+		t0 := times[0]
+		gl.lw = loadWindows{t0: t0, step: s}
+		gl.lw.wins = make([]loadWindow, (gl.end-t0)/s+1)
+		for k := range gl.lw.wins {
+			gl.lw.wins[k].abMin, gl.lw.wins[k].baMin = math.MaxUint8, math.MaxUint8
+		}
+	}
+	i := (times[0] - gl.lw.t0) / s
+	w, next := &gl.lw.wins[i], gl.lw.t0+(i+1)*s
+	for k, sec := range times {
+		if sec >= next {
+			i = (sec - gl.lw.t0) / s
+			w, next = &gl.lw.wins[i], gl.lw.t0+(i+1)*s
+		}
+		w.n++
+		ab, ba := uint8(abCol[k]), uint8(baCol[k])
+		w.ab += int64(ab)
+		w.ba += int64(ba)
+		if ab < w.abMin {
+			w.abMin = ab
+		}
+		if ab > w.abMax {
+			w.abMax = ab
+		}
+		if ba < w.baMin {
+			w.baMin = ba
+		}
+		if ba > w.baMax {
+			w.baMax = ba
+		}
+	}
+}
+
+// foldProgram decodes a fuzz program into ascending times and loads, four
+// bytes a point: the gap from the previous point (short hops inside a
+// window up to jumps over several), the two loads in [0, 100], and
+// whether the point starts a new fold call (every fourth) and whether an
+// empty call precedes it. calls holds each call's first point index.
+func foldProgram(prog []byte, base int64) (times []int64, ab, ba []wmap.Load, calls []int) {
+	t := base
+	for i := 0; i+4 <= len(prog) && len(times) < 1024; i += 4 {
+		g, a, b, c := prog[i], prog[i+1], prog[i+2], prog[i+3]
+		if len(times) > 0 {
+			t += 1 + int64(g)*int64(g&7+1)
+		}
+		if c%4 == 0 || len(times) == 0 {
+			if c%16 == 4 {
+				calls = append(calls, len(times)) // an empty call
+			}
+			calls = append(calls, len(times))
+		}
+		times = append(times, t)
+		ab = append(ab, wmap.Load(a%101))
+		ba = append(ba, wmap.Load(b%101))
+	}
+	return times, ab, ba, calls
+}
+
+// FuzzAccumulateRaw: the register-held fold leaves every window exactly
+// as the reference fold does, over random ascending times with gaps,
+// one-point calls, calls that start mid-window and repeated calls into
+// one link's windows. A raw link folds into a slab reservation of its
+// bound; a planned one into windows anchored before its first point that
+// already hold a folded bucket, as the rollup leg leaves them.
+func FuzzAccumulateRaw(f *testing.F) {
+	pt := func(gap, ab, ba, call byte) []byte { return []byte{gap, ab, ba, call} }
+	cat := func(pts ...[]byte) []byte { return slices.Concat(pts...) }
+	// One-point calls across windows of 5 s.
+	f.Add(cat(pt(0, 10, 90, 0), pt(2, 20, 80, 0), pt(2, 30, 70, 0), pt(9, 40, 60, 0)), uint16(4), uint8(0), false)
+	// One call over noisy loads, windows of 60 s anchored mid-window.
+	f.Add(cat(pt(0, 0, 100, 1), pt(3, 100, 0, 1), pt(5, 50, 50, 1), pt(7, 99, 1, 1), pt(200, 3, 3, 1), pt(1, 77, 13, 1)), uint16(59), uint8(17), true)
+	// Empty calls, a call starting in the window the last one ended in,
+	// and a jump over several windows.
+	f.Add(cat(pt(0, 5, 5, 4), pt(1, 6, 6, 1), pt(1, 7, 7, 20), pt(255, 8, 8, 1), pt(4, 9, 9, 4)), uint16(9), uint8(3), false)
+	// A step of one second: every point its own window.
+	f.Add(cat(pt(0, 1, 2, 0), pt(0, 3, 4, 1), pt(0, 5, 6, 0)), uint16(0), uint8(0), true)
+	f.Fuzz(func(t *testing.T, prog []byte, step uint16, lead uint8, planned bool) {
+		times, ab, ba, calls := foldProgram(prog, 1_600_000_000+int64(lead)*7)
+		if len(times) == 0 {
+			return
+		}
+		// At most ~4k windows, so a long program with a short step stays
+		// small.
+		s := max(1+int64(step)%3600, (times[len(times)-1]-times[0])>>12+1)
+		first, end := times[0], times[len(times)-1]+int64(lead%3)*s
+		got, want := gridLink{end: end}, gridLink{end: end}
+		t0 := first - int64(lead)
+		n := (end-t0)/s + 1
+		if planned {
+			wins := func() []loadWindow {
+				w := make([]loadWindow, n)
+				for k := range w {
+					w[k].abMin, w[k].baMin = math.MaxUint8, math.MaxUint8
+				}
+				w[0] = loadWindow{n: 2, ab: 2 * int64(lead%101), ba: 100, abMin: lead % 101, abMax: lead % 101, baMin: 40, baMax: 60}
+				return w
+			}
+			got.lw = loadWindows{t0: t0, step: s, wins: wins()}
+			want.lw = loadWindows{t0: t0, step: s, wins: wins()}
+		} else {
+			slab := make([]loadWindow, n)
+			for k := range slab {
+				slab[k].abMin, slab[k].baMin = math.MaxUint8, math.MaxUint8
+			}
+			got.lw.wins = slab[:0:n]
+		}
+		for c, lo := range calls {
+			hi := len(times)
+			if c+1 < len(calls) {
+				hi = calls[c+1]
+			}
+			got.accumulateRaw(times[lo:hi], ab[lo:hi], ba[lo:hi], s)
+			referenceAccumulateRaw(&want, times[lo:hi], ab[lo:hi], ba[lo:hi], s)
+		}
+		if got.lw.t0 != want.lw.t0 || got.lw.step != want.lw.step || len(got.lw.wins) != len(want.lw.wins) {
+			t.Fatalf("anchor (t0 %d, step %d, %d windows), reference (t0 %d, step %d, %d windows)",
+				got.lw.t0, got.lw.step, len(got.lw.wins), want.lw.t0, want.lw.step, len(want.lw.wins))
+		}
+		for k := range want.lw.wins {
+			if got.lw.wins[k] != want.lw.wins[k] {
+				t.Fatalf("window %d = %+v, reference %+v", k, got.lw.wins[k], want.lw.wins[k])
+			}
+		}
 	})
 }
