@@ -217,6 +217,7 @@ func run(cfg config) error {
 					for i := range c.Links {
 						lc.Links = append(lc.Links, analysis.LinkCol{Link: c.Links[i], AB: c.AB[i], BA: c.BA[i]})
 					}
+					lc.Topo = c.Topo
 					return yield(&lc)
 				})
 			}

@@ -7,9 +7,11 @@
 //	wmcollect -url http://localhost:8080 -out DIR [-interval 1s]
 //	          [-count N] [-maps europe,...] [-plan] [-archive FILE]
 //
-// Snapshots are stamped with the collector's wall-clock time unless the
-// server's virtual time is desired; pair it with wmserve and match
-// -interval to wmserve's -tick to collect one snapshot per virtual step.
+// Polls keep to a grid: poll k is due at start + k·interval however long
+// the earlier ones took, and a slot a slow poll wholly overran is skipped
+// and logged. Snapshots are stamped with their slot's wall-clock time,
+// truncated to the minute; pair it with wmserve and match -interval to
+// wmserve's -tick to collect one snapshot per virtual step.
 //
 // -archive additionally runs the extraction pipeline inline: every stored
 // SVG is parsed and attributed on the spot and appended to a live tsdb
@@ -98,19 +100,11 @@ func main() {
 
 	var total collect.Stats
 	code := 0
-poll:
-	for i := 0; *count == 0 || i < *count; i++ {
-		// A fetch may run until the next poll is due, and no longer: a
-		// stalled upstream costs one cycle's maps, not the crawl.
-		start := time.Now()
-		at := start.UTC().Truncate(time.Minute)
-		pollCtx, cancel := context.WithDeadline(ctx, start.Add(*interval))
+	err = pollOnGrid(ctx, *interval, *count, func(pollCtx context.Context, slot time.Time) error {
+		at := slot.UTC().Truncate(time.Minute)
 		st, err := col.CollectAt(pollCtx, at)
-		cancel()
 		if err != nil {
-			log.Print(err)
-			code = 1
-			break
+			return err
 		}
 		total.Fetched += st.Fetched
 		total.NotModified += st.NotModified
@@ -122,20 +116,13 @@ poll:
 		if arch != nil {
 			// One durable commit per cycle: everything this poll appended
 			// becomes visible to tailing readers and crash recovery together.
-			if err := arch.Sync(); err != nil {
-				log.Print(err)
-				code = 1
-				break
-			}
+			return arch.Sync()
 		}
-		if *count == 0 || i < *count-1 {
-			select {
-			case <-ctx.Done():
-				log.Print("signal received, stopping")
-				break poll
-			case <-time.After(*interval):
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		log.Print(err)
+		code = 1
 	}
 	if arch != nil {
 		if err := arch.Close(); err != nil {
@@ -151,6 +138,45 @@ poll:
 	log.Printf("collected %d snapshots (%d from cache, %d skipped, %d failed) into %s",
 		total.Fetched, total.NotModified, total.Skipped, total.Failed, *out)
 	os.Exit(code)
+}
+
+// pollOnGrid runs up to count polls (0 = until ctx ends) on the
+// collection grid: poll k is due at start + k·interval, start being the
+// call, and gets a context that ends when the next poll is due, so a
+// stalled upstream costs one cycle's maps, not the crawl, and a slow one
+// does not push later polls off the grid. A poll that ends after the next
+// one was due starts that one at once, late; a slot whose whole interval
+// passed during a poll is skipped and logged. It returns the first error
+// of poll, and nil once count polls have run or ctx ends between polls.
+func pollOnGrid(ctx context.Context, interval time.Duration, count int, poll func(ctx context.Context, slot time.Time) error) error {
+	slot := time.Now()
+	for i := 0; count == 0 || i < count; i++ {
+		next := slot.Add(interval)
+		pollCtx, cancel := context.WithDeadline(ctx, next)
+		err := poll(pollCtx, slot)
+		cancel()
+		if err != nil {
+			return err
+		}
+		if i == count-1 {
+			break
+		}
+		if missed := time.Since(next) / interval; missed > 0 {
+			log.Printf("poll of %s overran: skipping %d slot(s) from %s", slot.UTC().Format(time.RFC3339Nano),
+				missed, next.UTC().Format(time.RFC3339Nano))
+			next = next.Add(missed * interval)
+		}
+		wait := time.NewTimer(time.Until(next))
+		select {
+		case <-ctx.Done():
+			wait.Stop()
+			log.Print("signal received, stopping")
+			return nil
+		case <-wait.C:
+		}
+		slot = next
+	}
+	return nil
 }
 
 // ingester is the live-ingest hook behind -archive: every stored snapshot

@@ -29,26 +29,38 @@ func benchWindow(b *testing.B) []*wmap.Map {
 	return maps
 }
 
+// viewsOf returns maps as a cursor's map views carry them: every map's Topo
+// set to one interned topology, so folds that resolve a topology once per
+// skeleton see the pointer and skip the row compare.
+func viewsOf(b *testing.B, maps []*wmap.Map) []*wmap.Map {
+	b.Helper()
+	topo := maps[0].Topology()
+	views := make([]*wmap.Map, len(maps))
+	for i, m := range maps {
+		if !topo.Matches(m) {
+			b.Fatalf("snapshot %d leaves the window's topology", i)
+		}
+		v := *m
+		v.Topo = topo
+		views[i] = &v
+	}
+	return views
+}
+
+// streamArms runs bench once per stream a fold is fed in practice: "maps",
+// plain snapshots, and "view", the same snapshots carrying their interned
+// topology as Cursor.MapView hands them out.
+func streamArms(b *testing.B, bench func(b *testing.B, maps []*wmap.Map, src Stream)) {
+	maps := benchWindow(b)
+	b.Run("maps", func(b *testing.B) { bench(b, maps, SliceStream(maps)) })
+	b.Run("view", func(b *testing.B) { bench(b, maps, SliceStream(viewsOf(b, maps))) })
+}
+
 // benchChunks cuts maps into 16-snapshot chunks, the block size the
 // figures benchmark archives with, decoded up front so only the fold is
 // timed.
 func benchChunks(b *testing.B, maps []*wmap.Map) ColumnStream {
-	b.Helper()
-	var chunks []*LinkColumns
-	if err := columnize(maps, 16)(func(c *LinkColumns) error {
-		chunks = append(chunks, c)
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	return func(yield func(c *LinkColumns) error) error {
-		for _, c := range chunks {
-			if err := yield(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return chunkStream(b, maps, 16, false)
 }
 
 // loadCount is the number of directed load observations in maps.
@@ -88,42 +100,63 @@ func BenchmarkImbalanceCDFColumns(b *testing.B) {
 	maps := benchWindow(b)
 	src := benchChunks(b, maps)
 	opt := wmap.PaperImbalanceOptions()
-	benchFold(b, maps, func() error {
-		v, err := ImbalanceCDFColumns(src, opt)
-		if err == nil && v.IntSets == 0 {
-			err = errors.New("no internal parallel sets in the window")
-		}
-		return err
-	})
+	benchFold(b, maps, func() error { return imbalanceHasSets(ImbalanceCDFColumns(src, opt)) })
+}
+
+// BenchmarkImbalanceCDFColumnsTopo is the wmanalyze feeder: the chunks
+// carry the block's interned topology, as tsdb.GridChunk does.
+func BenchmarkImbalanceCDFColumnsTopo(b *testing.B) {
+	maps := benchWindow(b)
+	src := chunkStream(b, maps, 16, true)
+	opt := wmap.PaperImbalanceOptions()
+	benchFold(b, maps, func() error { return imbalanceHasSets(ImbalanceCDFColumns(src, opt)) })
+}
+
+// BenchmarkImbalanceCDF is the stream feeder: one-snapshot chunks of map
+// views, each carrying its interned topology.
+func BenchmarkImbalanceCDF(b *testing.B) {
+	maps := benchWindow(b)
+	src := SliceStream(viewsOf(b, maps))
+	opt := wmap.PaperImbalanceOptions()
+	benchFold(b, maps, func() error { return imbalanceHasSets(ImbalanceCDF(src, opt)) })
+}
+
+// imbalanceHasSets passes a fold's error on, or fails a view without
+// internal parallel sets.
+func imbalanceHasSets(v *ImbalanceView, err error) error {
+	if err == nil && v.IntSets == 0 {
+		err = errors.New("no internal parallel sets in the window")
+	}
+	return err
 }
 
 func BenchmarkHourlyLoads(b *testing.B) {
-	maps := benchWindow(b)
-	src := SliceStream(maps)
-	want := loadCount(maps)
-	benchFold(b, maps, func() error {
-		v, err := HourlyLoads(src)
-		if err != nil {
-			return err
-		}
-		return binnedAll(v.Samples[:], want)
+	streamArms(b, func(b *testing.B, maps []*wmap.Map, src Stream) {
+		want := loadCount(maps)
+		benchFold(b, maps, func() error {
+			v, err := HourlyLoads(src)
+			if err != nil {
+				return err
+			}
+			return binnedAll(v.Samples[:], want)
+		})
 	})
 }
 
 func BenchmarkLoadCDF(b *testing.B) {
-	maps := benchWindow(b)
-	src := SliceStream(maps)
-	want := loadCount(maps)
-	benchFold(b, maps, func() error {
-		v, err := LoadCDF(src)
-		if err != nil {
-			return err
-		}
-		if v.Samples != want || len(v.Internal) == 0 || len(v.External) == 0 {
-			return fmt.Errorf("%d loads (want %d), %d internal and %d external CDF points",
-				v.Samples, want, len(v.Internal), len(v.External))
-		}
-		return nil
+	streamArms(b, func(b *testing.B, maps []*wmap.Map, src Stream) {
+		want := loadCount(maps)
+		benchFold(b, maps, func() error {
+			v, err := LoadCDF(src)
+			if err != nil {
+				return err
+			}
+			if v.Samples != want || len(v.Internal) == 0 || len(v.External) == 0 {
+				return fmt.Errorf("%d loads (want %d), %d internal and %d external CDF points",
+					v.Samples, want, len(v.Internal), len(v.External))
+			}
+			return nil
+		})
 	})
 }
 
@@ -141,14 +174,14 @@ func BenchmarkWeeklyLoadsColumns(b *testing.B) {
 }
 
 func BenchmarkCongestionStudy(b *testing.B) {
-	maps := benchWindow(b)
-	src := SliceStream(maps)
-	opt := DefaultCongestionOptions()
-	benchFold(b, maps, func() error {
-		v, err := CongestionStudy(src, opt)
-		if err == nil && v.Snapshots != len(maps) {
-			err = fmt.Errorf("folded %d snapshots, want %d", v.Snapshots, len(maps))
-		}
-		return err
+	streamArms(b, func(b *testing.B, maps []*wmap.Map, src Stream) {
+		opt := DefaultCongestionOptions()
+		benchFold(b, maps, func() error {
+			v, err := CongestionStudy(src, opt)
+			if err == nil && v.Snapshots != len(maps) {
+				err = fmt.Errorf("folded %d snapshots, want %d", v.Snapshots, len(maps))
+			}
+			return err
+		})
 	})
 }

@@ -25,10 +25,13 @@ type LinkCol struct {
 }
 
 // LinkColumns is one columnar chunk: a run of consecutive snapshots sharing
-// one topology. Times[k] is snapshot k; Links[i].AB[k] its load.
+// one topology. Times[k] is snapshot k; Links[i].AB[k] its load. Topo, when
+// set, is the topology of exactly these Links (a producer that interns its
+// topologies sets it, as Map.Topo), so a fold need not copy and index them.
 type LinkColumns struct {
 	Times []time.Time
 	Links []LinkCol
+	Topo  *wmap.Topology
 }
 
 // ColumnStream yields a map's snapshots in chronological chunks. Like
@@ -50,9 +53,11 @@ func columnsOf(src Stream) ColumnStream {
 			}
 			c.Links = c.Links[:len(m.Links)]
 			c.Times = append(c.Times[:0], m.Time)
-			for i, l := range m.Links {
+			c.Topo = m.Topo
+			for i := range m.Links {
+				l := &m.Links[i]
 				loads[2*i], loads[2*i+1] = l.LoadAB, l.LoadBA
-				c.Links[i] = LinkCol{Link: l, AB: loads[2*i : 2*i+1], BA: loads[2*i+1 : 2*i+2]}
+				c.Links[i] = LinkCol{Link: *l, AB: loads[2*i : 2*i+1], BA: loads[2*i+1 : 2*i+2]}
 			}
 			return yield(&c)
 		})
@@ -60,28 +65,31 @@ func columnsOf(src Stream) ColumnStream {
 }
 
 // ImbalanceCDFColumns is ImbalanceCDF over a column stream: one scan of the
-// archive feeds every directed parallel set. A chunk's topology is indexed
-// once (wmap.Topology) and reused for as long as the following chunks keep
-// it, so the per-snapshot work is only filter and min/max over the load
-// columns, in the order wmap.Imbalances visits them.
+// archive feeds every directed parallel set. A chunk's topology is its Topo
+// when set; otherwise it is indexed once (wmap.Topology) and reused for as
+// long as the following chunks keep it. Each chunk is then folded set by
+// set over its load columns (foldImbalance).
 func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
 	var internal, external stats.PercentHist
 	var topo *wmap.Topology
-	var cur wmap.Map // the chunk's links
+	var cur wmap.Map // the chunk's links, when it carries no Topo
+	var sc imbalanceScratch
 	err := src(func(c *LinkColumns) error {
 		if len(c.Times) == 0 {
 			return nil
 		}
-		cur.Links = cur.Links[:0]
-		for i := range c.Links {
-			cur.Links = append(cur.Links, c.Links[i].Link)
+		if c.Topo != nil {
+			topo = c.Topo
+		} else {
+			cur.Links = cur.Links[:0]
+			for i := range c.Links {
+				cur.Links = append(cur.Links, c.Links[i].Link)
+			}
+			if !topo.Matches(&cur) {
+				topo = cur.Topology()
+			}
 		}
-		if !topo.Matches(&cur) {
-			topo = cur.Topology()
-		}
-		for k := range c.Times {
-			foldImbalance(topo, c, k, opt, &internal, &external)
-		}
+		foldImbalance(topo, c, opt, &sc, &internal, &external)
 		return nil
 	})
 	if err != nil {
@@ -109,62 +117,90 @@ func ImbalanceCDFColumns(src ColumnStream, opt wmap.ImbalanceOptions) (*Imbalanc
 	return view, nil
 }
 
-// foldImbalance adds snapshot k of c, whose topology t indexes, to the
-// histograms: for each directed set, the spread of its loads that survive
-// opt's filters, as wmap.Imbalances computes it. A set with a load outside
-// [0, 100] adds -1 instead, which the histogram rejects, since its spread
-// alone could still look valid.
+// imbalanceScratch is foldImbalance's per-snapshot state for one set,
+// reused across sets and chunks: the count of kept loads, their extremes
+// (widened to int, so min and max compile without branches), and the
+// spreads to add.
+type imbalanceScratch struct {
+	n, mn, mx []int
+	spreads   []uint8
+}
+
+// foldImbalance adds every snapshot of c, whose topology t indexes, to the
+// histograms: for each directed set and snapshot, the spread of its loads
+// that survive opt's filters, as wmap.Imbalances computes it. It walks each
+// set's direction columns in turn, then adds the set's spreads in one go;
+// a histogram's counts do not depend on the order of its adds. A set with
+// a load outside [0, 100] adds 255 instead, which the histogram rejects,
+// since its spread alone could still look valid.
 //
 //wm:hotpath
-func foldImbalance(t *wmap.Topology, c *LinkColumns, k int, opt wmap.ImbalanceOptions, internal, external *stats.PercentHist) {
+func foldImbalance(t *wmap.Topology, c *LinkColumns, opt wmap.ImbalanceOptions, sc *imbalanceScratch, internal, external *stats.PercentHist) {
+	K := len(c.Times)
+	if cap(sc.n) < K {
+		sc.n, sc.mn, sc.mx = make([]int, K), make([]int, K), make([]int, K)
+		sc.spreads = make([]uint8, 0, K)
+	}
+	n, mn, mx := sc.n[:K], sc.mn[:K], sc.mx[:K]
 	sets := t.Sets()
 	for i := range sets {
 		s := &sets[i]
-		var n int
-		var mn, mx wmap.Load
-		for _, di := range s.Dirs {
-			l := c.Links[di>>1].AB[k]
-			if di&1 != 0 {
-				l = c.Links[di>>1].BA[k]
-			}
-			if (opt.IgnoreZero && l == 0) || (opt.IgnoreOne && l == 1) {
-				continue
-			}
-			if n == 0 || l < mn {
-				mn = l
-			}
-			if n == 0 || l > mx {
-				mx = l
-			}
-			n++
-		}
-		if n == 0 || n < opt.MinLinks {
+		// A set keeps at most one load per direction.
+		if len(s.Dirs) == 0 || len(s.Dirs) < opt.MinLinks {
 			continue
 		}
-		v := int(mx) - int(mn)
-		if !mn.Valid() || !mx.Valid() {
-			v = -1
+		clear(n)
+		for k := range mn {
+			mn[k], mx[k] = 255, 0
+		}
+		for _, di := range s.Dirs {
+			col := c.Links[di>>1].AB[:K]
+			if di&1 != 0 {
+				col = c.Links[di>>1].BA[:K]
+			}
+			for k, l := range col {
+				if (opt.IgnoreZero && l == 0) || (opt.IgnoreOne && l == 1) {
+					continue
+				}
+				n[k]++
+				mn[k] = min(mn[k], int(l))
+				mx[k] = max(mx[k], int(l))
+			}
+		}
+		spreads := sc.spreads[:0]
+		for k := range n {
+			if n[k] == 0 || n[k] < opt.MinLinks {
+				continue
+			}
+			v := uint8(mx[k] - mn[k])
+			if mx[k] > 100 { // mn <= mx, so the set holds an invalid load
+				v = 255
+			}
+			spreads = append(spreads, v)
 		}
 		if s.Internal {
-			internal.Add(v)
+			stats.AddBytes(internal, spreads)
 		} else {
-			external.Add(v)
+			stats.AddBytes(external, spreads)
 		}
 	}
 }
 
 // WeeklyLoadsColumns is the week-cycle fold: every directed load, grouped
-// by its snapshot's weekday in snapshot-major, link-minor order (AB before
-// BA), reduced to per-day medians and the weekday/weekend means.
+// by its snapshot's weekday, reduced to per-day medians and the
+// weekday/weekend means.
 func WeeklyLoadsColumns(src ColumnStream) (*WeeklyView, error) {
 	var byDay [7]stats.PercentHist
 	err := src(func(c *LinkColumns) error {
-		for k, t := range c.Times {
-			g := &byDay[t.Weekday()]
-			for i := range c.Links {
-				g.Add(int(c.Links[i].AB[k]))
-				g.Add(int(c.Links[i].BA[k]))
+		// A run of snapshots on one weekday adds each column's run at once.
+		for lo := 0; lo < len(c.Times); {
+			d := c.Times[lo].Weekday()
+			hi := lo + 1
+			for hi < len(c.Times) && c.Times[hi].Weekday() == d {
+				hi++
 			}
+			addRuns(&byDay[d], c.Links, lo, hi)
+			lo = hi
 		}
 		return nil
 	})
@@ -202,4 +238,14 @@ func WeeklyLoadsColumns(src ColumnStream) (*WeeklyView, error) {
 		view.WeekendMean = float64(sum[1]) / float64(n[1])
 	}
 	return view, nil
+}
+
+// addRuns adds snapshots [lo, hi) of every link's two load columns to g.
+//
+//wm:hotpath
+func addRuns(g *stats.PercentHist, links []LinkCol, lo, hi int) {
+	for i := range links {
+		stats.AddBytes(g, links[i].AB[lo:hi])
+		stats.AddBytes(g, links[i].BA[lo:hi])
+	}
 }

@@ -44,6 +44,41 @@ func columnize(maps []*wmap.Map, chunkLen int) ColumnStream {
 	}
 }
 
+// chunkStream cuts maps into chunks of at most chunkLen snapshots up front
+// (columnize), so a fold over the stream allocates nothing on the
+// stream's behalf. With intern set, every chunk carries the topology of
+// its links, one shared value per run of one skeleton, as tsdb.GridChunk
+// carries the block's interned topology.
+func chunkStream(tb testing.TB, maps []*wmap.Map, chunkLen int, intern bool) ColumnStream {
+	tb.Helper()
+	var chunks []*LinkColumns
+	var topo *wmap.Topology
+	if err := columnize(maps, chunkLen)(func(c *LinkColumns) error {
+		if intern {
+			links := &wmap.Map{}
+			for i := range c.Links {
+				links.Links = append(links.Links, c.Links[i].Link)
+			}
+			if !topo.Matches(links) {
+				topo = links.Topology()
+			}
+			c.Topo = topo
+		}
+		chunks = append(chunks, c)
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return func(yield func(c *LinkColumns) error) error {
+		for _, c := range chunks {
+			if err := yield(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // sameLinkIdentity is columnize's chunk-split rule, kept independent of the
 // package's own topology check so the tests do not grade it against itself.
 func sameLinkIdentity(a, b []wmap.Link) bool {
@@ -257,5 +292,73 @@ func TestColumnsFoldEmptyChunk(t *testing.T) {
 		if got.MeanParallelism != 1.5 {
 			t.Errorf("%s: mean parallelism = %v, want the last snapshot's 1.5", optName, got.MeanParallelism)
 		}
+	}
+}
+
+// TestImbalanceColumnsCarriedTopo: chunks that carry their interned
+// topology give the view of the same chunks without it, under every filter
+// combination, and the fold then costs as many allocations over an 8-link
+// map as over the full Europe map: it neither copies the links nor indexes
+// them.
+func TestImbalanceColumnsCarriedTopo(t *testing.T) {
+	from := time.Date(2021, time.January, 4, 0, 0, 0, 0, time.UTC)
+	var full []*wmap.Map
+	if err := simStream(t, wmap.Europe, from, from.Add(63*5*time.Minute), 5*time.Minute)(func(m *wmap.Map) error {
+		full = append(full, m)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The small map keeps four internal and four external links, so both
+	// histograms fill as they do on the full one.
+	var keep []int
+	for _, internal := range []bool{true, false} {
+		for i, n := 0, 0; i < len(full[0].Links) && n < 4; i++ {
+			if full[0].Links[i].Internal() == internal {
+				keep, n = append(keep, i), n+1
+			}
+		}
+	}
+	small := make([]*wmap.Map, len(full))
+	for k, m := range full {
+		small[k] = &wmap.Map{ID: m.ID, Time: m.Time}
+		for _, i := range keep {
+			small[k].Links = append(small[k].Links, m.Links[i])
+		}
+	}
+	if len(full[0].Links) < 800 || len(small[0].Links) != 8 {
+		t.Fatalf("maps of %d and %d links, want the full Europe map and 8", len(full[0].Links), len(small[0].Links))
+	}
+
+	allocs := map[string]float64{}
+	for name, maps := range map[string][]*wmap.Map{"full": full, "small": small} {
+		for optName, opt := range testImbalanceOptions() {
+			want, err := ImbalanceCDFColumns(chunkStream(t, maps, 16, false), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := chunkStream(t, maps, 16, true)
+			got, err := ImbalanceCDFColumns(src, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s/%s: views diverge:\nwithout Topo %+v\nwith Topo    %+v", name, optName, want, got)
+			}
+			if optName != "minlinks1" {
+				continue
+			}
+			if got.IntSets == 0 || got.ExtSets == 0 {
+				t.Fatalf("%s: %d internal and %d external sets, want both", name, got.IntSets, got.ExtSets)
+			}
+			allocs[name] = testing.AllocsPerRun(10, func() {
+				if _, err := ImbalanceCDFColumns(src, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if allocs["full"] != allocs["small"] {
+		t.Errorf("%v allocations over %d links, %v over 8", allocs["full"], len(full[0].Links), allocs["small"])
 	}
 }

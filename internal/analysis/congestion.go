@@ -55,30 +55,23 @@ type CongestionView struct {
 // (fraction of hot readings, Figure 5b's tail) and the links that are hot
 // persistently. Directions are identified by wmap.DirKey, as the live
 // congestion detector identifies them, so offline and live agree on which
-// physical direction is which. Each topology is indexed once
-// (wmap.Topology): every direction's accumulator is resolved into a slice
-// the following snapshots index by link position.
+// physical direction is which. Every direction's accumulator lives in one
+// slab (dirSlab); each topology is indexed once (wmap.Topology), resolving
+// its directions to slab slots the following snapshots index by link
+// position.
 func CongestionStudy(src Stream, opt CongestionOptions) (*CongestionView, error) {
-	counts := make(map[wmap.DirKey]*dirAcc)
 	view := &CongestionView{Options: opt}
+	var slab dirSlab
 	var topo *wmap.Topology // the topology dirs resolves
-	var dirs []*dirAcc      // link i's AB accumulator at 2i, BA at 2i+1
+	var dirs []int32        // link i's AB slot at 2i, BA at 2i+1
 
 	err := src(func(m *wmap.Map) error {
 		view.Snapshots++
 		if !topo.Matches(m) {
 			topo = m.Topology()
-			dirs = dirs[:0]
-			for _, k := range topo.Keys() {
-				a := counts[k]
-				if a == nil {
-					a = &dirAcc{}
-					counts[k] = a
-				}
-				dirs = append(dirs, a)
-			}
+			dirs = slab.resolve(topo, dirs)
 		}
-		observeDirections(m.Links, dirs, opt.Threshold, view)
+		observeDirections(m.Links, dirs, slab.accs, opt.Threshold, view)
 		return nil
 	})
 	if err != nil {
@@ -89,11 +82,16 @@ func CongestionStudy(src Stream, opt CongestionOptions) (*CongestionView, error)
 	}
 	view.HotFraction = float64(view.HotReadings) / float64(view.Observations)
 
-	for key, a := range counts {
+	for i := range slab.accs {
+		a := &slab.accs[i]
+		if a.seen == 0 {
+			continue // a slot no direction took
+		}
 		share := float64(a.hot) / float64(a.seen)
 		if share < opt.PersistFraction {
 			continue
 		}
+		key := &slab.keys[i]
 		view.Persistent = append(view.Persistent, CongestedLink{
 			From: key.From, To: key.To, Label: key.Label, Ordinal: key.Ordinal,
 			HotShare: share, PeakLoad: a.peak, Snapshots: a.seen,
@@ -118,6 +116,58 @@ func CongestionStudy(src Stream, opt CongestionOptions) (*CongestionView, error)
 	return view, nil
 }
 
+// dirSlab holds one accumulator per direction a stream has shown.
+type dirSlab struct {
+	keys  []wmap.DirKey // accs[i] accumulates direction keys[i]
+	accs  []dirAcc
+	index map[wmap.DirKey]int32 // keys inverted, once a second topology appears
+}
+
+// resolve sets dirs to the slots of t's directions, by direction index,
+// adding a slot for each direction not seen before.
+func (s *dirSlab) resolve(t *wmap.Topology, dirs []int32) []int32 {
+	keys := t.Keys()
+	dirs = dirs[:0]
+	if s.accs == nil {
+		// The first topology's directions take the first slots, so a
+		// stream of one topology builds no index. Two of its directions
+		// share a key only as the two directions of a link from a node to
+		// itself with equal labels: the second takes the first's slot and
+		// leaves its own unseen.
+		s.keys = keys[:len(keys):len(keys)]
+		s.accs = make([]dirAcc, len(keys))
+		for i := range keys {
+			d := int32(i)
+			if i&1 == 1 && keys[i] == keys[i-1] {
+				d--
+			}
+			dirs = append(dirs, d)
+		}
+		return dirs
+	}
+	if s.index == nil {
+		// Every slot but an unseen one holds a direction the first
+		// topology's snapshot observed.
+		s.index = make(map[wmap.DirKey]int32, len(s.keys))
+		for i := range s.keys {
+			if s.accs[i].seen > 0 {
+				s.index[s.keys[i]] = int32(i)
+			}
+		}
+	}
+	for _, k := range keys {
+		d, ok := s.index[k]
+		if !ok {
+			d = int32(len(s.keys))
+			s.index[k] = d
+			s.keys = append(s.keys, k)
+			s.accs = append(s.accs, dirAcc{})
+		}
+		dirs = append(dirs, d)
+	}
+	return dirs
+}
+
 // dirAcc accumulates one link direction's readings.
 type dirAcc struct {
 	hot, seen int
@@ -125,24 +175,30 @@ type dirAcc struct {
 }
 
 // observeDirections folds one snapshot's loads into their directions'
-// accumulators: dirs[2i] and dirs[2i+1] are links[i]'s AB and BA.
+// accumulators: accs[dirs[2i]] and accs[dirs[2i+1]] are links[i]'s AB and
+// BA. The view's totals are added once per snapshot.
 //
 //wm:hotpath
-func observeDirections(links []wmap.Link, dirs []*dirAcc, threshold wmap.Load, view *CongestionView) {
+func observeDirections(links []wmap.Link, dirs []int32, accs []dirAcc, threshold wmap.Load, view *CongestionView) {
+	hot := 0
 	for i := range links {
-		for d, load := range [2]wmap.Load{links[i].LoadAB, links[i].LoadBA} {
-			a := dirs[2*i+d]
-			a.seen++
-			view.Observations++
-			if load >= threshold {
-				a.hot++
-				view.HotReadings++
-			}
-			if load > a.peak {
-				a.peak = load
-			}
-		}
+		l := &links[i]
+		hot += accs[dirs[2*i]].observe(l.LoadAB, threshold)
+		hot += accs[dirs[2*i+1]].observe(l.LoadBA, threshold)
 	}
+	view.Observations += 2 * len(links)
+	view.HotReadings += hot
+}
+
+// observe folds one reading into a and returns 1 if it is hot, else 0.
+func (a *dirAcc) observe(load, threshold wmap.Load) int {
+	a.seen++
+	a.peak = max(a.peak, load)
+	if load >= threshold {
+		a.hot++
+		return 1
+	}
+	return 0
 }
 
 // WriteCongestion renders the congestion view.

@@ -21,9 +21,8 @@ func HourlyLoads(src Stream) (*HourlyLoadView, error) {
 	var hours [24]stats.PercentHist
 	err := src(func(m *wmap.Map) error {
 		g := &hours[m.Time.Hour()]
-		for _, l := range m.Links {
-			g.Add(int(l.LoadAB))
-			g.Add(int(l.LoadBA))
+		for i := range m.Links {
+			g.AddPair(int(m.Links[i].LoadAB), int(m.Links[i].LoadBA))
 		}
 		return nil
 	})
@@ -78,26 +77,27 @@ type LoadDistView struct {
 }
 
 // LoadCDF consumes a stream and computes the Figure 5b distributions over
-// every directed load observation.
+// every directed load observation. Each load goes to its link class; all
+// links is their merge.
 func LoadCDF(src Stream) (*LoadDistView, error) {
-	var all, internal, external stats.PercentHist
+	var internal, external stats.PercentHist
 	err := src(func(m *wmap.Map) error {
-		for _, l := range m.Links {
+		for i := range m.Links {
+			l := &m.Links[i]
 			side := &external
 			if l.Internal() {
 				side = &internal
 			}
-			a, b := int(l.LoadAB), int(l.LoadBA)
-			all.Add(a)
-			all.Add(b)
-			side.Add(a)
-			side.Add(b)
+			side.AddPair(int(l.LoadAB), int(l.LoadBA))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	var all stats.PercentHist
+	all.Merge(&internal)
+	all.Merge(&external)
 	view := &LoadDistView{Samples: all.Len()}
 	if view.All, err = all.CDF(); err != nil {
 		return nil, fmt.Errorf("analysis: load CDF: %w", err)

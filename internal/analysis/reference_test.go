@@ -50,7 +50,9 @@ func (s *sample) Mean() (float64, error) {
 }
 
 // Percentile interpolates linearly between the closest ranks (numpy's
-// default estimator) for p in [0, 100].
+// default estimator) for p in [0, 100]. The exact interpolation lies
+// between the two ranks' values, so the rounded one is held there: two
+// equal neighbours give their value, not one a rounding step off it.
 func (s *sample) Percentile(p float64) (float64, error) {
 	if len(s.vs) == 0 {
 		return 0, stats.ErrEmpty
@@ -63,7 +65,7 @@ func (s *sample) Percentile(p float64) (float64, error) {
 		return v[lo], nil
 	}
 	frac := rank - float64(lo)
-	return v[lo]*(1-frac) + v[hi]*frac, nil
+	return min(max(v[lo]*(1-frac)+v[hi]*frac, v[lo]), v[hi]), nil
 }
 
 // Quartiles reads the Figure 5a summary off the sample's percentiles.
@@ -115,11 +117,13 @@ func referenceParallelGroups(m *wmap.Map) [][]wmap.Link {
 // referenceImbalanceCDF is Figure 5c by the paper's definition: for each
 // parallel group, from its lesser endpoint and then from its greater, the
 // spread of the directed loads that survive the filters, and the mean
-// group size over the groups with an OVH router.
+// group size over the groups with an OVH router. A surviving load outside
+// [0, 100] fails the fold with stats.ErrOutOfRange.
 func referenceImbalanceCDF(src Stream, opt wmap.ImbalanceOptions) (*ImbalanceView, error) {
 	internal := newSample()
 	external := newSample()
 	var lastParallelism float64
+	outOfRange := false
 	err := src(func(m *wmap.Map) error {
 		var links, groups int
 		for _, g := range referenceParallelGroups(m) {
@@ -144,6 +148,7 @@ func referenceImbalanceCDF(src Stream, opt wmap.ImbalanceOptions) (*ImbalanceVie
 					continue
 				}
 				spread := slices.Max(kept) - slices.Min(kept)
+				outOfRange = outOfRange || slices.Max(kept) > 100
 				if wmap.KindOfName(a) == wmap.Router && wmap.KindOfName(b) == wmap.Router {
 					internal.Add(spread)
 				} else {
@@ -159,6 +164,9 @@ func referenceImbalanceCDF(src Stream, opt wmap.ImbalanceOptions) (*ImbalanceVie
 	})
 	if err != nil {
 		return nil, err
+	}
+	if outOfRange {
+		return nil, stats.ErrOutOfRange
 	}
 	view := &ImbalanceView{
 		IntSets:         internal.Len(),
@@ -435,6 +443,10 @@ func TestFoldAllocsIndependentOfLength(t *testing.T) {
 		"loadcdf":   func(src Stream) error { _, err := LoadCDF(src); return err },
 		"imbalance": func(src Stream) error { _, err := ImbalanceCDF(src, opt); return err },
 		"weekly":    func(src Stream) error { _, err := WeeklyLoads(src); return err },
+		"congestion": func(src Stream) error {
+			_, err := CongestionStudy(src, DefaultCongestionOptions())
+			return err
+		},
 	}
 	for name, fold := range folds {
 		allocs := func(maps []*wmap.Map) float64 {

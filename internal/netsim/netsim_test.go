@@ -182,8 +182,7 @@ func TestFig5bLoadDistribution(t *testing.T) {
 					s = &intS
 				}
 				for _, h := range []*stats.PercentHist{s, &all} {
-					h.Add(int(l.LoadAB))
-					h.Add(int(l.LoadBA))
+					h.AddPair(int(l.LoadAB), int(l.LoadBA))
 				}
 			}
 		}
@@ -519,8 +518,7 @@ func TestScalewayLikeScenario(t *testing.T) {
 	// Hotter links than OVH: mean load at a fixed instant noticeably higher.
 	var hot stats.PercentHist
 	for _, l := range m.Links {
-		hot.Add(int(l.LoadAB))
-		hot.Add(int(l.LoadBA))
+		hot.AddPair(int(l.LoadAB), int(l.LoadBA))
 	}
 	mean, _ := hot.Mean()
 	if mean < 20 {

@@ -64,6 +64,45 @@ func (s *Sample) FractionGreater(v float64) (float64, error) {
 	return complement(s.FractionAtMost(v))
 }
 
+// Add records v, one observation at a time: the reference the bulk adds
+// are held to. A v outside [0, 100] is counted but not binned.
+func (h *PercentHist) Add(v int) {
+	h.n++
+	if uint(v) <= 100 {
+		h.counts[v]++
+	}
+}
+
+// bulkDiff adds raw one byte at a time with Add and again through each
+// bulk add: AddPair over pairs, AddBytes over two runs cut at cut, and
+// Merge of the two runs' histograms. It describes the first bulk add whose
+// histogram differs, or returns "" when all are equal.
+func bulkDiff(raw []byte, cut int) string {
+	cut = min(max(cut, 0), len(raw))
+	var added, pairs, bytes, merged, lo, hi PercentHist
+	for _, b := range raw {
+		added.Add(int(b))
+	}
+	for i := 0; i+1 < len(raw); i += 2 {
+		pairs.AddPair(int(raw[i]), int(raw[i+1]))
+	}
+	if len(raw)%2 == 1 {
+		pairs.Add(int(raw[len(raw)-1]))
+	}
+	AddBytes(&bytes, raw[:cut])
+	AddBytes(&bytes, raw[cut:])
+	AddBytes(&lo, raw[:cut])
+	AddBytes(&hi, raw[cut:])
+	merged.Merge(&lo)
+	merged.Merge(&hi)
+	for name, h := range map[string]*PercentHist{"AddPair": &pairs, "AddBytes": &bytes, "Merge": &merged} {
+		if *h != added {
+			return fmt.Sprintf("%v cut at %d: %s gives %+v, repeated Add %+v", raw, cut, name, *h, added)
+		}
+	}
+	return ""
+}
+
 // histDiff runs every PercentHist query and Sample's counterpart on the
 // multiset vals and describes the first result or error that differs, or
 // returns "" when all match exactly.
@@ -146,7 +185,8 @@ func percents(raw []byte) []int {
 
 // TestPercentHistMatchesSample: on random integer multisets in [0, 100] and
 // on the explicit cases, every PercentHist query returns exactly what
-// Sample returns, errors included.
+// Sample returns, errors included; on random bytes, out-of-range ones
+// included, the bulk adds build what repeated Add builds.
 func TestPercentHistMatchesSample(t *testing.T) {
 	xs := histXs()
 	for name, vals := range histCases {
@@ -160,6 +200,10 @@ func TestPercentHistMatchesSample(t *testing.T) {
 			t.Log(d)
 			return false
 		}
+		if d := bulkDiff(raw, int(pr)%(len(raw)+1)); d != "" {
+			t.Log(d)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -167,6 +211,9 @@ func TestPercentHistMatchesSample(t *testing.T) {
 	}
 }
 
+// FuzzPercentHistMatchesSample: every query matches Sample's on the fuzzed
+// multiset, and the bulk adds (AddPair, AddBytes and Merge, over any byte,
+// so out-of-range ones too) build the histogram repeated Add builds.
 func FuzzPercentHistMatchesSample(f *testing.F) {
 	for _, vals := range histCases {
 		raw := make([]byte, len(vals))
@@ -178,6 +225,9 @@ func FuzzPercentHistMatchesSample(f *testing.F) {
 	xs := histXs()
 	f.Fuzz(func(t *testing.T, raw []byte, p, x float64) {
 		if d := histDiff(percents(raw), append(histPs, p), append(xs, x)); d != "" {
+			t.Fatal(d)
+		}
+		if d := bulkDiff(raw, int(p)); d != "" {
 			t.Fatal(d)
 		}
 	})

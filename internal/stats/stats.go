@@ -160,21 +160,48 @@ var ErrOutOfRange = errors.New("stats: observation outside [0, 100]")
 // constant memory. The zero value is an empty histogram.
 type PercentHist struct {
 	counts [101]int64
-	n      int64 // every Add, binned or not
+	n      int64 // every observation, binned or not
 }
 
-// Add records v. A v outside [0, 100] is counted but not binned.
-func (h *PercentHist) Add(v int) {
-	h.n++
-	if uint(v) <= 100 {
-		h.counts[v]++
+// AddPair records a and b. A value outside [0, 100] is counted but not
+// binned.
+func (h *PercentHist) AddPair(a, b int) {
+	h.n += 2
+	if uint(a) <= 100 {
+		h.counts[a]++
 	}
+	if uint(b) <= 100 {
+		h.counts[b]++
+	}
+}
+
+// AddBytes records every value of vs, counting the observations once: a
+// byte above 100 is counted but not binned.
+//
+//wm:hotpath
+func AddBytes[B ~uint8](h *PercentHist, vs []B) {
+	for _, v := range vs {
+		if v <= 100 {
+			h.counts[v]++
+		}
+	}
+	h.n += int64(len(vs))
+}
+
+// Merge adds every observation of o to h, as adding them one by one
+// would.
+func (h *PercentHist) Merge(o *PercentHist) {
+	for v, c := range o.counts {
+		h.counts[v] += c
+	}
+	h.n += o.n
 }
 
 // Len returns the number of observations added.
 func (h *PercentHist) Len() int { return int(h.n) }
 
-// check is every query's precondition: each Add binned, and at least one.
+// check is every query's precondition: each observation binned, and at
+// least one.
 func (h *PercentHist) check() error {
 	var binned int64
 	for _, c := range h.counts {

@@ -516,9 +516,10 @@ func (w *loadWindow) add(ab, ba wmap.Load) {
 // with Times. Every slice aliases shared (possibly cached) decoded state —
 // callers must not mutate or retain them past the callback.
 type GridChunk struct {
-	Keys  []LinkKey   // column order, ordinals assigned
-	Links []wmap.Link // the topology rows (loads zeroed)
-	Times []int64     // snapshot seconds, trimmed to the query range
+	Keys  []LinkKey      // column order, ordinals assigned
+	Links []wmap.Link    // the topology rows (loads zeroed)
+	Topo  *wmap.Topology // the block's interned topology, of exactly Links
+	Times []int64        // snapshot seconds, trimmed to the query range
 	AB    [][]wmap.Load
 	BA    [][]wmap.Load
 }
@@ -542,7 +543,8 @@ func (r *Reader) GridColumns(ctx context.Context, id wmap.MapID, from, to time.T
 	return r.scanBlocks(ctx, st, ids, func(int) int { return allColumns }, fromU, toU, func(i int, db *decodedBlock, lo, hi int) error {
 		ti := st.meta(ids[i]).topoIndex
 		c.Keys = topoKeys[ti]
-		c.Links = st.topos[ti].Links()
+		c.Topo = st.topos[ti]
+		c.Links = c.Topo.Links()
 		L := len(c.Links)
 		c.Times = db.times[lo:hi]
 		c.AB = append(c.AB[:0], make([][]wmap.Load, L)...)

@@ -346,15 +346,14 @@ func (a *api) serveWindowLoad(w http.ResponseWriter, r *http.Request, linkID str
 		w.WriteHeader(statusClientClosedRequest)
 		return
 	}
-	bp, tp := getEncBuf(), getEncBuf()
-	memo := seriesMemo{times: windowTimes{buf: *tp}}
+	bp, memo := getEncBuf(), getSeriesMemo()
 	b := appendLoadMeta(*bp, linkID, id, key, from, to, step)
-	b = appendLoadSeries(b, lw, bands, &memo)
+	b = appendLoadSeries(b, lw, bands, memo)
 	b = append(b, '}', '\n')
 	writeBody(w, http.StatusOK, b)
-	*bp, *tp = b, memo.times.buf
+	*bp = b
 	putEncBuf(bp)
-	putEncBuf(tp)
+	putSeriesMemo(memo)
 }
 
 // appendLoadSeries appends the resampled series fields of a per-link body

@@ -159,14 +159,13 @@ func (a *api) gridShared(ctx context.Context, key string, run func() (*gridResul
 // mid-stream it stops encoding work for a client that is gone.
 func (a *api) writeGrid(w http.ResponseWriter, r *http.Request, id wmap.MapID, from, to time.Time, step time.Duration, bands bool, res *gridResult) {
 	// The memo is shared across every link: one render per distinct mean
-	// and window time. The second buffer backs its time table.
-	bp, tp := getEncBuf(), getEncBuf()
+	// and window time.
+	bp, memo := getEncBuf(), getSeriesMemo()
 	b := *bp
-	memo := seriesMemo{times: windowTimes{buf: *tp}}
 	defer func() {
-		*bp, *tp = b, memo.times.buf
+		*bp = b
 		putEncBuf(bp)
-		putEncBuf(tp)
+		putSeriesMemo(memo)
 	}()
 
 	b = append(b, `{"map":`...)
@@ -193,7 +192,7 @@ func (a *api) writeGrid(w http.ResponseWriter, r *http.Request, id wmap.MapID, f
 		if li > 0 {
 			b = append(b, ',')
 		}
-		b = appendGridLink(b, id, &res.links[li], bands, &memo)
+		b = appendGridLink(b, id, &res.links[li], bands, memo)
 		if len(b) >= gridFlushBytes {
 			if !streamed {
 				w.Header().Set("Content-Type", "application/json")

@@ -360,11 +360,32 @@ func (m *windowTimes) appendTime(b []byte, k int) []byte {
 	return append(b, m.buf[at:at+quotedTimeLen]...)
 }
 
-// seriesMemo is the per-response render cache every series of one body
-// shares: window means and window start times.
+// seriesMemo is the render cache every series of one body shares: window
+// means and window start times. Each entry is a function of its key alone,
+// so a memo pooled by one response serves the next as it is left.
 type seriesMemo struct {
 	means meanMemo
 	times windowTimes
+}
+
+// memoPool recycles seriesMemo tables across responses.
+var memoPool = sync.Pool{New: func() any { return new(seriesMemo) }}
+
+// getSeriesMemo returns a pooled memo for one response, which picks the
+// window count its mean table holds afresh.
+func getSeriesMemo() *seriesMemo {
+	m := memoPool.Get().(*seriesMemo)
+	m.means.chosen = false
+	return m
+}
+
+// putSeriesMemo returns m to the pool, without a time table that grew
+// past maxPooledEncBuf.
+func putSeriesMemo(m *seriesMemo) {
+	if cap(m.times.buf) > maxPooledEncBuf {
+		m.times = windowTimes{}
+	}
+	memoPool.Put(m)
 }
 
 // appendJSONFloat appends v exactly as encoding/json renders a float64:
@@ -394,19 +415,21 @@ func appendJSONFloat(b []byte, v float64) []byte {
 	return b
 }
 
-// meanMemo caches rendered window means within one response. A window mean
-// is the rational sum/n with sum bounded by 100·n (loads are percentages),
-// and every series in a response shares one step — so the same window
-// sample count n recurs everywhere and the value vocabulary is at most a
-// few thousand entries even when a grid emits hundreds of thousands of
-// windows. Rendering each distinct (sum, n) once and replaying the bytes
-// skips the shortest-float search that otherwise dominates encode time.
-// Entries are produced by appendJSONFloat itself, so memoized output is
-// byte-identical to the unmemoized path.
+// meanMemo caches rendered window means. A window mean is the rational
+// sum/n with sum bounded by 100·n (loads are percentages), and every series
+// in a response shares one step — so the same window sample count n recurs
+// everywhere and the value vocabulary is at most a few thousand entries
+// even when a grid emits hundreds of thousands of windows. Rendering each
+// distinct (sum, n) once and replaying the bytes skips the shortest-float
+// search that otherwise dominates encode time. Entries are produced by
+// appendJSONFloat itself, so memoized output is byte-identical to the
+// unmemoized path. The table holds offsets into one arena, so moving it to
+// another n clears it in place.
 type meanMemo struct {
-	n     int64    // window sample count the table was built for
-	vals  [][]byte // sum -> rendered mean; nil entry = not yet rendered
-	arena []byte   // backing storage for rendered entries
+	chosen bool     // this response has picked n
+	n      int64    // window sample count the table holds
+	spans  []uint32 // sum -> its rendering, arena[s>>5:][:s&31]; 0 = not yet rendered
+	arena  []byte   // backing storage for rendered entries
 }
 
 // maxMeanMemoSum caps the table size: window counts whose sum range
@@ -415,22 +438,33 @@ type meanMemo struct {
 const maxMeanMemoSum = 1 << 13
 
 // appendMean appends the JSON rendering of sum/n, memoized. Windows whose
-// count differs from the table's (partial edge windows, mixed tiers) or
-// whose sum falls outside the table format directly — same bytes, no cache.
+// count differs from the first one the memo sees in a response (partial
+// edge windows, mixed tiers) or whose sum falls outside the table format
+// directly — same bytes, no cache.
 func (m *meanMemo) appendMean(b []byte, sum, n int64) []byte {
-	if m.vals == nil && n > 0 && 100*n <= maxMeanMemoSum {
-		m.n = n
-		m.vals = make([][]byte, 100*n+1)
+	if !m.chosen && n > 0 && 100*n <= maxMeanMemoSum {
+		m.chosen = true
+		if n != m.n { // else the pooled table already holds n
+			m.n = n
+			m.arena = m.arena[:0]
+			if size := int(100*n + 1); cap(m.spans) >= size {
+				m.spans = m.spans[:size]
+				clear(m.spans)
+			} else {
+				m.spans = make([]uint32, size)
+			}
+		}
 	}
-	if n != m.n || m.vals == nil || sum < 0 || sum >= int64(len(m.vals)) {
+	if n != m.n || sum < 0 || sum >= int64(len(m.spans)) {
 		return appendJSONFloat(b, float64(sum)/float64(n))
 	}
-	v := m.vals[sum]
-	if v == nil {
-		start := len(m.arena)
-		m.arena = appendJSONFloat(m.arena, float64(sum)/float64(n))
-		v = m.arena[start:len(m.arena):len(m.arena)]
-		m.vals[sum] = v
+	if s := m.spans[sum]; s != 0 {
+		return append(b, m.arena[s>>5:s>>5+s&31]...)
 	}
-	return append(b, v...)
+	start := len(m.arena)
+	m.arena = appendJSONFloat(m.arena, float64(sum)/float64(n))
+	if l := len(m.arena) - start; l < 32 {
+		m.spans[sum] = uint32(start)<<5 | uint32(l)
+	}
+	return append(b, m.arena[start:]...)
 }

@@ -252,7 +252,9 @@ func (t *Topology) build() {
 	}
 }
 
-// Keys returns every direction's DirKey, by direction index.
+// Keys returns every direction's DirKey, by direction index. Two
+// directions share a key only as the two directions of one link from a
+// node to itself with equal labels.
 func (t *Topology) Keys() []DirKey { return t.index().keys }
 
 // Sets returns the directed parallel sets in the order of the paper's

@@ -44,7 +44,7 @@ func randomTopology(seed int64, links uint16, nodes uint8, selfLoops bool) *Map 
 }
 
 // checkTopology holds the index of m to the references: keys to the
-// direction walk, the parallel sets to a (From, To) grouping of that walk,
+// direction walk, and distinct but for a self link's two directions, the parallel sets to a (From, To) grouping of that walk,
 // the egress to UpgradeStudy's rule, parallelism to MeanParallelism over
 // ParallelGroups and, on maps without a link from a node to itself, the
 // sets and the imbalances to ParallelGroups and DirectedLoads.
@@ -55,6 +55,19 @@ func checkTopology(t *testing.T, m *Map) {
 	keys := referenceKeys(m)
 	if got := ix.Keys(); len(got) != len(keys) || (len(keys) > 0 && !reflect.DeepEqual(got, keys)) {
 		t.Fatalf("keys:\n got %v\nwant %v", got, keys)
+	}
+	// Keys promises that two directions share a key only as the two
+	// directions of one link from a node to itself with equal labels.
+	first := make(map[DirKey]int, len(keys))
+	for i, k := range keys {
+		j, dup := first[k]
+		if !dup {
+			first[k] = i
+			continue
+		}
+		if l := m.Links[i/2]; i != j+1 || i%2 != 1 || l.A != l.B || l.LabelA != l.LabelB {
+			t.Fatalf("directions %d and %d share key %+v", j, i, k)
+		}
 	}
 
 	type set struct {

@@ -77,15 +77,27 @@ const (
 // KindOfName infers a node's kind from its displayed name, following the
 // weather map's convention: routers are lower case, peerings upper case.
 func KindOfName(name string) NodeKind {
-	for _, r := range name {
-		if r >= 'a' && r <= 'z' {
-			return Router
-		}
-		if r >= 'A' && r <= 'Z' {
-			return Peering
-		}
+	if routerName(name) {
+		return Router
 	}
 	return Peering
+}
+
+// routerName reports whether KindOfName(name) is Router: whether the first
+// ASCII letter of name is lower case. It loops over bytes, not runes: no
+// byte of a multi-byte UTF-8 sequence, nor an invalid byte, is an ASCII
+// letter, so the first letter is the same.
+func routerName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= 'a' && c <= 'z' {
+			return true
+		}
+		if c >= 'A' && c <= 'Z' {
+			return false
+		}
+	}
+	return false
 }
 
 // Node is a white box on the map: an OVH router or a physical peering.
@@ -118,8 +130,8 @@ type Link struct {
 
 // Internal reports whether the link connects two OVH routers. External
 // links reach a physical peering.
-func (l Link) Internal() bool {
-	return KindOfName(l.A) == Router && KindOfName(l.B) == Router
+func (l *Link) Internal() bool {
+	return routerName(l.A) && routerName(l.B)
 }
 
 // Endpoints returns the two node names in lexicographic order, providing a
