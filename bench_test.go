@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -365,16 +366,28 @@ func BenchmarkAlgorithm1ScanSteady(b *testing.B) {
 }
 
 // BenchmarkAlgorithm2Attribute measures the geometric attribution
-// throughput of Algorithm 2 on Europe-scale element lists.
+// throughput of Algorithm 2 on Europe-scale element lists. Before timing it
+// checks the attribution against its reference, the map the document was
+// rendered from: every node and every link, labels, ends and loads, in
+// order.
 func BenchmarkAlgorithm2Attribute(b *testing.B) {
 	f := getFixture(b)
+	m, err := extract.Attribute(f.europeRes, wmap.Europe, f.sc.End, extract.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := f.endMaps[0]
+	if !slices.Equal(m.Nodes, want.Nodes) || !slices.Equal(m.Links, want.Links) {
+		b.Fatalf("attribution differs from the rendered map: %d nodes, %d links, want %d, %d",
+			len(m.Nodes), len(m.Links), len(want.Nodes), len(want.Links))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := extract.Attribute(f.europeRes, wmap.Europe, f.sc.End, extract.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(m.Links) != len(f.endMaps[0].Links) {
+		if len(m.Links) != len(want.Links) {
 			b.Fatalf("links = %d", len(m.Links))
 		}
 	}
@@ -463,31 +476,6 @@ func BenchmarkAblationImbalanceFilters(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAttributionSearch compares the grid-indexed
-// closest-intersecting-box search (default) against the paper's literal
-// exhaustive formulation, which tests every box against every link line.
-// Results are identical (asserted by TestPrunedMatchesExhaustiveFullScale).
-func BenchmarkAblationAttributionSearch(b *testing.B) {
-	f := getFixture(b)
-	for _, cfg := range []struct {
-		name       string
-		exhaustive bool
-	}{
-		{"grid-indexed", false},
-		{"exhaustive", true},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opt := extract.DefaultOptions()
-			opt.Exhaustive = cfg.exhaustive
-			for i := 0; i < b.N; i++ {
-				if _, err := extract.Attribute(f.europeRes, wmap.Europe, f.sc.End, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationStreamVsDOM compares the streaming SVG reader against
 // materializing the element list first — the memory/throughput trade
 // DESIGN.md calls out.
@@ -571,28 +559,6 @@ func BenchmarkAttributionCache(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
-}
-
-// BenchmarkAblationLabelConsumption compares Algorithm 2 with and without
-// the label-consumption rule (line 9). Disabling consumption must produce
-// duplicate label assignments on parallel-link groups with shared label
-// texts, which the consuming variant avoids by construction.
-func BenchmarkAblationLabelConsumption(b *testing.B) {
-	f := getFixture(b)
-	b.Run("with-consumption", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := extract.Attribute(f.europeRes, wmap.Europe, f.sc.End, extract.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("without-consumption", func(b *testing.B) {
-		dups := 0
-		for i := 0; i < b.N; i++ {
-			dups = extract.CountDuplicateAssignments(f.europeRes)
-		}
-		b.ReportMetric(float64(dups), "dup-labels")
 	})
 }
 

@@ -173,6 +173,21 @@ func BenchmarkWeeklyLoadsColumns(b *testing.B) {
 	})
 }
 
+// BenchmarkWeeklyLoads is the weekly fold's stream feeder: one-snapshot
+// chunks of map views, each carrying its interned topology.
+func BenchmarkWeeklyLoads(b *testing.B) {
+	maps := benchWindow(b)
+	src := SliceStream(viewsOf(b, maps))
+	want := loadCount(maps)
+	benchFold(b, maps, func() error {
+		v, err := WeeklyLoads(src)
+		if err != nil {
+			return err
+		}
+		return binnedAll(v.Samples[:], want)
+	})
+}
+
 func BenchmarkCongestionStudy(b *testing.B) {
 	streamArms(b, func(b *testing.B, maps []*wmap.Map, src Stream) {
 		opt := DefaultCongestionOptions()

@@ -41,18 +41,29 @@ type ColumnStream func(yield func(c *LinkColumns) error) error
 // columnsOf feeds a snapshot stream to the column folds: each snapshot
 // becomes a one-snapshot chunk. The chunk, and the one backing array its
 // load columns share, are reused between snapshots, so a stream costs no
-// allocation per snapshot once its largest map has been seen.
+// allocation per snapshot once its largest map has been seen. A snapshot
+// carrying the previous one's Topo has the previous one's links but for
+// their loads, so only the loads are written: every LinkCol.Link stays a
+// whole copy of its snapshot's link without the 72-byte copy per link.
 func columnsOf(src Stream) ColumnStream {
 	return func(yield func(c *LinkColumns) error) error {
 		var c LinkColumns
 		var loads []wmap.Load
 		return src(func(m *wmap.Map) error {
+			c.Times = append(c.Times[:0], m.Time)
+			if m.Topo != nil && m.Topo == c.Topo && len(m.Links) == len(c.Links) {
+				for i := range m.Links {
+					l, col := &m.Links[i], &c.Links[i].Link
+					loads[2*i], loads[2*i+1] = l.LoadAB, l.LoadBA
+					col.LoadAB, col.LoadBA = l.LoadAB, l.LoadBA
+				}
+				return yield(&c)
+			}
 			if cap(c.Links) < len(m.Links) {
 				c.Links = make([]LinkCol, len(m.Links))
 				loads = make([]wmap.Load, 2*len(m.Links))
 			}
 			c.Links = c.Links[:len(m.Links)]
-			c.Times = append(c.Times[:0], m.Time)
 			c.Topo = m.Topo
 			for i := range m.Links {
 				l := &m.Links[i]

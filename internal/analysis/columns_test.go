@@ -362,3 +362,41 @@ func TestImbalanceColumnsCarriedTopo(t *testing.T) {
 		t.Errorf("%v allocations over %d links, %v over 8", allocs["full"], len(full[0].Links), allocs["small"])
 	}
 }
+
+// columnsOf keeps the LinkCol contract on map views: each one-snapshot
+// chunk's Link is the snapshot's whole link, loads included, and its load
+// columns hold the loads, also when consecutive views share one Topo and
+// only the loads are rewritten.
+func TestColumnsOfKeepsLinks(t *testing.T) {
+	from := time.Date(2021, time.January, 4, 0, 0, 0, 0, time.UTC)
+	var maps []*wmap.Map
+	if err := simStream(t, wmap.Europe, from, from.Add(7*5*time.Minute), 5*time.Minute)(func(m *wmap.Map) error {
+		maps = append(maps, m)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A second topology of the same link count, then the first again.
+	edited := *maps[4]
+	edited.Links = append([]wmap.Link(nil), maps[4].Links...)
+	edited.Links[0].LabelA += "x"
+	maps[4] = &edited
+	k := 0
+	err := columnsOf(viewStream(maps))(func(c *LinkColumns) error {
+		m := maps[k]
+		if len(c.Times) != 1 || !c.Times[0].Equal(m.Time) || len(c.Links) != len(m.Links) {
+			t.Fatalf("snapshot %d: chunk of %d times, %d links", k, len(c.Times), len(c.Links))
+		}
+		for i, col := range c.Links {
+			l := m.Links[i]
+			if col.Link != l || len(col.AB) != 1 || len(col.BA) != 1 || col.AB[0] != l.LoadAB || col.BA[0] != l.LoadBA {
+				t.Fatalf("snapshot %d link %d: %+v AB %v BA %v, want %+v", k, i, col.Link, col.AB, col.BA, l)
+			}
+		}
+		k++
+		return nil
+	})
+	if err != nil || k != len(maps) {
+		t.Fatalf("folded %d of %d snapshots: %v", k, len(maps), err)
+	}
+}

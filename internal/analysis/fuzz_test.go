@@ -137,14 +137,39 @@ func rangeChecked[V any](bad bool) func(V, error) (V, error) {
 	}
 }
 
+// viewStream yields maps as Cursor.MapView does: one recycled map whose
+// Topo is interned, the same pointer for as long as consecutive snapshots
+// keep one skeleton.
+func viewStream(maps []*wmap.Map) Stream {
+	topos := make([]*wmap.Topology, len(maps))
+	var topo *wmap.Topology
+	for i, m := range maps {
+		if !topo.Matches(m) {
+			topo = m.Topology()
+		}
+		topos[i] = topo
+	}
+	return func(yield func(*wmap.Map) error) error {
+		var v wmap.Map
+		for i, m := range maps {
+			v.ID, v.Time, v.Nodes, v.Topo = m.ID, m.Time, m.Nodes, topos[i]
+			v.Links = append(v.Links[:0], m.Links...)
+			if err := yield(&v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // FuzzFoldsDifferential: on corpora with topology changes, every load
 // class the folds treat apart (0 and 1, which the imbalance filters drop,
 // 100, and the out-of-range 101 and 255) and random options, all five
 // Figure 5 folds equal their references through every feeder: the
-// snapshot stream, a stream that recycles its map, chunks of every length
-// and chunks that carry an interned topology. Views must be deeply equal,
-// and errors equal by errors.Is (by text for congestion, whose error is
-// not a sentinel). Corpora with links from a node to itself skip the
+// snapshot stream, a stream that recycles its map, map views carrying
+// their interned topology, chunks of every length and chunks that carry an
+// interned topology. Views must be deeply equal, and errors equal by
+// errors.Is (by text for congestion, whose error is not a sentinel). Corpora with links from a node to itself skip the
 // imbalance fold, whose reference walks such a link's group twice.
 func FuzzFoldsDifferential(f *testing.F) {
 	f.Add([]byte{}, byte(0))
@@ -161,7 +186,7 @@ func FuzzFoldsDifferential(f *testing.F) {
 			PersistFraction: []float64{0, 0.1, 0.25, 0.5, 1}[r.intn(5)],
 		}
 
-		streams := map[string]Stream{"stream": SliceStream(maps), "reused": reusingStream(maps)}
+		streams := map[string]Stream{"stream": SliceStream(maps), "reused": reusingStream(maps), "view": viewStream(maps)}
 		columns := map[string]ColumnStream{"topo": chunkStream(t, maps, 1+r.intn(len(maps)), true)}
 		for _, n := range []int{1, 2, 5, len(maps)} {
 			columns[fmt.Sprintf("chunks of %d", n)] = columnize(maps, n)
@@ -190,8 +215,10 @@ func FuzzFoldsDifferential(f *testing.F) {
 		}
 
 		wantWk, wantWkErr := rangeChecked[*WeeklyView](bad)(referenceWeeklyLoads(SliceStream(maps)))
-		got, err := WeeklyLoads(SliceStream(maps))
-		check("weekly", "stream", wantWk, got, wantWkErr, err)
+		for name, src := range streams {
+			got, err := WeeklyLoads(src)
+			check("weekly", name, wantWk, got, wantWkErr, err)
+		}
 		for name, src := range columns {
 			got, err := WeeklyLoadsColumns(src)
 			check("weekly", name, wantWk, got, wantWkErr, err)

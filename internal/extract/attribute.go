@@ -3,6 +3,7 @@ package extract
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"ovhweather/internal/geom"
@@ -24,12 +25,6 @@ type Options struct {
 	// VerifyColors cross-checks every load percentage against its arrow's
 	// fill color during the scan; see ScanOptions.
 	VerifyColors bool
-	// Exhaustive disables the distance-pruned candidate search and tests
-	// every box against the link line, as the paper's pseudocode does
-	// literally. Results are identical; the pruned search just skips the
-	// line-intersection test for boxes that cannot beat the current best.
-	// Kept for the ablation benchmark.
-	Exhaustive bool
 }
 
 // DefaultOptions mirrors the paper's processing configuration.
@@ -60,13 +55,32 @@ func attrErrorf(link int, format string, args ...any) error {
 // placement in the 2D image plane.
 //
 // For each link it computes the straight line through the middle of the
-// bases of the link's two arrows, collects the routers and labels whose
-// boxes intersect that line, and, for each of the two link ends, sorts the
-// candidates by increasing distance to the end. The closest router becomes
-// the end's router; the closest label is attributed and removed from the
-// label set, guaranteeing each label is assigned at most once.
+// bases of the link's two arrows, and, for each of the two link ends, takes
+// the router box and the label box closest to the end among those the line
+// intersects. The router becomes the end's router; the label is attributed
+// and removed from the label set, guaranteeing each label is assigned at
+// most once.
 func Attribute(res *ScanResult, id wmap.MapID, at time.Time, opt Options) (*wmap.Map, error) {
-	m := &wmap.Map{ID: id, Time: at}
+	var a attributor
+	return a.attribute(res, id, at, opt)
+}
+
+// indexCell is the smallest grid cell, in pixels, of the router and label
+// indexes; gridCell grows it to bound each index's size.
+const indexCell = 64
+
+// attributor is Algorithm 2's scratch: the router and label boxes, their
+// grid indexes, and the consumed-label and attached-router marks. An
+// AttributionCache keeps one, so each miss reuses the previous miss's
+// arrays.
+type attributor struct {
+	routerBoxes, labelBoxes []geom.Rect
+	routerIdx, labelIdx     boxIndex
+	used, attached          []bool
+}
+
+func (a *attributor) attribute(res *ScanResult, id wmap.MapID, at time.Time, opt Options) (*wmap.Map, error) {
+	m := &wmap.Map{ID: id, Time: at, Nodes: make([]wmap.Node, 0, len(res.Routers))}
 	for i, r := range res.Routers {
 		if r.Name == "" {
 			return nil, attrErrorf(-1, "router %d has no name", i)
@@ -74,27 +88,24 @@ func Attribute(res *ScanResult, id wmap.MapID, at time.Time, opt Options) (*wmap
 		m.Nodes = append(m.Nodes, wmap.Node{Name: r.Name, Kind: wmap.KindOfName(r.Name)})
 	}
 
-	// Labels are consumed as they are attributed (Algorithm 2, line 9).
-	used := make([]bool, len(res.Labels))
-
-	// Spatial indexes accelerate the closest-intersecting-box queries of
-	// the default mode; see boxIndex for the exactness argument.
-	var routerIdx, labelIdx *boxIndex
-	if !opt.Exhaustive {
-		routerBoxes := make([]geom.Rect, len(res.Routers))
-		for i := range res.Routers {
-			routerBoxes[i] = res.Routers[i].Box
-		}
-		labelBoxes := make([]geom.Rect, len(res.Labels))
-		for i := range res.Labels {
-			labelBoxes[i] = res.Labels[i].Box
-		}
-		const cell = 64
-		routerIdx = newBoxIndex(routerBoxes, cell)
-		labelIdx = newBoxIndex(labelBoxes, cell)
+	// Spatial indexes answer the closest-intersecting-box queries; see
+	// boxIndex for the exactness argument.
+	a.routerBoxes = slices.Grow(a.routerBoxes[:0], len(res.Routers))
+	for i := range res.Routers {
+		a.routerBoxes = append(a.routerBoxes, res.Routers[i].Box)
 	}
+	a.labelBoxes = slices.Grow(a.labelBoxes[:0], len(res.Labels))
+	for i := range res.Labels {
+		a.labelBoxes = append(a.labelBoxes, res.Labels[i].Box)
+	}
+	a.routerIdx.build(a.routerBoxes, gridCell(a.routerBoxes, indexCell))
+	a.labelIdx.build(a.labelBoxes, gridCell(a.labelBoxes, indexCell))
 
-	attached := make(map[string]bool, len(res.Routers))
+	// Labels are consumed as they are attributed (Algorithm 2, line 9).
+	used := marks(&a.used, len(res.Labels))
+	attached := marks(&a.attached, len(res.Routers))
+
+	m.Links = make([]wmap.Link, 0, len(res.Links))
 	for li, raw := range res.Links {
 		baseA, okA := raw.ArrowA.ArrowBase()
 		baseB, okB := raw.ArrowB.ArrowBase()
@@ -106,43 +117,16 @@ func Attribute(res *ScanResult, id wmap.MapID, at time.Time, opt Options) (*wmap
 			return nil, attrErrorf(li, "arrow bases coincide")
 		}
 
-		// Candidate routers and labels: boxes intersecting the link's line.
-		// The exhaustive mode materializes the full candidate lists first
-		// (the paper's literal pseudocode); the default mode prunes by
-		// distance to the end before paying for the intersection test.
-		var routerCand, labelCand []int
-		if opt.Exhaustive {
-			for ri := range res.Routers {
-				if res.Routers[ri].Box.IntersectsLine(line) {
-					routerCand = append(routerCand, ri)
-				}
-			}
-			for ci := range res.Labels {
-				if !used[ci] && res.Labels[ci].Box.IntersectsLine(line) {
-					labelCand = append(labelCand, ci)
-				}
-			}
-		}
-
 		link := wmap.Link{LoadAB: raw.Loads[0], LoadBA: raw.Loads[1]}
-		var endNames [2]string
+		var ends [2]int
 		for e, end := range [2]geom.Point{baseA, baseB} {
-			var ri, ci int
-			if opt.Exhaustive {
-				ri = closestRouter(res.Routers, routerCand, end)
-			} else {
-				ri = routerIdx.closestIntersecting(line, end, nil)
-			}
+			ri := a.routerIdx.closestIntersecting(line, end, nil)
 			if ri < 0 {
 				return nil, attrErrorf(li, "no router box intersects the link line near end %d", e)
 			}
-			endNames[e] = res.Routers[ri].Name
+			ends[e] = ri
 
-			if opt.Exhaustive {
-				ci = closestLabel(res.Labels, used, labelCand, end)
-			} else {
-				ci = labelIdx.closestIntersecting(line, end, used)
-			}
+			ci := a.labelIdx.closestIntersecting(line, end, used)
 			switch {
 			case ci < 0 && opt.RequireLabels:
 				return nil, attrErrorf(li, "no label box intersects the link line near end %d", e)
@@ -162,18 +146,18 @@ func Attribute(res *ScanResult, id wmap.MapID, at time.Time, opt Options) (*wmap
 				}
 			}
 		}
-		if endNames[0] == endNames[1] {
-			return nil, attrErrorf(li, "both ends attribute to router %q", endNames[0])
+		link.A, link.B = res.Routers[ends[0]].Name, res.Routers[ends[1]].Name
+		if link.A == link.B {
+			return nil, attrErrorf(li, "both ends attribute to router %q", link.A)
 		}
-		link.A, link.B = endNames[0], endNames[1]
-		attached[link.A] = true
-		attached[link.B] = true
+		attached[ends[0]] = true
+		attached[ends[1]] = true
 		m.Links = append(m.Links, link)
 	}
 
 	if opt.RequireConnected {
-		for _, r := range res.Routers {
-			if !attached[r.Name] {
+		for i, r := range res.Routers {
+			if !attached[i] && !nameAttached(res.Routers, attached, r.Name) {
 				return nil, attrErrorf(-1, "router %q is not attributed any link", r.Name)
 			}
 		}
@@ -181,86 +165,26 @@ func Attribute(res *ScanResult, id wmap.MapID, at time.Time, opt Options) (*wmap
 	return m, nil
 }
 
-// closestRouter returns the candidate index whose box is closest to the
-// end point, with a deterministic coordinate tie-break.
-func closestRouter(routers []RawRouter, cand []int, end geom.Point) int {
-	best := -1
-	for _, ri := range cand {
-		if best < 0 || closerBox(end, routers[ri].Box, routers[best].Box) {
-			best = ri
-		}
+// marks returns *buf resized to n and cleared.
+func marks(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
 	}
-	return best
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
-// closestLabel returns the unused candidate label closest to the end point.
-func closestLabel(labels []RawLabel, used []bool, cand []int, end geom.Point) int {
-	best := -1
-	for _, ci := range cand {
-		if used[ci] {
-			continue
-		}
-		if best < 0 || closerBox(end, labels[ci].Box, labels[best].Box) {
-			best = ci
+// nameAttached reports whether an attached router is named name. The check
+// for connectivity is by name: a router sharing its name with an attached
+// one counts as attached.
+func nameAttached(routers []RawRouter, attached []bool, name string) bool {
+	for i, r := range routers {
+		if attached[i] && r.Name == name {
+			return true
 		}
 	}
-	return best
-}
-
-// closerBox orders boxes by distance to pt, breaking ties on coordinates so
-// attribution is deterministic on degenerate layouts.
-func closerBox(pt geom.Point, a, b geom.Rect) bool {
-	da, db := a.DistToPoint(pt), b.DistToPoint(pt)
-	if da != db {
-		return da < db
-	}
-	if a.Min.X != b.Min.X {
-		return a.Min.X < b.Min.X
-	}
-	return a.Min.Y < b.Min.Y
-}
-
-// CountDuplicateAssignments runs the label-attribution step of Algorithm 2
-// WITHOUT the consumption rule (line 9 of the paper's pseudocode) and
-// returns how many label boxes end up assigned to more than one link end.
-// It quantifies the ablation DESIGN.md calls out: without consumption,
-// parallel links whose labels share text (and sit symmetrically) can grab
-// the same physical label box, which the consuming algorithm forbids by
-// construction.
-//
-//lint:ignore wmlint/deadexport the label-consumption ablation entry point (DESIGN.md §5)
-func CountDuplicateAssignments(res *ScanResult) int {
-	assigned := make([]int, len(res.Labels))
-	for _, raw := range res.Links {
-		baseA, okA := raw.ArrowA.ArrowBase()
-		baseB, okB := raw.ArrowB.ArrowBase()
-		if !okA || !okB {
-			continue
-		}
-		line := geom.LineThrough(baseA, baseB)
-		if line.Degenerate() {
-			continue
-		}
-		var cand []int
-		for ci := range res.Labels {
-			if res.Labels[ci].Box.IntersectsLine(line) {
-				cand = append(cand, ci)
-			}
-		}
-		noUsed := make([]bool, len(res.Labels)) // consumption disabled
-		for _, end := range [2]geom.Point{baseA, baseB} {
-			if ci := closestLabel(res.Labels, noUsed, cand, end); ci >= 0 {
-				assigned[ci]++
-			}
-		}
-	}
-	dups := 0
-	for _, n := range assigned {
-		if n > 1 {
-			dups++
-		}
-	}
-	return dups
+	return false
 }
 
 // ExtractSVG runs the full pipeline — Scan then Attribute — on one SVG

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -104,11 +105,21 @@ func TestAttributeLabelConsumedOnce(t *testing.T) {
 func TestAttributeErrors(t *testing.T) {
 	at := time.Time{}
 	opt := DefaultOptions()
+	// attr runs Attribute and checks that the exhaustive reference fails
+	// with the same text.
+	attr := func(t *testing.T, res *ScanResult, opt Options) (*wmap.Map, error) {
+		t.Helper()
+		m, err := Attribute(res, wmap.Europe, at, opt)
+		if _, want := referenceAttribute(res, wmap.Europe, at, opt); fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Errorf("err = %v, reference %v", err, want)
+		}
+		return m, err
+	}
 
 	t.Run("no router on line", func(t *testing.T) {
 		res := buildScan()
 		res.Routers[1].Box = geom.RectFromXYWH(300, 500, 70, 18) // moved away
-		if _, err := Attribute(res, wmap.Europe, at, opt); err == nil {
+		if _, err := attr(t, res, opt); err == nil {
 			t.Error("expected attribution failure")
 		}
 	})
@@ -119,7 +130,7 @@ func TestAttributeErrors(t *testing.T) {
 		res.Links[0].ArrowB = geom.Polygon{geom.Pt(60, 17), geom.Pt(60, 21), geom.Pt(40, 19)}
 		lenient := opt
 		lenient.RequireLabels = false
-		_, err := Attribute(res, wmap.Europe, at, lenient)
+		_, err := attr(t, res, lenient)
 		if err == nil || !strings.Contains(err.Error(), "both ends") {
 			t.Errorf("err = %v", err)
 		}
@@ -127,7 +138,7 @@ func TestAttributeErrors(t *testing.T) {
 	t.Run("label beyond threshold", func(t *testing.T) {
 		res := buildScan()
 		res.Labels[0].Box = geom.RectFromXYWH(150, 15, 10, 8) // mid-link
-		_, err := Attribute(res, wmap.Europe, at, opt)
+		_, err := attr(t, res, opt)
 		if err == nil || !strings.Contains(err.Error(), "beyond threshold") {
 			t.Errorf("err = %v", err)
 		}
@@ -135,14 +146,14 @@ func TestAttributeErrors(t *testing.T) {
 	t.Run("missing label", func(t *testing.T) {
 		res := buildScan()
 		res.Labels = res.Labels[:1]
-		if _, err := Attribute(res, wmap.Europe, at, opt); err == nil {
+		if _, err := attr(t, res, opt); err == nil {
 			t.Error("expected missing-label failure")
 		}
 	})
 	t.Run("isolated router", func(t *testing.T) {
 		res := buildScan()
 		res.Routers = append(res.Routers, RawRouter{Name: "lonely-r9", Box: geom.RectFromXYWH(600, 600, 60, 18)})
-		_, err := Attribute(res, wmap.Europe, at, opt)
+		_, err := attr(t, res, opt)
 		if err == nil || !strings.Contains(err.Error(), "not attributed any link") {
 			t.Errorf("err = %v", err)
 		}
@@ -150,7 +161,7 @@ func TestAttributeErrors(t *testing.T) {
 	t.Run("degenerate bases", func(t *testing.T) {
 		res := buildScan()
 		res.Links[0].ArrowB = res.Links[0].ArrowA
-		if _, err := Attribute(res, wmap.Europe, at, opt); err == nil {
+		if _, err := attr(t, res, opt); err == nil {
 			t.Error("expected coinciding-bases failure")
 		}
 	})
@@ -249,17 +260,15 @@ func TestUnmarshalYAMLErrors(t *testing.T) {
 	}
 }
 
-// The pruned candidate search must agree with the paper's literal
-// exhaustive formulation on a full-scale document.
+// The grid-indexed candidate search must agree with the paper's literal
+// exhaustive formulation (referenceAttribute).
 func TestPrunedMatchesExhaustive(t *testing.T) {
 	res := buildScan()
 	fast, err := Attribute(res, wmap.Europe, time.Time{}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := DefaultOptions()
-	slow.Exhaustive = true
-	ex, err := Attribute(res, wmap.Europe, time.Time{}, slow)
+	ex, err := referenceAttribute(res, wmap.Europe, time.Time{}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

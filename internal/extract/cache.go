@@ -49,6 +49,8 @@ type AttributionCache struct {
 	template *wmap.Map
 	// tmpl is the scan template the cached geometry equals, if known.
 	tmpl *template
+	// scratch is Algorithm 2's working memory, reused across misses.
+	scratch attributor
 
 	hits, misses int
 }
@@ -86,7 +88,7 @@ func (c *AttributionCache) Attribute(res *ScanResult, id wmap.MapID, at time.Tim
 	}
 
 	c.misses++
-	m, err := Attribute(res, id, at, c.opt)
+	m, err := c.scratch.attribute(res, id, at, c.opt)
 	if err != nil {
 		// Don't cache failures: the same broken geometry would fail again,
 		// and keeping the previous entry lets a revert still hit.

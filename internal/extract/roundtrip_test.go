@@ -151,7 +151,8 @@ func TestRoundTripYAMLCodec(t *testing.T) {
 	compareMaps(t, m, back)
 }
 
-// Pruned and exhaustive attribution agree on a full Europe-scale document.
+// Grid-indexed and exhaustive attribution agree on a full Europe-scale
+// document.
 func TestPrunedMatchesExhaustiveFullScale(t *testing.T) {
 	sc := netsim.DefaultScenario()
 	m := simAt(t, wmap.Europe, sc.End)
@@ -167,9 +168,7 @@ func TestPrunedMatchesExhaustiveFullScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := extract.DefaultOptions()
-	slow.Exhaustive = true
-	ex, err := extract.Attribute(res, m.ID, m.Time, slow)
+	ex, err := extract.AttributeExhaustive(res, m.ID, m.Time, extract.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
